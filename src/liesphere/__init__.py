@@ -21,6 +21,5 @@ from .dji import (CurvatureQuadratic, DerivativeSystem, KernelAnalysis,
                   SignCertificate, build_system, critical_point_pinning,
                   g6_d5_obstruction, kernel_analysis, recover_pair,
                   sign_certificates)
-from .report import (VerificationCase, emit_polygon_svg, emit_report, run_suite)
-
-__version__ = "0.1.0"
+from .report import (VerificationCase, __version__, emit_polygon_svg, emit_report,
+                     run_suite)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InconsistentData
+from .isoparam import multiplicity_vector
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -160,7 +161,7 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
                    if i != j and (j, i) not in assumed_zero)
     index = {lab: k for k, lab in enumerate(labels)}
     if g == 4:
-        mult = np.array([m1, m2, m1, m2], dtype=float)
+        mult = multiplicity_vector(g, m1, m2)
     else:
         # common multiplicity divides out of every row; store rows unmultiplied
         if m1 != m2:

@@ -13,8 +13,9 @@ curvature (trace of the shape operator, no averaging) is
 
 strictly decreasing in theta and onto R, so theta is recovered from H by
 bisection. The scalar curvature is R = (n-1)(n-2) + H^2 - S with
-S = sum m_i lambda_i^2, and closed forms for g = 3, 4, 6 are checked
-against it on every call.
+S = sum m_i lambda_i^2; for g = 3, 4, 6 its closed form is returned beside
+it. The isoparametric_formulas suite cross-checks both closed forms
+against the direct sums.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .errors import DomainError
 from .quadric import ProjectiveCurvature
 
 ADMISSIBLE_G = (1, 2, 3, 4, 6)
+
+
+def multiplicity_vector(g: int, m1: int, m2: int) -> np.ndarray:
+    """Multiplicities of the g curvatures: (m1, m2, m1, m2, ...) for even g, else all m1."""
+    if g % 2 == 0:
+        return np.array([m1, m2] * (g // 2), dtype=float)
+    return np.full(g, float(m1))
 
 
 @dataclass(frozen=True)
@@ -54,9 +62,7 @@ class IsoparametricFamily:
 
     @property
     def multiplicities(self) -> np.ndarray:
-        if self.g % 2 == 0:
-            return np.array([self.m1, self.m2] * (self.g // 2), dtype=float)
-        return np.full(self.g, float(self.m1))
+        return multiplicity_vector(self.g, self.m1, self.m2)
 
     @property
     def ambient_dim(self) -> int:
@@ -70,6 +76,7 @@ class FamilyInvariants:
     mean_curvature: float
     second_moment: float
     scalar_curvature: float
+    closed_form: float | None = None  # closed-form R for g in {3, 4, 6}
 
     def __post_init__(self):
         n, h, s, r = (self.dimension_ambient, self.mean_curvature,
@@ -95,19 +102,8 @@ def _mean_curvature_raw(g: int, m1: int, m2: int, theta1: float) -> float:
 
 
 def mean_curvature(fam: IsoparametricFamily) -> float:
-    lam = principal_curvatures(fam)
-    direct = float(fam.multiplicities @ lam)
-    h = _mean_curvature_raw(fam.g, fam.m1, fam.m2, fam.theta1)
-    # angle arguments carry a few ulps of pi; cot amplifies that by 1 + cot^2
-    conditioning = 4e-15 * float(fam.multiplicities @ (1.0 + lam * lam))
-    tol = max(1e-9 * max(1.0, abs(h)), conditioning)
-    if abs(h - direct) > tol:
-        raise ArithmeticError(f"mean curvature formula disagrees with direct sum: {h} vs {direct}")
-    if fam.g in (3, 6):
-        alt = fam.g * fam.m1 / math.tan(fam.g * fam.theta1)
-        if abs(alt - h) > tol:
-            raise ArithmeticError("common-multiplicity mean curvature form disagrees")
-    return h
+    """Closed-form H; the isoparametric_formulas suite checks it against sum m_i lambda_i."""
+    return _mean_curvature_raw(fam.g, fam.m1, fam.m2, fam.theta1)
 
 
 def minimal_theta(g: int, m1: int, m2: int) -> float:
@@ -146,7 +142,7 @@ def theta_from_mean_curvature(g: int, m1: int, m2: int, h: float) -> float:
 
 
 def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
-    """General R = (n-1)(n-2) + H^2 - S, checked against the closed form for g in {3,4,6}."""
+    """General R = (n-1)(n-2) + H^2 - S, with the closed form for g in {3,4,6} beside it."""
     lam = principal_curvatures(fam)
     mult = fam.multiplicities
     n = fam.ambient_dim
@@ -162,9 +158,7 @@ def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
                       + fam.m2 * (fam.m2 - 1) * (1 + 1.0 / (t * t)))
     elif fam.g == 6:
         closed = 36 * fam.m1 * (fam.m1 - 1) * (1 + 1.0 / math.tan(6 * fam.theta1) ** 2)
-    if closed is not None and abs(closed - r) > 1e-8 * max(1.0, abs(r)):
-        raise ArithmeticError(f"closed-form scalar curvature {closed} disagrees with {r}")
-    return FamilyInvariants(n, h, s, r)
+    return FamilyInvariants(n, h, s, r, closed)
 
 
 def focal_points(p: np.ndarray, n: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:

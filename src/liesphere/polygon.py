@@ -40,6 +40,7 @@ from .dji import NEGATIVE, POSITIVE, CERTIFICATE_MARGIN, SignCertificate
 from .errors import (CertificateFailure, DegenerateConfiguration, DomainError,
                      NormalizationFailure)
 from .indefinite import Signature, is_lie_transform
+from .isoparam import multiplicity_vector
 from .quadric import (PAPER6_12_34, STANDARD_13_24, LieCurvatureValue,
                       ProjectiveCurvature, cross_ratio, lie_curvature)
 
@@ -290,6 +291,66 @@ def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> L
 
 
 # ---------------------------------------------------------------------------
+# damped least squares, shared by the angle systems, the boost and the search
+# ---------------------------------------------------------------------------
+
+def _levenberg_polish(func, params, max_iter=120):
+    """Levenberg-damped Gauss-Newton with a forward-difference Jacobian.
+
+    func(p) returns the residual vector, or None where p is infeasible; a
+    difference step that lands there is taken backward instead. Returns the
+    polished point and its residual vector, or (None, None) when the start
+    is infeasible or there is nothing to solve.
+    """
+    p = np.array(params, dtype=float)
+    r = func(p)
+    if r is None or r.size == 0:
+        return None, None
+    f = float(r @ r)
+    damp = 1e-3
+    n = len(p)
+    for _ in range(max_iter):
+        if f < 1e-28:
+            break
+        jac = np.empty((len(r), n))
+        valid = True
+        for d in range(n):
+            pp = p.copy()
+            pp[d] += 1e-7
+            rr = func(pp)
+            if rr is None:
+                pp[d] -= 2e-7
+                rr = func(pp)
+                if rr is None:
+                    valid = False
+                    break
+                jac[:, d] = (r - rr) / 1e-7
+            else:
+                jac[:, d] = (rr - r) / 1e-7
+        if not valid:
+            break
+        stepped = False
+        for _ in range(40):
+            try:
+                dp = np.linalg.solve(jac.T @ jac + damp * np.eye(n), -jac.T @ r)
+            except np.linalg.LinAlgError:
+                damp *= 10
+                continue
+            rn = func(p + dp)
+            if rn is not None and float(rn @ rn) < f:
+                p, r, f = p + dp, rn, float(rn @ rn)
+                damp = max(damp * 0.3, 1e-13)
+                stepped = True
+                break
+            damp *= 10
+            if damp > 1e12:
+                break
+        if not stepped:
+            break
+    return p, r
+
+
+# ---------------------------------------------------------------------------
 # g = 4 angle system
 # ---------------------------------------------------------------------------
 
@@ -306,46 +367,24 @@ def g4_residual(gaps: AngleGaps) -> complex:
             - cmath.exp(-2j * d) - cmath.exp(-2j * b))
 
 
-def _g4_system(alpha: float, gamma: float) -> np.ndarray:
+def _g4_system(p: np.ndarray):
     # residual of (6.9) under beta = pi/2 - alpha, delta = pi/2 - gamma, plus the
     # antipodal-closure incidence beta + gamma = pi/2 (lambda*nu = -1 at every vertex)
+    alpha, gamma = p
+    if not (0 < alpha < math.pi / 2 and 0 < gamma < math.pi / 2):
+        return None
     beta = math.pi / 2 - alpha
     delta = math.pi / 2 - gamma
-    if not (0 < alpha < math.pi / 2 and 0 < gamma < math.pi / 2):
-        return np.array([np.inf, np.inf, np.inf])
     r = g4_residual(AngleGaps(4, (alpha, beta, gamma, delta), (math.pi / 4,) * 4))
     return np.array([r.real, r.imag, beta + gamma - math.pi / 2])
 
 
-def _gauss_newton_2d(func, start, max_iter=100, tol=1e-13):
-    x = np.array(start, dtype=float)
-    f = func(*x)
-    norm = float(np.abs(f).max())
-    for _ in range(max_iter):
-        if norm <= tol:
-            return x
-        jac = np.empty((len(f), 2))
-        for d in range(2):
-            step = np.zeros(2)
-            step[d] = 1e-8
-            jac[:, d] = (func(*(x + step)) - f) / 1e-8
-        try:
-            dx = np.linalg.lstsq(jac, -f, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _ in range(40):
-            fn = func(*(x + scale * dx))
-            nn = float(np.abs(fn).max())
-            if nn < norm:
-                x, f, norm = x + scale * dx, fn, nn
-                break
-            scale *= 0.5
-        else:
-            break
-    if norm > tol:
+def _solve_angle_system(func, start) -> np.ndarray:
+    p, r = _levenberg_polish(func, start)
+    norm = math.inf if p is None else float(np.abs(r).max())
+    if norm > 1e-13:
         raise ArithmeticError(f"angle system did not converge: residual {norm:.3e}")
-    return x
+    return p
 
 
 def solve_g4_normalized() -> AngleGaps:
@@ -356,8 +395,8 @@ def solve_g4_normalized() -> AngleGaps:
     (lambda*nu = -1 at every vertex, i.e. beta+gamma = pi/2). Without the
     closure the first two conditions only pin alpha + gamma = pi/2.
     """
-    odd = _gauss_newton_2d(_g4_system, (0.55, 1.05))
-    even = _gauss_newton_2d(_g4_system, (1.1, 0.5))
+    odd = _solve_angle_system(_g4_system, (0.55, 1.05))
+    even = _solve_angle_system(_g4_system, (1.1, 0.5))
     a_o, g_o = odd
     a_e, g_e = even
     return AngleGaps(4,
@@ -390,7 +429,7 @@ def g4_grid_oracle(resolution: int = 721) -> OracleResult:
     others[i, j] = np.inf
     unique = bool(others.min() > best + 0.25 * step * step)
     point = (float(centers[i]), float(centers[j]))
-    polished = tuple(_gauss_newton_2d(_g4_system, point))
+    polished = tuple(_solve_angle_system(_g4_system, point))
     return OracleResult(point, polished, step, unique)
 
 
@@ -523,15 +562,16 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
     others[i, j] = np.inf
     unique = bool(others.min() > best)
 
-    def func(a, c):
+    def func(p):
+        a, c = p
         if not (0 < a < math.pi / 2 and 0 < c < math.pi / 2 and a + c < math.pi / 2):
-            return np.array([np.inf, np.inf, np.inf])
+            return None
         val = 2 * (cmath.exp(2j * a) * cmath.exp(2j * c) + 1) \
             - (cmath.exp(2j * a) + cmath.exp(2j * c))
         return np.array([val.real, val.imag, c - a])
 
     point = (float(centers[i]), float(centers[j]))
-    polished = tuple(_gauss_newton_2d(func, point))
+    polished = tuple(_solve_angle_system(func, point))
     return OracleResult(point, polished, step, unique)
 
 
@@ -615,54 +655,26 @@ def conformal_normalize(poly: GeodesicPolygon):
 
     For g = 4 that makes the lambda leaves of p^1, p^5 antipodally symmetric
     (with the nu leaves parallel); for g = 6 it does the same for the
-    lambda leaves of p^1, p^7. Solved by damped Newton over the two boost
-    parameters with the rotation gauge fixed by re-anchoring vertex 1.
-    Returns (map, transformed polygon).
+    lambda leaves of p^1, p^7. Solved by the search's Levenberg polish over
+    the two boost parameters (kept to |m| < 0.999), with the rotation gauge
+    fixed by re-anchoring vertex 1. Returns (map, transformed polygon).
     """
     g = poly.g
     if g not in (4, 6):
         raise DomainError("conformal normalization is defined for g = 4 and g = 6")
     phis = poly.vertex_angles
 
-    def constraints(m: complex) -> np.ndarray:
-        new = _transform_positions(phis, 0.0, m)
+    def constraints(m: np.ndarray):
+        if math.hypot(*m) >= 0.999:
+            return None
+        new = _transform_positions(phis, 0.0, complex(m[0], m[1]))
         return np.array([_wrap(new[g] - new[0] - math.pi),
                          _wrap(new[g + 1] - new[1] - math.pi)])
 
-    m = np.zeros(2)
-    f = constraints(complex(m[0], m[1]))
-    norm = float(np.abs(f).max())
-    converged = norm <= 1e-12
-    for _ in range(100):
-        if converged:
-            break
-        jac = np.empty((2, 2))
-        for d in range(2):
-            step = np.zeros(2)
-            step[d] = 1e-8
-            mm = m + step
-            jac[:, d] = (constraints(complex(mm[0], mm[1])) - f) / 1e-8
-        try:
-            dm = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            raise NormalizationFailure("singular Newton system")
-        scale = 1.0
-        stepped = False
-        for _ in range(60):
-            cand = m + scale * dm
-            if math.hypot(*cand) < 0.999:
-                fc = constraints(complex(cand[0], cand[1]))
-                nc = float(np.abs(fc).max())
-                if nc < norm:
-                    m, f, norm = cand, fc, nc
-                    stepped = True
-                    break
-            scale *= 0.5  # damping
-        if not stepped:
-            break
-        converged = norm <= 1e-12
-    if not converged:
-        raise NormalizationFailure(f"Newton did not converge: residual {norm:.3e}")
+    m, r = _levenberg_polish(constraints, np.zeros(2))
+    norm = float(np.abs(r).max())
+    if norm > 1e-12:
+        raise NormalizationFailure(f"boost solve did not converge: residual {norm:.3e}")
     mboost = complex(m[0], m[1])
     moved = _transform_positions(phis, 0.0, mboost)
     chi = _wrap(phis[0] - moved[0])
@@ -684,12 +696,6 @@ class IsometryReduction:
     certificates: tuple
     mean_curvature: float
     trace_multiplicity: float
-
-
-def _multiplicity_vector(g: int, m1: int, m2: int) -> np.ndarray:
-    if g % 2 == 0:
-        return np.array([m1, m2] * (g // 2), dtype=float)
-    return np.full(g, float(m1))
 
 
 def isometry_reduction(g: int, poly: GeodesicPolygon, m1: int, m2: int) -> IsometryReduction:
@@ -714,7 +720,7 @@ def isometry_reduction(g: int, poly: GeodesicPolygon, m1: int, m2: int) -> Isome
     gauge = math.pi / 2 - theta1 - phis[0]
     poly = GeodesicPolygon(g, phis + gauge, poly.radius_table)
 
-    mult = _multiplicity_vector(g, m1, m2)
+    mult = multiplicity_vector(g, m1, m2)
     cot_row = 1.0 / np.tan(poly.radius_table[0])
     h_hat = float(mult @ cot_row)
     k_trace = float(mult.sum())
@@ -801,55 +807,6 @@ def _search_residual(g: int, params: np.ndarray, constraints, mult: np.ndarray):
     return np.concatenate(out) if out else np.zeros(0)
 
 
-def _levenberg_polish(g, params, constraints, mult, max_iter=120):
-    p = np.array(params, dtype=float)
-    r = _search_residual(g, p, constraints, mult)
-    if r is None or r.size == 0:
-        return None, math.inf
-    f = float(r @ r)
-    damp = 1e-3
-    n = len(p)
-    for _ in range(max_iter):
-        if f < 1e-28:
-            break
-        jac = np.empty((len(r), n))
-        valid = True
-        for d in range(n):
-            pp = p.copy()
-            pp[d] += 1e-7
-            rr = _search_residual(g, pp, constraints, mult)
-            if rr is None:
-                pp[d] -= 2e-7
-                rr = _search_residual(g, pp, constraints, mult)
-                if rr is None:
-                    valid = False
-                    break
-                jac[:, d] = (r - rr) / 1e-7
-            else:
-                jac[:, d] = (rr - r) / 1e-7
-        if not valid:
-            break
-        stepped = False
-        for _ in range(40):
-            try:
-                dp = np.linalg.solve(jac.T @ jac + damp * np.eye(n), -jac.T @ r)
-            except np.linalg.LinAlgError:
-                damp *= 10
-                continue
-            rn = _search_residual(g, p + dp, constraints, mult)
-            if rn is not None and float(rn @ rn) < f:
-                p, r, f = p + dp, rn, float(rn @ rn)
-                damp = max(damp * 0.3, 1e-13)
-                stepped = True
-                break
-            damp *= 10
-            if damp > 1e12:
-                break
-        if not stepped:
-            break
-    return p, f
-
-
 def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
                       m1: int = 1, m2: int = 1) -> list:
     """Grid + seeded-jitter multistart falsification search.
@@ -868,7 +825,7 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
         raise DomainError("grid_resolution must be in 1..60 (desk scale)")
     if "clc" in constraints and g == 3:
         raise DomainError("clc filtering needs g = 4 or g = 6")
-    mult = _multiplicity_vector(g, m1, m2)
+    mult = multiplicity_vector(g, m1, m2)
     ndim = 2 * g - 1
     # free gaps centered on pi/g so that most sampled cycles close with a positive gap
     lo = np.concatenate([np.full(2 * g - 2, 0.08), [0.04]])
@@ -880,15 +837,12 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
         levels = rng.integers(0, grid_resolution, ndim)
         jitter = rng.uniform(-0.4, 0.4, ndim)
         start = lo + (levels + 0.5 + jitter) * (hi - lo) / grid_resolution
-        p, f = _levenberg_polish(g, start, constraints, mult)
-        if p is None:
-            continue
-        r = _search_residual(g, p, constraints, mult)
-        if r is None or (r.size and float(np.abs(r).max()) > SEARCH_FILTER_TOL):
+        p, r = _levenberg_polish(lambda q: _search_residual(g, q, constraints, mult), start)
+        if p is None or float(np.abs(r).max()) > SEARCH_FILTER_TOL:
             continue
         key = tuple(np.round(p, 6))
         if key not in found:
-            found[key] = (p, float(np.abs(r).max()) if r.size else 0.0)
+            found[key] = (p, float(np.abs(r).max()))
     survivors = []
     for key in sorted(found):
         p, resid = found[key]

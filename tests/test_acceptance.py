@@ -150,7 +150,7 @@ def test_acceptance_07_scalar_curvature_formulas():
         bound = PI / (2 * g)
         for theta in np.linspace(-0.9 * bound, 0.9 * bound, 60):
             fam = ls.IsoparametricFamily(g, m1, m2, float(theta))
-            inv = ls.scalar_curvature(fam)  # raises if the closed form disagrees
+            inv = ls.scalar_curvature(fam)  # closed form recomputed independently below
             general = ((fam.ambient_dim - 1) * (fam.ambient_dim - 2)
                        + inv.mean_curvature ** 2 - inv.second_moment)
             if g == 3:

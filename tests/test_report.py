@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from liesphere import isoparam, polygon
 from liesphere.polygon import build_parallel_polygon
 from liesphere.report import (UsageError, VerificationCase, all_passed,
                               emit_polygon_svg, emit_report, parse_csv_report,
@@ -74,6 +75,23 @@ def test_isoparametric_suite_size_and_pass():
     cases = run_suite("isoparametric_formulas", seed=0)
     assert len(cases) >= 600
     assert all_passed(cases)
+
+
+def test_isoparametric_suite_reports_wrong_mean_curvature(monkeypatch):
+    # a wrong closed form is a fail record from the suite, not an exception
+    raw = isoparam._mean_curvature_raw
+    monkeypatch.setattr(isoparam, "_mean_curvature_raw", lambda *args: raw(*args) + 1e-3)
+    cases = run_suite("isoparametric_formulas", seed=0)
+    mean = [c for c in cases if c.case_id.startswith("isoparametric_formulas/mean_")]
+    assert mean and all(c.status == "fail" for c in mean)
+    assert not any(c.status == "error" for c in cases)
+
+
+def test_empty_search_fails_all_parallel(monkeypatch):
+    monkeypatch.setattr(polygon, "constraint_search", lambda *args, **kwargs: [])
+    cases = run_suite("constraint_search", seed=0)
+    assert any(c.case_id.endswith("_all_parallel") for c in cases)
+    assert all(c.status == "fail" for c in cases)
 
 
 def test_svg_counts_octagon(tmp_path):
