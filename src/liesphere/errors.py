@@ -22,11 +22,11 @@ class DegenerateConfiguration(ValueError):
 
 
 class NormalizationFailure(RuntimeError):
-    """Conformal normalization Newton iteration did not converge."""
+    """The conformal normalization's boost solve did not converge."""
 
 
 class CertificateFailure(RuntimeError):
-    """A sign certificate evaluated with the wrong sign."""
+    """The conformal-to-isometry reduction system is singular."""
 
 
 class InconsistentData(ValueError):

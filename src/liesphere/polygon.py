@@ -36,9 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dji import NEGATIVE, POSITIVE, CERTIFICATE_MARGIN, SignCertificate
-from .errors import (CertificateFailure, DegenerateConfiguration, DomainError,
-                     NormalizationFailure)
+from .dji import NEGATIVE, POSITIVE, SignCertificate
+from .errors import CertificateFailure, DomainError, NormalizationFailure
 from .indefinite import Signature, is_lie_transform
 from .isoparam import multiplicity_vector
 from .quadric import (PAPER6_12_34, STANDARD_13_24, LieCurvatureValue,
@@ -174,6 +173,13 @@ class GeodesicPolygon:
         return normals
 
 
+def _one_turn(phis: np.ndarray) -> np.ndarray:
+    """The angles re-anchored to one increasing turn that starts at phis[0]."""
+    rel = (phis - phis[0]) % (2 * math.pi)
+    rel[0] = 0.0
+    return phis[0] + rel
+
+
 def _positions_from_table(g: int, table: np.ndarray, phi1: float) -> np.ndarray:
     phis = np.empty(2 * g)
     phis[0] = phi1
@@ -184,9 +190,7 @@ def _positions_from_table(g: int, table: np.ndarray, phi1: float) -> np.ndarray:
         s = 2 * g + 3 - 2 * i
         phis[s - 1] = phi2 - 2 * table[1, i - 1]
     # bring the clockwise-constructed odd vertices into the increasing turn from phi1
-    rel = (phis - phi1) % (2 * math.pi)
-    rel[0] = 0.0
-    return phi1 + rel
+    return _one_turn(phis)
 
 
 def angle_table(g: int, gaps: AngleGaps, theta1: float,
@@ -220,11 +224,9 @@ def polygon_from_positions(g: int, vertex_angles) -> GeodesicPolygon:
     phis = np.asarray(vertex_angles, dtype=float)
     if phis.shape != (2 * g,):
         raise DomainError("need 2g vertex angles")
-    rel = (phis - phis[0]) % (2 * math.pi)
-    rel[0] = 0.0
-    if np.any(np.diff(rel) <= 0):
+    phis = _one_turn(phis)
+    if np.any(np.diff(phis) <= 0):
         raise DomainError("vertex angles are not in cyclic order")
-    phis = phis[0] + rel
     table = np.empty((2 * g, g))
     for t in range(1, 2 * g + 1):
         for i in range(1, g + 1):
@@ -266,8 +268,9 @@ def is_parallel(poly: GeodesicPolygon, tol: float = PARALLEL_TOL) -> bool:
 def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> LieCurvatureValue:
     """Cross ratio of four curvature-sphere radii at a vertex, named by index pattern.
 
-    Evaluated both from the cotangents (projectively) and from the circle
-    points e^(2i theta); the two routes must agree to 1e-10.
+    Evaluated projectively from the cotangents. That it equals the cross
+    ratio of the circle points e^(2i theta) is the identity the
+    cross_ratio_identity suite checks.
     """
     if pattern not in PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}; choose from {sorted(PATTERNS)}")
@@ -277,17 +280,8 @@ def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> L
     if not 1 <= vertex <= 2 * poly.g:
         raise DomainError("vertex out of range")
     thetas = [poly.radius_table[vertex - 1, i - 1] for i in indices]
-    curv = lie_curvature(*(ProjectiveCurvature.from_angle(th) for th in thetas),
+    return lie_curvature(*(ProjectiveCurvature.from_angle(th) for th in thetas),
                          ordering=ordering)
-    zs = [cmath.exp(2j * th) for th in thetas]
-    if ordering == STANDARD_13_24:
-        zcr = cross_ratio(zs[0], zs[1], zs[2], zs[3])
-    else:
-        zcr = cross_ratio(zs[0], zs[2], zs[1], zs[3])
-    if abs(zcr - curv.value) > 1e-10 * max(1.0, abs(curv.value)):
-        raise DegenerateConfiguration(
-            f"curvature cross ratio {curv.value} disagrees with point cross ratio {zcr}")
-    return curv
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +432,14 @@ def g4_grid_oracle(resolution: int = 721) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 def psi_values(gaps: AngleGaps) -> tuple:
-    """The three cross-ratio values (Psi^1, Psi^5, Psi^11) of normalized g=6 odd gaps.
+    """The cross-ratio values (Psi^1, Psi^5, Psi^11) of normalized g=6 odd gaps.
 
     Evaluated both by the closed forms in w_k = e^(2i gap_k) and directly as
-    cross ratios of the even vertex positions; the routes must agree to 1e-10.
+    cross ratios of the even vertex positions. Returns (values, route_gap):
+    the real parts of the closed forms, and max |closed - direct| over the
+    three. The direct cross ratios of concircular points are real, so a
+    small route_gap also bounds the dropped imaginary parts; the
+    angle_solvers/g6_psi_triple case judges it.
     """
     if gaps.g != 6:
         raise DomainError("psi_values needs g = 6 gaps")
@@ -462,14 +460,8 @@ def psi_values(gaps: AngleGaps) -> tuple:
         cross_ratio(zpt[6], zpt[10], zpt[8], zpt[2]),
         cross_ratio(zpt[12], zpt[4], zpt[2], zpt[8]),
     )
-    out = []
-    for cval, dval in zip(closed, direct):
-        if abs(cval - dval) > 1e-10:
-            raise ArithmeticError(f"closed form {cval} disagrees with cross ratio {dval}")
-        if abs(cval.imag) > 1e-9:
-            raise ArithmeticError(f"Psi value not real: {cval}")
-        out.append(cval.real)
-    return tuple(out)
+    route_gap = max(abs(cval - dval) for cval, dval in zip(closed, direct))
+    return tuple(cval.real for cval in closed), route_gap
 
 
 @dataclass(frozen=True)
@@ -515,28 +507,16 @@ def solve_g6_normalized() -> AngleGaps:
     Psi^1 = -1 then reduces to 2(w1 w3 + 1) = w1 + w3 with x = y, whose
     single surviving branch is x = cos 2 alpha = 1/2. Without the closure
     the system retains a spurious one-parameter family along
-    5(x+y) = 4(xy+1).
+    5(x+y) = 4(xy+1). The gaps are built from the one accepted branch of
+    g6_branches; the angle_solvers cases g6_solution_pi6 and g6_psi_triple
+    judge them against pi/6 and against the Psi system.
     """
-    survivors = [b for b in g6_branches() if b.accepted]
-    if len(survivors) != 1:
-        raise ArithmeticError("case analysis did not isolate a single branch")
-    x = survivors[0].x
-    alpha = math.acos(x) / 2.0
+    (branch,) = [b for b in g6_branches() if b.accepted]
+    alpha = math.acos(branch.x) / 2.0
     gamma = alpha
     beta = math.pi / 2 - alpha - gamma
     odd = (alpha, beta, gamma, gamma, beta, alpha)
-    gaps = AngleGaps(6, odd, odd)
-    # confirm the branch against the actual cross-ratio triple and the closure
-    vals = psi_values(gaps)
-    if max(abs(v + 1.0) for v in vals) > 1e-12:
-        raise ArithmeticError(f"solution does not satisfy the Psi system: {vals}")
-    w1 = cmath.exp(2j * alpha)
-    w3 = cmath.exp(2j * gamma)
-    if abs(2 * (w1 * w3 + 1) - (w1 + w3)) > 1e-12:
-        raise ArithmeticError("solution does not satisfy 2(w1 w3 + 1) = w1 + w3")
-    if abs(odd[1] + odd[2] + odd[3] - math.pi / 2) > 1e-12:
-        raise ArithmeticError("solution does not satisfy the antipodal closure")
-    return gaps
+    return AngleGaps(6, odd, odd)
 
 
 def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleResult:
@@ -641,9 +621,7 @@ def _transform_positions(phis: np.ndarray, chi: float, m: complex) -> np.ndarray
     for k, phi in enumerate(phis):
         w = _mobius_point(a, b, cmath.exp(1j * phi))
         out[k] = cmath.phase(w)
-    rel = (out - out[0]) % (2 * math.pi)
-    rel[0] = 0.0
-    return out[0] + rel
+    return _one_turn(out)
 
 
 def _wrap(angle: float) -> float:
@@ -657,7 +635,10 @@ def conformal_normalize(poly: GeodesicPolygon):
     (with the nu leaves parallel); for g = 6 it does the same for the
     lambda leaves of p^1, p^7. Solved by the search's Levenberg polish over
     the two boost parameters (kept to |m| < 0.999), with the rotation gauge
-    fixed by re-anchoring vertex 1. Returns (map, transformed polygon).
+    fixed by re-anchoring vertex 1. The rotation keeps vertex differences,
+    so the antipodal condition solved for holds on the result;
+    isometry_reduction checks it on its input. Returns (map, transformed
+    polygon).
     """
     g = poly.g
     if g not in (4, 6):
@@ -679,13 +660,7 @@ def conformal_normalize(poly: GeodesicPolygon):
     moved = _transform_positions(phis, 0.0, mboost)
     chi = _wrap(phis[0] - moved[0])
     mapped = CircleMobius.from_parameters(chi, mboost)
-    new_phis = _transform_positions(phis, chi, mboost)
-    new_poly = polygon_from_positions(g, new_phis)
-    check = np.array([_wrap(new_phis[g] - new_phis[0] - math.pi),
-                      _wrap(new_phis[g + 1] - new_phis[1] - math.pi)])
-    if float(np.abs(check).max()) > 1e-8:
-        raise NormalizationFailure("postcondition violated after rotation gauge")
-    return mapped, new_poly
+    return mapped, polygon_from_positions(g, _transform_positions(phis, chi, mboost))
 
 
 @dataclass(frozen=True)
@@ -703,7 +678,9 @@ def isometry_reduction(g: int, poly: GeodesicPolygon, m1: int, m2: int) -> Isome
 
     Assembles the two vertex mean-curvature differences as a homogeneous
     2x2 system in the O(2,1) parameters (x, y); the certified signs make
-    it nonsingular, so the unique solution is (0, 0).
+    it nonsingular, so the unique solution is (0, 0). The certificates are
+    returned, not judged: the isometry_reduction suite checks their
+    margins. Raises CertificateFailure only when the system is singular.
     """
     if g not in (4, 6):
         raise DomainError("isometry reduction is defined for g = 4 and g = 6")
@@ -753,13 +730,9 @@ def isometry_reduction(g: int, poly: GeodesicPolygon, m1: int, m2: int) -> Isome
                              [0.0, 2 * l_hat * (h_hat - tau_hat * k_trace)]])
     if np.abs(matrix - expected).max() > 1e-8 * max(1.0, np.abs(expected).max()):
         raise ArithmeticError("assembled system disagrees with its closed form")
-    for cert in certs:
-        if not cert.holds or cert.margin <= CERTIFICATE_MARGIN:
-            raise CertificateFailure(f"{cert.name} = {cert.expression_value} "
-                                     f"not strictly {cert.claimed_sign}")
     det = float(np.linalg.det(matrix))
     if abs(det) <= 1e-12:
-        raise CertificateFailure("reduction system singular despite certificates")
+        raise CertificateFailure("reduction system is singular")
     solution = np.linalg.solve(matrix, np.zeros(2))
     return IsometryReduction(float(solution[0]), float(solution[1]), matrix,
                              tuple(certs), h_hat, k_trace)

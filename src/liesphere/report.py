@@ -1,8 +1,15 @@
 """Named verification suites over the toolkit, with JSON/CSV reports and SVG diagrams.
 
-Each suite runs deterministic checks (seed-controlled where randomness
-is involved) and yields one VerificationCase per check. A case passes
-iff its residual is within its tolerance. Reports are emitted as JSON
+Each suite is a generator over deterministic checks (seed-controlled where
+randomness is involved) that yields one (case_id, params, residual,
+tolerance) tuple per check, or an exception in place of the residual when
+a check could not be evaluated. run_suite is the one place that turns
+these into VerificationCase records: a case passes iff its residual is
+within its tolerance, an exception becomes an `error` record, and an
+exception that escapes a suite becomes one `<suite>/aborted` error record
+before the run goes on with the next suite. runtime_ms is the time since
+the previous record of the same suite, so it includes any setup that the
+case shares with later ones. Reports are emitted as JSON
 ({"run": {...}, "cases": [...]}) or CSV with the fixed header
 suite,case_id,status,residual,tolerance,runtime_ms,seed; ordering is by
 case_id so output is independent of scheduling.
@@ -14,7 +21,9 @@ import cmath
 import csv
 import json
 import math
+import os
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,26 +62,30 @@ class VerificationCase:
 
 
 def _case(suite, case_id, params, residual, tolerance, seed, t0) -> VerificationCase:
-    status = "pass" if residual <= tolerance else "fail"
-    return VerificationCase(suite, case_id, {k: str(v) for k, v in params.items()},
-                            status, float(residual), float(tolerance),
-                            int((time.perf_counter() - t0) * 1000), seed)
+    """Score one case; an exception in place of the residual makes an `error` record.
 
-
-def _error_case(suite, case_id, params, seed, t0, exc) -> VerificationCase:
+    The error record names the exception and the innermost frame it was raised in.
+    """
     params = {k: str(v) for k, v in params.items()}
-    params["error"] = f"{type(exc).__name__}: {exc}"
-    return VerificationCase(suite, case_id, params, "error", math.inf, 0.0,
+    if isinstance(residual, Exception):
+        params["error"] = f"{type(residual).__name__}: {residual}"
+        frames = traceback.extract_tb(residual.__traceback__)
+        if frames:
+            last = frames[-1]
+            params["where"] = f"{os.path.basename(last.filename)}:{last.lineno} in {last.name}"
+        status, residual, tolerance = "error", math.inf, 0.0
+    else:
+        status = "pass" if residual <= tolerance else "fail"
+    return VerificationCase(suite, case_id, params, status, float(residual), float(tolerance),
                             int((time.perf_counter() - t0) * 1000), seed)
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: generators of (case_id, params, residual or exception, tolerance)
 # ---------------------------------------------------------------------------
 
 def _suite_lie_invariance(seed: int, tol: float | None):
     """Random O(n+1,2) actions leave Lie curvatures fixed; parallel law cot -> cot(xi+theta)."""
-    suite = "lie_invariance"
     tolerance = tol if tol is not None else 1e-8
     sig = Signature(4, 2)
     p = np.array([1.0, 0, 0, 0])
@@ -81,10 +94,7 @@ def _suite_lie_invariance(seed: int, tol: float | None):
     base = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.09))
     phi0 = lie_curvature_of_values(base, STANDARD_13_24).value
     phi0_p6 = lie_curvature_of_values(base, PAPER6_12_34).value
-    cases = []
     for k in range(1000):
-        t0 = time.perf_counter()
-        cid = f"lie_invariance/random_action[{k:04d}]"
         try:
             transform = random_lie_transform(sig, seed * 100003 + k, 0.5)
             a, b, c, d = moebius_coefficients(transform, ce)
@@ -92,47 +102,39 @@ def _suite_lie_invariance(seed: int, tol: float | None):
                      for v in base]
             r1 = abs(lie_curvature(*moved, ordering=STANDARD_13_24).value - phi0)
             r2 = abs(lie_curvature(*moved, ordering=PAPER6_12_34).value - phi0_p6)
-            cases.append(_case(suite, cid, {"seed_offset": k}, max(r1, r2),
-                               tolerance, seed, t0))
-        except Exception as exc:  # noqa: BLE001 - suite must report, not crash
-            cases.append(_error_case(suite, cid, {"seed_offset": k}, seed, t0, exc))
+            residual = max(r1, r2)
+        except Exception as exc:  # noqa: BLE001 - one bad action is one error record
+            residual = exc
+        yield f"lie_invariance/random_action[{k:04d}]", {"seed_offset": k}, residual, tolerance
     # parallel transformation law over a 100 x 100 (xi, theta) grid
     law_tol = tol if tol is not None else 1e-10
     xis = np.linspace(0.05, math.pi - 0.05, 100)
     thetas = np.linspace(-1.5, 1.5, 100)
     for row, theta in enumerate(thetas):
-        t0 = time.perf_counter()
         a, b, c, d = math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta)
         worst = 0.0
         for xi in xis:
             lam = moebius_curvature(a, b, c, d, ProjectiveCurvature.from_angle(xi))
             target = (xi + theta) % math.pi
             if min(target, math.pi - target) < 1e-6:
-                continue  # pole of cot: compared in angle space instead
+                continue  # pole of cot: the point is skipped
             worst = max(worst, abs(lam.value - 1.0 / math.tan(xi + theta)))
-        cases.append(_case(suite, f"lie_invariance/parallel_law[{row:03d}]",
-                           {"theta": f"{theta:.6f}"}, worst, law_tol, seed, t0))
+        yield f"lie_invariance/parallel_law[{row:03d}]", {"theta": f"{theta:.6f}"}, worst, law_tol
     # group sanity: membership and closure over 100 seeds
-    t0 = time.perf_counter()
     worst = 0.0
     for k in range(100):
         l1 = random_lie_transform(sig, seed + k, 0.6)
         l2 = random_lie_transform(sig, seed + 7919 + k, 0.6)
         worst = max(worst, is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1],
                     is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1])
-    cases.append(_case(suite, "lie_invariance/group_closure", {"count": 100},
-                       worst, 1e-8, seed, t0))
-    return cases
+    yield "lie_invariance/group_closure", {"count": 100}, worst, 1e-8
 
 
 def _suite_cross_ratio_identity(seed: int, tol: float | None):
     """Cross ratio of e^(2i theta_k) equals the Lie curvature of cot(theta_k)."""
-    suite = "cross_ratio_identity"
     tolerance = tol if tol is not None else 1e-10
     rng = np.random.default_rng(seed)
-    cases = []
     for batch in range(200):
-        t0 = time.perf_counter()
         worst = 0.0
         for _ in range(50):
             thetas = np.sort(rng.uniform(0.02, math.pi - 0.02, 4))
@@ -142,19 +144,15 @@ def _suite_cross_ratio_identity(seed: int, tol: float | None):
                                 ordering=STANDARD_13_24).value
             zcr = cross_ratio(*(cmath.exp(2j * t) for t in thetas))
             worst = max(worst, abs(zcr - phi))
-        cases.append(_case(suite, f"cross_ratio_identity/radii_sweep[{batch:03d}]",
-                           {"samples": 50}, worst, tolerance, seed, t0))
+        yield f"cross_ratio_identity/radii_sweep[{batch:03d}]", {"samples": 50}, worst, tolerance
     # concircular points have real cross ratio
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(500):
         angles = np.sort(rng.uniform(0, 2 * math.pi, 4))
         if np.diff(angles).min() < 1e-3:
             continue
         worst = max(worst, abs(cross_ratio(*(cmath.exp(1j * a) for a in angles)).imag))
-    cases.append(_case(suite, "cross_ratio_identity/concircular_real",
-                       {"samples": 500}, worst, 1e-10, seed, t0))
-    return cases
+    yield "cross_ratio_identity/concircular_real", {"samples": 500}, worst, 1e-10
 
 
 _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),
@@ -164,9 +162,8 @@ _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),
 
 
 def _suite_isoparametric_formulas(seed: int, tol: float | None):
-    suite = "isoparametric_formulas"
-    cases = []
     for g, m1, m2 in _FAMILY_COMBOS:
+        family = {"g": g, "m1": m1, "m2": m2}
         bound = math.pi / (2 * g)
         grid = np.linspace(-0.9 * bound, 0.9 * bound, 45)
         h_values = []
@@ -175,87 +172,57 @@ def _suite_isoparametric_formulas(seed: int, tol: float | None):
             lam = isoparam.principal_curvatures(fam)
             mult = fam.multiplicities
             tag = f"g{g}_m{m1}_{m2}[{idx:02d}]"
-            t0 = time.perf_counter()
             h = isoparam.mean_curvature(fam)
             h_values.append(h)
             gap = abs(h - float(mult @ lam))
             if g in (3, 6):
                 gap = max(gap, abs(h - g * m1 / math.tan(g * fam.theta1)))
-            cases.append(_case(suite, f"isoparametric_formulas/mean_{tag}",
-                               {"g": g, "m1": m1, "m2": m2, "theta": f"{theta:.6f}"},
-                               gap / max(1.0, abs(h)),
-                               tol if tol is not None else 1e-9, seed, t0))
-            t0 = time.perf_counter()
+            yield (f"isoparametric_formulas/mean_{tag}", {**family, "theta": f"{theta:.6f}"},
+                   gap / max(1.0, abs(h)), tol if tol is not None else 1e-9)
             ordering_ok = bool(np.all(np.diff(lam) < 0)
                                and lam[0] > 1.0 / math.tan(math.pi / g) - 1e-12)
-            cases.append(_case(suite, f"isoparametric_formulas/ordering_{tag}",
-                               {"g": g, "m1": m1, "m2": m2},
-                               0.0 if ordering_ok else 1.0, 0.5, seed, t0))
-            t0 = time.perf_counter()
+            yield (f"isoparametric_formulas/ordering_{tag}", family,
+                   0.0 if ordering_ok else 1.0, 0.5)
             back = isoparam.theta_from_mean_curvature(g, m1, m2, h)
-            cases.append(_case(suite, f"isoparametric_formulas/roundtrip_{tag}",
-                               {"g": g, "m1": m1, "m2": m2},
-                               abs(back - theta), tol if tol is not None else 1e-10,
-                               seed, t0))
+            yield (f"isoparametric_formulas/roundtrip_{tag}", family,
+                   abs(back - theta), tol if tol is not None else 1e-10)
             if g in (3, 4, 6):
-                t0 = time.perf_counter()
                 inv = isoparam.scalar_curvature(fam)
                 r = inv.scalar_curvature
-                cases.append(_case(suite, f"isoparametric_formulas/scalar_{tag}",
-                                   {"g": g, "m1": m1, "m2": m2},
-                                   abs(inv.closed_form - r) / max(1.0, abs(r)),
-                                   tol if tol is not None else 1e-8, seed, t0))
-        t0 = time.perf_counter()
+                yield (f"isoparametric_formulas/scalar_{tag}", family,
+                       abs(inv.closed_form - r) / max(1.0, abs(r)),
+                       tol if tol is not None else 1e-8)
         monotone = bool(np.all(np.diff(h_values) < 0))
-        cases.append(_case(suite, f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}",
-                           {"g": g, "m1": m1, "m2": m2}, 0.0 if monotone else 1.0,
-                           0.5, seed, t0))
-    return cases
+        yield (f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}", family,
+               0.0 if monotone else 1.0, 0.5)
+
+
+def _oracle_cases(g: int, oracle, params: dict):
+    """Polished agreement with pi/g, and a unique minimizing cell next to it."""
+    target = math.pi / g
+    yield (f"angle_solvers/g{g}_oracle_agreement", params,
+           max(abs(v - target) for v in oracle.polished), 1e-6)
+    near = max(abs(v - target) for v in oracle.grid_minimum) <= oracle.cell_size
+    yield (f"angle_solvers/g{g}_oracle_unique_cell", {},
+           0.0 if oracle.unique_cell and near else 1.0, 0.5)
 
 
 def _suite_angle_solvers(seed: int, tol: float | None):
-    suite = "angle_solvers"
     tolerance = tol if tol is not None else 1e-10
-    cases = []
-    t0 = time.perf_counter()
     g4 = poly_mod.solve_g4_normalized()
-    dev4 = max(abs(x - math.pi / 4) for x in g4.odd + g4.even)
-    cases.append(_case(suite, "angle_solvers/g4_solution_pi4", {}, dev4, tolerance, seed, t0))
-    t0 = time.perf_counter()
-    cases.append(_case(suite, "angle_solvers/g4_residual_at_solution", {},
-                       abs(poly_mod.g4_residual(g4)), 1e-12, seed, t0))
-    t0 = time.perf_counter()
+    yield ("angle_solvers/g4_solution_pi4", {},
+           max(abs(x - math.pi / 4) for x in g4.odd + g4.even), tolerance)
+    yield "angle_solvers/g4_residual_at_solution", {}, abs(poly_mod.g4_residual(g4)), 1e-12
     oracle4 = poly_mod.g4_grid_oracle(721)
-    dev = max(abs(oracle4.polished[0] - math.pi / 4), abs(oracle4.polished[1] - math.pi / 4))
-    cases.append(_case(suite, "angle_solvers/g4_oracle_agreement",
-                       {"grid": 721, "cell": f"{oracle4.cell_size:.2e}"},
-                       dev, 1e-6, seed, t0))
-    t0 = time.perf_counter()
-    cases.append(_case(suite, "angle_solvers/g4_oracle_unique_cell", {},
-                       0.0 if oracle4.unique_cell and
-                       max(abs(oracle4.grid_minimum[0] - math.pi / 4),
-                           abs(oracle4.grid_minimum[1] - math.pi / 4)) <= oracle4.cell_size
-                       else 1.0, 0.5, seed, t0))
-    t0 = time.perf_counter()
+    yield from _oracle_cases(4, oracle4, {"grid": 721, "cell": f"{oracle4.cell_size:.2e}"})
     g6 = poly_mod.solve_g6_normalized()
-    dev6 = max(abs(x - math.pi / 6) for x in g6.odd + g6.even)
-    cases.append(_case(suite, "angle_solvers/g6_solution_pi6", {}, dev6, tolerance, seed, t0))
-    t0 = time.perf_counter()
-    psi = poly_mod.psi_values(g6)
-    cases.append(_case(suite, "angle_solvers/g6_psi_triple", {},
-                       max(abs(v + 1.0) for v in psi), 1e-9, seed, t0))
-    t0 = time.perf_counter()
-    oracle6 = poly_mod.g6_grid_oracle(721)
-    dev = max(abs(oracle6.polished[0] - math.pi / 6), abs(oracle6.polished[1] - math.pi / 6))
-    cases.append(_case(suite, "angle_solvers/g6_oracle_agreement",
-                       {"grid": 721}, dev, 1e-6, seed, t0))
-    t0 = time.perf_counter()
-    cases.append(_case(suite, "angle_solvers/g6_oracle_unique_cell", {},
-                       0.0 if oracle6.unique_cell and
-                       max(abs(oracle6.grid_minimum[0] - math.pi / 6),
-                           abs(oracle6.grid_minimum[1] - math.pi / 6)) <= oracle6.cell_size
-                       else 1.0, 0.5, seed, t0))
-    return cases
+    yield ("angle_solvers/g6_solution_pi6", {},
+           max(abs(x - math.pi / 6) for x in g6.odd + g6.even), tolerance)
+    # the closed forms must agree with the direct cross ratios and equal -1
+    psi, route_gap = poly_mod.psi_values(g6)
+    yield ("angle_solvers/g6_psi_triple", {},
+           max(route_gap, *(abs(v + 1.0) for v in psi)), 1e-9)
+    yield from _oracle_cases(6, poly_mod.g6_grid_oracle(721), {"grid": 721})
 
 
 _KERNEL_SYSTEMS = (
@@ -266,74 +233,53 @@ _KERNEL_SYSTEMS = (
 
 
 def _suite_dji_kernels(seed: int, tol: float | None):
-    suite = "dji_kernels"
-    cases = []
     for g, constraints, m1, m2 in _KERNEL_SYSTEMS:
-        t0 = time.perf_counter()
         pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, m1, m2, 0.0))
         system = dji.build_system(g, pcs, m1, m2, constraints,
                                   dji.critical_point_pinning(g))
         analysis = dji.kernel_analysis(system)
         name = f"dji_kernels/kernel_g{g}_{'_'.join(constraints)}_m{m1}{m2}"
-        cases.append(_case(suite, name, {"unknowns": len(system.unknown_labels),
-                                         "rows": system.rows.shape[0]},
-                           float(analysis.dimension), 0.5, seed, t0))
-        t0 = time.perf_counter()
+        yield (name, {"unknowns": len(system.unknown_labels), "rows": system.rows.shape[0]},
+               float(analysis.dimension), 0.5)
         perturbed = dji.build_system(g, pcs + 1e-8 * np.arange(1, g + 1), m1, m2,
                                      constraints, dji.critical_point_pinning(g))
         stable = dji.kernel_analysis(perturbed).dimension == analysis.dimension
-        cases.append(_case(suite, name + "_stability", {},
-                           0.0 if stable else 1.0, 0.5, seed, t0))
-    t0 = time.perf_counter()
+        yield name + "_stability", {}, 0.0 if stable else 1.0, 0.5
     pcs6 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(6, 1, 1, 0.0))
     free = dji.build_system(6, pcs6, 1, 1, (), frozenset())
-    cases.append(_case(suite, "dji_kernels/no_constraints_full_kernel",
-                       {"unknowns": len(free.unknown_labels)},
-                       abs(dji.kernel_analysis(free).dimension - len(free.unknown_labels)),
-                       0.5, seed, t0))
-    t0 = time.perf_counter()
+    yield ("dji_kernels/no_constraints_full_kernel", {"unknowns": len(free.unknown_labels)},
+           abs(dji.kernel_analysis(free).dimension - len(free.unknown_labels)), 0.5)
     counted = dji.build_system(6, pcs6, 1, 1, ("cmc",), dji.critical_point_pinning(6))
-    residual = abs((len(counted.unknown_labels) - counted.rows.shape[0]) - 18)
-    cases.append(_case(suite, "dji_kernels/g6_unknown_count_18",
-                       {"unknowns": len(counted.unknown_labels),
-                        "cmc_rows": counted.rows.shape[0]}, residual, 0.5, seed, t0))
-    t0 = time.perf_counter()
+    yield ("dji_kernels/g6_unknown_count_18",
+           {"unknowns": len(counted.unknown_labels), "cmc_rows": counted.rows.shape[0]},
+           abs((len(counted.unknown_labels) - counted.rows.shape[0]) - 18), 0.5)
     pcs4 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.0))
     cmc_only = dji.build_system(4, pcs4, 1, 1, ("cmc",), dji.critical_point_pinning(4))
     dim = dji.kernel_analysis(cmc_only).dimension
     # the mean-curvature rows alone leave derivatives free: the csc/clc rows are needed
-    cases.append(_case(suite, "dji_kernels/g4_cmc_only_kernel_positive",
-                       {"kernel_dim": dim}, 0.0 if dim > 0 else 1.0, 0.5, seed, t0))
-    t0 = time.perf_counter()
+    yield ("dji_kernels/g4_cmc_only_kernel_positive", {"kernel_dim": dim},
+           0.0 if dim > 0 else 1.0, 0.5)
     cmc_rank = int(np.linalg.matrix_rank(counted.rows, tol=1e-9))
-    cases.append(_case(suite, "dji_kernels/g6_cmc_rows_independent", {"rank": cmc_rank},
-                       abs(cmc_rank - 6), 0.5, seed, t0))
-    return cases
+    yield "dji_kernels/g6_cmc_rows_independent", {"rank": cmc_rank}, abs(cmc_rank - 6), 0.5
 
 
 def _suite_sign_certificates(seed: int, tol: float | None):
-    suite = "sign_certificates"
     margin = tol if tol is not None else dji.CERTIFICATE_MARGIN
-    cases = []
     root3 = math.sqrt(3.0)
     for g in (4, 6):
         pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
         for cert in dji.sign_certificates(g, pcs):
-            t0 = time.perf_counter()
             violation = 0.0 if cert.holds and cert.margin > margin else 1.0
-            cases.append(_case(suite, f"sign_certificates/{cert.name}",
-                               {"value": f"{cert.expression_value:.12g}",
-                                "claimed": cert.claimed_sign}, violation, 0.5, seed, t0))
+            yield (f"sign_certificates/{cert.name}",
+                   {"value": f"{cert.expression_value:.12g}", "claimed": cert.claimed_sign},
+                   violation, 0.5)
     pcs6 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(6, 1, 1, 0.0))
-    t0 = time.perf_counter()
     one_minus = next(c for c in dji.sign_certificates(6, pcs6)
                      if c.name == "g6_one_minus_v_over_w")
-    cases.append(_case(suite, "sign_certificates/value_9_minus_2root3", {},
-                       abs(one_minus.expression_value - (9 - 2 * root3)), 1e-10, seed, t0))
-    t0 = time.perf_counter()
-    cases.append(_case(suite, "sign_certificates/value_d5_obstruction", {},
-                       abs(dji.g6_d5_obstruction(pcs6) - (-12 - 24 * root3)), 1e-10, seed, t0))
-    t0 = time.perf_counter()
+    yield ("sign_certificates/value_9_minus_2root3", {},
+           abs(one_minus.expression_value - (9 - 2 * root3)), 1e-10)
+    yield ("sign_certificates/value_d5_obstruction", {},
+           abs(dji.g6_d5_obstruction(pcs6) - (-12 - 24 * root3)), 1e-10)
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(10000):
@@ -341,36 +287,29 @@ def _suite_sign_certificates(seed: int, tol: float | None):
         if np.abs(np.diff(sample)).min() < 1e-3:
             continue
         worst = max(worst, dji.g6_d5_obstruction(sample))
-    cases.append(_case(suite, "sign_certificates/d5_obstruction_always_negative",
-                       {"samples": 10000}, 0.0 if worst < 0 else 1.0, 0.5, seed, t0))
-    return cases
+    yield ("sign_certificates/d5_obstruction_always_negative", {"samples": 10000},
+           0.0 if worst < 0 else 1.0, 0.5)
 
 
 def _suite_isometry_reduction(seed: int, tol: float | None):
-    suite = "isometry_reduction"
     tolerance = tol if tol is not None else 1e-10
-    cases = []
     combos = ((4, 1, 1), (4, 2, 2), (4, 4, 5), (6, 1, 1), (6, 2, 2))
     for g, m1, m2 in combos:
         bound = math.pi / (2 * g)
         for idx, theta in enumerate(np.linspace(-0.85 * bound, 0.85 * bound, 21)):
-            t0 = time.perf_counter()
-            cid = f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]"
+            params = {"theta": f"{theta:.6f}"}
             try:
                 poly = poly_mod.build_parallel_polygon(g, float(theta))
                 mapped, normalized = poly_mod.conformal_normalize(poly)
                 result = poly_mod.isometry_reduction(g, normalized, m1, m2)
-                residual = max(abs(result.x), abs(result.y))
+                params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
+                # the one check of the reduction's sign certificates
                 strict = all(c.holds and c.margin > dji.CERTIFICATE_MARGIN
                              for c in result.certificates)
-                cases.append(_case(suite, cid,
-                                   {"theta": f"{theta:.6f}",
-                                    "map_x": f"{mapped.x:.2e}", "map_y": f"{mapped.y:.2e}"},
-                                   residual if strict else math.inf, tolerance, seed, t0))
-            except Exception as exc:  # noqa: BLE001
-                cases.append(_error_case(suite, cid, {"theta": f"{theta:.6f}"},
-                                         seed, t0, exc))
-    return cases
+                residual = max(abs(result.x), abs(result.y)) if strict else math.inf
+            except Exception as exc:  # noqa: BLE001 - one bad theta is one error record
+                residual = exc
+            yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
 
 
 _SEARCH_SPECS = (
@@ -383,10 +322,7 @@ _SEARCH_SPECS = (
 
 
 def _suite_constraint_search(seed: int, tol: float | None):
-    suite = "constraint_search"
-    cases = []
     for name, g, constraints, resolution, expectation in _SEARCH_SPECS:
-        t0 = time.perf_counter()
         survivors = poly_mod.constraint_search(g, constraints, resolution, seed)
         nonparallel = sum(1 for s in survivors if not s.parallel)
         params = {"g": g, "constraints": "+".join(constraints),
@@ -397,9 +333,7 @@ def _suite_constraint_search(seed: int, tol: float | None):
             residual = float(nonparallel) if survivors else 1.0
         else:
             residual = 0.0 if nonparallel >= 1 else 1.0
-        cases.append(_case(suite, f"constraint_search/{name}_{expectation}",
-                           params, residual, 0.5, seed, t0))
-    return cases
+        yield f"constraint_search/{name}_{expectation}", params, residual, 0.5
 
 
 _SUITES = {
@@ -415,7 +349,12 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, tol_overrides: dict | None = None):
-    """Run a named suite (or 'all'); returns cases sorted by case_id."""
+    """Run a named suite (or 'all'); returns cases sorted by case_id.
+
+    Each case is timed from the previous record of its suite. An exception
+    that escapes a suite ends that suite with one `<suite>/aborted` error
+    record; the cases it yielded before are kept and the run goes on.
+    """
     overrides = tol_overrides or {}
     if name == "all":
         names = [n for n in SUITE_NAMES if n != "all"]
@@ -424,8 +363,15 @@ def run_suite(name: str, seed: int = 0, tol_overrides: dict | None = None):
     else:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     cases = []
-    for suite_name in names:
-        cases.extend(_SUITES[suite_name](seed, overrides.get(suite_name)))
+    for suite in names:
+        t0 = time.perf_counter()
+        try:
+            for case_id, params, residual, tolerance in _SUITES[suite](
+                    seed, overrides.get(suite)):
+                cases.append(_case(suite, case_id, params, residual, tolerance, seed, t0))
+                t0 = time.perf_counter()
+        except Exception as exc:  # noqa: BLE001 - one bad suite must not abort the run
+            cases.append(_case(suite, f"{suite}/aborted", {}, exc, 0.0, seed, t0))
     return sorted(cases, key=lambda case: case.case_id)
 
 

@@ -1,10 +1,15 @@
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from liesphere import isoparam, polygon
+import liesphere
+from liesphere import cli, dji, isoparam, polygon, quadric
+from liesphere.errors import DomainError
 from liesphere.polygon import build_parallel_polygon
 from liesphere.report import (UsageError, VerificationCase, all_passed,
                               emit_polygon_svg, emit_report, parse_csv_report,
@@ -94,6 +99,45 @@ def test_empty_search_fails_all_parallel(monkeypatch):
     assert all(c.status == "fail" for c in cases)
 
 
+def test_psi_route_disagreement_fails_psi_triple(monkeypatch):
+    # the closed-form/cross-ratio agreement of psi_values is judged by one case
+    monkeypatch.setattr(polygon, "cross_ratio", lambda *z: quadric.cross_ratio(*z) + 1e-6)
+    cases = {c.case_id: c.status for c in run_suite("angle_solvers", seed=0)}
+    assert cases.pop("angle_solvers/g6_psi_triple") == "fail"
+    assert set(cases.values()) == {"pass"}
+
+
+def test_isometry_suite_fails_weak_certificates(monkeypatch):
+    # certificate margins are judged by the suite: a fail record, not an error
+    monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", 1e6)
+    cases = run_suite("isometry_reduction", seed=0)
+    assert cases and all(c.status == "fail" and c.residual == math.inf for c in cases)
+
+
+def _raising(exc_type):
+    def solver(*args, **kwargs):
+        raise exc_type("injected")
+    return solver
+
+
+def test_suite_exception_becomes_aborted_error_record(monkeypatch):
+    # an exception that escapes a suite is one error record, not a crash
+    monkeypatch.setattr(polygon, "solve_g4_normalized", _raising(ArithmeticError))
+    cases = run_suite("angle_solvers", seed=0)
+    (aborted,) = [c for c in cases if c.case_id == "angle_solvers/aborted"]
+    assert aborted.status == "error"
+    assert aborted.params["error"].startswith("ArithmeticError")
+    assert aborted.params["where"].endswith("in solver")
+    assert aborted.tolerance == 0.0
+
+
+def test_cli_suite_domain_error_exits_1(monkeypatch, capsys):
+    # a DomainError raised mid-suite is an errored case (exit 1), not a usage error (exit 2)
+    monkeypatch.setattr(polygon, "solve_g4_normalized", _raising(DomainError))
+    assert cli.main(["verify", "--suite", "angle_solvers"]) == 1
+    assert "ERROR angle_solvers/aborted" in capsys.readouterr().out
+
+
 def test_svg_counts_octagon(tmp_path):
     path = tmp_path / "octagon.svg"
     emit_polygon_svg(build_parallel_polygon(4, 0.0), str(path))
@@ -131,9 +175,15 @@ def test_report_determinism_modulo_runtime(tmp_path):
 # CLI surface
 # ---------------------------------------------------------------------------
 
+SRC_DIR = str(Path(liesphere.__file__).resolve().parents[1])
+
+
 def run_cli(*args):
+    # the subprocess imports the same liesphere as the tests, installed or not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "liesphere.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def test_cli_unknown_suite_exits_2():
@@ -215,3 +265,4 @@ def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
     proc = run_cli("verify", "--suite", "sign_certificates", "--tol", "1e30")
     # tol override raises the certificate margin requirement beyond reach -> failures
     assert proc.returncode == 1
+    assert "FAIL " in proc.stdout   # exit 1 also follows a failed import
