@@ -305,20 +305,22 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
     for name, h in (("mu", mu), ("nu", nu), ("rho", rho)):
         certs.append(SignCertificate(f"g6_d5_obstruction_term_{name}",
                                      (h - tau) * (lam - h) * (sig - h), NEGATIVE))
-    certs.append(SignCertificate("g6_d5_obstruction_total", g6_d5_obstruction(pcs), NEGATIVE))
+    certs.append(SignCertificate("g6_d5_obstruction_total", float(g6_d5_obstruction(pcs)),
+                                 NEGATIVE))
     return certs
 
 
-def g6_d5_obstruction(pcs) -> float:
-    """sum over h in {mu, nu, rho} of (h - tau)(lambda - h)(sigma - h); each term negative."""
+def g6_d5_obstruction(pcs):
+    """sum over h in {mu, nu, rho} of (h - tau)(lambda - h)(sigma - h); each term negative.
+
+    pcs is one sextuple or a (..., 6) stack of them; raises if any row is inadmissible.
+    """
     pcs = np.asarray(pcs, dtype=float)
-    if len(pcs) != 6 or not np.all(np.diff(pcs) < 0):
+    if pcs.shape[-1:] != (6,) or not np.all(np.diff(pcs) < 0):
         raise DomainError("need a strictly decreasing sextuple")
-    lam, sig, tau = float(pcs[0]), float(pcs[4]), float(pcs[5])
-    total = 0.0
-    for h in pcs[1:4]:
-        term = (float(h) - tau) * (lam - float(h)) * (sig - float(h))
-        if term >= 0:
-            raise InconsistentData("obstruction term not negative; input not admissible")
-        total += term
-    return total
+    lam, h, sig, tau = pcs[..., :1], pcs[..., 1:4], pcs[..., 4:5], pcs[..., 5:]
+    terms = (h - tau) * (lam - h) * (sig - h)
+    if np.any(terms >= 0):
+        raise InconsistentData("obstruction term not negative; input not admissible")
+    t_mu, t_nu, t_rho = np.moveaxis(terms, -1, 0)
+    return t_mu + t_nu + t_rho

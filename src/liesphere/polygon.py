@@ -32,7 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -96,38 +95,26 @@ class AngleGaps:
         return cls(g, odd, even)
 
 
-def link_partner(g: int, t: int, i: int) -> int:
-    """Vertex cut by the i-th curvature sphere at vertex t (1-based)."""
-    if t % 2 == 1:
-        return (t + 2 * i - 2) % (2 * g) + 1
-    return (t - 2 * i) % (2 * g) + 1
-
-
-@lru_cache(maxsize=None)
-def _gap_index_matrices(g: int):
-    odd_idx = np.array([[(k + j) % g for j in range(g)] for k in range(g)])
-    even_idx = np.array([[(j - k) % g for j in range(g)] for k in range(g)])
-    return odd_idx, even_idx
+def link_partner(g: int, t, i):
+    """Vertex cut by the i-th curvature sphere at vertex t (1-based); broadcasts over t, i."""
+    return np.where(t % 2 == 1, (t + 2 * i - 2) % (2 * g), (t - 2 * i) % (2 * g)) + 1
 
 
 def _radius_table(g: int, odd, even, theta1: float, theta2: float) -> np.ndarray:
     odd = np.asarray(odd, dtype=float)
     even = np.asarray(even, dtype=float)
-    base_odd = np.empty(g)
-    base_odd[0] = theta1
-    for k in range(1, g):
-        base_odd[k] = base_odd[k - 1] + odd[k - 1] - even[(g - k) % g]
-    odd_idx, even_idx = _gap_index_matrices(g)
-    rows = np.empty((2 * g, g))
-    for k in range(g):
-        o_gaps = odd[odd_idx[k]]
-        e_gaps = even[even_idx[k]]
-        rows[2 * k, 0] = base_odd[k]
-        rows[2 * k, 1:] = base_odd[k] + np.cumsum(o_gaps[:-1])
-        e_base = theta2 if k == 0 else base_odd[k]
-        rows[2 * k + 1, 0] = e_base
-        rows[2 * k + 1, 1:] = e_base + np.cumsum(e_gaps[:-1])
-    return rows
+    # odd-row base radii: every other partial sum of theta1, odd[0], -even[g-1], odd[1], ...
+    steps = np.empty(2 * g - 1)
+    steps[0] = theta1
+    steps[1::2] = odd[:-1]
+    steps[2::2] = -even[:0:-1]
+    base = np.repeat(np.cumsum(steps)[0::2], 2)
+    base[1] = theta2
+    k = np.arange(g)
+    shifted = np.zeros((2 * g, g))
+    shifted[0::2, 1:] = odd[(k[:, None] + k) % g][:, :-1]
+    shifted[1::2, 1:] = even[(k - k[:, None]) % g][:, :-1]
+    return base[:, None] + np.cumsum(shifted, axis=1)
 
 
 @dataclass(frozen=True)
@@ -183,12 +170,8 @@ def _one_turn(phis: np.ndarray) -> np.ndarray:
 def _positions_from_table(g: int, table: np.ndarray, phi1: float) -> np.ndarray:
     phis = np.empty(2 * g)
     phis[0] = phi1
-    for i in range(1, g + 1):
-        phis[2 * i - 1] = phi1 + 2 * table[0, i - 1]
-    phi2 = phis[1]
-    for i in range(2, g + 1):
-        s = 2 * g + 3 - 2 * i
-        phis[s - 1] = phi2 - 2 * table[1, i - 1]
+    phis[1::2] = phi1 + 2 * table[0]
+    phis[2::2] = phis[1] - 2 * table[1, :0:-1]
     # bring the clockwise-constructed odd vertices into the increasing turn from phi1
     return _one_turn(phis)
 
@@ -227,16 +210,10 @@ def polygon_from_positions(g: int, vertex_angles) -> GeodesicPolygon:
     phis = _one_turn(phis)
     if np.any(np.diff(phis) <= 0):
         raise DomainError("vertex angles are not in cyclic order")
-    table = np.empty((2 * g, g))
-    for t in range(1, 2 * g + 1):
-        for i in range(1, g + 1):
-            s = link_partner(g, t, i)
-            if t % 2 == 1:
-                arc = (phis[s - 1] - phis[t - 1]) % (2 * math.pi)
-            else:
-                arc = (phis[t - 1] - phis[s - 1]) % (2 * math.pi)
-            table[t - 1, i - 1] = arc / 2.0
-    return GeodesicPolygon(g, phis, table)
+    t = np.arange(1, 2 * g + 1)[:, None]
+    near, far = phis[t - 1], phis[link_partner(g, t, np.arange(1, g + 1)) - 1]
+    arcs = np.where(t % 2 == 1, far - near, near - far) % (2 * math.pi)
+    return GeodesicPolygon(g, phis, arcs / 2.0)
 
 
 @dataclass(frozen=True)
@@ -406,25 +383,32 @@ class OracleResult:
     unique_cell: bool
 
 
-def g4_grid_oracle(resolution: int = 721) -> OracleResult:
-    """Brute-force grid over (alpha, gamma) in (0, pi/2)^2 for the normalized system."""
+def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleResult:
+    """Grid minimum of objective_of(alpha, gamma) over (0, pi/2)^2, polished by func.
+
+    The cells are resolution^2 centres of side step. The minimizing cell is
+    unique when every other cell's objective exceeds the best by more than
+    margin * step^2; its centre starts the polish of the angle system func.
+    """
     step = (math.pi / 2) / resolution
     centers = (np.arange(resolution) + 0.5) * step
-    alpha, gamma = np.meshgrid(centers, centers, indexing="ij")
-    apg = alpha + gamma
-    # |(6.9) residual|^2 under the normalization collapses to |2(1+e^(2i(a+c)))|^2
-    res_sq = np.abs(2.0 * (1.0 + np.exp(2j * apg))) ** 2
-    closure_sq = ((math.pi / 2 - alpha) + gamma - math.pi / 2) ** 2
-    objective = res_sq + closure_sq
-    flat = np.argmin(objective)
-    i, j = np.unravel_index(flat, objective.shape)
+    objective = objective_of(*np.meshgrid(centers, centers, indexing="ij"))
+    i, j = np.unravel_index(np.argmin(objective), objective.shape)
     best = objective[i, j]
-    others = objective.copy()
-    others[i, j] = np.inf
-    unique = bool(others.min() > best + 0.25 * step * step)
+    objective[i, j] = np.inf
+    unique = bool(objective.min() > best + margin * step * step)
     point = (float(centers[i]), float(centers[j]))
-    polished = tuple(_solve_angle_system(_g4_system, point))
-    return OracleResult(point, polished, step, unique)
+    return OracleResult(point, tuple(_solve_angle_system(func, point)), step, unique)
+
+
+def g4_grid_oracle(resolution: int = 721) -> OracleResult:
+    """Brute-force grid over (alpha, gamma) in (0, pi/2)^2 for the normalized system."""
+    def objective(alpha, gamma):
+        # |(6.9) residual|^2 under the normalization collapses to |2(1+e^(2i(a+c)))|^2
+        res_sq = np.abs(2.0 * (1.0 + np.exp(2j * (alpha + gamma)))) ** 2
+        return res_sq + ((math.pi / 2 - alpha) + gamma - math.pi / 2) ** 2
+
+    return _grid_oracle(resolution, objective, _g4_system, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +511,13 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
     spurious solution curve 5(x+y) = 4(xy+1). Cells with a gap below
     gap_margin are infeasible (degenerate polygon).
     """
-    step = (math.pi / 2) / resolution
-    centers = (np.arange(resolution) + 0.5) * step
-    alpha, gamma = np.meshgrid(centers, centers, indexing="ij")
-    beta = math.pi / 2 - alpha - gamma
-    w1 = np.exp(2j * alpha)
-    w3 = np.exp(2j * gamma)
-    objective = np.abs(2 * (w1 * w3 + 1) - (w1 + w3)) ** 2 + (gamma - alpha) ** 2
-    objective[(beta <= gap_margin) | (alpha <= gap_margin) | (gamma <= gap_margin)] = np.inf
-    flat = np.argmin(objective)
-    i, j = np.unravel_index(flat, objective.shape)
-    best = objective[i, j]
-    others = objective.copy()
-    others[i, j] = np.inf
-    unique = bool(others.min() > best)
+    def objective(alpha, gamma):
+        beta = math.pi / 2 - alpha - gamma
+        w1 = np.exp(2j * alpha)
+        w3 = np.exp(2j * gamma)
+        values = np.abs(2 * (w1 * w3 + 1) - (w1 + w3)) ** 2 + (gamma - alpha) ** 2
+        values[(beta <= gap_margin) | (alpha <= gap_margin) | (gamma <= gap_margin)] = np.inf
+        return values
 
     def func(p):
         a, c = p
@@ -550,9 +527,7 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
             - (cmath.exp(2j * a) + cmath.exp(2j * c))
         return np.array([val.real, val.imag, c - a])
 
-    point = (float(centers[i]), float(centers[j]))
-    polished = tuple(_solve_angle_system(func, point))
-    return OracleResult(point, polished, step, unique)
+    return _grid_oracle(resolution, objective, func, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +539,6 @@ def _su11_params(chi: float, m: complex):
     a = cmath.exp(1j * chi / 2) * s
     b = cmath.exp(1j * chi / 2) * m * s
     return a, b
-
-
-def _mobius_point(a: complex, b: complex, z: complex) -> complex:
-    return (a * z + b) / (b.conjugate() * z + a.conjugate())
 
 
 def _so21_matrix(a: complex, b: complex) -> np.ndarray:
@@ -617,11 +588,8 @@ class CircleMobius:
 
 def _transform_positions(phis: np.ndarray, chi: float, m: complex) -> np.ndarray:
     a, b = _su11_params(chi, m)
-    out = np.empty_like(phis)
-    for k, phi in enumerate(phis):
-        w = _mobius_point(a, b, cmath.exp(1j * phi))
-        out[k] = cmath.phase(w)
-    return _one_turn(out)
+    z = np.exp(1j * phis)
+    return _one_turn(np.angle((a * z + b) / (b.conjugate() * z + a.conjugate())))
 
 
 def _wrap(angle: float) -> float:
@@ -819,9 +787,7 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     survivors = []
     for key in sorted(found):
         p, resid = found[key]
-        odd = np.append(p[:g - 1], math.pi - p[:g - 1].sum())
-        even = np.append(p[g - 1:2 * g - 2], math.pi - p[g - 1:2 * g - 2].sum())
-        gaps = AngleGaps(g, tuple(odd), tuple(even))
+        gaps = AngleGaps.from_free(g, p[:g - 1], p[g - 1:2 * g - 2])
         poly = angle_table(g, gaps, float(p[-1]))
         survivors.append(SearchSurvivor(gaps, float(p[-1]), resid, is_parallel(poly)))
     return survivors

@@ -280,14 +280,11 @@ def _suite_sign_certificates(seed: int, tol: float | None):
            abs(one_minus.expression_value - (9 - 2 * root3)), 1e-10)
     yield ("sign_certificates/value_d5_obstruction", {},
            abs(dji.g6_d5_obstruction(pcs6) - (-12 - 24 * root3)), 1e-10)
-    rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for _ in range(10000):
-        sample = np.sort(rng.uniform(-8, 8, 6))[::-1]
-        if np.abs(np.diff(sample)).min() < 1e-3:
-            continue
-        worst = max(worst, dji.g6_d5_obstruction(sample))
-    yield ("sign_certificates/d5_obstruction_always_negative", {"samples": 10000},
+    samples = np.sort(np.random.default_rng(seed).uniform(-8, 8, (10000, 6)))[:, ::-1]
+    kept = samples[np.abs(np.diff(samples)).min(axis=1) >= 1e-3]
+    worst = float(dji.g6_d5_obstruction(kept).max())
+    yield ("sign_certificates/d5_obstruction_always_negative",
+           {"samples": 10000, "kept": len(kept), "worst": worst},
            0.0 if worst < 0 else 1.0, 0.5)
 
 
@@ -348,14 +345,15 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, tol_overrides: dict | None = None):
+def run_suite(name: str, seed: int = 0, tol: float | None = None):
     """Run a named suite (or 'all'); returns cases sorted by case_id.
 
-    Each case is timed from the previous record of its suite. An exception
-    that escapes a suite ends that suite with one `<suite>/aborted` error
-    record; the cases it yielded before are kept and the run goes on.
+    A given tol replaces every default tolerance and the sign-certificate
+    margin; fixed tolerances stay. Each case is timed from the previous
+    record of its suite. An exception that escapes a suite ends that suite
+    with one `<suite>/aborted` error record; the cases it yielded before
+    are kept and the run goes on.
     """
-    overrides = tol_overrides or {}
     if name == "all":
         names = [n for n in SUITE_NAMES if n != "all"]
     elif name in _SUITES:
@@ -366,8 +364,7 @@ def run_suite(name: str, seed: int = 0, tol_overrides: dict | None = None):
     for suite in names:
         t0 = time.perf_counter()
         try:
-            for case_id, params, residual, tolerance in _SUITES[suite](
-                    seed, overrides.get(suite)):
+            for case_id, params, residual, tolerance in _SUITES[suite](seed, tol):
                 cases.append(_case(suite, case_id, params, residual, tolerance, seed, t0))
                 t0 = time.perf_counter()
         except Exception as exc:  # noqa: BLE001 - one bad suite must not abort the run
@@ -419,10 +416,9 @@ def parse_csv_report(path: str):
 _CHORD_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b7950b", "#7d3c98", "#566573")
 
 
-def emit_polygon_svg(poly, path: str, options: dict | None = None) -> None:
+def emit_polygon_svg(poly, path: str) -> None:
     """Unit circle, labeled vertices, and one chord per leaf pairing; deterministic output."""
-    options = options or {}
-    size = int(options.get("size", 600))
+    size = 600
     scale = size / 2.8
     cx = cy = size / 2
 

@@ -5,7 +5,7 @@ import pytest
 
 from liesphere.dji import (build_system, critical_point_pinning, g6_d5_obstruction,
                            kernel_analysis, recover_pair, sign_certificates)
-from liesphere.errors import InconsistentData
+from liesphere.errors import DomainError, InconsistentData
 from liesphere.isoparam import IsoparametricFamily, mean_curvature, principal_curvatures
 from liesphere.polygon import build_parallel_polygon
 
@@ -180,6 +180,38 @@ def test_d5_obstruction_terms_negative_at_minimal():
     for name in ("g6_d5_obstruction_term_mu", "g6_d5_obstruction_term_nu",
                  "g6_d5_obstruction_term_rho"):
         assert certs[name].expression_value < 0
+
+
+def _d5_reference(row):
+    """The per-term loop that g6_d5_obstruction vectorizes, kept as the reference."""
+    lam, sig, tau = float(row[0]), float(row[4]), float(row[5])
+    total = 0.0
+    for h in row[1:4]:
+        total += (float(h) - tau) * (lam - float(h)) * (sig - float(h))
+    return total
+
+
+def test_d5_obstruction_batch_equals_rows_exactly():
+    rng = np.random.default_rng(4)
+    batch = np.sort(rng.uniform(-8, 8, (200, 6)))[:, ::-1]
+    values = g6_d5_obstruction(batch)
+    assert values.shape == (200,)
+    assert (values == [g6_d5_obstruction(row) for row in batch]).all()
+    assert (values == [_d5_reference(row) for row in batch]).all()
+    assert (g6_d5_obstruction(batch.reshape(20, 10, 6)) == values.reshape(20, 10)).all()
+
+
+def test_d5_obstruction_batch_rejects_one_bad_row():
+    batch = np.sort(np.random.default_rng(5).uniform(-8, 8, (50, 6)))[:, ::-1]
+    underflow = batch.copy()
+    # strictly decreasing, but the mu term underflows to -0.0, which is not negative
+    underflow[7] = [3e-160, 2e-160, 1e-160, 0.0, -1e-160, -2e-160]
+    with pytest.raises(InconsistentData):
+        g6_d5_obstruction(underflow)
+    unordered = batch.copy()
+    unordered[31, [1, 2]] = unordered[31, [2, 1]]
+    with pytest.raises(DomainError):
+        g6_d5_obstruction(unordered)
 
 
 def test_d5_obstruction_always_negative():

@@ -119,6 +119,63 @@ def test_link_partner_matches_leaf_relations():
     assert link_partner(3, 1, 3) == 6   # nu^1 = nu^6 on the hexagon
 
 
+def test_link_partner_broadcasts_over_vertices_and_spheres():
+    for g in (3, 4, 6):
+        t = np.arange(1, 2 * g + 1)
+        i = np.arange(1, g + 1)
+        scalar = [[link_partner(g, int(tt), int(ii)) for ii in i] for tt in t]
+        assert (link_partner(g, t[:, None], i) == np.array(scalar)).all()
+
+
+def _reference_angle_table(g, gaps, theta1, theta2):
+    """The per-row base-radius recurrence and vertex-position loops, kept as the reference."""
+    odd, even = np.array(gaps.odd), np.array(gaps.even)
+    base_odd = np.empty(g)
+    base_odd[0] = theta1
+    for k in range(1, g):
+        base_odd[k] = base_odd[k - 1] + odd[k - 1] - even[(g - k) % g]
+    rows = np.empty((2 * g, g))
+    for k in range(g):
+        o_gaps = odd[[(k + j) % g for j in range(g)]]
+        e_gaps = even[[(j - k) % g for j in range(g)]]
+        rows[2 * k, 0] = base_odd[k]
+        rows[2 * k, 1:] = base_odd[k] + np.cumsum(o_gaps[:-1])
+        e_base = theta2 if k == 0 else base_odd[k]
+        rows[2 * k + 1, 0] = e_base
+        rows[2 * k + 1, 1:] = e_base + np.cumsum(e_gaps[:-1])
+    phi1 = PI / 2 - theta1
+    phis = np.empty(2 * g)
+    phis[0] = phi1
+    for i in range(1, g + 1):
+        phis[2 * i - 1] = phi1 + 2 * rows[0, i - 1]
+    for i in range(2, g + 1):
+        phis[2 * g + 2 - 2 * i] = phis[1] - 2 * rows[1, i - 1]
+    rel = (phis - phis[0]) % (2 * PI)
+    rel[0] = 0.0
+    return phis[0] + rel, rows
+
+
+def test_angle_table_equals_reference_loops_exactly():
+    # the search's survivors and the suite references rely on bit-equal tables
+    rng = np.random.default_rng(11)
+    checked = 0
+    for g in (3, 4, 6):
+        for _ in range(30):
+            gaps = random_gaps(rng, g)
+            theta1 = rng.uniform(0.05, 0.9 * min(gaps.odd[-1], gaps.even[-1]))
+            for theta2 in (theta1, theta1 + rng.uniform(1e-3, 1e-2)):
+                try:
+                    poly = angle_table(g, gaps, theta1, theta2)
+                except DomainError:
+                    continue
+                phis, rows = _reference_angle_table(g, gaps, theta1, theta2)
+                assert (poly.radius_table == rows).all()
+                assert (poly.vertex_angles == phis).all()
+                if theta2 != theta1:
+                    checked += 1
+    assert checked >= 30
+
+
 # ---------------------------------------------------------------------------
 # link relations and parallel verdicts
 # ---------------------------------------------------------------------------
