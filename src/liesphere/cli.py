@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=report.SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="replace each default tolerance and the sign-certificate "
-                               "margin; cases with a fixed tolerance keep it")
+                          help="replace each default tolerance and the margin of every sign "
+                               "certificate; cases with a fixed tolerance keep it")
     p_verify.add_argument("--out", default=None, help="report output path")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=_verify)

@@ -30,6 +30,7 @@ the circle and reduces a constrained conformal map to an isometry via a
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ SUPPORTED_G = (3, 4, 6)
 LINK_TOL = 1e-9
 PARALLEL_TOL = 1e-9
 SEARCH_FILTER_TOL = 1e-6
+_SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid at once costs ~3 MB
 
 # family values of the g=6 Lie curvatures Phi_h (theta-independent)
 G6_FAMILY_PHI = {3: -1.0, 4: -1.0 / 3.0, 6: 1.0 / 3.0}
@@ -100,21 +102,22 @@ def link_partner(g: int, t, i):
     return np.where(t % 2 == 1, (t + 2 * i - 2) % (2 * g), (t - 2 * i) % (2 * g)) + 1
 
 
-def _radius_table(g: int, odd, even, theta1: float, theta2: float) -> np.ndarray:
+def _radius_table(g: int, odd, even, theta1, theta2) -> np.ndarray:
+    """The 2g x g table of gap cycles (..., g) and base radii (...); broadcasts over a stack."""
     odd = np.asarray(odd, dtype=float)
     even = np.asarray(even, dtype=float)
     # odd-row base radii: every other partial sum of theta1, odd[0], -even[g-1], odd[1], ...
-    steps = np.empty(2 * g - 1)
-    steps[0] = theta1
-    steps[1::2] = odd[:-1]
-    steps[2::2] = -even[:0:-1]
-    base = np.repeat(np.cumsum(steps)[0::2], 2)
-    base[1] = theta2
+    steps = np.empty(odd.shape[:-1] + (2 * g - 1,))
+    steps[..., 0] = theta1
+    steps[..., 1::2] = odd[..., :-1]
+    steps[..., 2::2] = -even[..., :0:-1]
+    base = np.repeat(np.cumsum(steps, axis=-1)[..., 0::2], 2, axis=-1)
+    base[..., 1] = theta2
     k = np.arange(g)
-    shifted = np.zeros((2 * g, g))
-    shifted[0::2, 1:] = odd[(k[:, None] + k) % g][:, :-1]
-    shifted[1::2, 1:] = even[(k - k[:, None]) % g][:, :-1]
-    return base[:, None] + np.cumsum(shifted, axis=1)
+    shifted = np.zeros(odd.shape[:-1] + (2 * g, g))
+    shifted[..., 0::2, 1:] = odd[..., (k[:, None] + k) % g][..., :-1]
+    shifted[..., 1::2, 1:] = even[..., (k - k[:, None]) % g][..., :-1]
+    return base[..., None] + np.cumsum(shifted, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,10 @@ class GeodesicPolygon:
 
 
 def _one_turn(phis: np.ndarray) -> np.ndarray:
-    """The angles re-anchored to one increasing turn that starts at phis[0]."""
-    rel = (phis - phis[0]) % (2 * math.pi)
-    rel[0] = 0.0
-    return phis[0] + rel
+    """The angles re-anchored to one increasing turn that starts at phis[..., 0]."""
+    rel = (phis - phis[..., :1]) % (2 * math.pi)
+    rel[..., 0] = 0.0
+    return phis[..., :1] + rel
 
 
 def _positions_from_table(g: int, table: np.ndarray, phi1: float) -> np.ndarray:
@@ -265,59 +268,86 @@ def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> L
 # damped least squares, shared by the angle systems, the boost and the search
 # ---------------------------------------------------------------------------
 
-def _levenberg_polish(func, params, max_iter=120):
-    """Levenberg-damped Gauss-Newton with a forward-difference Jacobian.
+def _sum_squares(r: np.ndarray) -> np.ndarray:  # r @ r per row, by the same dot product
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
-    func(p) returns the residual vector, or None where p is infeasible; a
-    difference step that lands there is taken backward instead. Returns the
-    polished point and its residual vector, or (None, None) when the start
-    is infeasible or there is nothing to solve.
+
+def _difference_jacobians(func, p: np.ndarray, r: np.ndarray):
+    """Forward-difference Jacobians (k, m, n) at k feasible points, and which exist."""
+    k, n = p.shape
+    steps = p[:, None, :] + np.eye(n) * 1e-7  # steps[s, d]: p[s] with p[s, d] + 1e-7
+    rs, ok = func(steps.reshape(k * n, n))
+    rs, ok = rs.reshape(k, n, -1), ok.reshape(k, n)
+    # (rb - r) / -h is (r - rb) / h to the bit: IEEE subtraction and division are odd
+    h = np.where(ok, 1e-7, -1e-7)
+    if not ok.all():  # infeasible steps go backward; where that fails too, no Jacobian
+        s, d = np.nonzero(~ok)
+        steps[s, d, d] -= 2e-7
+        rs[s, d], ok[s, d] = func(steps[s, d])
+    cols = np.zeros(rs.shape)  # cols[s, d]: column d of start s
+    cols[ok] = (rs[ok] - np.broadcast_to(r[:, None], rs.shape)[ok]) / h[ok][:, None]
+    return np.ascontiguousarray(np.swapaxes(cols, 1, 2)), ok.all(axis=1)
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions (k, n) of a[s] x = b[s]; NaN rows where a[s] is singular."""
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # one singular member fails the call: solve one by one
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve_stack(a[s:s + 1], b[s:s + 1]) for s in range(len(a))])
+
+
+def _levenberg_polish(func, starts, max_iter=120):
+    """Levenberg-damped Gauss-Newton (Moré 1978) on a stack of starts.
+
+    func(P) maps an (S, n) stack to (residuals (S, m), feasible (S,)); rows of
+    infeasible points are never read. Each start keeps its own damping, stop
+    rules and floating-point path: per iteration a difference Jacobian, then up
+    to 40 damping trials of (J^T J + damp I) dp = -J^T r until a feasible step
+    lowers |r|^2; it stops below |r|^2 = 1e-28, without a step, or after
+    max_iter iterations. Returns the points (k, n) and residuals (k, m) of the
+    k feasible starts in order; k = 0 when m = 0.
     """
-    p = np.array(params, dtype=float)
-    r = func(p)
-    if r is None or r.size == 0:
-        return None, None
-    f = float(r @ r)
-    damp = 1e-3
-    n = len(p)
+    p = np.array(starts, dtype=float)
+    r, feasible = func(p)
+    p, r = p[feasible], r[feasible]
+    if r.shape[1] == 0:
+        return p[:0], r[:0]
+    f, damp, live = _sum_squares(r), np.full(len(p), 1e-3), np.arange(len(p))
+    eye = np.eye(p.shape[1])
     for _ in range(max_iter):
-        if f < 1e-28:
+        live = live[f[live] >= 1e-28]
+        if not live.size:
             break
-        jac = np.empty((len(r), n))
-        valid = True
-        for d in range(n):
-            pp = p.copy()
-            pp[d] += 1e-7
-            rr = func(pp)
-            if rr is None:
-                pp[d] -= 2e-7
-                rr = func(pp)
-                if rr is None:
-                    valid = False
-                    break
-                jac[:, d] = (r - rr) / 1e-7
-            else:
-                jac[:, d] = (rr - r) / 1e-7
-        if not valid:
-            break
-        stepped = False
+        jac, has_jac = _difference_jacobians(func, p[live], r[live])
+        live, jac = live[has_jac], jac[has_jac]
+        jt = np.swapaxes(jac, 1, 2)
+        normal, grad = jt @ jac, (-jt @ r[live][:, :, None])[:, :, 0]
+        rows, stepped = np.arange(live.size), np.zeros(len(p), dtype=bool)
         for _ in range(40):
-            try:
-                dp = np.linalg.solve(jac.T @ jac + damp * np.eye(n), -jac.T @ r)
-            except np.linalg.LinAlgError:
-                damp *= 10
-                continue
-            rn = func(p + dp)
-            if rn is not None and float(rn @ rn) < f:
-                p, r, f = p + dp, rn, float(rn @ rn)
-                damp = max(damp * 0.3, 1e-13)
-                stepped = True
+            if not rows.size:
                 break
-            damp *= 10
-            if damp > 1e12:
-                break
-        if not stepped:
-            break
+            trying = live[rows]
+            dp = _solve_stack(normal[rows] + damp[trying, None, None] * eye, grad[rows])
+            solved = ~np.isnan(dp[:, 0])
+            s = trying[solved]
+            cand = p[s] + dp[solved]
+            rn, ok = func(cand)
+            fn = np.full(s.size, np.inf)
+            fn[ok] = _sum_squares(rn[ok])
+            better = fn < f[s]
+            took = s[better]
+            p[took], r[took], f[took] = cand[better], rn[better], fn[better]
+            damp[took] = np.maximum(damp[took] * 0.3, 1e-13)
+            stepped[took] = True
+            damp[trying[~solved]] *= 10
+            damp[s[~better]] *= 10
+            retry = ~solved
+            retry[solved] = ~better & (damp[s] <= 1e12)
+            rows = rows[retry]
+        live = live[stepped[live]]
     return p, r
 
 
@@ -333,29 +363,33 @@ def g4_residual(gaps: AngleGaps) -> complex:
     """
     if gaps.g != 4:
         raise DomainError("g4_residual needs g = 4 gaps")
-    a, b, c, d = gaps.odd
-    return (2.0 * (1.0 + cmath.exp(2j * (a + c))) - cmath.exp(2j * a) - cmath.exp(2j * c)
-            - cmath.exp(-2j * d) - cmath.exp(-2j * b))
+    return complex(_g4_odd_residual(*gaps.odd))
+
+
+def _g4_odd_residual(a, b, c, d):
+    # only sums and real multiples of the exponentials: arrays round as scalars do
+    return (2.0 * (1.0 + np.exp(2j * (a + c))) - np.exp(2j * a) - np.exp(2j * c)
+            - np.exp(-2j * d) - np.exp(-2j * b))
 
 
 def _g4_system(p: np.ndarray):
     # residual of (6.9) under beta = pi/2 - alpha, delta = pi/2 - gamma, plus the
     # antipodal-closure incidence beta + gamma = pi/2 (lambda*nu = -1 at every vertex)
-    alpha, gamma = p
-    if not (0 < alpha < math.pi / 2 and 0 < gamma < math.pi / 2):
-        return None
+    alpha, gamma = p[:, 0], p[:, 1]
     beta = math.pi / 2 - alpha
     delta = math.pi / 2 - gamma
-    r = g4_residual(AngleGaps(4, (alpha, beta, gamma, delta), (math.pi / 4,) * 4))
-    return np.array([r.real, r.imag, beta + gamma - math.pi / 2])
+    r = _g4_odd_residual(alpha, beta, gamma, delta)
+    feasible = (0 < alpha) & (alpha < math.pi / 2) & (0 < gamma) & (gamma < math.pi / 2)
+    return np.stack([r.real, r.imag, beta + gamma - math.pi / 2], axis=1), feasible
 
 
-def _solve_angle_system(func, start) -> np.ndarray:
-    p, r = _levenberg_polish(func, start)
-    norm = math.inf if p is None else float(np.abs(r).max())
-    if norm > 1e-13:
-        raise ArithmeticError(f"angle system did not converge: residual {norm:.3e}")
-    return p
+def _solve_system(func, start, tol=1e-13, failure=ArithmeticError) -> np.ndarray:
+    """Polish one start of a small system; raise failure when |r| stays above tol."""
+    p, r = _levenberg_polish(func, [start])
+    norm = float(np.abs(r).max()) if len(p) else math.inf
+    if norm > tol:
+        raise failure(f"solve did not converge: residual {norm:.3e}")
+    return p[0]
 
 
 def solve_g4_normalized() -> AngleGaps:
@@ -366,8 +400,8 @@ def solve_g4_normalized() -> AngleGaps:
     (lambda*nu = -1 at every vertex, i.e. beta+gamma = pi/2). Without the
     closure the first two conditions only pin alpha + gamma = pi/2.
     """
-    odd = _solve_angle_system(_g4_system, (0.55, 1.05))
-    even = _solve_angle_system(_g4_system, (1.1, 0.5))
+    odd = _solve_system(_g4_system, (0.55, 1.05))
+    even = _solve_system(_g4_system, (1.1, 0.5))
     a_o, g_o = odd
     a_e, g_e = even
     return AngleGaps(4,
@@ -398,7 +432,7 @@ def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleRe
     objective[i, j] = np.inf
     unique = bool(objective.min() > best + margin * step * step)
     point = (float(centers[i]), float(centers[j]))
-    return OracleResult(point, tuple(_solve_angle_system(func, point)), step, unique)
+    return OracleResult(point, tuple(_solve_system(func, point)), step, unique)
 
 
 def g4_grid_oracle(resolution: int = 721) -> OracleResult:
@@ -520,12 +554,13 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
         return values
 
     def func(p):
-        a, c = p
-        if not (0 < a < math.pi / 2 and 0 < c < math.pi / 2 and a + c < math.pi / 2):
-            return None
-        val = 2 * (cmath.exp(2j * a) * cmath.exp(2j * c) + 1) \
-            - (cmath.exp(2j * a) + cmath.exp(2j * c))
-        return np.array([val.real, val.imag, c - a])
+        a, c = p[:, 0], p[:, 1]
+        w1, w3 = np.exp(2j * a), np.exp(2j * c)
+        # 2(w1 w3 + 1) - (w1 + w3), with the product spelled out: numpy fuses its multiply-adds
+        re = 2 * (w1.real * w3.real - w1.imag * w3.imag + 1) - (w1.real + w3.real)
+        im = 2 * (w1.real * w3.imag + w1.imag * w3.real) - (w1.imag + w3.imag)
+        feasible = (0 < a) & (0 < c) & (a + c < math.pi / 2)
+        return np.stack([re, im, c - a], axis=1), feasible
 
     return _grid_oracle(resolution, objective, func, 0.0)
 
@@ -534,10 +569,11 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
 # circle Moebius group O(2,1) and the conformal reduction
 # ---------------------------------------------------------------------------
 
-def _su11_params(chi: float, m: complex):
-    s = 1.0 / math.sqrt(1.0 - abs(m) ** 2)
-    a = cmath.exp(1j * chi / 2) * s
-    b = cmath.exp(1j * chi / 2) * m * s
+def _su11_params(chi: float, m):
+    # np.hypot rounds as abs() of a Python complex; broadcasts over an array of m
+    s = 1.0 / np.sqrt(1.0 - np.hypot(np.real(m), np.imag(m)) ** 2)
+    a = np.exp(1j * chi / 2) * s
+    b = np.exp(1j * chi / 2) * m * s
     return a, b
 
 
@@ -586,8 +622,9 @@ class CircleMobius:
         return math.atan2(z[1], z[0])
 
 
-def _transform_positions(phis: np.ndarray, chi: float, m: complex) -> np.ndarray:
-    a, b = _su11_params(chi, m)
+def _transform_positions(phis: np.ndarray, chi: float, m) -> np.ndarray:
+    """The angles phis moved by the map (chi, m); a stack of m gives a stack of rows."""
+    a, b = (np.asarray(x)[..., None] for x in _su11_params(chi, m))
     z = np.exp(1j * phis)
     return _one_turn(np.angle((a * z + b) / (b.conjugate() * z + a.conjugate())))
 
@@ -601,9 +638,9 @@ def conformal_normalize(poly: GeodesicPolygon):
 
     For g = 4 that makes the lambda leaves of p^1, p^5 antipodally symmetric
     (with the nu leaves parallel); for g = 6 it does the same for the
-    lambda leaves of p^1, p^7. Solved by the search's Levenberg polish over
-    the two boost parameters (kept to |m| < 0.999), with the rotation gauge
-    fixed by re-anchoring vertex 1. The rotation keeps vertex differences,
+    lambda leaves of p^1, p^7. Solved by the shared _levenberg_polish, at one
+    start m = 0, over the two boost parameters (feasible for |m| < 0.999),
+    with the rotation gauge fixed by re-anchoring vertex 1. The rotation keeps vertex differences,
     so the antipodal condition solved for holds on the result;
     isometry_reduction checks it on its input. Returns (map, transformed
     polygon).
@@ -614,16 +651,12 @@ def conformal_normalize(poly: GeodesicPolygon):
     phis = poly.vertex_angles
 
     def constraints(m: np.ndarray):
-        if math.hypot(*m) >= 0.999:
-            return None
-        new = _transform_positions(phis, 0.0, complex(m[0], m[1]))
-        return np.array([_wrap(new[g] - new[0] - math.pi),
-                         _wrap(new[g + 1] - new[1] - math.pi)])
+        feasible = np.hypot(m[:, 0], m[:, 1]) < 0.999
+        with np.errstate(invalid="ignore", divide="ignore"):  # rows with |m| >= 1
+            new = _transform_positions(phis, 0.0, m[:, 0] + 1j * m[:, 1])
+            return _wrap(new[:, g:g + 2] - new[:, :2] - math.pi), feasible
 
-    m, r = _levenberg_polish(constraints, np.zeros(2))
-    norm = float(np.abs(r).max())
-    if norm > 1e-12:
-        raise NormalizationFailure(f"boost solve did not converge: residual {norm:.3e}")
+    m = _solve_system(constraints, (0.0, 0.0), 1e-12, NormalizationFailure)
     mboost = complex(m[0], m[1])
     moved = _transform_positions(phis, 0.0, mboost)
     chi = _wrap(phis[0] - moved[0])
@@ -718,41 +751,40 @@ class SearchSurvivor:
     parallel: bool
 
 
-def _search_residual(g: int, params: np.ndarray, constraints, mult: np.ndarray):
-    odd = params[:g - 1]
-    even = params[g - 1:2 * g - 2]
-    theta1 = params[-1]
-    odd_full = np.append(odd, math.pi - odd.sum())
-    even_full = np.append(even, math.pi - even.sum())
-    if odd_full.min() <= 1e-3 or even_full.min() <= 1e-3:
-        return None
-    table = _radius_table(g, odd_full, even_full, theta1, theta1)
-    if table.min() <= 1e-3 or table.max() >= math.pi - 1e-3:
-        return None
-    lam = 1.0 / np.tan(table)
-    out = []
-    if "cmc" in constraints:
-        h = lam @ mult
-        out.append(h[1:] - h[0])
-    if "csc" in constraints:
-        s = (lam * lam) @ mult
-        out.append(s[1:] - s[0])
-    if "clc" in constraints:
-        if g == 4:
-            l1, l2, l3, l4 = lam.T
-            out.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
-        else:
-            for h_idx, target in G6_FAMILY_PHI.items():
-                l1, l2, lh, l5 = lam[:, 0], lam[:, 1], lam[:, h_idx - 1], lam[:, 4]
-                out.append((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - target)
-    return np.concatenate(out) if out else np.zeros(0)
+def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
+    """Residuals (S, m) and feasibility (S,) of rows (free odd gaps, free even gaps, theta1)."""
+    odd, even = params[:, :g - 1], params[:, g - 1:2 * g - 2]
+    odd_full = np.concatenate([odd, math.pi - odd.sum(axis=1, keepdims=True)], axis=1)
+    even_full = np.concatenate([even, math.pi - even.sum(axis=1, keepdims=True)], axis=1)
+    table = _radius_table(g, odd_full, even_full, params[:, -1], params[:, -1])
+    feasible = ((odd_full.min(axis=1) > 1e-3) & (even_full.min(axis=1) > 1e-3)
+                & (table.min(axis=(1, 2)) > 1e-3) & (table.max(axis=(1, 2)) < math.pi - 1e-3))
+    out = [np.zeros((len(params), 0))]
+    with np.errstate(all="ignore"):  # only rows already infeasible overflow or divide by 0
+        lam = 1.0 / np.tan(table)
+        if "cmc" in constraints:
+            h = lam @ mult
+            out.append(h[:, 1:] - h[:, :1])
+        if "csc" in constraints:
+            s = (lam * lam) @ mult
+            out.append(s[:, 1:] - s[:, :1])
+        if "clc" in constraints:
+            if g == 4:
+                l1, l2, l3, l4 = np.moveaxis(lam, -1, 0)
+                out.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
+            else:
+                for h_idx, target in G6_FAMILY_PHI.items():
+                    l1, l2, lh, l5 = (lam[..., i - 1] for i in (1, 2, h_idx, 5))
+                    out.append((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - target)
+    return np.concatenate(out, axis=1), feasible
 
 
 def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
                       m1: int = 1, m2: int = 1) -> list:
     """Grid + seeded-jitter multistart falsification search.
 
-    Enumerates Table-structured configurations, polishes each start, keeps
+    Draws grid_resolution^2 jittered grid starts, screens them for
+    feasibility, polishes all feasible ones in one stacked solve, keeps
     configurations whose selected constraint residuals are all <= 1e-6, and
     reports each survivor with its is_parallel verdict. Deterministic for a
     fixed seed; survivors are merged in parameter order.
@@ -772,18 +804,18 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     lo = np.concatenate([np.full(2 * g - 2, 0.08), [0.04]])
     hi = np.concatenate([np.full(2 * g - 2, 2.0 * math.pi / g), [1.4 * math.pi / g]])
     rng = np.random.default_rng(seed)
-    n_starts = grid_resolution * grid_resolution
+    # a start's integers and uniforms interleave in the stream: draw start by start
+    levels, jitter = zip(*[(rng.integers(0, grid_resolution, ndim), rng.uniform(-0.4, 0.4, ndim))
+                           for _ in range(grid_resolution * grid_resolution)])
+    starts = lo + (np.array(levels) + 0.5 + np.array(jitter)) * (hi - lo) / grid_resolution
+    residual = functools.partial(_search_residual, g, constraints, mult)
+    feasible = np.concatenate([residual(starts[k:k + _SCREEN_BLOCK])[1]
+                               for k in range(0, len(starts), _SCREEN_BLOCK)])
+    points, res = _levenberg_polish(residual, starts[feasible])
     found = {}
-    for _ in range(n_starts):
-        levels = rng.integers(0, grid_resolution, ndim)
-        jitter = rng.uniform(-0.4, 0.4, ndim)
-        start = lo + (levels + 0.5 + jitter) * (hi - lo) / grid_resolution
-        p, r = _levenberg_polish(lambda q: _search_residual(g, q, constraints, mult), start)
-        if p is None or float(np.abs(r).max()) > SEARCH_FILTER_TOL:
-            continue
-        key = tuple(np.round(p, 6))
-        if key not in found:
-            found[key] = (p, float(np.abs(r).max()))
+    for p, r in zip(points, res):
+        if np.abs(r).max() <= SEARCH_FILTER_TOL:
+            found.setdefault(tuple(np.round(p, 6)), (p, float(np.abs(r).max())))
     survivors = []
     for key in sorted(found):
         p, resid = found[key]

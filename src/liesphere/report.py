@@ -7,9 +7,9 @@ a check could not be evaluated. run_suite is the one place that turns
 these into VerificationCase records: a case passes iff its residual is
 within its tolerance, an exception becomes an `error` record, and an
 exception that escapes a suite becomes one `<suite>/aborted` error record
-before the run goes on with the next suite. runtime_ms is the time since
-the previous record of the same suite, so it includes any setup that the
-case shares with later ones. Reports are emitted as JSON
+before the run goes on with the next suite. runtime_ms is the time in
+float milliseconds since the previous record of the same suite, so it
+includes any setup that the case shares with later ones. Reports are JSON
 ({"run": {...}, "cases": [...]}) or CSV with the fixed header
 suite,case_id,status,residual,tolerance,runtime_ms,seed; ordering is by
 case_id so output is independent of scheduling.
@@ -53,7 +53,7 @@ class VerificationCase:
     status: str
     residual: float
     tolerance: float
-    runtime_ms: int
+    runtime_ms: float
     seed: int
 
     def __post_init__(self):
@@ -77,7 +77,7 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
     else:
         status = "pass" if residual <= tolerance else "fail"
     return VerificationCase(suite, case_id, params, status, float(residual), float(tolerance),
-                            int((time.perf_counter() - t0) * 1000), seed)
+                            (time.perf_counter_ns() - t0) / 1e6, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +263,13 @@ def _suite_dji_kernels(seed: int, tol: float | None):
     yield "dji_kernels/g6_cmc_rows_independent", {"rank": cmc_rank}, abs(cmc_rank - 6), 0.5
 
 
+def _certificate_margin(tol: float | None) -> float:
+    """The margin every sign certificate must clear: tol when given, else the default."""
+    return tol if tol is not None else dji.CERTIFICATE_MARGIN
+
+
 def _suite_sign_certificates(seed: int, tol: float | None):
-    margin = tol if tol is not None else dji.CERTIFICATE_MARGIN
+    margin = _certificate_margin(tol)
     root3 = math.sqrt(3.0)
     for g in (4, 6):
         pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
@@ -301,7 +306,7 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
                 result = poly_mod.isometry_reduction(g, normalized, m1, m2)
                 params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
                 # the one check of the reduction's sign certificates
-                strict = all(c.holds and c.margin > dji.CERTIFICATE_MARGIN
+                strict = all(c.holds and c.margin > _certificate_margin(tol)
                              for c in result.certificates)
                 residual = max(abs(result.x), abs(result.y)) if strict else math.inf
             except Exception as exc:  # noqa: BLE001 - one bad theta is one error record
@@ -348,11 +353,11 @@ _SUITES = {
 def run_suite(name: str, seed: int = 0, tol: float | None = None):
     """Run a named suite (or 'all'); returns cases sorted by case_id.
 
-    A given tol replaces every default tolerance and the sign-certificate
-    margin; fixed tolerances stay. Each case is timed from the previous
-    record of its suite. An exception that escapes a suite ends that suite
-    with one `<suite>/aborted` error record; the cases it yielded before
-    are kept and the run goes on.
+    A given tol replaces every default tolerance and the margin of every
+    sign certificate; fixed tolerances stay. Each case is timed from the
+    previous record of its suite. An exception that escapes a suite ends
+    that suite with one `<suite>/aborted` error record; the cases it
+    yielded before are kept and the run goes on.
     """
     if name == "all":
         names = [n for n in SUITE_NAMES if n != "all"]
@@ -362,11 +367,11 @@ def run_suite(name: str, seed: int = 0, tol: float | None = None):
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     cases = []
     for suite in names:
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         try:
             for case_id, params, residual, tolerance in _SUITES[suite](seed, tol):
                 cases.append(_case(suite, case_id, params, residual, tolerance, seed, t0))
-                t0 = time.perf_counter()
+                t0 = time.perf_counter_ns()
         except Exception as exc:  # noqa: BLE001 - one bad suite must not abort the run
             cases.append(_case(suite, f"{suite}/aborted", {}, exc, 0.0, seed, t0))
     return sorted(cases, key=lambda case: case.case_id)
@@ -409,7 +414,7 @@ def parse_csv_report(path: str):
         for row in csv.DictReader(handle):
             out.append(VerificationCase(row["suite"], row["case_id"], {}, row["status"],
                                         float(row["residual"]), float(row["tolerance"]),
-                                        int(row["runtime_ms"]), int(row["seed"])))
+                                        float(row["runtime_ms"]), int(row["seed"])))
     return out
 
 

@@ -1,10 +1,13 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from liesphere import polygon
 from liesphere.errors import DomainError
+from liesphere.isoparam import multiplicity_vector
 from liesphere.polygon import (AngleGaps, CircleMobius, GeodesicPolygon, angle_table,
                                build_parallel_polygon, conformal_normalize,
                                constraint_search, g4_grid_oracle, g4_residual,
@@ -491,3 +494,207 @@ def test_search_deterministic():
     assert len(a) == len(b)
     for x, y in zip(a, b):
         assert x.gaps == y.gaps and x.theta1 == y.theta1
+
+
+# ---------------------------------------------------------------------------
+# the stacked solver against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_polish(func, params, max_iter=120):
+    """The scalar Levenberg loop, kept as the reference; func(p) is a residual or None."""
+    p = np.array(params, dtype=float)
+    r = func(p)
+    if r is None or r.size == 0:
+        return None, None
+    f = float(r @ r)
+    damp = 1e-3
+    n = len(p)
+    for _ in range(max_iter):
+        if f < 1e-28:
+            break
+        jac = np.empty((len(r), n))
+        valid = True
+        for d in range(n):
+            pp = p.copy()
+            pp[d] += 1e-7
+            rr = func(pp)
+            if rr is None:
+                pp[d] -= 2e-7
+                rr = func(pp)
+                if rr is None:
+                    valid = False
+                    break
+                jac[:, d] = (r - rr) / 1e-7
+            else:
+                jac[:, d] = (rr - r) / 1e-7
+        if not valid:
+            break
+        stepped = False
+        for _ in range(40):
+            try:
+                dp = np.linalg.solve(jac.T @ jac + damp * np.eye(n), -jac.T @ r)
+            except np.linalg.LinAlgError:
+                damp *= 10
+                continue
+            rn = func(p + dp)
+            if rn is not None and float(rn @ rn) < f:
+                p, r, f = p + dp, rn, float(rn @ rn)
+                damp = max(damp * 0.3, 1e-13)
+                stepped = True
+                break
+            damp *= 10
+            if damp > 1e12:
+                break
+        if not stepped:
+            break
+    return p, r
+
+
+def _one_row(stacked):
+    """The scalar form of a stacked residual: one row, or None where infeasible."""
+    def func(p):
+        r, feasible = stacked(p[None])
+        return r[0] if feasible[0] else None
+    return func
+
+
+def _assert_polish_matches_reference(func, starts, max_iter=120):
+    points, residuals = polygon._levenberg_polish(func, starts, max_iter)
+    expected = [_reference_polish(_one_row(func), start, max_iter) for start in starts]
+    expected = [(p, r) for p, r in expected if p is not None]
+    assert len(points) == len(residuals) == len(expected)
+    for p, r, (p_ref, r_ref) in zip(points, residuals, expected):
+        assert (p == p_ref).all() and (r == r_ref).all()
+    return len(expected)
+
+
+_CONSTRAINT_SETS = {3: (("cmc",), ("csc",), ("cmc", "csc")),
+                    4: (("cmc",), ("csc",), ("clc",), ("cmc", "csc"), ("cmc", "clc"),
+                        ("csc", "clc"), ("cmc", "csc", "clc"))}
+_CONSTRAINT_SETS[6] = _CONSTRAINT_SETS[4]
+
+
+@pytest.mark.parametrize("g", (3, 4, 6))
+def test_stacked_polish_equals_scalar_loop_on_search_residual(g):
+    rng = np.random.default_rng(g)
+    mult = multiplicity_vector(g, 1, 1)
+    polished = 0
+    for constraints in _CONSTRAINT_SETS[g]:
+        free = rng.uniform(0.85, 1.15, (10, 2 * g - 2)) * PI / g
+        theta1 = rng.uniform(0.1, 0.9, (10, 1)) * PI / g
+        starts = np.concatenate([free, theta1], axis=1)
+        starts[0, 0] = PI  # an infeasible start is dropped
+        polished += _assert_polish_matches_reference(
+            functools.partial(polygon._search_residual, g, constraints, mult), starts)
+    assert polished >= 5 * len(_CONSTRAINT_SETS[g])
+
+
+def test_stacked_polish_equals_scalar_loop_on_angle_systems(monkeypatch):
+    # capture the g = 4, g = 6 and boost systems as the library hands them to the solver
+    systems = []
+    solver = polygon._levenberg_polish
+
+    def spy(func, *args):
+        systems.append(func)
+        return solver(func, *args)
+
+    monkeypatch.setattr(polygon, "_levenberg_polish", spy)
+    solve_g4_normalized()
+    g6_grid_oracle(101)
+    perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
+    base = build_parallel_polygon(6, 0.05)
+    conformal_normalize(polygon_from_positions(6, [perturb.apply_angle(p)
+                                                   for p in base.vertex_angles]))
+    g4, _, g6, boost = systems
+    rng = np.random.default_rng(7)
+    for func, lo, hi in ((g4, -0.1, 1.7), (g6, -0.1, 1.0), (boost, -1.0, 1.0)):
+        starts = rng.uniform(lo, hi, (40, 2))
+        assert 20 <= _assert_polish_matches_reference(func, starts) < 40
+    # the stacked 2-D residuals round as the scalar cmath forms did
+    for a, c in rng.uniform(0.05, 0.7, (200, 2)):
+        e = [cmath.exp(2j * x) for x in (a, c, -(PI / 2 - c), -(PI / 2 - a), a + c)]
+        r4 = 2.0 * (1.0 + e[4]) - e[0] - e[1] - e[2] - e[3]
+        r6 = 2 * (e[0] * e[1] + 1) - (e[0] + e[1])
+        assert (_one_row(g4)(np.array([a, c])) == [r4.real, r4.imag, (PI / 2 - a) + c - PI / 2]).all()
+        assert (_one_row(g6)(np.array([a, c])) == [r6.real, r6.imag, c - a]).all()
+
+
+def _reference_search(g, constraints, grid, seed):
+    """The per-start search loop over the scalar solver, kept as the reference."""
+    mult = multiplicity_vector(g, 1, 1)
+    func = _one_row(functools.partial(polygon._search_residual, g, frozenset(constraints), mult))
+    ndim = 2 * g - 1
+    lo = np.concatenate([np.full(2 * g - 2, 0.08), [0.04]])
+    hi = np.concatenate([np.full(2 * g - 2, 2.0 * PI / g), [1.4 * PI / g]])
+    rng = np.random.default_rng(seed)
+    found = {}
+    for _ in range(grid * grid):
+        levels = rng.integers(0, grid, ndim)
+        jitter = rng.uniform(-0.4, 0.4, ndim)
+        p, r = _reference_polish(func, lo + (levels + 0.5 + jitter) * (hi - lo) / grid)
+        if p is None or float(np.abs(r).max()) > 1e-6:
+            continue
+        found.setdefault(tuple(np.round(p, 6)), (p, float(np.abs(r).max())))
+    return [(AngleGaps.from_free(g, p[:g - 1], p[g - 1:2 * g - 2]), float(p[-1]), resid)
+            for p, resid in (found[key] for key in sorted(found))]
+
+
+@pytest.mark.parametrize("g, constraints, grid", ((3, ("cmc",), 9), (4, ("cmc", "csc"), 9),
+                                                   (6, ("cmc", "clc"), 12)))
+def test_search_equals_per_start_reference_loop(g, constraints, grid):
+    for seed in range(4):
+        survivors = constraint_search(g, constraints, grid, seed)
+        assert [(s.gaps, s.theta1, s.residual) for s in survivors] == \
+            _reference_search(g, constraints, grid, seed)
+
+
+def _toy_system(p):
+    # rows with p2 > 10 have a rank-1 residual near 1e20; rows with p2 < -10 are
+    # feasible only within 5e-8 of p0 = 0.3; the rest solve p = (1, 2, 3)
+    big = (p[:, 0] + p[:, 1])[:, None] * np.full(3, 1e20)
+    r = np.where(p[:, 2:] > 10, big, p - [1.0, 2.0, 3.0])
+    return r, (p[:, 2] > -10) | (np.abs(p[:, 0] - 0.3) < 5e-8)
+
+
+def test_singular_member_does_not_disturb_the_stack():
+    starts = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 20.0], [2.0, -1.0, 5.0],
+                       [0.3, 0.0, -20.0], [0.5, 0.0, -20.0]])
+    jac = np.full((3, 3), 1e20)  # the rank-1 member's Jacobian, up to rounding
+    jac[:, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):  # its first damping trials are singular
+        np.linalg.solve(jac.T @ jac + 1e-3 * np.eye(3), np.ones(3))
+    points, residuals = polygon._levenberg_polish(_toy_system, starts)
+    assert len(points) == 4  # the last start is infeasible
+    for start, p, r in zip(starts, points, residuals):
+        (p_one,), (r_one,) = polygon._levenberg_polish(_toy_system, [start])
+        assert (p == p_one).all() and (r == r_one).all()
+    assert (points[3] == starts[3]).all()  # both steps of p0 are infeasible: no Jacobian
+    assert np.abs(points[[0, 2]] - [1.0, 2.0, 3.0]).max() <= 1e-12
+    assert _assert_polish_matches_reference(_toy_system, starts) == 4
+
+
+def _edge_system(p):
+    # r = 1e6 (p0^2 - 2), feasible below p0 = 2 + 5e-8, and where p1 > 0 only above 1.95
+    feasible = (p[:, 0] < 2.0 + 5e-8) & ((p[:, 1] <= 0) | (p[:, 0] > 1.95))
+    return 1e6 * (p[:, :1] ** 2 - 2.0), feasible
+
+
+def test_backward_differences_and_the_damping_cap():
+    # the first two starts difference backward at the edge; the second and last only
+    # stay feasible with damping past 1e12, where the trials end, so they do not move
+    starts = np.array([[1.99999996, 0.0], [2.0, 1.0], [1.7, 0.0], [1.97, 1.0]])
+    points, residuals = polygon._levenberg_polish(_edge_system, starts)
+    assert _assert_polish_matches_reference(_edge_system, starts) == 4
+    # after one step the point still carries the backward difference's last bits
+    assert _assert_polish_matches_reference(_edge_system, starts, max_iter=1) == 4
+    assert (points[[1, 3]] == starts[[1, 3]]).all()
+    assert np.abs(points[[0, 2], 0] - math.sqrt(2.0)).max() <= 1e-15
+
+
+def test_polish_without_feasible_start_returns_nothing():
+    points, residuals = polygon._levenberg_polish(_toy_system, [[0.5, 0.0, -20.0]] * 3)
+    assert points.shape == (0, 3) and residuals.shape == (0, 3)
+
+
+def test_search_without_constraints_returns_nothing():
+    assert constraint_search(4, (), 5, 0) == []

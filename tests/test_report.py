@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from liesphere.report import (UsageError, VerificationCase, all_passed,
 def make_case(case_id="suite/x", residual=0.0, tolerance=1e-9, status=None):
     status = status or ("pass" if residual <= tolerance else "fail")
     return VerificationCase("suite", case_id, {"k": "v"}, status, residual,
-                            tolerance, 3, 7)
+                            tolerance, 0.0625, 7)
 
 
 def test_case_status_validation():
@@ -41,12 +42,13 @@ def test_emit_json_fields(tmp_path):
     (case,) = payload["cases"]
     assert case == {"suite": "suite", "case_id": "suite/x", "params": {"k": "v"},
                     "status": "pass", "residual": 0.0, "tolerance": 1e-9,
-                    "runtime_ms": 3, "seed": 7}
+                    "runtime_ms": 0.0625, "seed": 7}
 
 
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "report.csv"
     cases = [make_case("suite/a", 1e-12), make_case("suite/b", 2.5, 1e-6)]
+    cases.append(dataclasses.replace(cases[1], case_id="suite/c", runtime_ms=1 / 3))
     emit_report(cases, str(path), "csv")
     header = path.read_text().splitlines()[0]
     assert header == "suite,case_id,status,residual,tolerance,runtime_ms,seed"
@@ -56,8 +58,9 @@ def test_csv_roundtrip(tmp_path):
             orig.suite, orig.case_id, orig.status)
         assert parsed.residual == orig.residual
         assert parsed.tolerance == orig.tolerance
-        assert parsed.runtime_ms == orig.runtime_ms
+        assert parsed.runtime_ms == orig.runtime_ms  # float milliseconds, exactly
         assert parsed.seed == orig.seed
+    assert len(back) == len(cases)
 
 
 def test_emit_report_unknown_format(tmp_path):
@@ -74,6 +77,8 @@ def test_run_suite_ordering_and_pass():
     cases = run_suite("angle_solvers", seed=0)
     assert cases == sorted(cases, key=lambda case: case.case_id)
     assert all_passed(cases)
+    # float milliseconds: a case that takes microseconds does not read 0
+    assert all(isinstance(c.runtime_ms, float) and c.runtime_ms > 0 for c in cases)
 
 
 def test_isoparametric_suite_size_and_pass():
@@ -105,6 +110,13 @@ def test_psi_route_disagreement_fails_psi_triple(monkeypatch):
     cases = {c.case_id: c.status for c in run_suite("angle_solvers", seed=0)}
     assert cases.pop("angle_solvers/g6_psi_triple") == "fail"
     assert set(cases.values()) == {"pass"}
+
+
+def test_tol_is_the_certificate_margin_of_the_isometry_suite():
+    # one margin rule: --tol sets the margin of the reduction's certificates too
+    cases = run_suite("isometry_reduction", 0, tol=1e3)
+    assert cases and all(c.status == "fail" and c.residual == math.inf for c in cases)
+    assert all_passed(run_suite("isometry_reduction", 0, tol=1e-3))
 
 
 def test_isometry_suite_fails_weak_certificates(monkeypatch):
