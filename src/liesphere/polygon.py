@@ -306,8 +306,8 @@ def _levenberg_polish(func, starts, max_iter=120):
     infeasible points are never read. Each start keeps its own damping, stop
     rules and floating-point path: per iteration a difference Jacobian, then up
     to 40 damping trials of (J^T J + damp I) dp = -J^T r until a feasible step
-    lowers |r|^2; it stops below |r|^2 = 1e-28, without a step, or after
-    max_iter iterations. Returns the points (k, n) and residuals (k, m) of the
+    lowers |r|^2; it stops below |r|^2 = 1e-28, without a Jacobian or a step,
+    or after max_iter iterations. Returns the points (k, n) and residuals (k, m) of the
     k feasible starts in order; k = 0 when m = 0.
     """
     p = np.array(starts, dtype=float)
@@ -638,12 +638,12 @@ def conformal_normalize(poly: GeodesicPolygon):
 
     For g = 4 that makes the lambda leaves of p^1, p^5 antipodally symmetric
     (with the nu leaves parallel); for g = 6 it does the same for the
-    lambda leaves of p^1, p^7. Solved by the shared _levenberg_polish, at one
-    start m = 0, over the two boost parameters (feasible for |m| < 0.999),
-    with the rotation gauge fixed by re-anchoring vertex 1. The rotation keeps vertex differences,
-    so the antipodal condition solved for holds on the result;
-    isometry_reduction checks it on its input. Returns (map, transformed
-    polygon).
+    lambda leaves of p^1, p^7. Solved by the shared _levenberg_polish from
+    the one start m = 0 over the two boost parameters (feasible for
+    |m| < 0.999), with the rotation gauge fixed by re-anchoring vertex 1.
+    The rotation keeps vertex differences, so the antipodal condition solved
+    for holds on the result; isometry_reduction checks it on its input.
+    Returns (map, transformed polygon).
     """
     g = poly.g
     if g not in (4, 6):
@@ -759,7 +759,7 @@ def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
     table = _radius_table(g, odd_full, even_full, params[:, -1], params[:, -1])
     feasible = ((odd_full.min(axis=1) > 1e-3) & (even_full.min(axis=1) > 1e-3)
                 & (table.min(axis=(1, 2)) > 1e-3) & (table.max(axis=(1, 2)) < math.pi - 1e-3))
-    out = [np.zeros((len(params), 0))]
+    out = [np.zeros((len(params), 0))]  # the (S, 0) result when no constraint is set
     with np.errstate(all="ignore"):  # only rows already infeasible overflow or divide by 0
         lam = 1.0 / np.tan(table)
         if "cmc" in constraints:
