@@ -55,25 +55,6 @@ class SignCertificate:
         return abs(self.expression_value)
 
 
-@dataclass(frozen=True)
-class CurvatureQuadratic:
-    """t^2 - A t + B = 0 with A = mu + tau, B = mu tau."""
-
-    a: float
-    b: float
-
-    @property
-    def discriminant(self) -> float:
-        return self.a * self.a - 4.0 * self.b
-
-    def roots(self) -> tuple[float, float]:
-        disc = self.discriminant
-        if disc <= 0:
-            raise InconsistentData(f"non-positive discriminant {disc}")
-        sq = math.sqrt(disc)
-        return (self.a + sq) / 2.0, (self.a - sq) / 2.0
-
-
 def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[float, float]:
     """(mu, tau) from (lambda, nu, H) under the g=4 constraints H const and Phi = -1.
 
@@ -85,7 +66,11 @@ def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[flo
         raise DomainError("requires lambda > nu")
     a = (h - m1 * (lam + nu)) / m2
     b = 0.5 * (a * (lam + nu) - 2.0 * lam * nu)
-    mu, tau = CurvatureQuadratic(a, b).roots()
+    disc = a * a - 4.0 * b
+    if disc <= 0:
+        raise InconsistentData(f"non-positive discriminant {disc}")
+    sq = math.sqrt(disc)
+    mu, tau = (a + sq) / 2.0, (a - sq) / 2.0
     if not (lam > mu > nu > tau):
         raise InconsistentData(f"recovered pair does not interlace: "
                                f"{lam} > {mu} > {nu} > {tau} fails")

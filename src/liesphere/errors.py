@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one mask check that raises them."""
+
+import numpy as np
 
 
 class SignatureMismatch(ValueError):
@@ -31,3 +33,17 @@ class CertificateFailure(RuntimeError):
 
 class InconsistentData(ValueError):
     """Numerical data contradicts the structural assumptions (e.g. negative discriminant)."""
+
+
+def raise_where(bad, exc_type, message: str, *values) -> None:
+    """Raise exc_type if the mask `bad` is set anywhere, naming the first bad stack index.
+
+    `message` is formatted with each of `values` taken at that index.
+    """
+    if not np.any(bad):
+        return
+    first = np.unravel_index(np.argmax(bad), np.shape(bad))
+    text = message.format(*(np.asarray(v)[first] for v in values))
+    if first:
+        text += f" at stack index {first[0] if len(first) == 1 else tuple(map(int, first))}"
+    raise exc_type(text)

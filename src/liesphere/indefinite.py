@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SignatureMismatch
+from .errors import ShapeError, SignatureMismatch, raise_where
 
 GROUP_TOL = 1e-9
 COMPOSE_TOL = 1e-8
@@ -58,36 +58,33 @@ class SignedVector:
             raise ValueError("coordinates must be finite")
 
 
-def inner_raw(x: np.ndarray, y: np.ndarray, sig: Signature) -> float:
-    p = sig.plus_count
-    return float(np.dot(x[:p], y[:p]) - np.dot(x[p:], y[p:]))
-
-
 def inner(x: SignedVector, y: SignedVector) -> float:
     """Indefinite inner product; raises SignatureMismatch on incompatible operands."""
     if x.signature != y.signature:
         raise SignatureMismatch(f"{x.signature} vs {y.signature}")
-    return inner_raw(x.coords, y.coords, x.signature)
+    p = x.signature.plus_count
+    return float(np.dot(x.coords[:p], y.coords[:p]) - np.dot(x.coords[p:], y.coords[p:]))
 
 
 def is_lie_transform(matrix: np.ndarray, sig: Signature, tol: float = GROUP_TOL):
     """Membership test for O(p, q): max-abs residual of L^T Ibar L - Ibar.
 
-    Returns (ok, residual); the residual is always reported.
+    Takes one matrix or a stack (..., n, n) and returns (ok, residual) per
+    matrix; the residual is always reported.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ShapeError(f"expected a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] != sig.dim:
-        raise ShapeError(f"matrix of size {matrix.shape[0]} does not match dim {sig.dim}")
+    if matrix.shape[-1] != sig.dim:
+        raise ShapeError(f"matrix of size {matrix.shape[-1]} does not match dim {sig.dim}")
     ibar = sig.matrix()
-    residual = float(np.abs(matrix.T @ ibar @ matrix - ibar).max())
+    residual = np.abs(np.swapaxes(matrix, -1, -2) @ ibar @ matrix - ibar).max(axis=(-2, -1))
     return residual <= tol, residual
 
 
 @dataclass(frozen=True)
 class LieTransform:
-    """An element of O(p, q), validated against its defining relation on construction."""
+    """An element of O(p, q), or a stack (..., n, n) of them, validated once on construction."""
 
     matrix: np.ndarray
     signature: Signature
@@ -96,20 +93,19 @@ class LieTransform:
         matrix = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", matrix)
         ok, residual = is_lie_transform(matrix, self.signature, COMPOSE_TOL)
-        if not ok:
-            raise ValueError(f"not in O({self.signature.plus_count},{self.signature.minus_count}): "
-                             f"residual {residual:.3e}")
-        det = float(np.linalg.det(matrix))
-        if abs(abs(det) - 1.0) > 1e-6:
-            raise ValueError(f"determinant {det} not of unit modulus")
+        raise_where(~ok, ValueError, f"not in O({self.signature.plus_count},"
+                    f"{self.signature.minus_count}): residual {{:.3e}}", residual)
+        det = np.linalg.det(matrix)
+        raise_where(np.abs(np.abs(det) - 1.0) > 1e-6, ValueError,
+                    "determinant {} not of unit modulus", det)
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
-    # scaling and squaring: 10 squarings, degree-8 Taylor core
+    # scaling and squaring: 10 squarings, degree-8 Taylor core; broadcasts over (..., n, n)
     squarings = 10
     t = x / float(2 ** squarings)
-    acc = np.eye(x.shape[0])
-    term = np.eye(x.shape[0])
+    acc = np.eye(x.shape[-1])
+    term = np.eye(x.shape[-1])
     for k in range(1, 9):
         term = term @ t / k
         acc = acc + term
@@ -118,29 +114,27 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def random_lie_transform(sig: Signature, seed: int, scale: float = 0.5) -> LieTransform:
+def random_lie_transform(sig: Signature, seed, scale: float = 0.5) -> LieTransform:
     """exp of a seeded Ibar-skew generator with Frobenius norm = scale.
 
-    Deterministic: identical seeds give bitwise-identical matrices.
+    `seed` is an integer, or an integer array for a stack of transforms
+    with one generator per seed, exponentiated together. Deterministic:
+    identical seeds give bitwise-identical matrices, stacked or not.
     """
     if scale < 0:
         raise ValueError("scale must be >= 0")
     p, q = sig.plus_count, sig.minus_count
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (p, p))
-    d = rng.uniform(-1.0, 1.0, (q, q))
-    b = rng.uniform(-1.0, 1.0, (p, q))
-    x = np.zeros((p + q, p + q))
-    x[:p, :p] = a - a.T
-    x[p:, p:] = d - d.T
-    x[:p, p:] = b
-    x[p:, :p] = b.T
-    norm = float(np.linalg.norm(x))
-    if norm > 0 and scale > 0:
-        x *= scale / norm
-    else:
-        x[:] = 0.0
-    return LieTransform(_expm(x), sig)
+    seeds = np.asarray(seed)
+    x = np.zeros((seeds.size, p + q, p + q))
+    for k, one_seed in enumerate(seeds.ravel()):
+        rng = np.random.default_rng(one_seed)
+        a = rng.uniform(-1.0, 1.0, (p, p))
+        d = rng.uniform(-1.0, 1.0, (q, q))
+        b = rng.uniform(-1.0, 1.0, (p, q))
+        x[k, :p, :p], x[k, p:, p:], x[k, :p, p:], x[k, p:, :p] = a - a.T, d - d.T, b, b.T
+        norm = float(np.linalg.norm(x[k]))
+        x[k] *= scale / norm if norm > 0 and scale > 0 else 0.0
+    return LieTransform(_expm(x.reshape(seeds.shape + x.shape[1:])), sig)
 
 
 def compose(a: LieTransform, b: LieTransform) -> LieTransform:
@@ -152,4 +146,4 @@ def compose(a: LieTransform, b: LieTransform) -> LieTransform:
 def invert(a: LieTransform) -> LieTransform:
     # group inverse Ibar L^T Ibar, exact up to roundoff
     ibar = a.signature.matrix()
-    return LieTransform(ibar @ a.matrix.T @ ibar, a.signature)
+    return LieTransform(ibar @ np.swapaxes(a.matrix, -1, -2) @ ibar, a.signature)

@@ -171,15 +171,7 @@ def focal_points(p: np.ndarray, n: np.ndarray, lam) -> tuple[np.ndarray, np.ndar
     if (abs(np.linalg.norm(p) - 1.0) > 1e-10 or abs(np.linalg.norm(n) - 1.0) > 1e-10
             or abs(float(np.dot(p, n))) > 1e-10):
         raise DomainError("p and n must be orthonormal")
-    if isinstance(lam, ProjectiveCurvature):
-        theta = lam.angle
-    else:
-        theta = math.atan2(1.0, float(lam))
-    f = math.cos(theta) * p + math.sin(theta) * n
+    if not isinstance(lam, ProjectiveCurvature):
+        lam = ProjectiveCurvature.from_value(lam)
+    f = math.cos(lam.angle) * p + math.sin(lam.angle) * n
     return f, -f
-
-
-def distance_squared(x: np.ndarray, p: np.ndarray) -> float:
-    """Squared spherical distance (arccos of the clamped dot product)^2."""
-    dot = float(np.clip(np.dot(x, p), -1.0, 1.0))
-    return math.acos(dot) ** 2

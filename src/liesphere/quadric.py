@@ -14,6 +14,9 @@ A pointed unit normal (p, n) lifts to the contact element (k1, k2) =
 lambda = v/u = cot(xi) is v k1 + u k2. A group element maps principal
 curvatures by the Moebius rule lambda -> (a lambda + c)/(b lambda + d),
 so curvatures are kept as projective pairs (v, u) and poles are exact.
+Curvatures, the Moebius action, parallel transformations, cross ratios and
+Lie curvatures broadcast over stacks; a degenerate member raises once and
+the error names its stack index.
 
 Lie curvatures are cross ratios of four curvatures; the two index
 conventions that appear in practice are named explicitly because silent
@@ -25,12 +28,13 @@ convention drift is the main correctness hazard:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContactViolation, DegenerateConfiguration, DomainError
+from .errors import ContactViolation, DegenerateConfiguration, DomainError, raise_where
 from .indefinite import LieTransform, Signature, SignedVector, inner
 
 QUADRIC_TOL = 1e-9
@@ -120,47 +124,40 @@ class ContactElement:
 
 @dataclass(frozen=True)
 class ProjectiveCurvature:
-    """Curvature lambda = v/u = cot(xi) as a projective pair; u = 0 is the point-sphere pole."""
+    """Curvature lambda = v/u = cot(xi) as a projective pair (v, u scalars or arrays)."""
 
     v: float
     u: float
 
     def __post_init__(self):
-        if self.v == 0.0 and self.u == 0.0:
-            raise ValueError("(v, u) must be nonzero")
+        raise_where((self.v == 0.0) & (self.u == 0.0), ValueError, "(v, u) must be nonzero")
 
     @classmethod
-    def from_value(cls, lam: float) -> "ProjectiveCurvature":
-        return cls(float(lam), 1.0)
+    def from_value(cls, lam) -> "ProjectiveCurvature":
+        return cls(np.asarray(lam, dtype=float)[()], 1.0)
 
     @classmethod
-    def from_angle(cls, xi: float) -> "ProjectiveCurvature":
-        return cls(math.cos(xi), math.sin(xi))
+    def from_angle(cls, xi) -> "ProjectiveCurvature":
+        return cls(np.cos(xi), np.sin(xi))
 
     @classmethod
     def infinity(cls) -> "ProjectiveCurvature":
         return cls(1.0, 0.0)
 
     @property
-    def is_infinite(self) -> bool:
-        return abs(self.u) <= PROJECTIVE_TOL * abs(self.v)
+    def is_infinite(self):
+        return np.abs(self.u) <= PROJECTIVE_TOL * np.abs(self.v)
 
     @property
-    def value(self) -> float:
-        if self.is_infinite:
-            return math.inf if self.v > 0 else -math.inf
-        return self.v / self.u
+    def value(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(self.is_infinite, np.copysign(np.inf, self.v),
+                            np.divide(self.v, self.u))[()]
 
     @property
-    def angle(self) -> float:
+    def angle(self):
         """Radius xi = arccot(v/u) in [0, pi)."""
-        return math.atan2(self.u, self.v) % math.pi
-
-
-def projective_distance(a: ProjectiveCurvature, b: ProjectiveCurvature) -> float:
-    """|sin| of the angle between the rays (v, u); zero iff projectively equal."""
-    cross = a.v * b.u - b.v * a.u
-    return abs(cross) / (math.hypot(a.v, a.u) * math.hypot(b.v, b.u))
+        return np.arctan2(self.u, self.v) % np.pi
 
 
 def sphere_to_quadric(s: OrientedSphere) -> QuadricPoint:
@@ -221,26 +218,26 @@ def curvature_sphere(ce: ContactElement, lam: ProjectiveCurvature) -> QuadricPoi
     return QuadricPoint(SignedVector(rep, ce.k1.rep.signature))
 
 
-def moebius_curvature(a: float, b: float, c: float, d: float,
-                      lam: ProjectiveCurvature) -> ProjectiveCurvature:
+def moebius_curvature(a, b, c, d, lam: ProjectiveCurvature) -> ProjectiveCurvature:
     """lambda -> (a lambda + c)/(b lambda + d), applied projectively so poles are exact."""
     det = a * d - b * c
-    scale = max(abs(a), abs(b), abs(c), abs(d), 1e-300)
-    if abs(det) <= 1e-12 * scale * scale:
-        raise DegenerateConfiguration("moebius coefficient matrix is singular")
+    scale = functools.reduce(np.maximum, (abs(a), abs(b), abs(c), abs(d), 1e-300))
+    raise_where(abs(det) <= 1e-12 * scale * scale, DegenerateConfiguration,
+                "moebius coefficient matrix is singular")
     return ProjectiveCurvature(a * lam.v + c * lam.u, b * lam.v + d * lam.u)
 
 
-def parallel_transform(theta: float, sig: Signature) -> LieTransform:
+def parallel_transform(theta, sig: Signature) -> LieTransform:
     """Identity on the plus block, rotation by theta on the two minus slots.
 
     Its induced curvature action is cot(xi) -> cot(xi + theta).
     """
     if sig.minus_count != 2:
         raise ValueError("parallel transformations need a (n+1, 2) signature")
-    m = np.eye(sig.dim)
-    ct, st = math.cos(theta), math.sin(theta)
-    m[-2:, -2:] = [[ct, -st], [st, ct]]
+    m = np.broadcast_to(np.eye(sig.dim), np.shape(theta) + (sig.dim, sig.dim)).copy()
+    ct, st = np.cos(theta), np.sin(theta)
+    m[..., -2, -2] = m[..., -1, -1] = ct
+    m[..., -2, -1], m[..., -1, -2] = -st, st
     return LieTransform(m, sig)
 
 
@@ -253,22 +250,20 @@ def moebius_coefficients(l: LieTransform, ce: ContactElement):
     """
     w1 = l.matrix @ ce.k1.rep.coords
     w2 = l.matrix @ ce.k2.rep.coords
-    a, b = float(w1[-2]), float(w1[-1])
-    c, d = float(w2[-2]), float(w2[-1])
-    det = a * d - b * c
-    if abs(det) <= 1e-12:
-        raise DegenerateConfiguration("transformed frame is degenerate")
+    a, b, c, d = w1[..., -2], w1[..., -1], w2[..., -2], w2[..., -1]
+    raise_where(np.abs(a * d - b * c) <= 1e-12, DegenerateConfiguration,
+                "transformed frame is degenerate")
     return a, b, c, d
 
 
-def cross_ratio(w1: complex, w2: complex, w3: complex, w4: complex) -> complex:
+def cross_ratio(w1, w2, w3, w4):
     """[w1, w2; w3, w4] = (w1-w3)(w2-w4) / ((w1-w4)(w2-w3)).
 
     Real iff the four points are concircular or collinear.
     """
-    scale = max(abs(w1), abs(w2), abs(w3), abs(w4), 1.0)
-    if abs(w1 - w4) <= 1e-12 * scale or abs(w2 - w3) <= 1e-12 * scale:
-        raise DegenerateConfiguration("cross ratio denominator vanishes")
+    scale = functools.reduce(np.maximum, (abs(w1), abs(w2), abs(w3), abs(w4), 1.0))
+    raise_where((abs(w1 - w4) <= 1e-12 * scale) | (abs(w2 - w3) <= 1e-12 * scale),
+                DegenerateConfiguration, "cross ratio denominator vanishes")
     return (w1 - w3) * (w2 - w4) / ((w1 - w4) * (w2 - w3))
 
 
@@ -282,29 +277,29 @@ class LieCurvatureValue:
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
 
-def _pdiff(a: ProjectiveCurvature, b: ProjectiveCurvature) -> float:
-    # numerator of a - b over a common projective denominator
-    return a.v * b.u - b.v * a.u
+# the six pairs (i, j), i < j, of four curvatures: 12, 13, 14, 23, 24, 34
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
 
 
 def lie_curvature(l1: ProjectiveCurvature, l2: ProjectiveCurvature,
                   l3: ProjectiveCurvature, l4: ProjectiveCurvature,
                   ordering: str = STANDARD_13_24) -> LieCurvatureValue:
     """Cross ratio of four curvatures, computed projectively so infinity is admissible."""
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    curvatures = (l1, l2, l3, l4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if projective_distance(curvatures[i], curvatures[j]) <= PROJECTIVE_TOL:
-                raise DegenerateConfiguration(f"curvatures {i + 1} and {j + 1} coincide")
+    vu = np.stack(np.broadcast_arrays(l1.v, l2.v, l3.v, l4.v, l1.u, l2.u, l3.u, l4.u), axis=-1)
+    v, u = vu[..., :4], vu[..., 4:]
+    # diff[..., k] = l_i - l_j over a common projective denominator, for the k-th pair
+    diff = v[..., _PAIR_I] * u[..., _PAIR_J] - v[..., _PAIR_J] * u[..., _PAIR_I]
+    norm = np.hypot(v, u)
+    coincide = np.abs(diff) / (norm[..., _PAIR_I] * norm[..., _PAIR_J]) <= PROJECTIVE_TOL
+    pair = np.argmax(coincide, axis=-1)
+    raise_where(coincide.any(axis=-1), DegenerateConfiguration, "curvatures {} and {} coincide",
+                _PAIR_I[pair] + 1, _PAIR_J[pair] + 1)
+    d12, d13, d14, d23, d24, d34 = (diff[..., k] for k in range(6))
     if ordering == STANDARD_13_24:
-        num = _pdiff(l1, l3) * _pdiff(l2, l4)
-        den = _pdiff(l1, l4) * _pdiff(l2, l3)
+        num, den = d13 * d24, d14 * d23
     else:
-        num = _pdiff(l1, l2) * _pdiff(l3, l4)
-        den = _pdiff(l1, l4) * _pdiff(l3, l2)
-    return LieCurvatureValue(num / den, ordering)
+        num, den = d12 * d34, d14 * -d23
+    return LieCurvatureValue((num / den)[()], ordering)
 
 
 def lie_curvature_of_values(values, ordering: str = STANDARD_13_24) -> LieCurvatureValue:

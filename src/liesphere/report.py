@@ -3,7 +3,9 @@
 Each suite is a generator over deterministic checks (seed-controlled where
 randomness is involved) that yields one (case_id, params, residual,
 tolerance) tuple per check, or an exception in place of the residual when
-a check could not be evaluated. run_suite is the one place that turns
+a check could not be evaluated; a stacked call that scores many cases and
+raises gives each of them its exception, which names the first bad stack
+index. run_suite is the one place that turns
 these into VerificationCase records: a case passes iff its residual is
 within its tolerance, an exception becomes an `error` record, and an
 exception that escapes a suite becomes one `<suite>/aborted` error record
@@ -17,7 +19,6 @@ case_id so output is independent of scheduling.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import json
 import math
@@ -30,9 +31,9 @@ import numpy as np
 
 from . import dji, isoparam, polygon as poly_mod
 from .indefinite import Signature, compose, invert, is_lie_transform, random_lie_transform
-from .quadric import (PAPER6_12_34, STANDARD_13_24, ProjectiveCurvature, cross_ratio,
+from .quadric import (ORDERINGS, STANDARD_13_24, ProjectiveCurvature, cross_ratio,
                       legendre_lift, lie_curvature, lie_curvature_of_values,
-                      moebius_coefficients, moebius_curvature)
+                      moebius_coefficients, moebius_curvature, parallel_transform)
 
 __version__ = "0.1.0"
 
@@ -69,7 +70,9 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
     params = {k: str(v) for k, v in params.items()}
     if isinstance(residual, Exception):
         params["error"] = f"{type(residual).__name__}: {residual}"
-        frames = traceback.extract_tb(residual.__traceback__)
+        # the mask check that raised is not where the error arose: name its caller
+        frames = [frame for frame in traceback.extract_tb(residual.__traceback__)
+                  if frame.name != "raise_where"]
         if frames:
             last = frames[-1]
             params["where"] = f"{os.path.basename(last.filename)}:{last.lineno} in {last.name}"
@@ -84,75 +87,91 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
 # suites: generators of (case_id, params, residual or exception, tolerance)
 # ---------------------------------------------------------------------------
 
+def _per_case(count: int, compute):
+    """compute()'s residuals for a stack of `count` cases, or its exception once per case."""
+    try:
+        return compute()
+    except Exception as exc:  # noqa: BLE001 - a bad stack is one error record per case
+        return [exc] * count
+
+
 def _suite_lie_invariance(seed: int, tol: float | None):
     """Random O(n+1,2) actions leave Lie curvatures fixed; parallel law cot -> cot(xi+theta)."""
     tolerance = tol if tol is not None else 1e-8
     sig = Signature(4, 2)
-    p = np.array([1.0, 0, 0, 0])
-    n = np.array([0.0, 1, 0, 0])
-    ce = legendre_lift(p, n)
+    ce = legendre_lift(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
     base = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.09))
-    phi0 = lie_curvature_of_values(base, STANDARD_13_24).value
-    phi0_p6 = lie_curvature_of_values(base, PAPER6_12_34).value
-    for k in range(1000):
-        try:
-            transform = random_lie_transform(sig, seed * 100003 + k, 0.5)
-            a, b, c, d = moebius_coefficients(transform, ce)
-            moved = [moebius_curvature(a, b, c, d, ProjectiveCurvature.from_value(v))
-                     for v in base]
-            r1 = abs(lie_curvature(*moved, ordering=STANDARD_13_24).value - phi0)
-            r2 = abs(lie_curvature(*moved, ordering=PAPER6_12_34).value - phi0_p6)
-            residual = max(r1, r2)
-        except Exception as exc:  # noqa: BLE001 - one bad action is one error record
-            residual = exc
+
+    def invariance_gaps():
+        transforms = random_lie_transform(sig, seed * 100003 + np.arange(1000), 0.5)
+        a, b, c, d = moebius_coefficients(transforms, ce)
+        moved = [moebius_curvature(a, b, c, d, ProjectiveCurvature.from_value(v)) for v in base]
+        return np.max([abs(lie_curvature(*moved, ordering=o).value
+                           - lie_curvature_of_values(base, o).value) for o in ORDERINGS], axis=0)
+
+    for k, residual in enumerate(_per_case(1000, invariance_gaps)):
         yield f"lie_invariance/random_action[{k:04d}]", {"seed_offset": k}, residual, tolerance
-    # parallel transformation law over a 100 x 100 (xi, theta) grid
+    # parallel transformation law over a 100 x 100 (theta, xi) grid
     law_tol = tol if tol is not None else 1e-10
     xis = np.linspace(0.05, math.pi - 0.05, 100)
     thetas = np.linspace(-1.5, 1.5, 100)
-    for row, theta in enumerate(thetas):
-        a, b, c, d = math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta)
-        worst = 0.0
-        for xi in xis:
-            lam = moebius_curvature(a, b, c, d, ProjectiveCurvature.from_angle(xi))
-            target = (xi + theta) % math.pi
-            if min(target, math.pi - target) < 1e-6:
-                continue  # pole of cot: the point is skipped
-            worst = max(worst, abs(lam.value - 1.0 / math.tan(xi + theta)))
-        yield f"lie_invariance/parallel_law[{row:03d}]", {"theta": f"{theta:.6f}"}, worst, law_tol
-    # group sanity: membership and closure over 100 seeds
-    worst = 0.0
-    for k in range(100):
-        l1 = random_lie_transform(sig, seed + k, 0.6)
-        l2 = random_lie_transform(sig, seed + 7919 + k, 0.6)
-        worst = max(worst, is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1],
-                    is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1])
-    yield "lie_invariance/group_closure", {"count": 100}, worst, 1e-8
+    shifted = thetas[:, None] + xis
+    target = shifted % math.pi
+    pole = np.minimum(target, math.pi - target) < 1e-6  # poles of cot are skipped
+
+    def law_gaps():
+        a, b, c, d = moebius_coefficients(parallel_transform(thetas[:, None], sig), ce)
+        lam = moebius_curvature(a, b, c, d, ProjectiveCurvature.from_angle(xis))
+        gaps = np.abs(lam.value - 1.0 / np.tan(shifted))
+        return np.where(pole, 0.0, gaps).max(axis=1)
+
+    for row, residual in enumerate(_per_case(100, law_gaps)):
+        yield (f"lie_invariance/parallel_law[{row:03d}]",
+               {"theta": f"{thetas[row]:.6f}", "skipped": int(pole[row].sum())}, residual, law_tol)
+
+    # group sanity: membership and closure over 100 seed pairs
+    def closure_gap():
+        l1 = random_lie_transform(sig, seed + np.arange(100), 0.6)
+        l2 = random_lie_transform(sig, seed + 7919 + np.arange(100), 0.6)
+        return [max(is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1].max(),
+                    is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1].max())]
+
+    (residual,) = _per_case(1, closure_gap)
+    yield "lie_invariance/group_closure", {"count": 100}, residual, 1e-8
 
 
 def _suite_cross_ratio_identity(seed: int, tol: float | None):
-    """Cross ratio of e^(2i theta_k) equals the Lie curvature of cot(theta_k)."""
+    """Cross ratio of e^(2i theta_k) equals the Lie curvature of cot(theta_k).
+
+    Each sweep draws one array (the stream of one draw per sample). A draw
+    with angles closer than 1e-3 is skipped: a fixed quadruple stands in for
+    it and is masked out, so an error names the (batch, sample) index.
+    """
     tolerance = tol if tol is not None else 1e-10
     rng = np.random.default_rng(seed)
-    for batch in range(200):
-        worst = 0.0
-        for _ in range(50):
-            thetas = np.sort(rng.uniform(0.02, math.pi - 0.02, 4))
-            if np.diff(thetas).min() < 1e-3:
-                continue
-            phi = lie_curvature(*(ProjectiveCurvature.from_angle(t) for t in thetas),
-                                ordering=STANDARD_13_24).value
-            zcr = cross_ratio(*(cmath.exp(2j * t) for t in thetas))
-            worst = max(worst, abs(zcr - phi))
-        yield f"cross_ratio_identity/radii_sweep[{batch:03d}]", {"samples": 50}, worst, tolerance
+    thetas = np.sort(rng.uniform(0.02, math.pi - 0.02, (200, 50, 4)))
+    keep = np.diff(thetas).min(axis=-1) >= 1e-3
+    columns = np.moveaxis(np.where(keep[..., None], thetas, [0.25, 0.75, 1.5, 2.25]), -1, 0)
+
+    def sweep_gaps():
+        phi = lie_curvature(*map(ProjectiveCurvature.from_angle, columns),
+                            ordering=STANDARD_13_24).value
+        return np.where(keep, abs(cross_ratio(*np.exp(2j * columns)) - phi), 0.0).max(axis=1)
+
+    for batch, residual in enumerate(_per_case(200, sweep_gaps)):
+        yield (f"cross_ratio_identity/radii_sweep[{batch:03d}]",
+               {"samples": 50, "kept": int(keep[batch].sum())}, residual, tolerance)
     # concircular points have real cross ratio
-    worst = 0.0
-    for _ in range(500):
-        angles = np.sort(rng.uniform(0, 2 * math.pi, 4))
-        if np.diff(angles).min() < 1e-3:
-            continue
-        worst = max(worst, abs(cross_ratio(*(cmath.exp(1j * a) for a in angles)).imag))
-    yield "cross_ratio_identity/concircular_real", {"samples": 500}, worst, 1e-10
+    angles = np.sort(rng.uniform(0, 2 * math.pi, (500, 4)))
+    kept = np.diff(angles).min(axis=-1) >= 1e-3
+    points = np.moveaxis(np.where(kept[..., None], angles, [0.5, 1.5, 3.0, 4.5]), -1, 0)
+
+    def imaginary_part():
+        return [np.where(kept, abs(cross_ratio(*np.exp(1j * points)).imag), 0.0).max()]
+
+    (residual,) = _per_case(1, imaginary_part)
+    yield ("cross_ratio_identity/concircular_real", {"samples": 500, "kept": int(kept.sum())},
+           residual, 1e-10)
 
 
 _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),

@@ -91,6 +91,34 @@ def test_random_determinism():
     assert np.array_equal(a.matrix, b.matrix)
 
 
+def test_stacked_random_transforms_equal_per_seed_calls():
+    # one _expm over the (k, n, n) stack, bit for bit the k scalar calls
+    seeds = np.arange(1000)
+    stack = random_lie_transform(SIG, seeds, 0.5).matrix
+    assert stack.shape == (1000, 6, 6)
+    assert np.array_equal(stack, [random_lie_transform(SIG, int(s), 0.5).matrix for s in seeds])
+    ok, residual = is_lie_transform(stack, SIG, 1e-9)
+    assert ok.shape == (1000,) and ok.all(), residual.max()
+
+
+def test_stacked_compose_and_invert_equal_per_member():
+    a = random_lie_transform(SIG, np.arange(5), 0.7)
+    b = random_lie_transform(SIG, np.arange(10, 15), 0.7)
+    for k in range(5):
+        ak, bk = LieTransform(a.matrix[k], SIG), LieTransform(b.matrix[k], SIG)
+        assert np.array_equal(compose(a, b).matrix[k], compose(ak, bk).matrix)
+        assert np.array_equal(invert(a).matrix[k], invert(ak).matrix)
+
+
+def test_lie_transform_stack_names_its_bad_member():
+    stack = random_lie_transform(SIG, np.arange(6), 0.5).matrix.copy()
+    stack[4] *= 2.0
+    with pytest.raises(ValueError, match=r"not in O\(4,2\).* at stack index 4$"):
+        LieTransform(stack, SIG)
+    with pytest.raises(ValueError, match=r"^not in O\(4,2\): residual [0-9.e+-]+$"):
+        LieTransform(stack[4], SIG)
+
+
 def test_random_membership_and_det_over_seeds():
     for seed in range(1000):
         transform = random_lie_transform(SIG, seed, 0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liesphere.errors import DomainError
-from liesphere.isoparam import (FamilyInvariants, IsoparametricFamily, distance_squared,
+from liesphere.isoparam import (FamilyInvariants, IsoparametricFamily,
                                 focal_points, mean_curvature, minimal_theta,
                                 principal_curvatures, scalar_curvature,
                                 theta_from_mean_curvature)
@@ -190,11 +190,3 @@ def test_focal_points_poles():
 def test_focal_points_reject_non_orthonormal():
     with pytest.raises(DomainError):
         focal_points(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 1.0)
-
-
-def test_distance_squared():
-    e1 = np.array([1.0, 0, 0])
-    e2 = np.array([0.0, 1, 0])
-    assert distance_squared(e1, e1) == 0.0
-    assert abs(distance_squared(e1, -e1) - math.pi ** 2) <= 1e-12
-    assert abs(distance_squared(e1, e2) - (math.pi / 2) ** 2) <= 1e-12

@@ -281,3 +281,49 @@ def test_lie_invariance_under_random_group_actions():
         moved = [moebius_curvature(a, b, c, d, ProjectiveCurvature.from_value(v))
                  for v in base]
         assert abs(lie_curvature(*moved).value - phi0) <= 1e-8
+
+
+def test_cross_ratio_stack_names_its_degenerate_member():
+    w = np.exp(1j * np.array([[0.1, 0.2], [1.1, 1.2], [2.1, 2.2], [3.1, 3.2]]))
+    # complex array arithmetic may round differently from scalar arithmetic in the last bit
+    assert np.abs(cross_ratio(*w) - [cross_ratio(*w[:, k]) for k in range(2)]).max() <= 1e-15
+    w4 = w[3].copy()
+    w4[1] = w[0, 1]
+    with pytest.raises(DegenerateConfiguration, match="vanishes at stack index 1$"):
+        cross_ratio(w[0], w[1], w[2], w4)
+
+
+def test_lie_curvature_stack_names_its_degenerate_member():
+    angles = np.array([[0.3, 0.9, 1.4, 2.2], [0.2, 0.8, 1.6, 2.9], [0.4, 1.0, 1.1, 2.0]])
+    stack = [ProjectiveCurvature.from_angle(col) for col in angles.T]
+    values = lie_curvature(*stack, ordering=PAPER6_12_34).value
+    assert np.array_equal(values, [lie_curvature(*map(ProjectiveCurvature.from_angle, row),
+                                                 ordering=PAPER6_12_34).value
+                                   for row in angles])
+    angles[2, 2] = angles[2, 1]
+    stack[2] = ProjectiveCurvature.from_angle(angles[:, 2])
+    with pytest.raises(DegenerateConfiguration,
+                       match="curvatures 2 and 3 coincide at stack index 2$"):
+        lie_curvature(*stack)
+
+
+def test_moebius_curvature_stack_names_its_singular_member():
+    a, b, c, d = np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.5, 1.0], [1.0, 3.0, 1.0]])
+    lam = ProjectiveCurvature.from_value(np.array([0.5, -2.0, 7.0]))
+    with pytest.raises(DegenerateConfiguration, match="singular at stack index 2$"):
+        moebius_curvature(a, b, c, d, lam)
+    out = moebius_curvature(a[:2], b[:2], c[:2], d[:2],
+                            ProjectiveCurvature.from_value([0.5, -2.0]))
+    for k, v in enumerate((0.5, -2.0)):
+        one = moebius_curvature(a[k], b[k], c[k], d[k], ProjectiveCurvature.from_value(v))
+        assert (out.v[k], out.u[k]) == (one.v, one.u)
+
+
+def test_parallel_transform_stack_gives_rotation_coefficients():
+    # the library's parallel transformations act on curvatures by exactly (cos, sin, -sin, cos)
+    thetas = np.linspace(-1.5, 1.5, 100)
+    ce = legendre_lift(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
+    a, b, c, d = moebius_coefficients(parallel_transform(thetas, Signature(4, 2)), ce)
+    for k, theta in enumerate(thetas):
+        assert (a[k], b[k], c[k], d[k]) == (math.cos(theta), math.sin(theta),
+                                            -math.sin(theta), math.cos(theta))

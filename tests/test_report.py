@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -9,8 +11,15 @@ from pathlib import Path
 import pytest
 
 import liesphere
-from liesphere import cli, dji, isoparam, polygon, quadric
+import numpy as np
+
+from liesphere import cli, dji, isoparam, polygon, quadric, report
 from liesphere.errors import DomainError
+from liesphere.indefinite import (LieTransform, Signature, compose, invert, is_lie_transform,
+                                  random_lie_transform)
+from liesphere.quadric import (PAPER6_12_34, STANDARD_13_24, ProjectiveCurvature, cross_ratio,
+                               legendre_lift, lie_curvature, lie_curvature_of_values,
+                               moebius_coefficients, moebius_curvature)
 from liesphere.polygon import build_parallel_polygon
 from liesphere.report import (UsageError, VerificationCase, all_passed,
                               emit_polygon_svg, emit_report, parse_csv_report,
@@ -181,6 +190,143 @@ def test_report_determinism_modulo_runtime(tmp_path):
     strip = lambda cs: [(c.suite, c.case_id, c.params, c.status, c.residual,
                          c.tolerance, c.seed) for c in cs]
     assert strip(first) == strip(second)
+
+
+# ---------------------------------------------------------------------------
+# the two sampling suites against their scalar loops
+# ---------------------------------------------------------------------------
+
+def _reference_lie_invariance(seed):
+    """The suite as one scalar library call per action and grid point: (case_id, residual, tol)."""
+    out = []
+    sig = Signature(4, 2)
+    ce = legendre_lift(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
+    base = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.09))
+    phi0 = lie_curvature_of_values(base, STANDARD_13_24).value
+    phi0_p6 = lie_curvature_of_values(base, PAPER6_12_34).value
+    for k in range(1000):
+        transform = random_lie_transform(sig, seed * 100003 + k, 0.5)
+        a, b, c, d = moebius_coefficients(transform, ce)
+        moved = [moebius_curvature(a, b, c, d, ProjectiveCurvature.from_value(v)) for v in base]
+        r1 = abs(lie_curvature(*moved, ordering=STANDARD_13_24).value - phi0)
+        r2 = abs(lie_curvature(*moved, ordering=PAPER6_12_34).value - phi0_p6)
+        out.append((f"lie_invariance/random_action[{k:04d}]", max(r1, r2), 1e-8))
+    xis = np.linspace(0.05, math.pi - 0.05, 100)
+    for row, theta in enumerate(np.linspace(-1.5, 1.5, 100)):
+        a, b, c, d = math.cos(theta), math.sin(theta), -math.sin(theta), math.cos(theta)
+        worst = 0.0
+        for xi in xis:
+            lam = moebius_curvature(a, b, c, d, ProjectiveCurvature.from_angle(xi))
+            target = (xi + theta) % math.pi
+            if min(target, math.pi - target) < 1e-6:
+                continue
+            worst = max(worst, abs(lam.value - 1.0 / math.tan(xi + theta)))
+        out.append((f"lie_invariance/parallel_law[{row:03d}]", worst, 1e-10))
+    worst = 0.0
+    for k in range(100):
+        l1 = random_lie_transform(sig, seed + k, 0.6)
+        l2 = random_lie_transform(sig, seed + 7919 + k, 0.6)
+        worst = max(worst, is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1],
+                    is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1])
+    out.append(("lie_invariance/group_closure", worst, 1e-8))
+    return out
+
+
+def _reference_cross_ratio_identity(seed):
+    """The suite as one draw and one scalar library call per sample: (case_id, residual, tol)."""
+    out = []
+    rng = np.random.default_rng(seed)
+    for batch in range(200):
+        worst = 0.0
+        for _ in range(50):
+            thetas = np.sort(rng.uniform(0.02, math.pi - 0.02, 4))
+            if np.diff(thetas).min() < 1e-3:
+                continue
+            phi = lie_curvature(*(ProjectiveCurvature.from_angle(t) for t in thetas),
+                                ordering=STANDARD_13_24).value
+            zcr = cross_ratio(*(cmath.exp(2j * t) for t in thetas))
+            worst = max(worst, abs(zcr - phi))
+        out.append((f"cross_ratio_identity/radii_sweep[{batch:03d}]", worst, 1e-10))
+    worst = 0.0
+    for _ in range(500):
+        angles = np.sort(rng.uniform(0, 2 * math.pi, 4))
+        if np.diff(angles).min() < 1e-3:
+            continue
+        worst = max(worst, abs(cross_ratio(*(cmath.exp(1j * a) for a in angles)).imag))
+    out.append(("cross_ratio_identity/concircular_real", worst, 1e-10))
+    return out
+
+
+_SCALAR_REFERENCES = {"lie_invariance": _reference_lie_invariance,
+                      "cross_ratio_identity": _reference_cross_ratio_identity}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("suite", sorted(_SCALAR_REFERENCES))
+def test_stacked_suite_matches_scalar_loop(suite, seed):
+    # same case_ids and statuses; residuals agree to 1e-12 (array arithmetic may round apart)
+    cases = run_suite(suite, seed)
+    expected = sorted(_SCALAR_REFERENCES[suite](seed))
+    assert [c.case_id for c in cases] == [case_id for case_id, _, _ in expected]
+    for case, (_, residual, tolerance) in zip(cases, expected):
+        assert case.status == ("pass" if residual <= tolerance else "fail")
+        assert case.tolerance == tolerance
+        assert abs(case.residual - residual) <= 1e-12, case.case_id
+
+
+def test_sampling_suites_count_what_they_kept():
+    params = {c.case_id: c.params for c in run_suite("cross_ratio_identity", 0)}
+    radii = [p for case_id, p in params.items() if "/radii_sweep[" in case_id]
+    assert len(radii) == 200 and {p["samples"] for p in radii} == {"50"}
+    assert sum(int(p["kept"]) for p in radii) == 9957
+    assert params["cross_ratio_identity/concircular_real"] == {"samples": "500", "kept": "500"}
+    law = [c.params for c in run_suite("lie_invariance", 0) if "/parallel_law[" in c.case_id]
+    assert len(law) == 100 and all(int(p["skipped"]) >= 0 for p in law)
+
+
+def test_bad_member_turns_its_stack_into_error_records(monkeypatch):
+    # one non-Lie member: every case of that stack is an error naming it, the others still run
+    def one_bad_member(sig, seed, scale=0.5):
+        matrix = random_lie_transform(sig, seed, scale).matrix.copy()
+        matrix[7] *= 2.0
+        return LieTransform(matrix, sig)
+
+    monkeypatch.setattr(report, "random_lie_transform", one_bad_member)
+    cases = run_suite("lie_invariance", 0)
+    assert len(cases) == 1101
+    stacked = [c for c in cases if "/parallel_law[" not in c.case_id]
+    assert len(stacked) == 1001 and all(c.status == "error" for c in stacked)
+    assert all(c.params["error"].startswith("ValueError: not in O(4,2)")
+               and c.params["error"].endswith("at stack index 7")
+               and c.params["where"].endswith("in __post_init__") for c in stacked)
+    assert {c.status for c in cases if "/parallel_law[" in c.case_id} == {"pass"}
+
+
+def test_degenerate_sample_turns_its_sweep_into_error_records(monkeypatch):
+    def one_coincidence(l1, l2, l3, l4, ordering):
+        v, u = l2.v.copy(), l2.u.copy()
+        v[3, 7], u[3, 7] = l1.v[3, 7], l1.u[3, 7]
+        return lie_curvature(l1, ProjectiveCurvature(v, u), l3, l4, ordering=ordering)
+
+    monkeypatch.setattr(report, "lie_curvature", one_coincidence)
+    cases = run_suite("cross_ratio_identity", 0)
+    assert len(cases) == 201
+    sweep = [c for c in cases if "/radii_sweep[" in c.case_id]
+    assert len(sweep) == 200 and all(c.status == "error" for c in sweep)
+    assert all(c.params["error"] == "DegenerateConfiguration: curvatures 1 and 2 coincide "
+                                    "at stack index (3, 7)" for c in sweep)
+    assert all(c.params["where"].startswith("quadric.py:") for c in sweep)
+    assert {c.status for c in cases if c not in sweep} == {"pass"}
+
+
+def test_verdict_digest_matches_benchmark_reference():
+    # the digest benchmarks/run.py pins: a verdict change fails here, not only in the benchmark
+    refs = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json")
+                      .read_text(encoding="utf-8"))["verify"]["all"]
+    cases = run_suite("all", 0)
+    assert len(cases) == refs["cases"] == 3957
+    lines = "\n".join(f"{c.case_id},{c.status}" for c in sorted(cases, key=lambda c: c.case_id))
+    assert hashlib.sha256(lines.encode()).hexdigest() == refs["digest"]
 
 
 # ---------------------------------------------------------------------------
