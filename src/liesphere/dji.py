@@ -145,9 +145,8 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
     labels = tuple((j, i) for j in range(1, g + 1) for i in range(1, g + 1)
                    if i != j and (j, i) not in assumed_zero)
     index = {lab: k for k, lab in enumerate(labels)}
-    if g == 4:
-        mult = multiplicity_vector(g, m1, m2)
-    else:
+    mult = multiplicity_vector(g, m1, m2)
+    if g != 4:
         # common multiplicity divides out of every row; store rows unmultiplied
         if m1 != m2:
             raise DomainError(f"g = {g} forces a common multiplicity")

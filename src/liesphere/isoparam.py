@@ -32,7 +32,14 @@ ADMISSIBLE_G = (1, 2, 3, 4, 6)
 
 
 def multiplicity_vector(g: int, m1: int, m2: int) -> np.ndarray:
-    """Multiplicities of the g curvatures: (m1, m2, m1, m2, ...) for even g, else all m1."""
+    """Multiplicities of the g curvatures: (m1, m2, m1, m2, ...) for even g, else all m1.
+
+    Raises DomainError unless both are positive and, for g in {1, 3, 6}, equal.
+    """
+    if m1 < 1 or m2 < 1:
+        raise DomainError("multiplicities must be positive")
+    if g in (1, 3, 6) and m1 != m2:
+        raise DomainError(f"g = {g} forces a common multiplicity")
     if g % 2 == 0:
         return np.array([m1, m2] * (g // 2), dtype=float)
     return np.full(g, float(m1))
@@ -48,10 +55,7 @@ class IsoparametricFamily:
     def __post_init__(self):
         if self.g not in ADMISSIBLE_G:
             raise DomainError(f"g must be one of {ADMISSIBLE_G}")
-        if self.m1 < 1 or self.m2 < 1:
-            raise DomainError("multiplicities must be positive")
-        if self.g in (1, 3, 6) and self.m1 != self.m2:
-            raise DomainError(f"g = {self.g} forces a common multiplicity")
+        multiplicity_vector(self.g, self.m1, self.m2)
         bound = math.pi / (2 * self.g)
         if not -bound < self.theta < bound:
             raise DomainError(f"theta must lie in (-pi/{2 * self.g}, pi/{2 * self.g})")

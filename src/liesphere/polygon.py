@@ -102,22 +102,41 @@ def link_partner(g: int, t, i):
     return np.where(t % 2 == 1, (t + 2 * i - 2) % (2 * g), (t - 2 * i) % (2 * g)) + 1
 
 
-def _radius_table(g: int, odd, even, theta1, theta2) -> np.ndarray:
-    """The 2g x g table of gap cycles (..., g) and base radii (...); broadcasts over a stack."""
-    odd = np.asarray(odd, dtype=float)
-    even = np.asarray(even, dtype=float)
-    # odd-row base radii: every other partial sum of theta1, odd[0], -even[g-1], odd[1], ...
-    steps = np.empty(odd.shape[:-1] + (2 * g - 1,))
-    steps[..., 0] = theta1
-    steps[..., 1::2] = odd[..., :-1]
-    steps[..., 2::2] = -even[..., :0:-1]
-    base = np.repeat(np.cumsum(steps, axis=-1)[..., 0::2], 2, axis=-1)
-    base[..., 1] = theta2
+@functools.cache
+def _table_plan(g: int) -> np.ndarray:
+    """Gather indices (g - 1, 2g) into a gap array (..., 2g), the odd cycle then the even.
+
+    Entry [i, t] is the gap that radius row t adds at its (i + 1)-th step from its
+    base radius: row 2k steps through odd[k], odd[k + 1], ..., row 2k + 1 through
+    even[-k], even[1 - k], ... (indices mod g).
+    """
     k = np.arange(g)
-    shifted = np.zeros(odd.shape[:-1] + (2 * g, g))
-    shifted[..., 0::2, 1:] = odd[..., (k[:, None] + k) % g][..., :-1]
-    shifted[..., 1::2, 1:] = even[..., (k - k[:, None]) % g][..., :-1]
-    return base[..., None] + np.cumsum(shifted, axis=-1)
+    plan = np.empty((g - 1, 2 * g), dtype=int)
+    plan[:, 0::2] = ((k[:, None] + k) % g)[:, :-1].T
+    plan[:, 1::2] = g + ((k - k[:, None]) % g)[:, :-1].T
+    return plan
+
+
+def _radius_table(g: int, gaps, theta1, theta2) -> np.ndarray:
+    """The 2g x g table of a gap array (..., 2g) and base radii (...); broadcasts over a stack.
+
+    A row is its base radius plus the running sums of its steps: one array
+    operation per column, since numpy's cumsum over a last axis this short
+    costs a call per row.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    table = np.empty(gaps.shape[:-1] + (2 * g, g))
+    base = table[..., 0]
+    base[..., 0] = theta1
+    for k in range(1, g):  # the link chain theta^(2k+1)_1 = theta^(2k-1)_1 + odd[k-1] - even[g-k]
+        base[..., 2 * k] = base[..., 2 * k - 2] + gaps[..., k - 1] - gaps[..., 2 * g - k]
+    base[..., 3::2] = base[..., 2::2]
+    base[..., 1] = theta2
+    steps, run = gaps[..., _table_plan(g)], 0.0
+    for i in range(1, g):
+        run = run + steps[..., i - 1, :]
+        np.add(base, run, out=table[..., i])
+    return table
 
 
 @dataclass(frozen=True)
@@ -190,7 +209,7 @@ def angle_table(g: int, gaps: AngleGaps, theta1: float,
         raise DomainError("gap cycle length does not match g")
     if theta2 is None:
         theta2 = theta1
-    table = _radius_table(g, gaps.odd, gaps.even, theta1, theta2)
+    table = _radius_table(g, gaps.odd + gaps.even, theta1, theta2)
     if np.any(table <= 0) or np.any(table >= math.pi):
         raise DomainError("configuration leaves (0, pi): radius table invalid")
     phi1 = math.pi / 2 - theta1
@@ -305,10 +324,23 @@ def _levenberg_polish(func, starts, max_iter=120):
     func(P) maps an (S, n) stack to (residuals (S, m), feasible (S,)); rows of
     infeasible points are never read. Each start keeps its own damping, stop
     rules and floating-point path: per iteration a difference Jacobian, then up
-    to 40 damping trials of (J^T J + damp I) dp = -J^T r until a feasible step
-    lowers |r|^2; it stops below |r|^2 = 1e-28, without a Jacobian or a step,
-    or after max_iter iterations. Returns the points (k, n) and residuals (k, m) of the
-    k feasible starts in order; k = 0 when m = 0.
+    to 40 damping trials of (J^T J + damp I) dp = -J^T r, damp growing tenfold,
+    until a feasible step lowers |r|^2 (damp then shrinks by 0.3, to no less
+    than 1e-13). A singular trial goes on to the next; any other failed trial
+    ends the ladder once its next damp passes 1e12. The loop stops below
+    |r|^2 = 1e-28, without a Jacobian or a step, or after max_iter iterations.
+
+    J and r are fixed within an iteration, so the trials of a start are formed
+    before any is judged, in rounds: round 1 solves and evaluates trials 0-2
+    of every start at once, round 2 the rest of the ladder, up to the cap, of
+    the starts still without a step. The first trial that lowers |r|^2 is the
+    one the trial-by-trial loop takes, to the bit. Round 1 is 3 wide because
+    most iterations end there: in the search, 596 of 765 at seed 0. Most of
+    the rest climb to the cap from a point at its floating-point floor. Only a
+    singular trial past the cap needs a further round.
+
+    Returns the points (k, n) and residuals (k, m) of the k feasible starts in
+    order; k = 0 when m = 0.
     """
     p = np.array(starts, dtype=float)
     r, feasible = func(p)
@@ -325,28 +357,40 @@ def _levenberg_polish(func, starts, max_iter=120):
         live, jac = live[has_jac], jac[has_jac]
         jt = np.swapaxes(jac, 1, 2)
         normal, grad = jt @ jac, (-jt @ r[live][:, :, None])[:, :, 0]
-        rows, stepped = np.arange(live.size), np.zeros(len(p), dtype=bool)
-        for _ in range(40):
-            if not rows.size:
-                break
-            trying = live[rows]
-            dp = _solve_stack(normal[rows] + damp[trying, None, None] * eye, grad[rows])
+        rows, tried = np.arange(live.size), np.zeros(live.size, dtype=int)
+        stepped = np.zeros(len(p), dtype=bool)
+        width = 3
+        while rows.size:
+            s = live[rows]
+            # ladder[i, j]: the damp after j failed trials this round, by the loop's own * 10
+            ladder = np.full((rows.size, width + 1), 10.0)
+            ladder[:, 0] = damp[s]
+            ladder = np.multiply.accumulate(ladder, axis=1)
+            made = np.arange(width) < 40 - tried[rows, None]
+            made[:, 1:] &= ladder[:, :-2] <= 1e12  # past the cap only after a singular trial
+            at, j = np.nonzero(made)
+            dp = _solve_stack(normal[rows[at]] + ladder[at, j, None, None] * eye, grad[rows[at]])
             solved = ~np.isnan(dp[:, 0])
-            s = trying[solved]
-            cand = p[s] + dp[solved]
+            at, j = at[solved], j[solved]
+            cand = p[s[at]] + dp[solved]
             rn, ok = func(cand)
-            fn = np.full(s.size, np.inf)
+            fn = np.full(at.size, np.inf)
             fn[ok] = _sum_squares(rn[ok])
-            better = fn < f[s]
-            took = s[better]
-            p[took], r[took], f[took] = cand[better], rn[better], fn[better]
-            damp[took] = np.maximum(damp[took] * 0.3, 1e-13)
-            stepped[took] = True
-            damp[trying[~solved]] *= 10
-            damp[s[~better]] *= 10
-            retry = ~solved
-            retry[solved] = ~better & (damp[s] <= 1e12)
-            rows = rows[retry]
+            better = fn < f[s[at]]
+            # a ladder ends at its first solved trial that steps or leaves damp past the cap
+            ends = np.flatnonzero(better | (ladder[at, j + 1] > 1e12))
+            c = ends[np.unique(at[ends], return_index=True)[1]]
+            c = c[better[c]]
+            t = s[at[c]]
+            p[t], r[t], f[t] = cand[c], rn[c], fn[c]
+            damp[t] = np.maximum(ladder[at[c], j[c]] * 0.3, 1e-13)
+            stepped[t] = True
+            count = made.sum(axis=1)
+            tried[rows] += count
+            more = tried[rows] < 40
+            more[at[ends]] = False
+            damp[s[more]] = ladder[more, count[more]]
+            rows, width = rows[more], 37
         live = live[stepped[live]]
     return p, r
 
@@ -753,12 +797,14 @@ class SearchSurvivor:
 
 def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
     """Residuals (S, m) and feasibility (S,) of rows (free odd gaps, free even gaps, theta1)."""
-    odd, even = params[:, :g - 1], params[:, g - 1:2 * g - 2]
-    odd_full = np.concatenate([odd, math.pi - odd.sum(axis=1, keepdims=True)], axis=1)
-    even_full = np.concatenate([even, math.pi - even.sum(axis=1, keepdims=True)], axis=1)
-    table = _radius_table(g, odd_full, even_full, params[:, -1], params[:, -1])
-    feasible = ((odd_full.min(axis=1) > 1e-3) & (even_full.min(axis=1) > 1e-3)
-                & (table.min(axis=(1, 2)) > 1e-3) & (table.max(axis=(1, 2)) < math.pi - 1e-3))
+    cycles = np.empty((len(params), 2, g))  # each free gap cycle and its closer
+    cycles[:, :, :-1] = params[:, :-1].reshape(len(params), 2, g - 1)
+    cycles[:, :, -1] = math.pi - cycles[:, :, :-1].sum(axis=2)
+    gaps = cycles.reshape(len(params), 2 * g)
+    table = _radius_table(g, gaps, params[:, -1], params[:, -1])
+    # with every gap positive a row only grows: its ends bound it
+    feasible = ((gaps.min(axis=1) > 1e-3) & (table[:, :, 0].min(axis=1) > 1e-3)
+                & (table[:, :, -1].max(axis=1) < math.pi - 1e-3))
     out = [np.zeros((len(params), 0))]  # the (S, 0) result when no constraint is set
     with np.errstate(all="ignore"):  # only rows already infeasible overflow or divide by 0
         lam = 1.0 / np.tan(table)

@@ -64,6 +64,12 @@ def test_build_system_cmc_row_content():
     assert all(v == 0.0 for k, v in by_label.items() if k not in ((2, 3), (2, 4)))
 
 
+@pytest.mark.parametrize("g, m1, m2", ((4, 0, 1), (4, 1, 0), (6, 0, 0), (6, 1, 2)))
+def test_build_system_rejects_bad_multiplicities(g, m1, m2):
+    with pytest.raises(DomainError):
+        build_system(g, family_pcs(g), m1, m2, ("cmc",), critical_point_pinning(g))
+
+
 def test_build_system_counts_g6():
     pcs = family_pcs(6)
     system = build_system(6, pcs, 1, 1, ("cmc",), critical_point_pinning(6))

@@ -6,8 +6,8 @@ import pytest
 from liesphere.errors import DomainError
 from liesphere.isoparam import (FamilyInvariants, IsoparametricFamily,
                                 focal_points, mean_curvature, minimal_theta,
-                                principal_curvatures, scalar_curvature,
-                                theta_from_mean_curvature)
+                                multiplicity_vector, principal_curvatures,
+                                scalar_curvature, theta_from_mean_curvature)
 from liesphere.quadric import ProjectiveCurvature, moebius_curvature
 
 ROOT2 = math.sqrt(2.0)
@@ -51,6 +51,22 @@ def test_common_multiplicity_enforced():
         IsoparametricFamily(3, 1, 2, 0.0)
     with pytest.raises(DomainError):
         IsoparametricFamily(6, 1, 2, 0.0)
+
+
+@pytest.mark.parametrize("g, m1, m2", ((3, 0, 0), (3, 1, 2), (6, 2, 1), (1, 1, 3), (4, 0, 3),
+                                      (4, 2, 0), (2, -1, 1)))
+def test_multiplicity_vector_rejects_what_the_family_rejects(g, m1, m2):
+    with pytest.raises(DomainError):
+        multiplicity_vector(g, m1, m2)
+    with pytest.raises(DomainError):
+        IsoparametricFamily(g, m1, m2, 0.0)
+
+
+def test_multiplicity_vector_admissible_values():
+    assert (multiplicity_vector(4, 1, 3) == [1, 3, 1, 3]).all()
+    assert (multiplicity_vector(2, 2, 5) == [2, 5]).all()
+    assert (multiplicity_vector(6, 2, 2) == [2] * 6).all()
+    assert (multiplicity_vector(3, 4, 4) == [4] * 3).all()
 
 
 def test_mean_curvature_vanishes_at_symmetric_minimum():

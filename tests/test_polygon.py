@@ -455,6 +455,12 @@ def test_isometry_reduction_grid_and_multiplicities():
             assert all(c.holds and c.margin > 1e-6 for c in result.certificates)
 
 
+@pytest.mark.parametrize("g, m1, m2", ((4, 0, 3), (4, 2, 0), (6, 0, 0), (6, 1, 2)))
+def test_isometry_reduction_rejects_bad_multiplicities(g, m1, m2):
+    with pytest.raises(DomainError):
+        isometry_reduction(g, build_parallel_polygon(g, 0.0), m1, m2)
+
+
 def test_isometry_reduction_rejects_non_parallel():
     skew = angle_table(4, AngleGaps(4, (0.8, 0.76, 0.78, PI - 2.34),
                                     (0.79, 0.77, 0.8, PI - 2.36)), 0.3)
@@ -486,6 +492,12 @@ def test_search_rejects_bad_arguments():
         constraint_search(4, ("cmc",), 100, 0)
     with pytest.raises(DomainError):
         constraint_search(3, ("clc",), 10, 0)
+
+
+@pytest.mark.parametrize("g, m1, m2", ((3, 0, 0), (3, 1, 2), (4, 0, 1), (6, 2, 1)))
+def test_search_rejects_bad_multiplicities(g, m1, m2):
+    with pytest.raises(DomainError):
+        constraint_search(g, ("cmc",), 5, 0, m1=m1, m2=m2)
 
 
 def test_search_deterministic():
@@ -698,3 +710,230 @@ def test_polish_without_feasible_start_returns_nothing():
 
 def test_search_without_constraints_returns_nothing():
     assert constraint_search(4, (), 5, 0) == []
+
+
+# ---------------------------------------------------------------------------
+# the damping ladder: trials formed in two rounds against the trial-by-trial loop
+# ---------------------------------------------------------------------------
+
+def _half_line(p):
+    # r = p0 where p0 > p1; p1 is a fixed threshold that r does not depend on. The
+    # trial with damp d lands near p0 d / (1 + d), so p1 / p0 sets which trial first
+    # stays feasible
+    return p[:, :1].copy(), p[:, 0] > p[:, 1]
+
+
+def _trial_damps(count):
+    return np.multiply.accumulate(np.array([1e-3] + [10.0] * (count - 1)))
+
+
+def _threshold_for_trial(k):
+    # between where trials k - 1 and k land from p0 = 1
+    land = [d / (1 + d) for d in _trial_damps(k + 1)]
+    return (land[k - 1] + land[k]) / 2 if k else land[0] / 2
+
+
+def _first_step_trial(system, start):
+    """The damping trial at which the first iteration stepped, read off where it landed."""
+    (p1, *_), _ = polygon._levenberg_polish(system, [start], max_iter=1)
+    if p1[0] == start[0]:
+        return None
+    return round(math.log10(p1[0] / (start[0] - p1[0]) / 1e-3))
+
+
+def test_ladder_steps_at_each_trial_of_both_rounds():
+    trials = (0, 1, 2, 3, 7, 15)  # round 1 holds trials 0-2, round 2 the rest
+    starts = np.array([[1.0, _threshold_for_trial(k)] for k in trials])
+    assert [_first_step_trial(_half_line, s) for s in starts] == list(trials)
+    assert _assert_polish_matches_reference(_half_line, starts, max_iter=1) == len(trials)
+    assert _assert_polish_matches_reference(_half_line, starts) == len(trials)
+
+
+def test_ladder_ends_at_the_cap_in_either_round():
+    # from (1, 1 - ulp) every trial lands below the threshold or back on p0 = 1: the
+    # ladder climbs to the cap inside round 2 and the start ends with no step
+    stuck = np.array([1.0, np.nextafter(1.0, 0.0)])
+    assert _first_step_trial(_half_line, stuck) is None
+    # a threshold one ulp under where trial 15 (damp 1e12) lands: iteration 1 steps
+    # there and leaves damp 3e11, so iteration 2 fails trial 0 and crosses the cap
+    # inside round 1
+    loose = np.array([1.0, _threshold_for_trial(15)])
+    ((landed, _),), _ = polygon._levenberg_polish(_half_line, [loose], max_iter=1)
+    tight = np.array([1.0, np.nextafter(landed, 0.0)])
+    assert _first_step_trial(_half_line, tight) == 15
+    once, _ = polygon._levenberg_polish(_half_line, [tight], max_iter=1)
+    twice, _ = polygon._levenberg_polish(_half_line, [tight], max_iter=2)
+    assert (once == twice).all() and (once[0] == [landed, tight[1]]).all()
+    starts = np.array([stuck, tight, loose])
+    points, _ = polygon._levenberg_polish(_half_line, starts)
+    assert (points[0] == stuck).all()
+    for max_iter in (1, 2, 120):
+        assert _assert_polish_matches_reference(_half_line, starts, max_iter) == 3
+
+
+def _rank_one(scale, p):
+    # r = scale (p0 + p1) + 1, scale a power of two: from p = 0 the difference Jacobian
+    # is exactly (scale, scale), so J^T J + d I is exactly singular while d is below
+    # half an ulp of scale^2
+    return scale * (p[:, :1] + p[:, 1:2]) + 1.0, np.ones(len(p), dtype=bool)
+
+
+def _singular_trials(system, start, count):
+    (jac,), _ = polygon._difference_jacobians(system, start, system(start)[0])
+    singular = []
+    for d in _trial_damps(count):
+        try:
+            np.linalg.solve(jac.T @ jac + d * np.eye(len(jac.T)), np.ones(len(jac.T)))
+            singular.append(False)
+        except np.linalg.LinAlgError:
+            singular.append(True)
+    return jac, singular
+
+
+def test_singular_trials_inside_round_two():
+    start = np.zeros((1, 2))
+    jac, singular = _singular_trials(functools.partial(_rank_one, 2.0 ** 33), start, 16)
+    assert (jac == 2.0 ** 33).all()
+    assert singular == [True] * 7 + [False] * 9  # trials 3-6 of round 2 are singular
+    # at 2^87 all 40 trials are singular, and only a 41st would solve
+    jac, singular = _singular_trials(functools.partial(_rank_one, 2.0 ** 87), start, 41)
+    assert (jac == 2.0 ** 87).all() and singular == [True] * 40 + [False]
+    (moved,), _ = polygon._levenberg_polish(functools.partial(_rank_one, 2.0 ** 33), start,
+                                            max_iter=1)
+    assert (moved != start[0]).any()
+    (stuck,), _ = polygon._levenberg_polish(functools.partial(_rank_one, 2.0 ** 87), start)
+    assert (stuck == start[0]).all()
+
+    def mixed(p):  # p2 picks the system: rank one at 2^33 or 2^87, or the half line
+        r1, ok1 = _rank_one(2.0 ** 33, p)
+        r2, ok2 = _rank_one(2.0 ** 87, p)
+        r3, ok3 = _half_line(p)
+        pick = np.digitize(p[:, 2], [0.5, 1.5])
+        return (np.choose(pick[:, None], [r1, r2, r3]), np.choose(pick, [ok1, ok2, ok3]))
+
+    # beside a start that steps in round 1 and one that the cap stops in round 2
+    stacked = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, _threshold_for_trial(1), 2.0],
+                        [1.0, np.nextafter(1.0, 0.0), 2.0]])
+    for max_iter in (1, 120):
+        assert _assert_polish_matches_reference(mixed, stacked, max_iter) == 4
+
+
+def test_search_makes_at_most_two_trial_calls_per_iteration(monkeypatch):
+    # log: "J" per Jacobian, "j" per residual call inside it, "t" per other residual call
+    log, inside = [], [False]
+    residual, jacobians = polygon._search_residual, polygon._difference_jacobians
+
+    def counted(*args):
+        log.append("j" if inside[0] else "t")
+        return residual(*args)
+
+    def jacobian(*args):
+        log.append("J")
+        inside[0] = True
+        try:
+            return jacobians(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(polygon, "_search_residual", counted)
+    monkeypatch.setattr(polygon, "_difference_jacobians", jacobian)
+    survivors = constraint_search(4, ("cmc", "csc"), 15, 0)
+    assert survivors and all(s.parallel for s in survivors)
+    iterations = "".join(log).split("J")[1:]
+    assert len(iterations) >= 10
+    for calls in iterations:
+        # one Jacobian call plus its backward steps, then one or two trial rounds
+        assert 1 <= calls.count("j") <= 2 and calls.count("t") <= 2
+        assert calls == "j" * calls.count("j") + "t" * calls.count("t")
+    assert any(calls.endswith("tt") for calls in iterations)  # round 2 does run
+
+
+# ---------------------------------------------------------------------------
+# the radius-table kernel against the array code it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_radius_table(g, odd, even, theta1, theta2):
+    """The table from separate gap cycles by cumsum, kept as the reference."""
+    odd = np.asarray(odd, dtype=float)
+    even = np.asarray(even, dtype=float)
+    steps = np.empty(odd.shape[:-1] + (2 * g - 1,))
+    steps[..., 0] = theta1
+    steps[..., 1::2] = odd[..., :-1]
+    steps[..., 2::2] = -even[..., :0:-1]
+    base = np.repeat(np.cumsum(steps, axis=-1)[..., 0::2], 2, axis=-1)
+    base[..., 1] = theta2
+    k = np.arange(g)
+    shifted = np.zeros(odd.shape[:-1] + (2 * g, g))
+    shifted[..., 0::2, 1:] = odd[..., (k[:, None] + k) % g][..., :-1]
+    shifted[..., 1::2, 1:] = even[..., (k - k[:, None]) % g][..., :-1]
+    return base[..., None] + np.cumsum(shifted, axis=-1)
+
+
+def _reference_search_residual(g, constraints, mult, params):
+    """The search residual with four feasibility reductions, kept as the reference."""
+    odd, even = params[:, :g - 1], params[:, g - 1:2 * g - 2]
+    odd_full = np.concatenate([odd, PI - odd.sum(axis=1, keepdims=True)], axis=1)
+    even_full = np.concatenate([even, PI - even.sum(axis=1, keepdims=True)], axis=1)
+    table = _reference_radius_table(g, odd_full, even_full, params[:, -1], params[:, -1])
+    feasible = ((odd_full.min(axis=1) > 1e-3) & (even_full.min(axis=1) > 1e-3)
+                & (table.min(axis=(1, 2)) > 1e-3) & (table.max(axis=(1, 2)) < PI - 1e-3))
+    out = [np.zeros((len(params), 0))]
+    with np.errstate(all="ignore"):
+        lam = 1.0 / np.tan(table)
+        if "cmc" in constraints:
+            h = lam @ mult
+            out.append(h[:, 1:] - h[:, :1])
+        if "csc" in constraints:
+            s = (lam * lam) @ mult
+            out.append(s[:, 1:] - s[:, :1])
+        if "clc" in constraints:
+            if g == 4:
+                l1, l2, l3, l4 = np.moveaxis(lam, -1, 0)
+                out.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
+            else:
+                for h_idx, target in polygon.G6_FAMILY_PHI.items():
+                    l1, l2, lh, l5 = (lam[..., i - 1] for i in (1, 2, h_idx, 5))
+                    out.append((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - target)
+    return np.concatenate(out, axis=1), feasible
+
+
+def _random_params(rng, g, count):
+    # rows near the regular configuration, most of them feasible, and rows anywhere
+    # around the search box, most of them not
+    wide = rng.uniform(0, 1, count) < 0.5
+    free = np.where(wide[:, None], rng.uniform(-0.05, 2.2, (count, 2 * g - 2)),
+                    rng.uniform(0.9, 1.1, (count, 2 * g - 2))) * PI / g
+    theta1 = np.where(wide, rng.uniform(-0.1, 1.5, count), rng.uniform(0.1, 0.9, count))
+    return np.concatenate([free, theta1[:, None] * PI / g], axis=1)
+
+
+@pytest.mark.parametrize("g", (3, 4, 6))
+def test_radius_table_equals_reference(g):
+    rng = np.random.default_rng(20 + g)
+    for shape in ((), (1,), (40,), (3, 5)):
+        odd, even = rng.uniform(-0.2, 1.5, (2,) + shape + (g,))
+        theta1, theta2 = rng.uniform(-0.1, 1.0, (2,) + shape)
+        expected = _reference_radius_table(g, odd, even, theta1, theta2)
+        table = polygon._radius_table(g, np.concatenate([odd, even], axis=-1), theta1, theta2)
+        assert table.shape == shape + (2 * g, g) and (table == expected).all()
+    gaps = random_gaps(rng, g)  # scalar base radii, as angle_table passes them
+    assert (polygon._radius_table(g, gaps.odd + gaps.even, 0.3, 0.31)
+            == _reference_radius_table(g, gaps.odd, gaps.even, 0.3, 0.31)).all()
+
+
+@pytest.mark.parametrize("g", (3, 4, 6))
+def test_search_residual_equals_reference(g):
+    rng = np.random.default_rng(30 + g)
+    mult = multiplicity_vector(g, 1, 1)
+    feasible_rows = infeasible_rows = 0
+    for constraints in _CONSTRAINT_SETS[g]:
+        constraints = frozenset(constraints)
+        for count in (0, 1, 2, 300):
+            params = _random_params(rng, g, count)
+            r, ok = polygon._search_residual(g, constraints, mult, params)
+            r_ref, ok_ref = _reference_search_residual(g, constraints, mult, params)
+            assert (ok == ok_ref).all() and r.shape == r_ref.shape
+            assert np.array_equal(r, r_ref, equal_nan=True)
+            feasible_rows += ok.sum()
+            infeasible_rows += (~ok).sum()
+    assert feasible_rows >= 50 and infeasible_rows >= 50
