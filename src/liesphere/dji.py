@@ -146,10 +146,8 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
                    if i != j and (j, i) not in assumed_zero)
     index = {lab: k for k, lab in enumerate(labels)}
     mult = multiplicity_vector(g, m1, m2)
-    if g != 4:
-        # common multiplicity divides out of every row; store rows unmultiplied
-        if m1 != m2:
-            raise DomainError(f"g = {g} forces a common multiplicity")
+    if g in (1, 3, 6):
+        # multiplicity_vector forces a common multiplicity here; it divides out of every row
         mult = np.ones(g)
 
     rows: list[np.ndarray] = []

@@ -127,10 +127,11 @@ def random_lie_transform(sig: Signature, seed, scale: float = 0.5) -> LieTransfo
     seeds = np.asarray(seed)
     x = np.zeros((seeds.size, p + q, p + q))
     for k, one_seed in enumerate(seeds.ravel()):
-        rng = np.random.default_rng(one_seed)
-        a = rng.uniform(-1.0, 1.0, (p, p))
-        d = rng.uniform(-1.0, 1.0, (q, q))
-        b = rng.uniform(-1.0, 1.0, (p, q))
+        # one draw in the order of three: a (p, p), then d (q, q), then b (p, q)
+        draw = np.random.default_rng(one_seed).uniform(-1.0, 1.0, p * p + q * q + p * q)
+        a = draw[:p * p].reshape(p, p)
+        d = draw[p * p:p * p + q * q].reshape(q, q)
+        b = draw[p * p + q * q:].reshape(p, q)
         x[k, :p, :p], x[k, p:, p:], x[k, :p, p:], x[k, p:, :p] = a - a.T, d - d.T, b, b.T
         norm = float(np.linalg.norm(x[k]))
         x[k] *= scale / norm if norm > 0 and scale > 0 else 0.0

@@ -466,13 +466,17 @@ class OracleResult:
 def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleResult:
     """Grid minimum of objective_of(alpha, gamma) over (0, pi/2)^2, polished by func.
 
-    The cells are resolution^2 centres of side step. The minimizing cell is
-    unique when every other cell's objective exceeds the best by more than
-    margin * step^2; its centre starts the polish of the angle system func.
+    The cells are resolution^2 centres of side step. objective_of gets the
+    centres as a column alpha (resolution, 1) and a row gamma (1, resolution)
+    and broadcasts them to the (resolution, resolution) grid, so a term of
+    one angle alone is evaluated once per centre, not once per cell. The
+    minimizing cell is unique when every other cell's objective exceeds the
+    best by more than margin * step^2; its centre starts the polish of the
+    angle system func.
     """
     step = (math.pi / 2) / resolution
     centers = (np.arange(resolution) + 0.5) * step
-    objective = objective_of(*np.meshgrid(centers, centers, indexing="ij"))
+    objective = objective_of(centers[:, None], centers[None, :])
     i, j = np.unravel_index(np.argmin(objective), objective.shape)
     best = objective[i, j]
     objective[i, j] = np.inf
@@ -662,10 +666,6 @@ class CircleMobius:
     @classmethod
     def identity(cls) -> "CircleMobius":
         return cls.from_parameters(0.0, 0.0)
-
-    def apply_angle(self, phi: float) -> float:
-        z = self.matrix @ np.array([math.cos(phi), math.sin(phi), 1.0])
-        return math.atan2(z[1], z[0])
 
 
 def _transform_positions(phis: np.ndarray, chi: float, m) -> np.ndarray:

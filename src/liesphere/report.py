@@ -12,7 +12,7 @@ exception that escapes a suite becomes one `<suite>/aborted` error record
 before the run goes on with the next suite. runtime_ms is the time in
 float milliseconds since the previous record of the same suite, so it
 includes any setup that the case shares with later ones. Reports are JSON
-({"run": {...}, "cases": [...]}) or CSV with the fixed header
+({"run": {...}, "cases": [...]}, one case per line) or CSV with the fixed header
 suite,case_id,status,residual,tolerance,runtime_ms,seed; ordering is by
 case_id so output is independent of scheduling.
 """
@@ -313,24 +313,36 @@ def _suite_sign_certificates(seed: int, tol: float | None):
 
 
 def _suite_isometry_reduction(seed: int, tol: float | None):
+    """Each (g, theta) polygon is built and normalized once and reduced for every pair of g.
+
+    A build or normalization that raises gives each of that theta's cases
+    its exception; a reduction that raises is its one case's error.
+    """
     tolerance = tol if tol is not None else 1e-10
-    combos = ((4, 1, 1), (4, 2, 2), (4, 4, 5), (6, 1, 1), (6, 2, 2))
-    for g, m1, m2 in combos:
+    pairs = {4: ((1, 1), (2, 2), (4, 5)), 6: ((1, 1), (2, 2))}
+    for g, multiplicities in pairs.items():
         bound = math.pi / (2 * g)
         for idx, theta in enumerate(np.linspace(-0.85 * bound, 0.85 * bound, 21)):
-            params = {"theta": f"{theta:.6f}"}
             try:
                 poly = poly_mod.build_parallel_polygon(g, float(theta))
                 mapped, normalized = poly_mod.conformal_normalize(poly)
-                result = poly_mod.isometry_reduction(g, normalized, m1, m2)
-                params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
-                # the one check of the reduction's sign certificates
-                strict = all(c.holds and c.margin > _certificate_margin(tol)
-                             for c in result.certificates)
-                residual = max(abs(result.x), abs(result.y)) if strict else math.inf
-            except Exception as exc:  # noqa: BLE001 - one bad theta is one error record
-                residual = exc
-            yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
+            except Exception as exc:  # noqa: BLE001 - one bad theta is one error per pair
+                normalized = exc
+            for m1, m2 in multiplicities:
+                params = {"theta": f"{theta:.6f}"}
+                if isinstance(normalized, Exception):
+                    residual = normalized
+                else:
+                    try:
+                        result = poly_mod.isometry_reduction(g, normalized, m1, m2)
+                        params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
+                        # the one check of the reduction's sign certificates
+                        strict = all(c.holds and c.margin > _certificate_margin(tol)
+                                     for c in result.certificates)
+                        residual = max(abs(result.x), abs(result.y)) if strict else math.inf
+                    except Exception as exc:  # noqa: BLE001 - one bad case is one error record
+                        residual = exc
+                yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
 
 
 _SEARCH_SPECS = (
@@ -406,14 +418,15 @@ def all_passed(cases) -> bool:
 
 def emit_report(cases, path: str, fmt: str = "json", seed: int = 0) -> None:
     if fmt == "json":
-        payload = {"run": {"seed": seed, "version": __version__},
-                   "cases": [{"suite": c.suite, "case_id": c.case_id, "params": c.params,
-                              "status": c.status, "residual": c.residual,
-                              "tolerance": c.tolerance, "runtime_ms": c.runtime_ms,
-                              "seed": c.seed} for c in cases]}
+        # one case per line through the C encoder (an indent would force the Python one)
+        lines = [json.dumps({"suite": c.suite, "case_id": c.case_id, "params": c.params,
+                             "status": c.status, "residual": c.residual,
+                             "tolerance": c.tolerance, "runtime_ms": c.runtime_ms,
+                             "seed": c.seed}) for c in cases]
+        run = json.dumps({"seed": seed, "version": __version__})
+        body = ",\n".join(lines)
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+            handle.write(f'{{"run": {run}, "cases": [\n{body}\n]}}\n')
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from liesphere import report
 from liesphere.dji import (build_system, critical_point_pinning, g6_d5_obstruction,
                            kernel_analysis, recover_pair, sign_certificates)
 from liesphere.errors import DomainError, InconsistentData
-from liesphere.isoparam import IsoparametricFamily, mean_curvature, principal_curvatures
+from liesphere.isoparam import (IsoparametricFamily, mean_curvature, multiplicity_vector,
+                                principal_curvatures)
 from liesphere.polygon import build_parallel_polygon
 
 ROOT2 = math.sqrt(2.0)
@@ -95,6 +97,41 @@ def test_build_system_g6_rows_unmultiplied():
     from liesphere.errors import DomainError
     with pytest.raises(DomainError):
         build_system(6, pcs, 1, 2, ("cmc",))
+
+
+def test_build_system_g2_weights_rows_by_multiplicity():
+    # g = 2 admits distinct multiplicities: row j holds m_i at d_ji
+    system = build_system(2, family_pcs(2, 1, 2), 1, 2, ("cmc",))
+    assert system.unknown_labels == ((1, 2), (2, 1))
+    assert system.row_labels == ("cmc[j=1]", "cmc[j=2]")
+    assert np.array_equal(system.rows, [[2.0, 0.0], [0.0, 1.0]])
+
+
+def _weighted_rows_before(system, g, pcs, m1, m2):
+    """cmc and csc rows under the earlier rule: weights m_i for g = 4, 1 for every other g."""
+    weights = multiplicity_vector(g, m1, m2) if g == 4 else np.ones(g)
+    index = {lab: k for k, lab in enumerate(system.unknown_labels)}
+    rows = {}
+    for j in range(1, g + 1):
+        for name, coeffs in (("cmc", weights), ("csc", weights * pcs)):
+            row = np.zeros(len(index))
+            for i in range(1, g + 1):
+                if (j, i) in index:
+                    row[index[(j, i)]] = coeffs[i - 1]
+            rows[f"{name}[j={j}]"] = row
+    return rows
+
+
+@pytest.mark.parametrize("g, constraints, m1, m2", report._KERNEL_SYSTEMS)
+def test_kernel_suite_systems_unchanged_by_multiplicity_rule(g, constraints, m1, m2):
+    pcs = family_pcs(g, m1, m2)
+    system = build_system(g, pcs, m1, m2, constraints, critical_point_pinning(g))
+    before = _weighted_rows_before(system, g, pcs, m1, m2)
+    weighted = [(label, row) for label, row in zip(system.row_labels, system.rows)
+                if label.startswith(("cmc[", "csc["))]
+    assert len(weighted) == g * len({"cmc", "csc"} & set(constraints))
+    for label, row in weighted:
+        assert np.array_equal(row, before[label]), label
 
 
 def test_kernel_dimensions_zero_for_paper_systems():

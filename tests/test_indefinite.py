@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liesphere import indefinite
 from liesphere.errors import ShapeError, SignatureMismatch
 from liesphere.indefinite import (LieTransform, Signature, SignedVector, compose,
                                   inner, invert, is_lie_transform,
@@ -99,6 +100,29 @@ def test_stacked_random_transforms_equal_per_seed_calls():
     assert np.array_equal(stack, [random_lie_transform(SIG, int(s), 0.5).matrix for s in seeds])
     ok, residual = is_lie_transform(stack, SIG, 1e-9)
     assert ok.shape == (1000,) and ok.all(), residual.max()
+
+
+def _three_draw_transforms(sig, seeds, scale):
+    """The generators drawn as three uniform blocks per seed (a, then d, then b)."""
+    p, q = sig.plus_count, sig.minus_count
+    x = np.zeros((len(seeds), p + q, p + q))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (p, p))
+        d = rng.uniform(-1.0, 1.0, (q, q))
+        b = rng.uniform(-1.0, 1.0, (p, q))
+        x[k, :p, :p], x[k, p:, p:], x[k, :p, p:], x[k, p:, :p] = a - a.T, d - d.T, b, b.T
+        norm = float(np.linalg.norm(x[k]))
+        x[k] *= scale / norm if norm > 0 and scale > 0 else 0.0
+    return indefinite._expm(x)
+
+
+@pytest.mark.parametrize("scale", (0.0, 0.5, 0.6, 2.0))
+def test_one_draw_per_seed_equals_three_block_draws(scale):
+    # uniform reads the stream in order, so one draw sliced into a, d, b is the same stream
+    seeds = np.arange(3181) * 7919 + 12345
+    stack = random_lie_transform(SIG, seeds, scale).matrix
+    assert np.array_equal(stack, _three_draw_transforms(SIG, seeds, scale))
 
 
 def test_stacked_compose_and_invert_equal_per_member():

@@ -22,6 +22,12 @@ ROOT3 = math.sqrt(3.0)
 PI = math.pi
 
 
+def _moved_angle(mobius, phi):
+    """The circle angle phi moved by the O(2,1) matrix of mobius."""
+    z = mobius.matrix @ np.array([math.cos(phi), math.sin(phi), 1.0])
+    return math.atan2(z[1], z[0])
+
+
 def random_gaps(rng, g):
     odd = rng.uniform(0.25, 1.0, g)
     even = rng.uniform(0.25, 1.0, g)
@@ -312,6 +318,40 @@ def test_g4_oracle():
     assert max(abs(v - PI / 4) for v in oracle.polished) <= 1e-6
 
 
+def _meshgrid_grid_oracle(resolution, objective_of, func, margin):
+    """The grid oracle evaluated on two full meshgrid copies of the centres."""
+    step = (PI / 2) / resolution
+    centers = (np.arange(resolution) + 0.5) * step
+    objective = objective_of(*np.meshgrid(centers, centers, indexing="ij"))
+    i, j = np.unravel_index(np.argmin(objective), objective.shape)
+    best = objective[i, j]
+    objective[i, j] = np.inf
+    unique = bool(objective.min() > best + margin * step * step)
+    point = (float(centers[i]), float(centers[j]))
+    return polygon.OracleResult(point, tuple(polygon._solve_system(func, point)), step, unique)
+
+
+@pytest.mark.parametrize("oracle", (g4_grid_oracle, g6_grid_oracle))
+def test_broadcast_grid_oracle_equals_meshgrid_reference(monkeypatch, oracle):
+    grid_oracles = {"broadcast": polygon._grid_oracle, "meshgrid": _meshgrid_grid_oracle}
+    objectives = {name: [] for name in grid_oracles}
+    results = {}
+    for name, grid_oracle in grid_oracles.items():
+        def recording(resolution, objective_of, func, margin, name=name, grid_oracle=grid_oracle):
+            def objective(alpha, gamma):
+                values = objective_of(alpha, gamma)
+                objectives[name].append(values.copy())
+                return values
+            return grid_oracle(resolution, objective, func, margin)
+
+        monkeypatch.setattr(polygon, "_grid_oracle", recording)
+        results[name] = oracle(721)
+    (broadcast,), (meshgrid,) = objectives["broadcast"], objectives["meshgrid"]
+    assert broadcast.shape == (721, 721)
+    assert np.array_equal(broadcast, meshgrid)
+    assert results["broadcast"] == results["meshgrid"]
+
+
 def test_solve_g6_normalized():
     gaps = solve_g6_normalized()
     assert max(abs(x - PI / 6) for x in gaps.odd + gaps.even) <= 1e-10
@@ -400,7 +440,7 @@ def test_conformal_normalize_identity_on_normalized():
 def test_conformal_normalize_recovers_perturbed_dodecagon():
     base = build_parallel_polygon(6, 0.05)
     perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
-    phis = np.array([perturb.apply_angle(p) for p in base.vertex_angles])
+    phis = np.array([_moved_angle(perturb, p) for p in base.vertex_angles])
     moved = polygon_from_positions(6, phis)
     assert not is_parallel(moved)
     mapped, recovered = conformal_normalize(moved)
@@ -615,7 +655,7 @@ def test_stacked_polish_equals_scalar_loop_on_angle_systems(monkeypatch):
     g6_grid_oracle(101)
     perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
     base = build_parallel_polygon(6, 0.05)
-    conformal_normalize(polygon_from_positions(6, [perturb.apply_angle(p)
+    conformal_normalize(polygon_from_positions(6, [_moved_angle(perturb, p)
                                                    for p in base.vertex_angles]))
     g4, _, g6, boost = systems
     rng = np.random.default_rng(7)

@@ -135,6 +135,96 @@ def test_isometry_suite_fails_weak_certificates(monkeypatch):
     assert cases and all(c.status == "fail" and c.residual == math.inf for c in cases)
 
 
+def test_isometry_suite_normalizes_each_theta_once_per_call(monkeypatch):
+    calls = {"normalize": 0, "reduce": 0}
+    normalize, reduce = polygon.conformal_normalize, polygon.isometry_reduction
+
+    def counting_normalize(poly):
+        calls["normalize"] += 1
+        return normalize(poly)
+
+    def counting_reduce(*args):
+        calls["reduce"] += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(polygon, "conformal_normalize", counting_normalize)
+    monkeypatch.setattr(polygon, "isometry_reduction", counting_reduce)
+    first = run_suite("isometry_reduction", 0)
+    assert len(first) == 105 and all_passed(first)
+    assert calls == {"normalize": 42, "reduce": 105}   # 21 thetas for each of g = 4, 6
+    second = run_suite("isometry_reduction", 0)         # nothing is kept between calls
+    assert calls == {"normalize": 84, "reduce": 210}
+    assert [(c.case_id, c.params, c.residual) for c in second] == [
+        (c.case_id, c.params, c.residual) for c in first]
+
+
+@pytest.mark.parametrize("g, pairs", ((4, ("11", "22", "45")), (6, ("11", "22"))))
+def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch, g, pairs):
+    bound = math.pi / (2 * g)
+    bad = build_parallel_polygon(g, float(np.linspace(-0.85 * bound, 0.85 * bound, 21)[7]))
+    normalize = polygon.conformal_normalize
+
+    def failing_normalize(poly):
+        if poly.g == g and np.array_equal(poly.vertex_angles, bad.vertex_angles):
+            raise polygon.NormalizationFailure("boost did not converge")
+        return normalize(poly)
+
+    monkeypatch.setattr(polygon, "conformal_normalize", failing_normalize)
+    cases = run_suite("isometry_reduction", 0)
+    errors = [c for c in cases if c.status == "error"]
+    assert [c.case_id for c in errors] == [f"isometry_reduction/g{g}_m{p}[07]" for p in pairs]
+    assert len({c.params["where"] for c in errors}) == 1
+    assert errors[0].params["where"].endswith("in failing_normalize")
+    assert all(c.params["error"] == "NormalizationFailure: boost did not converge"
+               and set(c.params) == {"theta", "error", "where"} for c in errors)
+    assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
+
+
+def test_failed_reduction_is_an_error_for_its_own_pair(monkeypatch):
+    reduce = polygon.isometry_reduction
+
+    def failing_reduce(g, poly, m1, m2):
+        if (m1, m2) == (4, 5):
+            raise DomainError("injected")
+        return reduce(g, poly, m1, m2)
+
+    monkeypatch.setattr(polygon, "isometry_reduction", failing_reduce)
+    cases = run_suite("isometry_reduction", 0)
+    errors = [c for c in cases if c.status == "error"]
+    assert [c.case_id for c in errors] == [f"isometry_reduction/g4_m45[{k:02d}]"
+                                           for k in range(21)]
+    assert all(c.params["where"].endswith("in failing_reduce") for c in errors)
+    assert {c.status for c in cases if c not in errors} == {"pass"}
+
+
+def _indented_report(cases, seed):
+    """The report as one json.dump(..., indent=2) document."""
+    return json.dumps({"run": {"seed": seed, "version": report.__version__},
+                       "cases": [{"suite": c.suite, "case_id": c.case_id, "params": c.params,
+                                  "status": c.status, "residual": c.residual,
+                                  "tolerance": c.tolerance, "runtime_ms": c.runtime_ms,
+                                  "seed": c.seed} for c in cases]}, indent=2)
+
+
+def test_json_report_is_one_case_per_line_and_parses_as_before(tmp_path):
+    cases = run_suite("dji_kernels", 3)
+    cases.append(VerificationCase("dji_kernels", "dji_kernels/z_error",
+                                  {"error": "DomainError: θ \"out\" of range",
+                                   "where": "dji.py:1 in f"},
+                                  "error", math.inf, 0.0, 1 / 3, 3))
+    path = tmp_path / "report.json"
+    emit_report(cases, str(path), "json", seed=3)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == json.loads(_indented_report(cases, 3))
+    lines = text.splitlines()
+    assert lines[0] == '{"run": {"seed": 3, "version": "0.1.0"}, "cases": ['
+    assert lines[-1] == "]}" and len(lines) == len(cases) + 2
+    assert [json.loads(line.rstrip(","))["case_id"] for line in lines[1:-1]] == [
+        c.case_id for c in cases]
+    assert lines[-2].isascii() and '"residual": Infinity' in lines[-2]
+    assert json.loads(lines[-2])["residual"] == math.inf
+
+
 def _raising(exc_type):
     def solver(*args, **kwargs):
         raise exc_type("injected")
