@@ -125,16 +125,22 @@ def random_lie_transform(sig: Signature, seed, scale: float = 0.5) -> LieTransfo
         raise ValueError("scale must be >= 0")
     p, q = sig.plus_count, sig.minus_count
     seeds = np.asarray(seed)
+    # one draw per seed in the order of three: a (p, p), then d (q, q), then b (p, q)
+    width = p * p + q * q + p * q
+    draws = np.array([np.random.default_rng(one_seed).uniform(-1.0, 1.0, width)
+                      for one_seed in seeds.ravel()]).reshape(seeds.size, width)
+    a = draws[:, :p * p].reshape(-1, p, p)
+    d = draws[:, p * p:p * p + q * q].reshape(-1, q, q)
+    b = draws[:, p * p + q * q:].reshape(-1, p, q)
     x = np.zeros((seeds.size, p + q, p + q))
-    for k, one_seed in enumerate(seeds.ravel()):
-        # one draw in the order of three: a (p, p), then d (q, q), then b (p, q)
-        draw = np.random.default_rng(one_seed).uniform(-1.0, 1.0, p * p + q * q + p * q)
-        a = draw[:p * p].reshape(p, p)
-        d = draw[p * p:p * p + q * q].reshape(q, q)
-        b = draw[p * p + q * q:].reshape(p, q)
-        x[k, :p, :p], x[k, p:, p:], x[k, :p, p:], x[k, p:, :p] = a - a.T, d - d.T, b, b.T
-        norm = float(np.linalg.norm(x[k]))
-        x[k] *= scale / norm if norm > 0 and scale > 0 else 0.0
+    x[:, :p, :p] = a - np.swapaxes(a, 1, 2)
+    x[:, p:, p:] = d - np.swapaxes(d, 1, 2)
+    x[:, :p, p:] = b
+    x[:, p:, :p] = np.swapaxes(b, 1, 2)
+    # the Frobenius norm as np.linalg.norm takes it: one dot product of the flattened matrix
+    flat = x.reshape(seeds.size, 1, -1)
+    norm = np.sqrt(flat @ np.swapaxes(flat, 1, 2))
+    x *= np.divide(scale, norm, out=np.zeros_like(norm), where=norm > 0)
     return LieTransform(_expm(x.reshape(seeds.shape + x.shape[1:])), sig)
 
 

@@ -9,13 +9,17 @@ strictly decreasing with lambda_1 > cot(pi/g). Multiplicities are common
 for g in {1, 3, 6} and alternate (m1, m2) for g in {2, 4}. The mean
 curvature (trace of the shape operator, no averaging) is
 
-    H = (g/2) (m1 t - m2 / t),   t = cot(g theta_1 / 2),
+    H = (g/2) (m1 t - m2 / t),   t = cot(g theta_1 / 2) > 0,
 
-strictly decreasing in theta and onto R, so theta is recovered from H by
-bisection. The scalar curvature is R = (n-1)(n-2) + H^2 - S with
-S = sum m_i lambda_i^2; for g = 3, 4, 6 its closed form is returned beside
-it. The isoparametric_formulas suite cross-checks both closed forms
-against the direct sums.
+for every admissible g, strictly decreasing in theta and onto R. So theta
+is recovered from H in closed form: t is the one positive root of the
+quadratic m1 t^2 - (2H/g) t - m2 = 0. The scalar curvature is
+R = (n-1)(n-2) + H^2 - S with S = sum m_i lambda_i^2; for g = 3, 4, 6 its
+closed form is returned beside it. The isoparametric_formulas suite
+cross-checks both closed forms against the direct sums.
+
+A family, and every function of it, takes theta as a float or as an array
+of thetas; the curvatures then come as (..., g) and H, S and R as (...).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, raise_where
 from .quadric import ProjectiveCurvature
 
 ADMISSIBLE_G = (1, 2, 3, 4, 6)
@@ -34,8 +38,11 @@ ADMISSIBLE_G = (1, 2, 3, 4, 6)
 def multiplicity_vector(g: int, m1: int, m2: int) -> np.ndarray:
     """Multiplicities of the g curvatures: (m1, m2, m1, m2, ...) for even g, else all m1.
 
-    Raises DomainError unless both are positive and, for g in {1, 3, 6}, equal.
+    Raises DomainError unless g is admissible, both multiplicities are
+    positive and, for g in {1, 3, 6}, equal.
     """
+    if g not in ADMISSIBLE_G:
+        raise DomainError(f"g must be one of {ADMISSIBLE_G}")
     if m1 < 1 or m2 < 1:
         raise DomainError("multiplicities must be positive")
     if g in (1, 3, 6) and m1 != m2:
@@ -47,21 +54,23 @@ def multiplicity_vector(g: int, m1: int, m2: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsoparametricFamily:
+    """The member at theta, or the members at an array of thetas, validated at once."""
+
     g: int
     m1: int
     m2: int
-    theta: float
+    theta: float | np.ndarray
 
     def __post_init__(self):
-        if self.g not in ADMISSIBLE_G:
-            raise DomainError(f"g must be one of {ADMISSIBLE_G}")
         multiplicity_vector(self.g, self.m1, self.m2)
+        if np.ndim(self.theta):
+            object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
         bound = math.pi / (2 * self.g)
-        if not -bound < self.theta < bound:
-            raise DomainError(f"theta must lie in (-pi/{2 * self.g}, pi/{2 * self.g})")
+        raise_where(~(np.abs(self.theta) < bound), DomainError,
+                    f"theta {{}} must lie in (-pi/{2 * self.g}, pi/{2 * self.g})", self.theta)
 
     @property
-    def theta1(self) -> float:
+    def theta1(self):
         return math.pi / (2 * self.g) + self.theta
 
     @property
@@ -86,82 +95,78 @@ class FamilyInvariants:
         n, h, s, r = (self.dimension_ambient, self.mean_curvature,
                       self.second_moment, self.scalar_curvature)
         expected = (n - 1) * (n - 2) + h * h - s
-        if abs(r - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise ValueError("scalar curvature inconsistent with (n-1)(n-2) + H^2 - S")
+        raise_where(abs(r - expected) > 1e-9 * np.maximum(1.0, abs(expected)), ValueError,
+                    "scalar curvature inconsistent with (n-1)(n-2) + H^2 - S")
 
 
 def principal_curvatures(fam: IsoparametricFamily) -> np.ndarray:
-    """cot(theta_1 + (i-1) pi/g), i = 1..g; strictly decreasing."""
-    angles = fam.theta1 + np.arange(fam.g) * math.pi / fam.g
+    """cot(theta_1 + (i-1) pi/g), i = 1..g, along the last axis; strictly decreasing."""
+    angles = np.asarray(fam.theta1)[..., None] + np.arange(fam.g) * math.pi / fam.g
     return 1.0 / np.tan(angles)
 
 
-def _mean_curvature_raw(g: int, m1: int, m2: int, theta1: float) -> float:
+def _mean_curvature_raw(g: int, m1: int, m2: int, theta1):
     if g == 1:
-        return m1 / math.tan(theta1)
+        return m1 / np.tan(theta1)
     if g == 2:
-        return m1 / math.tan(theta1) + m2 / math.tan(theta1 + math.pi / 2)
-    t = 1.0 / math.tan(g * theta1 / 2.0)
+        return m1 / np.tan(theta1) + m2 / np.tan(theta1 + math.pi / 2)
+    t = 1.0 / np.tan(g * theta1 / 2.0)
     return (g / 2.0) * (m1 * t - m2 / t)
 
 
-def mean_curvature(fam: IsoparametricFamily) -> float:
+def mean_curvature(fam: IsoparametricFamily):
     """Closed-form H; the isoparametric_formulas suite checks it against sum m_i lambda_i."""
     return _mean_curvature_raw(fam.g, fam.m1, fam.m2, fam.theta1)
 
 
 def minimal_theta(g: int, m1: int, m2: int) -> float:
     """The unique theta with H = 0: cot^2(g theta_1 / 2) = m2/m1."""
-    fam_check = IsoparametricFamily(g, m1, m2, 0.0)  # validates (g, m1, m2)
-    del fam_check
-    theta1 = (2.0 / g) * math.atan(math.sqrt(m1 / m2))
-    theta = theta1 - math.pi / (2 * g)
+    theta = theta_from_mean_curvature(g, m1, m2, 0.0)
     residual = mean_curvature(IsoparametricFamily(g, m1, m2, theta))
     if abs(residual) > 1e-10:
         raise ArithmeticError(f"minimal theta residual {residual:.3e}")
     return theta
 
 
-def theta_from_mean_curvature(g: int, m1: int, m2: int, h: float) -> float:
-    """Invert H(theta) by bisection; H is strictly decreasing and onto R."""
-    IsoparametricFamily(g, m1, m2, 0.0)  # validates (g, m1, m2)
+def theta_from_mean_curvature(g: int, m1: int, m2: int, h):
+    """The theta with mean curvature h (a float or an array), in closed form.
+
+    t = cot(g theta_1 / 2) is the positive root of m1 t^2 - 2a t - m2 = 0,
+    a = h/g, taken in the form without cancellation for the sign of a; the
+    result is clamped 1e-13 inside the open theta interval. Raises
+    ArithmeticError for a non-finite h.
+    """
+    multiplicity_vector(g, m1, m2)
+    a = np.asarray(h, dtype=float) / g
+    raise_where(~np.isfinite(a), ArithmeticError, "mean curvature {} is not finite", h)
+    # past |a| = 1e200 the root is far inside the clamp below; capping a keeps a + root finite
+    a = np.clip(a, -1e200, 1e200)
+    root = np.hypot(a, math.sqrt(m1 * m2))  # sqrt(a^2 + m1 m2) without overflow
+    t = np.empty_like(root)
+    up = a >= 0
+    t[up] = (a[up] + root[up]) / m1
+    t[~up] = m2 / (root[~up] - a[~up])
     bound = math.pi / (2 * g)
-    eps = 1e-13
-    lo, hi = -bound + eps, bound - eps
-    offset = math.pi / (2 * g)
-
-    def f(theta: float) -> float:
-        return _mean_curvature_raw(g, m1, m2, offset + theta) - h
-
-    flo, fhi = f(lo), f(hi)
-    if not (flo > 0 > fhi):
-        raise ArithmeticError("mean curvature does not diverge with opposite signs at endpoints")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    theta = (2.0 / g) * np.arctan2(1.0, t) - bound
+    return np.clip(theta, -bound + 1e-13, bound - 1e-13)[()]
 
 
 def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
     """General R = (n-1)(n-2) + H^2 - S, with the closed form for g in {3,4,6} beside it."""
     lam = principal_curvatures(fam)
-    mult = fam.multiplicities
     n = fam.ambient_dim
     h = mean_curvature(fam)
-    s = float(mult @ (lam * lam))
+    s = (lam * lam) @ fam.multiplicities
     r = (n - 1) * (n - 2) + h * h - s
+    m1, m2, theta1 = fam.m1, fam.m2, fam.theta1
     closed = None
     if fam.g == 3:
-        closed = 9 * fam.m1 * (fam.m1 - 1) * (1 + 1.0 / math.tan(3 * fam.theta1) ** 2)
+        closed = 9 * m1 * (m1 - 1) * (1 + 1.0 / np.tan(3 * theta1) ** 2)
     elif fam.g == 4:
-        t = 1.0 / math.tan(2 * fam.theta1)
-        closed = 4 * (fam.m1 * (fam.m1 - 1) * (1 + t * t)
-                      + fam.m2 * (fam.m2 - 1) * (1 + 1.0 / (t * t)))
+        t = 1.0 / np.tan(2 * theta1)
+        closed = 4 * (m1 * (m1 - 1) * (1 + t * t) + m2 * (m2 - 1) * (1 + 1.0 / (t * t)))
     elif fam.g == 6:
-        closed = 36 * fam.m1 * (fam.m1 - 1) * (1 + 1.0 / math.tan(6 * fam.theta1) ** 2)
+        closed = 36 * m1 * (m1 - 1) * (1 + 1.0 / np.tan(6 * theta1) ** 2)
     return FamilyInvariants(n, h, s, r, closed)
 
 

@@ -488,9 +488,10 @@ def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleRe
 def g4_grid_oracle(resolution: int = 721) -> OracleResult:
     """Brute-force grid over (alpha, gamma) in (0, pi/2)^2 for the normalized system."""
     def objective(alpha, gamma):
-        # |(6.9) residual|^2 under the normalization collapses to |2(1+e^(2i(a+c)))|^2
-        res_sq = np.abs(2.0 * (1.0 + np.exp(2j * (alpha + gamma)))) ** 2
-        return res_sq + ((math.pi / 2 - alpha) + gamma - math.pi / 2) ** 2
+        # |(6.9) residual|^2 under the normalization collapses to |2(1+e^(2i(a+c)))|^2,
+        # that is 16 cos^2(a+c), with cos(a+c) from the per-axis cosines and sines
+        cos_sum = np.cos(alpha) * np.cos(gamma) - np.sin(alpha) * np.sin(gamma)
+        return 16.0 * cos_sum * cos_sum + ((math.pi / 2 - alpha) + gamma - math.pi / 2) ** 2
 
     return _grid_oracle(resolution, objective, _g4_system, 0.25)
 

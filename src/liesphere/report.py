@@ -181,39 +181,52 @@ _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),
 
 
 def _suite_isoparametric_formulas(seed: int, tol: float | None):
+    """Each family's 45 members are one array pass through the isoparam functions.
+
+    Per member: the mean-curvature closed forms against sum m_i lambda_i,
+    the curvature ordering, the theta -> H -> theta roundtrip and, for
+    g = 3, 4, 6, the scalar closed form; per family: H strictly decreasing.
+    A stacked call that raises gives each case of its family its exception.
+    """
+    mean_tol = tol if tol is not None else 1e-9
+    roundtrip_tol = tol if tol is not None else 1e-10
+    scalar_tol = tol if tol is not None else 1e-8
     for g, m1, m2 in _FAMILY_COMBOS:
         family = {"g": g, "m1": m1, "m2": m2}
         bound = math.pi / (2 * g)
         grid = np.linspace(-0.9 * bound, 0.9 * bound, 45)
-        h_values = []
+        cases = []
         for idx, theta in enumerate(grid):
-            fam = isoparam.IsoparametricFamily(g, m1, m2, float(theta))
-            lam = isoparam.principal_curvatures(fam)
-            mult = fam.multiplicities
             tag = f"g{g}_m{m1}_{m2}[{idx:02d}]"
+            cases += [(f"isoparametric_formulas/mean_{tag}", {**family, "theta": f"{theta:.6f}"},
+                       mean_tol),
+                      (f"isoparametric_formulas/ordering_{tag}", family, 0.5),
+                      (f"isoparametric_formulas/roundtrip_{tag}", family, roundtrip_tol)]
+            if g in (3, 4, 6):
+                cases.append((f"isoparametric_formulas/scalar_{tag}", family, scalar_tol))
+        cases.append((f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}", family, 0.5))
+
+        def family_residuals():
+            fam = isoparam.IsoparametricFamily(g, m1, m2, grid)
+            lam = isoparam.principal_curvatures(fam)
             h = isoparam.mean_curvature(fam)
-            h_values.append(h)
-            gap = abs(h - float(mult @ lam))
+            gap = abs(h - lam @ fam.multiplicities)
             if g in (3, 6):
-                gap = max(gap, abs(h - g * m1 / math.tan(g * fam.theta1)))
-            yield (f"isoparametric_formulas/mean_{tag}", {**family, "theta": f"{theta:.6f}"},
-                   gap / max(1.0, abs(h)), tol if tol is not None else 1e-9)
-            ordering_ok = bool(np.all(np.diff(lam) < 0)
-                               and lam[0] > 1.0 / math.tan(math.pi / g) - 1e-12)
-            yield (f"isoparametric_formulas/ordering_{tag}", family,
-                   0.0 if ordering_ok else 1.0, 0.5)
-            back = isoparam.theta_from_mean_curvature(g, m1, m2, h)
-            yield (f"isoparametric_formulas/roundtrip_{tag}", family,
-                   abs(back - theta), tol if tol is not None else 1e-10)
+                gap = np.maximum(gap, abs(h - g * m1 / np.tan(g * fam.theta1)))
+            floor = 1.0 / math.tan(math.pi / g) - 1e-12
+            ordered = (np.diff(lam) < 0).all(axis=1) & (lam[:, 0] > floor)
+            columns = [gap / np.maximum(1.0, abs(h)), np.where(ordered, 0.0, 1.0),
+                       abs(isoparam.theta_from_mean_curvature(g, m1, m2, h) - grid)]
             if g in (3, 4, 6):
                 inv = isoparam.scalar_curvature(fam)
                 r = inv.scalar_curvature
-                yield (f"isoparametric_formulas/scalar_{tag}", family,
-                       abs(inv.closed_form - r) / max(1.0, abs(r)),
-                       tol if tol is not None else 1e-8)
-        monotone = bool(np.all(np.diff(h_values) < 0))
-        yield (f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}", family,
-               0.0 if monotone else 1.0, 0.5)
+                columns.append(abs(inv.closed_form - r) / np.maximum(1.0, abs(r)))
+            monotone = bool(np.all(np.diff(h) < 0))
+            return [*np.stack(columns, axis=1).ravel(), 0.0 if monotone else 1.0]
+
+        for (case_id, params, tolerance), residual in zip(
+                cases, _per_case(len(cases), family_residuals)):
+            yield case_id, params, residual, tolerance
 
 
 def _oracle_cases(g: int, oracle, params: dict):

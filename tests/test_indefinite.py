@@ -102,8 +102,12 @@ def test_stacked_random_transforms_equal_per_seed_calls():
     assert ok.shape == (1000,) and ok.all(), residual.max()
 
 
-def _three_draw_transforms(sig, seeds, scale):
-    """The generators drawn as three uniform blocks per seed (a, then d, then b)."""
+def _per_seed_transforms(sig, seeds, scale):
+    """The generators assembled one seed at a time, each drawn as three uniform blocks.
+
+    This is the per-seed assembly of the earlier random_lie_transform; its
+    one draw per seed reads the same stream as the three blocks (a, d, b).
+    """
     p, q = sig.plus_count, sig.minus_count
     x = np.zeros((len(seeds), p + q, p + q))
     for k, seed in enumerate(seeds):
@@ -118,11 +122,20 @@ def _three_draw_transforms(sig, seeds, scale):
 
 
 @pytest.mark.parametrize("scale", (0.0, 0.5, 0.6, 2.0))
+def test_stacked_assembly_equals_per_seed_reference(scale):
+    seeds = np.arange(3181)
+    reference = _per_seed_transforms(SIG, seeds, scale)
+    assert np.array_equal(random_lie_transform(SIG, seeds, scale).matrix, reference)
+    assert all(np.array_equal(random_lie_transform(SIG, int(s), scale).matrix, reference[s])
+               for s in seeds)
+
+
+@pytest.mark.parametrize("scale", (0.0, 0.5, 0.6, 2.0))
 def test_one_draw_per_seed_equals_three_block_draws(scale):
     # uniform reads the stream in order, so one draw sliced into a, d, b is the same stream
     seeds = np.arange(3181) * 7919 + 12345
     stack = random_lie_transform(SIG, seeds, scale).matrix
-    assert np.array_equal(stack, _three_draw_transforms(SIG, seeds, scale))
+    assert np.array_equal(stack, _per_seed_transforms(SIG, seeds, scale))
 
 
 def test_stacked_compose_and_invert_equal_per_member():

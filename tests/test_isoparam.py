@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from liesphere import isoparam
 from liesphere.errors import DomainError
 from liesphere.isoparam import (FamilyInvariants, IsoparametricFamily,
                                 focal_points, mean_curvature, minimal_theta,
                                 multiplicity_vector, principal_curvatures,
                                 scalar_curvature, theta_from_mean_curvature)
 from liesphere.quadric import ProjectiveCurvature, moebius_curvature
+from liesphere.report import _FAMILY_COMBOS
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
@@ -54,12 +56,14 @@ def test_common_multiplicity_enforced():
 
 
 @pytest.mark.parametrize("g, m1, m2", ((3, 0, 0), (3, 1, 2), (6, 2, 1), (1, 1, 3), (4, 0, 3),
-                                      (4, 2, 0), (2, -1, 1)))
+                                      (4, 2, 0), (2, -1, 1), (5, 1, 1)))
 def test_multiplicity_vector_rejects_what_the_family_rejects(g, m1, m2):
     with pytest.raises(DomainError):
         multiplicity_vector(g, m1, m2)
     with pytest.raises(DomainError):
         IsoparametricFamily(g, m1, m2, 0.0)
+    with pytest.raises(DomainError):
+        theta_from_mean_curvature(g, m1, m2, 0.0)
 
 
 def test_multiplicity_vector_admissible_values():
@@ -124,6 +128,79 @@ def test_theta_roundtrip_on_grids():
         for theta in grid(g, 40):
             h = mean_curvature(IsoparametricFamily(g, m1, m2, float(theta)))
             assert abs(theta_from_mean_curvature(g, m1, m2, h) - theta) <= 1e-10
+
+
+def _bisection_theta(g, m1, m2, h):
+    """theta from H by bisection on the closed form of H, as before the closed-form root."""
+    bound = math.pi / (2 * g)
+    lo, hi = -bound + 1e-13, bound - 1e-13
+
+    def f(theta):
+        return isoparam._mean_curvature_raw(g, m1, m2, bound + theta) - h
+
+    if not f(lo) > 0 > f(hi):
+        raise ArithmeticError("mean curvature does not diverge with opposite signs at endpoints")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_closed_form_theta_matches_bisection_reference():
+    worst = 0.0
+    for g, m1, m2 in _FAMILY_COMBOS:
+        bound = math.pi / (2 * g)
+        thetas = np.linspace(-0.9 * bound, 0.9 * bound, 45)
+        h = mean_curvature(IsoparametricFamily(g, m1, m2, thetas))
+        closed = theta_from_mean_curvature(g, m1, m2, h)
+        worst = max(worst, max(abs(c - _bisection_theta(g, m1, m2, v)) for c, v in zip(closed, h)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("h", (1e200, -1e200, 1e300, -1e300, np.finfo(float).max,
+                               -np.finfo(float).max))
+def test_theta_from_huge_mean_curvature_stays_inside(h):
+    for g, m1, m2 in FAMILY_COMBOS:
+        theta = theta_from_mean_curvature(g, m1, m2, h)
+        assert abs(theta) < math.pi / (2 * g)
+        assert np.sign(mean_curvature(IsoparametricFamily(g, m1, m2, theta))) == np.sign(h)
+
+
+@pytest.mark.parametrize("h", (math.nan, math.inf, -math.inf))
+def test_theta_from_non_finite_mean_curvature_raises(h):
+    with pytest.raises(ArithmeticError):
+        theta_from_mean_curvature(4, 1, 1, h)
+    with pytest.raises(ArithmeticError, match="at stack index 1"):
+        theta_from_mean_curvature(4, 1, 1, np.array([0.0, h]))
+
+
+def test_theta_from_mean_curvature_array_equals_scalar_calls():
+    h = np.concatenate([np.linspace(-50.0, 50.0, 101), [-1e300, -1e200, 1e200, 1e300]])
+    for g, m1, m2 in FAMILY_COMBOS:
+        thetas = theta_from_mean_curvature(g, m1, m2, h)
+        assert thetas.shape == h.shape
+        assert thetas.tolist() == [theta_from_mean_curvature(g, m1, m2, v) for v in h]
+
+
+def test_stacked_family_equals_member_calls():
+    for g, m1, m2 in FAMILY_COMBOS:
+        thetas = grid(g, 30)
+        fam = IsoparametricFamily(g, m1, m2, thetas)
+        members = [IsoparametricFamily(g, m1, m2, float(t)) for t in thetas]
+        assert np.array_equal(principal_curvatures(fam),
+                              [principal_curvatures(m) for m in members])
+        assert np.array_equal(mean_curvature(fam), [mean_curvature(m) for m in members])
+        inv = scalar_curvature(fam)
+        assert inv.scalar_curvature.shape == thetas.shape
+
+
+def test_stacked_family_names_its_bad_theta():
+    bound = math.pi / 8
+    with pytest.raises(DomainError, match="at stack index 2"):
+        IsoparametricFamily(4, 1, 1, np.array([0.0, 0.1, bound, math.nan]))
 
 
 def test_scalar_flat_families():

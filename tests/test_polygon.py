@@ -352,6 +352,31 @@ def test_broadcast_grid_oracle_equals_meshgrid_reference(monkeypatch, oracle):
     assert results["broadcast"] == results["meshgrid"]
 
 
+def _exp_g4_objective(alpha, gamma):
+    """The g = 4 grid objective with one complex exp per cell, as before the per-axis form."""
+    res_sq = np.abs(2.0 * (1.0 + np.exp(2j * (alpha + gamma)))) ** 2
+    return res_sq + ((PI / 2 - alpha) + gamma - PI / 2) ** 2
+
+
+@pytest.mark.parametrize("resolution", (101, 301, 721, 1001))
+def test_per_axis_g4_objective_equals_exp_reference(monkeypatch, resolution):
+    objectives = []
+    grid_oracle = polygon._grid_oracle
+
+    def recording(resolution, objective_of, func, margin):
+        objectives.append(objective_of)
+        return grid_oracle(resolution, objective_of, func, margin)
+
+    monkeypatch.setattr(polygon, "_grid_oracle", recording)
+    result = g4_grid_oracle(resolution)
+    (objective_of,) = objectives
+    centers = (np.arange(resolution) + 0.5) * (PI / 2) / resolution
+    new = objective_of(centers[:, None], centers[None, :])
+    old = _exp_g4_objective(centers[:, None], centers[None, :])
+    assert (result == grid_oracle(resolution, _exp_g4_objective, polygon._g4_system, 0.25)
+            and np.all(np.abs(new - old) <= 1e-14 * np.maximum(1.0, np.abs(old))))
+
+
 def test_solve_g6_normalized():
     gaps = solve_g6_normalized()
     assert max(abs(x - PI / 6) for x in gaps.odd + gaps.even) <= 1e-10

@@ -106,6 +106,70 @@ def test_isoparametric_suite_reports_wrong_mean_curvature(monkeypatch):
     assert not any(c.status == "error" for c in cases)
 
 
+def _reference_isoparametric_formulas(seed, tol):
+    """The suite as one scalar library call per family member, as before the array pass."""
+    for g, m1, m2 in report._FAMILY_COMBOS:
+        family = {"g": g, "m1": m1, "m2": m2}
+        bound = math.pi / (2 * g)
+        grid = np.linspace(-0.9 * bound, 0.9 * bound, 45)
+        h_values = []
+        for idx, theta in enumerate(grid):
+            fam = isoparam.IsoparametricFamily(g, m1, m2, float(theta))
+            lam = isoparam.principal_curvatures(fam)
+            mult = fam.multiplicities
+            tag = f"g{g}_m{m1}_{m2}[{idx:02d}]"
+            h = isoparam.mean_curvature(fam)
+            h_values.append(h)
+            gap = abs(h - float(mult @ lam))
+            if g in (3, 6):
+                gap = max(gap, abs(h - g * m1 / math.tan(g * fam.theta1)))
+            yield (f"isoparametric_formulas/mean_{tag}", {**family, "theta": f"{theta:.6f}"},
+                   gap / max(1.0, abs(h)), tol if tol is not None else 1e-9)
+            ordering_ok = bool(np.all(np.diff(lam) < 0)
+                               and lam[0] > 1.0 / math.tan(math.pi / g) - 1e-12)
+            yield (f"isoparametric_formulas/ordering_{tag}", family,
+                   0.0 if ordering_ok else 1.0, 0.5)
+            back = isoparam.theta_from_mean_curvature(g, m1, m2, h)
+            yield (f"isoparametric_formulas/roundtrip_{tag}", family,
+                   abs(back - theta), tol if tol is not None else 1e-10)
+            if g in (3, 4, 6):
+                inv = isoparam.scalar_curvature(fam)
+                r = inv.scalar_curvature
+                yield (f"isoparametric_formulas/scalar_{tag}", family,
+                       abs(inv.closed_form - r) / max(1.0, abs(r)),
+                       tol if tol is not None else 1e-8)
+        monotone = bool(np.all(np.diff(h_values) < 0))
+        yield (f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}", family,
+               0.0 if monotone else 1.0, 0.5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_isoparametric_suite_matches_scalar_loop(seed):
+    # same cases in the same order with the same verdicts; residuals may round apart
+    stacked = list(report._suite_isoparametric_formulas(seed, None))
+    scalar = list(_reference_isoparametric_formulas(seed, None))
+    verdicts = lambda cases: [(case_id, params, tolerance, residual <= tolerance)
+                              for case_id, params, residual, tolerance in cases]
+    assert verdicts(stacked) == verdicts(scalar) and all(r <= t for _, _, r, t in stacked)
+
+
+def test_failed_family_pass_is_an_error_for_each_case_of_its_family(monkeypatch):
+    inverse = isoparam.theta_from_mean_curvature
+
+    def failing_for_g6(g, m1, m2, h):
+        if g == 6:
+            raise ArithmeticError("inverse failed")
+        return inverse(g, m1, m2, h)
+
+    monkeypatch.setattr(isoparam, "theta_from_mean_curvature", failing_for_g6)
+    cases = run_suite("isoparametric_formulas", seed=0)
+    assert len(cases) == 2490
+    bad = [c for c in cases if "_g6_" in c.case_id]
+    assert len(bad) == 2 * (4 * 45 + 1) and {c.status for c in bad} == {"error"}
+    assert all(c.params["error"] == "ArithmeticError: inverse failed" for c in bad)
+    assert {c.status for c in cases if "_g6_" not in c.case_id} == {"pass"}
+
+
 def test_empty_search_fails_all_parallel(monkeypatch):
     monkeypatch.setattr(polygon, "constraint_search", lambda *args, **kwargs: [])
     cases = run_suite("constraint_search", seed=0)
