@@ -34,25 +34,21 @@ def _verify(args) -> int:
     return 0 if report.all_passed(cases) else 1
 
 
-def _family_rows(g, m1, m2, thetas):
-    rows = []
-    for theta in thetas:
-        fam = isoparam.IsoparametricFamily(g, m1, m2, float(theta))
-        lam = isoparam.principal_curvatures(fam)
-        inv = isoparam.scalar_curvature(fam)
-        rows.append([theta, *lam, inv.mean_curvature, inv.second_moment,
-                     inv.scalar_curvature])
-    return rows
+def _family_rows(g, m1, m2, theta):
+    """Rows (theta, lambda_1..lambda_g, H, S, R) of the members at theta, a float or an array."""
+    fam = isoparam.IsoparametricFamily(g, m1, m2, theta)
+    inv = isoparam.scalar_curvature(fam)
+    return np.column_stack([fam.theta, np.atleast_2d(isoparam.principal_curvatures(fam)),
+                            inv.mean_curvature, inv.second_moment, inv.scalar_curvature])
 
 
 def _family(args) -> int:
+    theta = args.theta
     if args.grid is not None:
         bound = math.pi / (2 * args.g)
-        thetas = np.linspace(-0.95 * bound, 0.95 * bound, args.grid)
-    else:
-        thetas = [args.theta]
+        theta = np.linspace(-0.95 * bound, 0.95 * bound, args.grid)
     header = ["theta"] + [f"lambda_{i}" for i in range(1, args.g + 1)] + ["H", "S", "R"]
-    rows = _family_rows(args.g, args.m1, args.m2, thetas)
+    rows = _family_rows(args.g, args.m1, args.m2, theta)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)

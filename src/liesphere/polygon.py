@@ -828,6 +828,42 @@ def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
     return np.concatenate(out, axis=1), feasible
 
 
+def _start_draws(seed: int, grid_resolution: int, ndim: int):
+    """Levels (S, ndim) and jitter (S, ndim) of S = grid_resolution^2 search starts.
+
+    Equal to drawing start by start, rng.integers(0, n, ndim) then
+    rng.uniform(-0.4, 0.4, ndim) with rng = default_rng(seed), but read from
+    one array of raw PCG64 words. A 32-bit draw takes the low half of a fresh
+    word and leaves the high half for the next 32-bit draw; a uniform takes a
+    whole word w as -0.4 + 0.8 (w >> 11) 2^-53. An integer in [0, n) is the
+    high word of x n (Lemire), so with ndim odd two starts read
+    [ndim + 1 halves | ndim uniforms | ndim - 1 halves | ndim uniforms] and
+    n = 1 reads no halves. Where Lemire rejects a draw, x n mod 2^32 <
+    (2^32 - n) mod n, it takes one more half and shifts the layout; then the
+    starts are drawn one by one as the generator does.
+    """
+    n, count = grid_resolution, grid_resolution * grid_resolution
+    first, second = ((ndim + 1) // 2, (ndim - 1) // 2) if n > 1 else (0, 0)  # integer words
+    width = first + second + 2 * ndim  # words of a pair of starts
+    words = np.random.default_rng(seed).bit_generator.random_raw((count + 1) // 2 * width)
+    words = words.reshape(-1, width)
+    uniform_words = np.concatenate([words[:, first:first + ndim],
+                                    words[:, first + ndim + second:]], axis=1)
+    jitter = -0.4 + 0.8 * ((uniform_words >> 11) * 2.0 ** -53).reshape(-1, ndim)[:count]
+    if n == 1:
+        return np.zeros((count, ndim), dtype=np.int64), jitter
+    int_words = np.concatenate([words[:, :first], words[:, first + ndim:first + ndim + second]],
+                               axis=1)
+    halves = np.stack([int_words & 0xFFFFFFFF, int_words >> 32], axis=-1)
+    wide = halves.reshape(-1, ndim)[:count] * np.uint64(n)
+    if ((wide & 0xFFFFFFFF) < (2 ** 32 - n) % n).any():
+        rng = np.random.default_rng(seed)
+        levels, jitter = zip(*[(rng.integers(0, n, ndim), rng.uniform(-0.4, 0.4, ndim))
+                               for _ in range(count)])
+        return np.array(levels), np.array(jitter)
+    return (wide >> 32).astype(np.int64), jitter
+
+
 def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
                       m1: int = 1, m2: int = 1) -> list:
     """Grid + seeded-jitter multistart falsification search.
@@ -837,6 +873,11 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     configurations whose selected constraint residuals are all <= 1e-6, and
     reports each survivor with its is_parallel verdict. Deterministic for a
     fixed seed; survivors are merged in parameter order.
+
+    The starts are those of a per-start loop over default_rng(seed), each
+    start its integer levels and then its uniform jitter, but drawn in one
+    array pass from the raw stream (_start_draws); the loop itself runs only
+    for a search in which a bounded-integer draw is rejected.
 
     Each polish iteration costs one Jacobian call and one or two trial
     calls of the residual: the damping trials 0-2 of every start in one,
@@ -859,11 +900,8 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     # free gaps centered on pi/g so that most sampled cycles close with a positive gap
     lo = np.concatenate([np.full(2 * g - 2, 0.08), [0.04]])
     hi = np.concatenate([np.full(2 * g - 2, 2.0 * math.pi / g), [1.4 * math.pi / g]])
-    rng = np.random.default_rng(seed)
-    # a start's integers and uniforms interleave in the stream: draw start by start
-    levels, jitter = zip(*[(rng.integers(0, grid_resolution, ndim), rng.uniform(-0.4, 0.4, ndim))
-                           for _ in range(grid_resolution * grid_resolution)])
-    starts = lo + (np.array(levels) + 0.5 + np.array(jitter)) * (hi - lo) / grid_resolution
+    levels, jitter = _start_draws(seed, grid_resolution, ndim)
+    starts = lo + (levels + 0.5 + jitter) * (hi - lo) / grid_resolution
     residual = functools.partial(_search_residual, g, constraints, mult)
     feasible = np.concatenate([residual(starts[k:k + _SCREEN_BLOCK])[1]
                                for k in range(0, len(starts), _SCREEN_BLOCK)])

@@ -266,16 +266,21 @@ _KERNEL_SYSTEMS = (
 
 def _suite_dji_kernels(seed: int, tol: float | None):
     for g, constraints, m1, m2 in _KERNEL_SYSTEMS:
-        pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, m1, m2, 0.0))
-        system = dji.build_system(g, pcs, m1, m2, constraints,
-                                  dji.critical_point_pinning(g))
-        analysis = dji.kernel_analysis(system)
         name = f"dji_kernels/kernel_g{g}_{'_'.join(constraints)}_m{m1}{m2}"
+        try:
+            pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, m1, m2, 0.0))
+            system = dji.build_system(g, pcs, m1, m2, constraints,
+                                      dji.critical_point_pinning(g))
+            analysis = dji.kernel_analysis(system)
+            perturbed = dji.build_system(g, pcs + 1e-8 * np.arange(1, g + 1), m1, m2,
+                                         constraints, dji.critical_point_pinning(g))
+            stable = dji.kernel_analysis(perturbed).dimension == analysis.dimension
+        except Exception as exc:  # noqa: BLE001 - one bad system is an error for its two cases
+            yield name, {}, exc, 0.5
+            yield name + "_stability", {}, exc, 0.5
+            continue
         yield (name, {"unknowns": len(system.unknown_labels), "rows": system.rows.shape[0]},
                float(analysis.dimension), 0.5)
-        perturbed = dji.build_system(g, pcs + 1e-8 * np.arange(1, g + 1), m1, m2,
-                                     constraints, dji.critical_point_pinning(g))
-        stable = dji.kernel_analysis(perturbed).dimension == analysis.dimension
         yield name + "_stability", {}, 0.0 if stable else 1.0, 0.5
     pcs6 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(6, 1, 1, 0.0))
     free = dji.build_system(6, pcs6, 1, 1, (), frozenset())
@@ -369,17 +374,21 @@ _SEARCH_SPECS = (
 
 def _suite_constraint_search(seed: int, tol: float | None):
     for name, g, constraints, resolution, expectation in _SEARCH_SPECS:
-        survivors = poly_mod.constraint_search(g, constraints, resolution, seed)
+        case_id = f"constraint_search/{name}_{expectation}"
+        params = {"g": g, "constraints": "+".join(constraints), "resolution": resolution}
+        try:
+            survivors = poly_mod.constraint_search(g, constraints, resolution, seed)
+        except Exception as exc:  # noqa: BLE001 - one failed search is one error record
+            yield case_id, params, exc, 0.5
+            continue
         nonparallel = sum(1 for s in survivors if not s.parallel)
-        params = {"g": g, "constraints": "+".join(constraints),
-                  "resolution": resolution, "survivors": len(survivors),
-                  "nonparallel": nonparallel}
+        params.update(survivors=len(survivors), nonparallel=nonparallel)
         if expectation == "all_parallel":
             # an empty search proves nothing, so it cannot pass
             residual = float(nonparallel) if survivors else 1.0
         else:
             residual = 0.0 if nonparallel >= 1 else 1.0
-        yield f"constraint_search/{name}_{expectation}", params, residual, 0.5
+        yield case_id, params, residual, 0.5
 
 
 _SUITES = {

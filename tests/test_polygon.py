@@ -725,6 +725,69 @@ def test_search_equals_per_start_reference_loop(g, constraints, grid):
             _reference_search(g, constraints, grid, seed)
 
 
+def _reference_draws(seed, grid, ndim):
+    """The per-start draw loop, kept as the reference: integers, then uniforms, per start."""
+    rng = np.random.default_rng(seed)
+    levels, jitter = zip(*[(rng.integers(0, grid, ndim), rng.uniform(-0.4, 0.4, ndim))
+                           for _ in range(grid * grid)])
+    return np.array(levels), np.array(jitter)
+
+
+def _count_integer_draws(monkeypatch):
+    """Make default_rng hand out generators whose integers() calls are recorded."""
+    calls, make = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            rng = make(seed)
+            self.bit_generator, self.uniform = rng.bit_generator, rng.uniform
+            self._integers = rng.integers
+
+        def integers(self, *args):
+            calls.append(args)
+            return self._integers(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    return calls
+
+
+# (g, grid, seed) of searches in which a Lemire draw is rejected
+_REJECTING_SEARCHES = ((3, 55, 83), (6, 45, 1383), (6, 59, 2975))
+
+
+@pytest.mark.parametrize("g", (3, 4, 6))
+def test_start_draws_equal_per_start_loop(g):
+    for grid in (1, 2, 5, 15, 25, 35, 40, 60):
+        for seed in range(8):
+            levels, jitter = polygon._start_draws(seed, grid, 2 * g - 1)
+            ref_levels, ref_jitter = _reference_draws(seed, grid, 2 * g - 1)
+            assert levels.dtype == ref_levels.dtype and jitter.dtype == ref_jitter.dtype
+            assert np.array_equal(levels, ref_levels) and np.array_equal(jitter, ref_jitter)
+
+
+@pytest.mark.parametrize("g, grid, seed", _REJECTING_SEARCHES)
+def test_rejected_draw_falls_back_to_the_per_start_loop(monkeypatch, g, grid, seed):
+    ref_levels, ref_jitter = _reference_draws(seed, grid, 2 * g - 1)
+    calls = _count_integer_draws(monkeypatch)
+    levels, jitter = polygon._start_draws(seed, grid, 2 * g - 1)
+    assert len(calls) == grid * grid
+    assert np.array_equal(levels, ref_levels) and np.array_equal(jitter, ref_jitter)
+
+
+def test_search_without_rejection_never_draws_integers(monkeypatch):
+    calls = _count_integer_draws(monkeypatch)
+    for g, constraints, grid, seed in ((3, ("cmc",), 40, 0), (4, ("cmc", "csc"), 25, 1),
+                                       (6, ("cmc", "clc"), 25, 2)):
+        constraint_search(g, constraints, grid, seed)
+    assert calls == []
+
+
+def test_rejecting_search_equals_the_per_start_draws(monkeypatch):
+    survivors = constraint_search(3, ("cmc",), 55, 83)
+    monkeypatch.setattr(polygon, "_start_draws", _reference_draws)
+    assert survivors and survivors == constraint_search(3, ("cmc",), 55, 83)
+
+
 def _toy_system(p):
     # rows with p2 > 10 have a rank-1 residual near 1e20; rows with p2 < -10 are
     # feasible only within 5e-8 of p0 = 0.3; the rest solve p = (1, 2, 3)

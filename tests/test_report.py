@@ -177,6 +177,45 @@ def test_empty_search_fails_all_parallel(monkeypatch):
     assert all(c.status == "fail" for c in cases)
 
 
+def test_failed_search_is_an_error_for_its_own_spec(monkeypatch):
+    search = polygon.constraint_search
+
+    def failing_for_g6(g, *args):
+        if g == 6:
+            raise ArithmeticError("injected")
+        return search(g, *args)
+
+    monkeypatch.setattr(polygon, "constraint_search", failing_for_g6)
+    cases = {c.case_id: c for c in run_suite("constraint_search", seed=0)}
+    bad = cases.pop("constraint_search/g6_cmc_clc_all_parallel")
+    assert bad.status == "error" and bad.params["error"] == "ArithmeticError: injected"
+    assert bad.params["where"].endswith("in failing_for_g6") and bad.params["g"] == "6"
+    # the other four specs still run; the cmc-only one fails by design
+    assert {k: c.status for k, c in cases.items()} == {
+        "constraint_search/g3_cmc_all_parallel": "pass",
+        "constraint_search/g4_cmc_csc_all_parallel": "pass",
+        "constraint_search/g4_cmc_clc_all_parallel": "pass",
+        "constraint_search/g4_cmc_only_nonparallel_exists": "fail"}
+    assert all("survivors" in c.params for c in cases.values())
+
+
+def test_failed_kernel_system_is_an_error_for_its_two_cases(monkeypatch):
+    build = dji.build_system
+
+    def failing_for_g6_m22(g, pcs, m1, m2, *args):
+        if (g, m1, m2) == (6, 2, 2):
+            raise DomainError("injected")
+        return build(g, pcs, m1, m2, *args)
+
+    monkeypatch.setattr(dji, "build_system", failing_for_g6_m22)
+    cases = run_suite("dji_kernels", seed=0)
+    errors = [c for c in cases if c.status == "error"]
+    assert [c.case_id for c in errors] == ["dji_kernels/kernel_g6_cmc_clc_m22",
+                                           "dji_kernels/kernel_g6_cmc_clc_m22_stability"]
+    assert all(c.params["error"] == "DomainError: injected" for c in errors)
+    assert len(cases) == 18 and {c.status for c in cases if c not in errors} == {"pass"}
+
+
 def test_psi_route_disagreement_fails_psi_triple(monkeypatch):
     # the closed-form/cross-ratio agreement of psi_values is judged by one case
     monkeypatch.setattr(polygon, "cross_ratio", lambda *z: quadric.cross_ratio(*z) + 1e-6)
