@@ -696,6 +696,14 @@ def test_stacked_polish_equals_scalar_loop_on_angle_systems(monkeypatch):
         assert (_one_row(g6)(np.array([a, c])) == [r6.real, r6.imag, c - a]).all()
 
 
+def _reference_draws(seed, grid, ndim):
+    """The per-start draw loop, kept as the reference: integers, then uniforms, per start."""
+    rng = np.random.default_rng(seed)
+    levels, jitter = zip(*[(rng.integers(0, grid, ndim), rng.uniform(-0.4, 0.4, ndim))
+                           for _ in range(grid * grid)])
+    return np.array(levels), np.array(jitter)
+
+
 def _reference_search(g, constraints, grid, seed):
     """The per-start search loop over the scalar solver, kept as the reference."""
     mult = multiplicity_vector(g, 1, 1)
@@ -703,11 +711,8 @@ def _reference_search(g, constraints, grid, seed):
     ndim = 2 * g - 1
     lo = np.concatenate([np.full(2 * g - 2, 0.08), [0.04]])
     hi = np.concatenate([np.full(2 * g - 2, 2.0 * PI / g), [1.4 * PI / g]])
-    rng = np.random.default_rng(seed)
     found = {}
-    for _ in range(grid * grid):
-        levels = rng.integers(0, grid, ndim)
-        jitter = rng.uniform(-0.4, 0.4, ndim)
+    for levels, jitter in zip(*_reference_draws(seed, grid, ndim)):
         p, r = _reference_polish(func, lo + (levels + 0.5 + jitter) * (hi - lo) / grid)
         if p is None or float(np.abs(r).max()) > 1e-6:
             continue
@@ -723,14 +728,6 @@ def test_search_equals_per_start_reference_loop(g, constraints, grid):
         survivors = constraint_search(g, constraints, grid, seed)
         assert [(s.gaps, s.theta1, s.residual) for s in survivors] == \
             _reference_search(g, constraints, grid, seed)
-
-
-def _reference_draws(seed, grid, ndim):
-    """The per-start draw loop, kept as the reference: integers, then uniforms, per start."""
-    rng = np.random.default_rng(seed)
-    levels, jitter = zip(*[(rng.integers(0, grid, ndim), rng.uniform(-0.4, 0.4, ndim))
-                           for _ in range(grid * grid)])
-    return np.array(levels), np.array(jitter)
 
 
 def _count_integer_draws(monkeypatch):
