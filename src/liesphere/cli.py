@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -38,8 +39,10 @@ def _family_rows(g, m1, m2, theta):
     """Rows (theta, lambda_1..lambda_g, H, S, R) of the members at theta, a float or an array."""
     fam = isoparam.IsoparametricFamily(g, m1, m2, theta)
     inv = isoparam.scalar_curvature(fam)
+    # R's closed form for g = 3, 4, 6: (n-1)(n-2) + H^2 - S cancels to noise where R = 0
+    r = inv.scalar_curvature if inv.closed_form is None else inv.closed_form
     return np.column_stack([fam.theta, np.atleast_2d(isoparam.principal_curvatures(fam)),
-                            inv.mean_curvature, inv.second_moment, inv.scalar_curvature])
+                            inv.mean_curvature, inv.second_moment, r])
 
 
 def _family(args) -> int:
@@ -213,9 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process, built at the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (report.UsageError, ValueError, OSError) as exc:

@@ -153,10 +153,15 @@ def theta_from_mean_curvature(g: int, m1: int, m2: int, h):
 
 def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
     """General R = (n-1)(n-2) + H^2 - S, with the closed form for g in {3,4,6} beside it."""
-    lam = principal_curvatures(fam)
     n = fam.ambient_dim
     h = mean_curvature(fam)
-    s = (lam * lam) @ fam.multiplicities
+    # S = sum m_i lambda_i^2 in one order for a member and a stack (a matrix product takes
+    # BLAS dot for one, gemv for many): (w1 + w3) + (w2 + w4) (+ (w5 + w6)) for g >= 4, else
+    # left to right; x86-64 OpenBLAS's gemv adds in this order for every suite family
+    w = list(np.moveaxis(principal_curvatures(fam) ** 2 * fam.multiplicities, -1, 0))
+    s = sum(w[1:], w[0]) if fam.g < 4 else (w[0] + w[2]) + (w[1] + w[3])
+    if fam.g == 6:
+        s = s + (w[4] + w[5])
     r = (n - 1) * (n - 2) + h * h - s
     m1, m2, theta1 = fam.m1, fam.m2, fam.theta1
     closed = None

@@ -48,9 +48,14 @@ LINK_TOL = 1e-9
 PARALLEL_TOL = 1e-9
 SEARCH_FILTER_TOL = 1e-6
 _SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid at once costs ~3 MB
+_unit_steps = functools.cache(lambda n: np.eye(n) * 1e-7)  # row d steps p_d; never written to
 
 # family values of the g=6 Lie curvatures Phi_h (theta-independent)
 G6_FAMILY_PHI = {3: -1.0, 4: -1.0 / 3.0, 6: 1.0 / 3.0}
+# the 0-based curvatures (1, 2, h, 5) of each Phi_h, one column per h, and its target
+_G6_PHI_INDEX = np.array([[0, 1, h - 1, 4] for h in G6_FAMILY_PHI]).T
+_G6_PHI_TARGET = np.array(list(G6_FAMILY_PHI.values()))[:, None, None]
+_TABLE_OUT_OF_RANGE = "configuration leaves (0, pi): radius table invalid"
 
 # (curvature indices, cross-ratio ordering) of the named polygon invariants
 PATTERNS = {
@@ -156,15 +161,7 @@ class GeodesicPolygon:
         object.__setattr__(self, "radius_table", table)
         if phis.shape != (2 * self.g,):
             raise DomainError("need 2g vertex angles")
-        gaps = np.diff(phis)
-        if np.any(gaps <= 0) or phis[-1] - phis[0] >= 2 * math.pi:
-            raise DomainError("vertex angles must increase strictly through one turn")
-        if table.shape != (2 * self.g, self.g):
-            raise DomainError("radius table must be 2g x g")
-        if np.any(table <= 0) or np.any(table >= math.pi):
-            raise DomainError("radii must lie in (0, pi)")
-        if np.any(np.diff(table, axis=1) <= 0):
-            raise DomainError("each radius row must be strictly increasing")
+        _check_polygons(phis, table)
 
     def curvatures(self) -> np.ndarray:
         return 1.0 / np.tan(self.radius_table)
@@ -182,6 +179,22 @@ class GeodesicPolygon:
         return normals
 
 
+def _check_radii(table: np.ndarray, message: str = "radii must lie in (0, pi)") -> None:
+    if np.any(table <= 0) or np.any(table >= math.pi):
+        raise DomainError(message)
+
+
+def _check_polygons(phis: np.ndarray, table: np.ndarray) -> None:
+    """GeodesicPolygon's checks, on one polygon or a stack: angles (..., 2g), tables (..., 2g, g)."""
+    if np.any(np.diff(phis) <= 0) or np.any(phis[..., -1] - phis[..., 0] >= 2 * math.pi):
+        raise DomainError("vertex angles must increase strictly through one turn")
+    if table.shape != phis.shape + (phis.shape[-1] // 2,):
+        raise DomainError("radius table must be 2g x g")
+    _check_radii(table)
+    if np.any(np.diff(table) <= 0):
+        raise DomainError("each radius row must be strictly increasing")
+
+
 def _one_turn(phis: np.ndarray) -> np.ndarray:
     """The angles re-anchored to one increasing turn that starts at phis[..., 0]."""
     rel = (phis - phis[..., :1]) % (2 * math.pi)
@@ -189,11 +202,13 @@ def _one_turn(phis: np.ndarray) -> np.ndarray:
     return phis[..., :1] + rel
 
 
-def _positions_from_table(g: int, table: np.ndarray, phi1: float) -> np.ndarray:
-    phis = np.empty(2 * g)
-    phis[0] = phi1
-    phis[1::2] = phi1 + 2 * table[0]
-    phis[2::2] = phis[1] - 2 * table[1, :0:-1]
+def _positions_from_table(g: int, table: np.ndarray, phi1) -> np.ndarray:
+    """Vertex angles (..., 2g) of radius tables (..., 2g, g) with vertex 1 at phi1 (...)."""
+    phi1 = np.asarray(phi1)[..., None]
+    phis = np.empty(table.shape[:-1])
+    phis[..., :1] = phi1
+    phis[..., 1::2] = phi1 + 2 * table[..., 0, :]
+    phis[..., 2::2] = phis[..., 1:2] - 2 * table[..., 1, :0:-1]
     # bring the clockwise-constructed odd vertices into the increasing turn from phi1
     return _one_turn(phis)
 
@@ -210,10 +225,8 @@ def angle_table(g: int, gaps: AngleGaps, theta1: float,
     if theta2 is None:
         theta2 = theta1
     table = _radius_table(g, gaps.odd + gaps.even, theta1, theta2)
-    if np.any(table <= 0) or np.any(table >= math.pi):
-        raise DomainError("configuration leaves (0, pi): radius table invalid")
-    phi1 = math.pi / 2 - theta1
-    return GeodesicPolygon(g, _positions_from_table(g, table, phi1), table)
+    _check_radii(table, _TABLE_OUT_OF_RANGE)
+    return GeodesicPolygon(g, _positions_from_table(g, table, math.pi / 2 - theta1), table)
 
 
 def build_parallel_polygon(g: int, theta: float) -> GeodesicPolygon:
@@ -259,9 +272,14 @@ def link_check(poly: GeodesicPolygon, tol: float = LINK_TOL) -> LinkReport:
     return LinkReport(worst <= tol, worst, residuals)
 
 
+def _parallel(tables: np.ndarray, tol: float = PARALLEL_TOL) -> np.ndarray:
+    """is_parallel of each radius table of a stack (..., 2g, g)."""
+    return np.abs(tables - tables[..., :1, :]).max(axis=(-2, -1)) <= tol
+
+
 def is_parallel(poly: GeodesicPolygon, tol: float = PARALLEL_TOL) -> bool:
     """True iff every radius row equals row 1 (vertex-independent radii)."""
-    return bool(np.abs(poly.radius_table - poly.radius_table[0]).max() <= tol)
+    return bool(_parallel(poly.radius_table, tol))
 
 
 def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> LieCurvatureValue:
@@ -292,20 +310,27 @@ def _sum_squares(r: np.ndarray) -> np.ndarray:  # r @ r per row, by the same dot
 
 
 def _difference_jacobians(func, p: np.ndarray, r: np.ndarray):
-    """Forward-difference Jacobians (k, m, n) at k feasible points, and which exist."""
+    """Forward-difference Jacobians (k, m, n) at k feasible points, and which exist.
+
+    One func call takes all k n forward steps; when all are feasible (623 of the 765
+    calls of the seed-0 search_sweep) the columns are one expression. Else a second call
+    steps the infeasible ones backward; a start where that fails too has no Jacobian.
+    """
     k, n = p.shape
-    steps = p[:, None, :] + np.eye(n) * 1e-7  # steps[s, d]: p[s] with p[s, d] + 1e-7
+    steps = p[:, None, :] + _unit_steps(n)  # steps[s, d]: p[s] with p[s, d] + 1e-7
     rs, ok = func(steps.reshape(k * n, n))
     rs, ok = rs.reshape(k, n, -1), ok.reshape(k, n)
+    if ok.all():
+        cols = (rs - r[:, None]) / 1e-7  # cols[s, d]: column d of start s
+        return np.ascontiguousarray(cols.swapaxes(1, 2)), ok[:, 0]
     # (rb - r) / -h is (r - rb) / h to the bit: IEEE subtraction and division are odd
     h = np.where(ok, 1e-7, -1e-7)
-    if not ok.all():  # infeasible steps go backward; where that fails too, no Jacobian
-        s, d = np.nonzero(~ok)
-        steps[s, d, d] -= 2e-7
-        rs[s, d], ok[s, d] = func(steps[s, d])
-    cols = np.zeros(rs.shape)  # cols[s, d]: column d of start s
+    s, d = np.nonzero(~ok)
+    steps[s, d, d] -= 2e-7
+    rs[s, d], ok[s, d] = func(steps[s, d])
+    cols = np.zeros(rs.shape)
     cols[ok] = (rs[ok] - np.broadcast_to(r[:, None], rs.shape)[ok]) / h[ok][:, None]
-    return np.ascontiguousarray(np.swapaxes(cols, 1, 2)), ok.all(axis=1)
+    return np.ascontiguousarray(cols.swapaxes(1, 2)), ok.all(axis=1)
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,9 +360,11 @@ def _levenberg_polish(func, starts, max_iter=120):
     of every start at once, round 2 the rest of the ladder, up to the cap, of
     the starts still without a step. The first trial that lowers |r|^2 is the
     one the trial-by-trial loop takes, to the bit. Round 1 is 3 wide because
-    most iterations end there: in the search, 596 of 765 at seed 0. Most of
-    the rest climb to the cap from a point at its floating-point floor. Only a
-    singular trial past the cap needs a further round.
+    most iterations end there: 585 of the 765 of the seed-0 search_sweep, and
+    165 take round 2. Most of those climb to the cap from a point at its
+    floating-point floor. Only a singular trial past the cap needs a further round.
+    So an iteration makes one or two func calls for the Jacobian and one per round;
+    a boolean re-index that would drop nothing is skipped.
 
     Returns the points (k, n) and residuals (k, m) of the k feasible starts in
     order; k = 0 when m = 0.
@@ -354,45 +381,53 @@ def _levenberg_polish(func, starts, max_iter=120):
         if not live.size:
             break
         jac, has_jac = _difference_jacobians(func, p[live], r[live])
-        live, jac = live[has_jac], jac[has_jac]
-        jt = np.swapaxes(jac, 1, 2)
+        if not has_jac.all():  # each re-index below is skipped when it would drop nothing
+            live, jac = live[has_jac], jac[has_jac]
+        jt = jac.swapaxes(1, 2)
         normal, grad = jt @ jac, (-jt @ r[live][:, :, None])[:, :, 0]
-        rows, left = np.arange(live.size), np.full(live.size, 40)  # left: trials still allowed
+        # s: the starts still without a step; normal, grad and left follow them
+        s, left, width = live, np.full(live.size, 40), 3  # left: trials still allowed
         stepped = np.zeros(len(p), dtype=bool)
-        width = 3
-        while rows.size:
-            s = live[rows]
+        while s.size:
             # ladder[i, j]: the damp after j failed trials this round, by the loop's own * 10
-            ladder = np.full((rows.size, width + 1), 10.0)
+            ladder = np.full((s.size, width + 1), 10.0)
             ladder[:, 0] = damp[s]
             ladder = np.multiply.accumulate(ladder, axis=1)
-            made = np.arange(width) < left[rows, None]
+            made = np.arange(width) < left[:, None]
             made[:, 1:] &= ladder[:, :-2] <= 1e12  # past the cap only after a singular trial
             at, j = np.nonzero(made)
-            dp = _solve_stack(normal[rows[at]] + ladder[at, j, None, None] * eye, grad[rows[at]])
-            solved = ~np.isnan(dp[:, 0])
-            at, j = at[solved], j[solved]
+            trial = ladder[at, j]
+            dp = _solve_stack(normal[at] + trial[:, None, None] * eye, grad[at])
+            singular = np.isnan(dp[:, 0])
+            if singular.any():
+                at, j, trial, dp = at[~singular], j[~singular], trial[~singular], dp[~singular]
             who = s[at]
-            cand = p[who] + dp[solved]
+            cand = p[who] + dp
             rn, ok = func(cand)
-            fn = np.full(at.size, np.inf)
-            fn[ok] = _sum_squares(rn[ok])
+            if ok.all():
+                fn = _sum_squares(rn)
+            else:
+                fn = np.full(at.size, np.inf)
+                fn[ok] = _sum_squares(rn[ok])
             better = fn < f[who]
             # a ladder ends at its first solved trial that steps or leaves damp past the cap
-            ends = np.flatnonzero(better | (ladder[at, j + 1] > 1e12))
-            first = np.ones(ends.size, dtype=bool)
-            first[1:] = at[ends[1:]] != at[ends[:-1]]
+            ends = (better | (ladder[:, 1:] > 1e12)[at, j]).nonzero()[0]
+            ended = at[ends]
+            first = ended != np.concatenate(([-1], ended[:-1]))  # first end of its ladder
             c = ends[first & better[ends]]
             t = who[c]
             p[t], r[t], f[t] = cand[c], rn[c], fn[c]
-            damp[t] = np.maximum(ladder[at[c], j[c]] * 0.3, 1e-13)
+            damp[t] = np.maximum(trial[c] * 0.3, 1e-13)
             stepped[t] = True
             count = made.sum(axis=1)
-            left[rows] -= count
-            more = left[rows] > 0
-            more[at[ends]] = False
-            damp[s[more]] = ladder[more, count[more]]
-            rows, width = rows[more], 37
+            left = left - count
+            more = left > 0
+            more[ended] = False
+            s, left, width = s[more], left[more], 37
+            if not s.size:
+                break
+            damp[s] = ladder[more, count[more]]
+            normal, grad = normal[more], grad[more]
         live = live[stepped[live]]
     return p, r
 
@@ -806,8 +841,8 @@ def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
     gaps = cycles.reshape(len(params), 2 * g)
     table = _radius_table(g, gaps, params[:, -1], params[:, -1])
     # with every gap positive a row only grows: its ends bound it
-    feasible = ((gaps.min(axis=1) > 1e-3) & (table[:, :, 0].min(axis=1) > 1e-3)
-                & (table[:, :, -1].max(axis=1) < math.pi - 1e-3))
+    feasible = ((np.minimum(gaps, table[:, :, 0]) > 1e-3)
+                & (table[:, :, -1] < math.pi - 1e-3)).all(axis=1)
     out = [np.zeros((len(params), 0))]  # the (S, 0) result when no constraint is set
     with np.errstate(all="ignore"):  # only rows already infeasible overflow or divide by 0
         lam = 1.0 / np.tan(table)
@@ -821,10 +856,9 @@ def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
             if g == 4:
                 l1, l2, l3, l4 = np.moveaxis(lam, -1, 0)
                 out.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
-            else:
-                for h_idx, target in G6_FAMILY_PHI.items():
-                    l1, l2, lh, l5 = (lam[..., i - 1] for i in (1, 2, h_idx, 5))
-                    out.append((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - target)
+            else:  # the three Phi_h blocks from one gather: l1 (3, S, 2g) is lam[..., 0] thrice
+                l1, l2, lh, l5 = np.moveaxis(lam, -1, 0)[_G6_PHI_INDEX]
+                out.extend((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - _G6_PHI_TARGET)
     return np.concatenate(out, axis=1), feasible
 
 
@@ -872,19 +906,23 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     feasibility, polishes all feasible ones in one stacked solve, keeps
     configurations whose selected constraint residuals are all <= 1e-6, and
     reports each survivor with its is_parallel verdict. Deterministic for a
-    fixed seed; survivors are merged in parameter order.
+    fixed seed; survivors are merged in parameter order. Their polygons are
+    one radius-table stack, checked as angle_table and GeodesicPolygon check
+    one (the same DomainError messages), that gives every parallel verdict.
 
     The starts are those of a per-start loop over default_rng(seed), each
     start its integer levels and then its uniform jitter, but drawn in one
     array pass from the raw stream (_start_draws); the loop itself runs only
     for a search in which a bounded-integer draw is rejected.
 
-    Each polish iteration costs one Jacobian call and one or two trial
-    calls of the residual: the damping trials 0-2 of every start in one,
-    the rest of the ladder of the starts still without a step in the
-    other. Three trials end most iterations (596 of 765 over the 21
-    searches of grids 5, 15 and 35 at seed 0); most of the rest are starts
-    at their floating-point floor, whose damping climbs to the cap.
+    Each polish iteration costs one Jacobian call of the residual (two when
+    a forward step is infeasible: 142 of 765 over the 21 searches of grids
+    5, 15 and 35 at seed 0) and one or two trial calls: the damping trials
+    0-2 of every start in one, the rest of the ladder of the starts still
+    without a step in the other. Three trials end most iterations (585 of the
+    765); most of the rest are starts at their floating-point floor, whose
+    damping climbs to the cap. Those 21 searches make 1911 residual calls of
+    42 rows on average.
     """
     if g not in SUPPORTED_G:
         raise DomainError(f"g must be one of {SUPPORTED_G}")
@@ -906,14 +944,18 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     feasible = np.concatenate([residual(starts[k:k + _SCREEN_BLOCK])[1]
                                for k in range(0, len(starts), _SCREEN_BLOCK)])
     points, res = _levenberg_polish(residual, starts[feasible])
-    found = {}
-    for p, r in zip(points, res):
-        if np.abs(r).max() <= SEARCH_FILTER_TOL:
-            found.setdefault(tuple(np.round(p, 6)), (p, float(np.abs(r).max())))
-    survivors = []
-    for key in sorted(found):
-        p, resid = found[key]
-        gaps = AngleGaps.from_free(g, p[:g - 1], p[g - 1:2 * g - 2])
-        poly = angle_table(g, gaps, float(p[-1]))
-        survivors.append(SearchSurvivor(gaps, float(p[-1]), resid, is_parallel(poly)))
-    return survivors
+    worst = np.abs(res).max(axis=1, initial=0.0)  # initial: res is (0, 0) without constraints
+    kept = np.flatnonzero(worst <= SEARCH_FILTER_TOL)
+    found = {}  # the first polished point of each rounded parameter vector
+    for key, k in zip(map(tuple, np.round(points[kept], 6).tolist()), kept.tolist()):
+        found.setdefault(key, k)
+    picked = [found[key] for key in sorted(found)]
+    gaps = [AngleGaps.from_free(g, p[:g - 1], p[g - 1:2 * g - 2]) for p in points[picked]]
+    # the polygons angle_table would build, as one stack through its checks
+    theta1 = points[picked, -1]
+    tables = _radius_table(g, np.reshape([gp.odd + gp.even for gp in gaps], (-1, 2 * g)),
+                           theta1, theta1)
+    _check_radii(tables, _TABLE_OUT_OF_RANGE)
+    _check_polygons(_positions_from_table(g, tables, math.pi / 2 - theta1), tables)
+    return [SearchSurvivor(*survivor) for survivor in zip(
+        gaps, theta1.tolist(), worst[picked].tolist(), _parallel(tables).tolist())]

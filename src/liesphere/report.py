@@ -229,32 +229,39 @@ def _suite_isoparametric_formulas(seed: int, tol: float | None):
             yield case_id, params, residual, tolerance
 
 
-def _oracle_cases(g: int, oracle, params: dict):
-    """Polished agreement with pi/g, and a unique minimizing cell next to it."""
-    target = math.pi / g
-    yield (f"angle_solvers/g{g}_oracle_agreement", params,
-           max(abs(v - target) for v in oracle.polished), 1e-6)
-    near = max(abs(v - target) for v in oracle.grid_minimum) <= oracle.cell_size
-    yield (f"angle_solvers/g{g}_oracle_unique_cell", {},
-           0.0 if oracle.unique_cell and near else 1.0, 0.5)
-
-
 def _suite_angle_solvers(seed: int, tol: float | None):
+    """Four blocks of two cases: the g4 solve, the g4 oracle, the g6 solve with psi, the g6 oracle.
+
+    A block that raises gives both of its cases its exception; the other blocks still run.
+    """
     tolerance = tol if tol is not None else 1e-10
-    g4 = poly_mod.solve_g4_normalized()
-    yield ("angle_solvers/g4_solution_pi4", {},
-           max(abs(x - math.pi / 4) for x in g4.odd + g4.even), tolerance)
-    yield "angle_solvers/g4_residual_at_solution", {}, abs(poly_mod.g4_residual(g4)), 1e-12
-    oracle4 = poly_mod.g4_grid_oracle(721)
-    yield from _oracle_cases(4, oracle4, {"grid": 721, "cell": f"{oracle4.cell_size:.2e}"})
-    g6 = poly_mod.solve_g6_normalized()
-    yield ("angle_solvers/g6_solution_pi6", {},
-           max(abs(x - math.pi / 6) for x in g6.odd + g6.even), tolerance)
-    # the closed forms must agree with the direct cross ratios and equal -1
-    psi, route_gap = poly_mod.psi_values(g6)
-    yield ("angle_solvers/g6_psi_triple", {},
-           max(route_gap, *(abs(v + 1.0) for v in psi)), 1e-9)
-    yield from _oracle_cases(6, poly_mod.g6_grid_oracle(721), {"grid": 721})
+
+    def g4_solve():
+        g4 = poly_mod.solve_g4_normalized()
+        return [max(abs(x - math.pi / 4) for x in g4.odd + g4.even), abs(poly_mod.g4_residual(g4))]
+
+    def g6_solve():  # the psi closed forms must agree with the direct cross ratios and equal -1
+        g6 = poly_mod.solve_g6_normalized()
+        psi, route_gap = poly_mod.psi_values(g6)
+        return [max(abs(x - math.pi / 6) for x in g6.odd + g6.even),
+                max(route_gap, *(abs(v + 1.0) for v in psi))]
+
+    def oracle(g):  # polished agreement with pi/g, and a unique minimizing cell next to it
+        result = (poly_mod.g4_grid_oracle if g == 4 else poly_mod.g6_grid_oracle)(721)
+        near = max(abs(v - math.pi / g) for v in result.grid_minimum) <= result.cell_size
+        return [max(abs(v - math.pi / g) for v in result.polished),
+                0.0 if result.unique_cell and near else 1.0]
+
+    g4_cell = {"grid": 721, "cell": f"{math.pi / 2 / 721:.2e}"}  # the oracle's cell_size
+    for compute, cases in (
+            (g4_solve, (("g4_solution_pi4", {}, tolerance), ("g4_residual_at_solution", {}, 1e-12))),
+            (lambda: oracle(4), (("g4_oracle_agreement", g4_cell, 1e-6),
+                                 ("g4_oracle_unique_cell", {}, 0.5))),
+            (g6_solve, (("g6_solution_pi6", {}, tolerance), ("g6_psi_triple", {}, 1e-9))),
+            (lambda: oracle(6), (("g6_oracle_agreement", {"grid": 721}, 1e-6),
+                                 ("g6_oracle_unique_cell", {}, 0.5)))):
+        for (name, params, case_tol), residual in zip(cases, _per_case(2, compute)):
+            yield f"angle_solvers/{name}", params, residual, case_tol
 
 
 _KERNEL_SYSTEMS = (

@@ -197,6 +197,21 @@ def test_stacked_family_equals_member_calls():
         assert inv.scalar_curvature.shape == thetas.shape
 
 
+@pytest.mark.parametrize("g, m1, m2", [(g, m1, m2) for g in (1, 2, 3, 4, 6)
+                                        for m1, m2 in ((1, 1), (1, 2), (2, 2), (4, 5))
+                                        if g in (2, 4) or m1 == m2])  # else m1 = m2 is forced
+def test_second_moment_has_one_summation_order(g, m1, m2):
+    thetas = grid(g, 2001, 0.99)
+    stacked = scalar_curvature(IsoparametricFamily(g, m1, m2, thetas))
+    members = [scalar_curvature(IsoparametricFamily(g, m1, m2, float(t))) for t in thetas]
+    for name in ("second_moment", "scalar_curvature"):
+        assert np.array_equal(getattr(stacked, name), [getattr(m, name) for m in members])
+    # and the order is a summation of sum m_i lambda_i^2, to rounding
+    lam = principal_curvatures(IsoparametricFamily(g, m1, m2, thetas))
+    direct = (lam * lam) @ multiplicity_vector(g, m1, m2)
+    assert np.allclose(stacked.second_moment, direct, rtol=1e-15, atol=0.0)
+
+
 def test_stacked_family_names_its_bad_theta():
     bound = math.pi / 8
     with pytest.raises(DomainError, match="at stack index 2"):

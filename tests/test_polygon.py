@@ -974,6 +974,134 @@ def test_search_makes_at_most_two_trial_calls_per_iteration(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the stacked survivor pass and the difference Jacobians against the code they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_survivors(g, points, residuals):
+    """The per-survivor loop, kept as the reference: one angle_table and is_parallel each."""
+    found = {}
+    for p, r in zip(points, residuals):
+        if np.abs(r).max() <= polygon.SEARCH_FILTER_TOL:
+            found.setdefault(tuple(np.round(p, 6)), (p, float(np.abs(r).max())))
+    survivors = []
+    for key in sorted(found):
+        p, resid = found[key]
+        gaps = AngleGaps.from_free(g, p[:g - 1], p[g - 1:2 * g - 2])
+        poly = angle_table(g, gaps, float(p[-1]))
+        survivors.append(polygon.SearchSurvivor(gaps, float(p[-1]), resid, is_parallel(poly)))
+    return survivors
+
+
+def _polish_with_extra_roots(monkeypatch, extra_of):
+    """Patch the polish to append extra_of(starts) = (points, residuals) to its result."""
+    polish, captured = polygon._levenberg_polish, []
+
+    def patched(func, starts):
+        points, residuals = polish(func, starts)
+        extra_points, extra_residuals = extra_of(starts)
+        captured[:] = [np.concatenate([points, extra_points]),
+                       np.concatenate([residuals, extra_residuals])]
+        return captured[0], captured[1]
+
+    monkeypatch.setattr(polygon, "_levenberg_polish", patched)
+    return captured
+
+
+@pytest.mark.parametrize("grid, seed", ((15, 0), (25, 1), (35, 2)))
+def test_stacked_survivors_equal_per_survivor_tables(monkeypatch, grid, seed):
+    # g = 4 cmc-only roots are all parallel, so feasible starts (not parallel) are passed
+    # off as roots too: one repeated, whose first copy must win, and one above the filter
+    def extra_of(starts):
+        points = np.concatenate([starts[:6], starts[:1], starts[6:7]])
+        residuals = np.full((8, 7), 1e-7) * np.arange(1, 9)[:, None]
+        residuals[-1] = 2e-6
+        return points, residuals
+
+    captured = _polish_with_extra_roots(monkeypatch, extra_of)
+    survivors = constraint_search(4, ("cmc",), grid, seed)
+    assert survivors == _reference_survivors(4, *captured)
+    assert sum(not s.parallel for s in survivors) == 6 and any(s.parallel for s in survivors)
+    assert all(type(s.theta1) is float and type(s.residual) is float
+               and type(s.parallel) is bool for s in survivors)
+
+
+def test_out_of_range_survivor_raises_the_angle_table_error(monkeypatch):
+    root = np.array([PI / 4] * 6 + [2.5])  # regular gaps, but theta1 + 3 pi/4 > pi
+    _polish_with_extra_roots(monkeypatch, lambda starts: (root[None], np.zeros((1, 7))))
+    with pytest.raises(DomainError) as stacked:
+        constraint_search(4, ("cmc",), 5, 0)
+    with pytest.raises(DomainError) as single:
+        angle_table(4, AngleGaps.from_free(4, root[:3], root[3:6]), root[-1])
+    assert str(stacked.value) == str(single.value)
+    assert str(stacked.value) == "configuration leaves (0, pi): radius table invalid"
+
+
+def _reference_difference_jacobians(func, p, r):
+    """The masked difference Jacobians, kept as the reference for both paths."""
+    k, n = p.shape
+    steps = p[:, None, :] + np.eye(n) * 1e-7
+    rs, ok = func(steps.reshape(k * n, n))
+    rs, ok = rs.reshape(k, n, -1), ok.reshape(k, n)
+    h = np.where(ok, 1e-7, -1e-7)
+    if not ok.all():
+        s, d = np.nonzero(~ok)
+        steps[s, d, d] -= 2e-7
+        rs[s, d], ok[s, d] = func(steps[s, d])
+    cols = np.zeros(rs.shape)
+    cols[ok] = (rs[ok] - np.broadcast_to(r[:, None], rs.shape)[ok]) / h[ok][:, None]
+    return np.ascontiguousarray(np.swapaxes(cols, 1, 2)), ok.all(axis=1)
+
+
+def _assert_jacobians_match_reference(func, p):
+    calls = []
+
+    def counted(q):
+        calls.append(len(q))
+        return func(q)
+
+    r, feasible = func(p)
+    assert feasible.all()
+    jac, has_jac = polygon._difference_jacobians(counted, p, r)
+    jac_ref, has_jac_ref = _reference_difference_jacobians(func, p, r)
+    assert np.array_equal(jac, jac_ref) and jac.flags.c_contiguous
+    assert np.array_equal(has_jac, has_jac_ref)
+    return calls, has_jac
+
+
+@pytest.mark.parametrize("g", (3, 4, 6))
+def test_difference_jacobians_equal_the_masked_path(g):
+    rng = np.random.default_rng(40 + g)
+    mult = multiplicity_vector(g, 1, 1)
+    for constraints in _CONSTRAINT_SETS[g]:
+        func = functools.partial(polygon._search_residual, g, frozenset(constraints), mult)
+        free = rng.uniform(0.9, 1.1, (40, 2 * g - 2)) * PI / g
+        p = np.concatenate([free, rng.uniform(0.3, 0.7, (40, 1)) * PI / g], axis=1)
+        p = p[func(p)[1]][:12]  # feasible rows
+        calls, has_jac = _assert_jacobians_match_reference(func, p)
+        assert calls == [12 * (2 * g - 1)] and has_jac.all()  # all forward: one call
+        # every third row shifted up until its largest radius sits 5e-8 under the
+        # pi - 1e-3 ceiling: its forward theta1 step leaves, so it steps backward
+        gaps = np.concatenate([p[:, :g - 1], PI - p[:, :g - 1].sum(axis=1, keepdims=True),
+                               p[:, g - 1:-1], PI - p[:, g - 1:-1].sum(axis=1, keepdims=True)],
+                              axis=1)
+        top = polygon._radius_table(g, gaps, p[:, -1], p[:, -1]).max(axis=(1, 2))
+        p[::3, -1] += PI - 1e-3 - 5e-8 - top[::3]
+        calls, has_jac = _assert_jacobians_match_reference(func, p)
+        assert len(calls) == 2 and 4 <= calls[1] and has_jac.all()
+
+
+def test_difference_jacobians_equal_the_masked_path_without_a_jacobian():
+    # the toy start [0.3, 0, -20] is feasible only within 5e-8 of p0 = 0.3: both of its
+    # p0 steps fail, so it has no Jacobian; the edge starts step backward
+    calls, has_jac = _assert_jacobians_match_reference(
+        _toy_system, np.array([[0.1, 0.2, 0.3], [0.3, 0.0, -20.0], [2.0, -1.0, 5.0]]))
+    assert len(calls) == 2 and has_jac.tolist() == [True, False, True]
+    calls, has_jac = _assert_jacobians_match_reference(
+        _edge_system, np.array([[1.99999996, 0.0], [2.0, 1.0], [1.7, 0.0]]))
+    assert calls == [6, 3] and has_jac.all()
+
+
+# ---------------------------------------------------------------------------
 # the radius-table kernel against the array code it replaced
 # ---------------------------------------------------------------------------
 

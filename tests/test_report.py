@@ -334,22 +334,52 @@ def _raising(exc_type):
     return solver
 
 
+def _suite_that_raises(seed, tol):
+    yield "angle_solvers/before_the_failure", {}, 0.0, 0.5
+    raise ArithmeticError("injected")
+
+
 def test_suite_exception_becomes_aborted_error_record(monkeypatch):
     # an exception that escapes a suite is one error record, not a crash
-    monkeypatch.setattr(polygon, "solve_g4_normalized", _raising(ArithmeticError))
+    monkeypatch.setitem(report._SUITES, "angle_solvers", _suite_that_raises)
     cases = run_suite("angle_solvers", seed=0)
-    (aborted,) = [c for c in cases if c.case_id == "angle_solvers/aborted"]
+    assert [c.case_id for c in cases] == ["angle_solvers/aborted",
+                                          "angle_solvers/before_the_failure"]
+    aborted = cases[0]
     assert aborted.status == "error"
     assert aborted.params["error"].startswith("ArithmeticError")
-    assert aborted.params["where"].endswith("in solver")
+    assert aborted.params["where"].endswith("in _suite_that_raises")
     assert aborted.tolerance == 0.0
+    assert cases[1].status == "pass"
+
+
+_ANGLE_SOLVER_BLOCKS = {
+    "solve_g4_normalized": ("angle_solvers/g4_residual_at_solution",
+                            "angle_solvers/g4_solution_pi4"),
+    "g4_grid_oracle": ("angle_solvers/g4_oracle_agreement", "angle_solvers/g4_oracle_unique_cell"),
+    "solve_g6_normalized": ("angle_solvers/g6_psi_triple", "angle_solvers/g6_solution_pi6"),
+    "g6_grid_oracle": ("angle_solvers/g6_oracle_agreement", "angle_solvers/g6_oracle_unique_cell"),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_ANGLE_SOLVER_BLOCKS))
+def test_failed_angle_solver_is_an_error_for_its_own_block(monkeypatch, solver):
+    monkeypatch.setattr(polygon, solver, _raising(ArithmeticError))
+    cases = run_suite("angle_solvers", seed=0)
+    assert len(cases) == 8 and not any(c.case_id.endswith("/aborted") for c in cases)
+    errors = [c for c in cases if c.status == "error"]
+    assert tuple(c.case_id for c in errors) == _ANGLE_SOLVER_BLOCKS[solver]
+    assert all(c.params["error"] == "ArithmeticError: injected" for c in errors)
+    assert all(c.params["where"].endswith("in solver") for c in errors)
+    # the other three blocks still run and pass
+    assert {c.status for c in cases if c not in errors} == {"pass"}
 
 
 def test_cli_suite_domain_error_exits_1(monkeypatch, capsys):
     # a DomainError raised mid-suite is an errored case (exit 1), not a usage error (exit 2)
     monkeypatch.setattr(polygon, "solve_g4_normalized", _raising(DomainError))
     assert cli.main(["verify", "--suite", "angle_solvers"]) == 1
-    assert "ERROR angle_solvers/aborted" in capsys.readouterr().out
+    assert "ERROR angle_solvers/g4_solution_pi4" in capsys.readouterr().out
 
 
 def test_svg_counts_octagon(tmp_path):
@@ -571,6 +601,15 @@ def test_cli_family_markdown():
     assert proc.stdout.startswith("| theta | lambda_1 |")
 
 
+@pytest.mark.parametrize("g", (4, 6))
+def test_cli_family_prints_the_closed_form_scalar_curvature(g, capsys):
+    # m1 = m2 = 1 makes R = 0 exactly; the general H^2 - S form printed noise there
+    assert cli.main(["family", "--g", str(g), "--grid", "10"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith(",R") and len(rows) == 10
+    assert [row.split(",")[-1] for row in rows] == ["0"] * 10
+
+
 def test_cli_polygon_svg(tmp_path):
     out = tmp_path / "poly.svg"
     proc = run_cli("polygon", "--g", "6", "--theta", "0.1", "--svg", str(out))
@@ -591,6 +630,36 @@ def test_cli_search():
                    "--seed", "0")
     assert proc.returncode == 0
     assert "survivor" in proc.stdout
+
+
+_SEARCH_ARGV = ["search", "--g", "3", "--constraints", "cmc", "--grid", "6"]
+_CLI_SEQUENCE = (["verify", "--suite", "sign_certificates"], _SEARCH_ARGV + ["--seed", "3"],
+                 _SEARCH_ARGV, ["family", "--g", "4", "--grid", "3"],
+                 ["search", "--g", "5", "--constraints", "cmc"],
+                 ["verify", "--suite", "dji_kernels"])
+
+
+def _main_output(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process cli.main call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_parser_is_built_once_and_reused(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    reused = [_main_output(argv, capsys) for argv in _CLI_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1  # one parser for the whole sequence
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0]
+    assert "invalid choice: 5" in reused[4][2]
+    # no --seed after a --seed 3 call still means seed 0, which gives other survivors
+    assert reused[2] == _main_output(_SEARCH_ARGV + ["--seed", "0"], capsys) != reused[1]
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert [_main_output(argv, capsys) for argv in _CLI_SEQUENCE] == reused
 
 
 def test_cli_dji(tmp_path):

@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Bit-level dump and diff of the search survivors and the verification report.
+
+    python3 tools/bitcheck.py dump TREE OUT.json
+    python3 tools/bitcheck.py diff A.json B.json
+
+`dump` imports liesphere from TREE/src and writes one JSON object: every
+search named in TREE/benchmarks/refs.json ("g4:cmc+csc:grid25:seed0" runs
+constraint_search(4, ("cmc", "csc"), 25, 0)) with each survivor's gaps,
+theta1, residual and parallel verdict, and run_suite("all", s) for
+s = 0-3 without runtime_ms. Floats are written as float.hex, so equal
+dumps mean equal bits. `diff` prints every entry in which two dumps
+differ and exits 1 if any does, 0 if none. Nothing under benchmarks/ is
+written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+SUITE_SEEDS = (0, 1, 2, 3)
+
+
+def _hex(values) -> list:
+    return [float(v).hex() for v in values]
+
+
+def _search_args(key: str):
+    """(g, constraints, grid, seed) of a refs.json search key."""
+    g, constraints, grid, seed = key.split(":")
+    return int(g[1:]), tuple(constraints.split("+")), int(grid[4:]), int(seed[4:])
+
+
+def dump(tree: Path) -> dict:
+    sys.path.insert(0, str(tree / "src"))
+    from liesphere import polygon, report
+
+    if not Path(polygon.__file__).resolve().is_relative_to(tree):
+        raise SystemExit(f"liesphere was imported from {polygon.__file__}, not from {tree}")
+    refs = json.loads((tree / "benchmarks" / "refs.json").read_text(encoding="utf-8"))
+    searches = {}
+    for key in refs["survivors"]:
+        survivors = polygon.constraint_search(*_search_args(key))
+        searches[key] = [{"odd": _hex(s.gaps.odd), "even": _hex(s.gaps.even),
+                          "theta1": float(s.theta1).hex(), "residual": float(s.residual).hex(),
+                          "parallel": bool(s.parallel)} for s in survivors]
+    suites = {}
+    for seed in SUITE_SEEDS:
+        for case in report.run_suite("all", seed):
+            suites[f"seed{seed}:{case.case_id}"] = {
+                "suite": case.suite, "params": case.params, "status": case.status,
+                "residual": case.residual.hex(), "tolerance": case.tolerance.hex(),
+                "seed": case.seed}
+    return {"searches": searches, "suites": suites}
+
+
+def diff(a: dict, b: dict) -> list:
+    """One line per entry that is missing from a dump or differs between them."""
+    lines = []
+    for part in ("searches", "suites"):
+        left, right = a[part], b[part]
+        for key in sorted(left.keys() | right.keys()):
+            if key not in right:
+                lines.append(f"{part} {key}: only in the first dump")
+            elif key not in left:
+                lines.append(f"{part} {key}: only in the second dump")
+            elif left[key] != right[key]:
+                lines.append(f"{part} {key}: {json.dumps(left[key])} != {json.dumps(right[key])}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="dump the survivors and the report of a source tree")
+    p_dump.add_argument("tree", type=Path, help="root of a checkout (holds src/ and benchmarks/)")
+    p_dump.add_argument("out", type=Path)
+    p_diff = sub.add_parser("diff", help="compare two dumps")
+    p_diff.add_argument("first", type=Path)
+    p_diff.add_argument("second", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        data = dump(args.tree.resolve())
+        args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"{args.out}: {len(data['searches'])} searches, "
+              f"{sum(map(len, data['searches'].values()))} survivors, "
+              f"{len(data['suites'])} cases")
+        return 0
+    first, second = (json.loads(p.read_text(encoding="utf-8")) for p in (args.first, args.second))
+    lines = diff(first, second)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} difference(s) over {len(first['searches'])} searches and "
+          f"{len(first['suites'])} cases")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
