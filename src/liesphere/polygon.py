@@ -202,7 +202,7 @@ def _one_turn(phis: np.ndarray) -> np.ndarray:
     return phis[..., :1] + rel
 
 
-def _positions_from_table(g: int, table: np.ndarray, phi1) -> np.ndarray:
+def _positions_from_table(table: np.ndarray, phi1) -> np.ndarray:
     """Vertex angles (..., 2g) of radius tables (..., 2g, g) with vertex 1 at phi1 (...)."""
     phi1 = np.asarray(phi1)[..., None]
     phis = np.empty(table.shape[:-1])
@@ -226,7 +226,7 @@ def angle_table(g: int, gaps: AngleGaps, theta1: float,
         theta2 = theta1
     table = _radius_table(g, gaps.odd + gaps.even, theta1, theta2)
     _check_radii(table, _TABLE_OUT_OF_RANGE)
-    return GeodesicPolygon(g, _positions_from_table(g, table, math.pi / 2 - theta1), table)
+    return GeodesicPolygon(g, _positions_from_table(table, math.pi / 2 - theta1), table)
 
 
 def build_parallel_polygon(g: int, theta: float) -> GeodesicPolygon:
@@ -907,8 +907,8 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     configurations whose selected constraint residuals are all <= 1e-6, and
     reports each survivor with its is_parallel verdict. Deterministic for a
     fixed seed; survivors are merged in parameter order. Their polygons are
-    one radius-table stack, checked as angle_table and GeodesicPolygon check
-    one (the same DomainError messages), that gives every parallel verdict.
+    built as one radius-table stack, which runs the checks of angle_table and
+    GeodesicPolygon (same DomainError messages) and gives every parallel verdict.
 
     The starts are those of a per-start loop over default_rng(seed), each
     start its integer levels and then its uniform jitter, but drawn in one
@@ -956,6 +956,6 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     tables = _radius_table(g, np.reshape([gp.odd + gp.even for gp in gaps], (-1, 2 * g)),
                            theta1, theta1)
     _check_radii(tables, _TABLE_OUT_OF_RANGE)
-    _check_polygons(_positions_from_table(g, tables, math.pi / 2 - theta1), tables)
+    _check_polygons(_positions_from_table(tables, math.pi / 2 - theta1), tables)
     return [SearchSurvivor(*survivor) for survivor in zip(
         gaps, theta1.tolist(), worst[picked].tolist(), _parallel(tables).tolist())]
