@@ -313,28 +313,51 @@ def _certificate_margin(tol: float | None) -> float:
 
 
 def _suite_sign_certificates(seed: int, tol: float | None):
+    """Four blocks: the g = 4 certificates, the g = 6 certificates, two closed forms, the d5 draw.
+
+    A block that raises is the `error` record of each of its cases; a
+    certificate block, whose cases are named by the call that raised, is one
+    `sign_certificates/g<g>_certificates` record. The other blocks still run.
+    """
     margin = _certificate_margin(tol)
     root3 = math.sqrt(3.0)
+
+    def family_pcs(g):
+        return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
+
     for g in (4, 6):
-        pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
-        for cert in dji.sign_certificates(g, pcs):
+        try:
+            certificates = dji.sign_certificates(g, family_pcs(g))
+        except Exception as exc:  # noqa: BLE001 - one bad block is one error record
+            yield f"sign_certificates/g{g}_certificates", {}, exc, 0.5
+            continue
+        for cert in certificates:
             violation = 0.0 if cert.holds and cert.margin > margin else 1.0
             yield (f"sign_certificates/{cert.name}",
                    {"value": f"{cert.expression_value:.12g}", "claimed": cert.claimed_sign},
                    violation, 0.5)
-    pcs6 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(6, 1, 1, 0.0))
-    one_minus = next(c for c in dji.sign_certificates(6, pcs6)
-                     if c.name == "g6_one_minus_v_over_w")
-    yield ("sign_certificates/value_9_minus_2root3", {},
-           abs(one_minus.expression_value - (9 - 2 * root3)), 1e-10)
-    yield ("sign_certificates/value_d5_obstruction", {},
-           abs(dji.g6_d5_obstruction(pcs6) - (-12 - 24 * root3)), 1e-10)
-    samples = np.sort(np.random.default_rng(seed).uniform(-8, 8, (10000, 6)))[:, ::-1]
-    kept = samples[np.abs(np.diff(samples)).min(axis=1) >= 1e-3]
-    worst = float(dji.g6_d5_obstruction(kept).max())
-    yield ("sign_certificates/d5_obstruction_always_negative",
-           {"samples": 10000, "kept": len(kept), "worst": worst},
-           0.0 if worst < 0 else 1.0, 0.5)
+
+    def closed_form_values():
+        pcs6 = family_pcs(6)
+        one_minus = next(c for c in dji.sign_certificates(6, pcs6)
+                         if c.name == "g6_one_minus_v_over_w")
+        return [abs(one_minus.expression_value - (9 - 2 * root3)),
+                abs(dji.g6_d5_obstruction(pcs6) - (-12 - 24 * root3))]
+
+    for name, residual in zip(("value_9_minus_2root3", "value_d5_obstruction"),
+                              _per_case(2, closed_form_values)):
+        yield f"sign_certificates/{name}", {}, residual, 1e-10
+    draw = {"samples": 10000}
+
+    def d5_draw():
+        samples = np.sort(np.random.default_rng(seed).uniform(-8, 8, (10000, 6)))[:, ::-1]
+        kept = samples[np.abs(np.diff(samples)).min(axis=1) >= 1e-3]
+        worst = float(dji.g6_d5_obstruction(kept).max())
+        draw.update(kept=len(kept), worst=worst)
+        return [0.0 if worst < 0 else 1.0]
+
+    (residual,) = _per_case(1, d5_draw)
+    yield "sign_certificates/d5_obstruction_always_negative", draw, residual, 0.5
 
 
 def _suite_isometry_reduction(seed: int, tol: float | None):
@@ -447,15 +470,17 @@ def all_passed(cases) -> bool:
 
 def emit_report(cases, path: str, fmt: str = "json", seed: int = 0) -> None:
     if fmt == "json":
-        # one case per line through the C encoder (an indent would force the Python one)
-        lines = [json.dumps({"suite": c.suite, "case_id": c.case_id, "params": c.params,
-                             "status": c.status, "residual": c.residual,
-                             "tolerance": c.tolerance, "runtime_ms": c.runtime_ms,
-                             "seed": c.seed}) for c in cases]
+        # one C-encoder call for every case (an indent would force the Python encoder); a
+        # case is its fields in declaration order, strings, floats and a dict of strings, so
+        # it holds no cycle to check for. A string escapes its quotes, so '}, {"suite": '
+        # occurs only between two cases, and there each line ends.
+        body = json.dumps([vars(c) for c in cases], check_circular=False).replace(
+            '}, {"suite": ', '},\n{"suite": ')
         run = json.dumps({"seed": seed, "version": __version__})
-        body = ",\n".join(lines)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(f'{{"run": {run}, "cases": [\n{body}\n]}}\n')
+            handle.write(f'{{"run": {run}, "cases": [\n')
+            handle.write(body[1:-1])
+            handle.write("\n]}\n")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)

@@ -200,3 +200,68 @@ def test_signature_validation():
         Signature(0, 2)
     with pytest.raises(ValueError):
         Signature(3, 3)
+
+
+_WIDTH = 28  # p^2 + q^2 + p q entries for Signature(4, 2)
+
+
+def _default_rng_draws(seeds, width=_WIDTH):
+    return np.array([np.random.default_rng(int(s)).uniform(-1.0, 1.0, width)
+                     for s in np.ravel(seeds)]).reshape(np.shape(seeds) + (width,))
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 2,
+                                  2 ** 64 - 1))
+def test_uniform_draws_equal_default_rng_at_word_edges(seed):
+    # one and two uint32 entropy words, the sign bit of int64, the top of uint64
+    drawn = indefinite._uniform_draws(np.asarray(seed), _WIDTH)
+    assert drawn.shape == (_WIDTH,)
+    assert np.array_equal(drawn, np.random.default_rng(seed).uniform(-1.0, 1.0, _WIDTH))
+
+
+def test_uniform_draws_equal_default_rng_near_the_top_of_uint64():
+    seeds = np.uint64(2 ** 64 - 1) - np.arange(300, dtype=np.uint64)
+    assert np.array_equal(indefinite._uniform_draws(seeds, _WIDTH), _default_rng_draws(seeds))
+
+
+@pytest.mark.parametrize("width", (1, 2, 5, 28, 101))
+def test_uniform_draws_keep_shape_of_a_seed_stack(width):
+    seeds = np.array([[0, 7919, 100003], [2 ** 32 - 500, 2 ** 62, 12345]])
+    drawn = indefinite._uniform_draws(seeds, width)
+    assert drawn.shape == (2, 3, width)
+    assert np.array_equal(drawn, _default_rng_draws(seeds, width))
+
+
+def test_uniform_draws_of_an_empty_stack():
+    for seeds in (np.arange(0), np.zeros((0, 4), dtype=np.uint64)):
+        assert indefinite._uniform_draws(seeds, _WIDTH).shape == seeds.shape + (_WIDTH,)
+    assert random_lie_transform(SIG, np.arange(0), 0.5).matrix.shape == (0, 6, 6)
+
+
+@pytest.mark.parametrize("seed", (-1, [3, -7], np.array([-(2 ** 63)])))
+def test_negative_seed_raises_as_default_rng_does(seed):
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.default_rng(np.ravel(seed)[-1])
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        random_lie_transform(SIG, seed, 0.5)
+
+
+@pytest.mark.parametrize("seed", (1.5, [2.0, 3.0], np.array([True]), "7"))
+def test_non_integer_seed_raises_type_error(seed):
+    with pytest.raises(TypeError):
+        np.random.default_rng(np.ravel(seed)[-1])
+    with pytest.raises(TypeError):
+        random_lie_transform(SIG, seed, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+def test_uniform_draws_equal_default_rng_over_uint64(seeds):
+    stack = np.array(seeds, dtype=np.uint64)
+    assert np.array_equal(indefinite._uniform_draws(stack, _WIDTH), _default_rng_draws(stack))
+
+
+def test_seed_beyond_uint64_raises_type_error():
+    # numpy holds such a seed as a Python object, which the one-pass draw does not read
+    with pytest.raises(TypeError, match=r"in \[0, 2\*\*64\)"):
+        random_lie_transform(SIG, 2 ** 64, 0.5)

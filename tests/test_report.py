@@ -315,6 +315,10 @@ def test_json_report_is_one_case_per_line_and_parses_as_before(tmp_path):
                                   {"error": "DomainError: θ \"out\" of range",
                                    "where": "dji.py:1 in f"},
                                   "error", math.inf, 0.0, 1 / 3, 3))
+    # a params value holding the line-break pattern, a quote and a newline stays on its line
+    cases.insert(2, VerificationCase("dji_kernels", "dji_kernels/a_note",
+                                     {"note": 'x}, {"suite": "dji_kernels"\n}'},
+                                     "pass", 0.0, 0.5, 0.25, 3))
     path = tmp_path / "report.json"
     emit_report(cases, str(path), "json", seed=3)
     text = path.read_text(encoding="utf-8")
@@ -373,6 +377,41 @@ def test_failed_angle_solver_is_an_error_for_its_own_block(monkeypatch, solver):
     assert all(c.params["where"].endswith("in solver") for c in errors)
     # the other three blocks still run and pass
     assert {c.status for c in cases if c not in errors} == {"pass"}
+
+
+_SIGN_CERTIFICATE_BLOCKS = {
+    # the call that raises: (function, which of its calls) -> the error records it makes
+    ("sign_certificates", "g4"): ("sign_certificates/g4_certificates",),
+    # the closed-form values read a g6 certificate too
+    ("sign_certificates", "g6"): ("sign_certificates/g6_certificates",
+                                  "sign_certificates/value_9_minus_2root3",
+                                  "sign_certificates/value_d5_obstruction"),
+    ("g6_d5_obstruction", "stack"): ("sign_certificates/d5_obstruction_always_negative",),
+}
+_RAISES_FOR = {"g4": lambda g, *rest: g == 4, "g6": lambda g, *rest: g == 6,
+               "stack": lambda pcs: np.ndim(pcs) == 2}
+
+
+@pytest.mark.parametrize("function, calls", sorted(_SIGN_CERTIFICATE_BLOCKS))
+def test_failed_sign_certificate_block_is_an_error_for_its_own_cases(monkeypatch, function, calls):
+    original = getattr(dji, function)
+
+    def failing(*args):
+        if _RAISES_FOR[calls](*args):
+            raise ArithmeticError("injected")
+        return original(*args)
+
+    normal = {c.case_id for c in run_suite("sign_certificates", seed=0)}
+    monkeypatch.setattr(dji, function, failing)
+    cases = run_suite("sign_certificates", seed=0)
+    errors = tuple(c.case_id for c in cases if c.status == "error")
+    assert errors == _SIGN_CERTIFICATE_BLOCKS[function, calls]
+    assert all(c.params["error"] == "ArithmeticError: injected" for c in cases
+               if c.status == "error")
+    # the other blocks still run and pass; a new case_id appears only as an error record
+    assert {c.status for c in cases if c.case_id not in errors} == {"pass"}
+    assert {c.case_id for c in cases} - normal <= set(errors)
+    assert not any(c.case_id.endswith("/aborted") for c in cases)
 
 
 def test_cli_suite_domain_error_exits_1(monkeypatch, capsys):

@@ -8,20 +8,28 @@
 search named in TREE/benchmarks/refs.json ("g4:cmc+csc:grid25:seed0" runs
 constraint_search(4, ("cmc", "csc"), 25, 0)) with each survivor's gaps,
 theta1, residual and parallel verdict, and run_suite("all", s) for
-s = 0-3 without runtime_ms. Floats are written as float.hex, so equal
-dumps mean equal bits. `diff` prints every entry in which two dumps
-differ and exits 1 if any does, 0 if none. Nothing under benchmarks/ is
-written.
+s = 0-3 without runtime_ms, and the sha256 of the bytes that emit_report
+writes for each seed's report in JSON and in CSV, with every runtime_ms
+set to 0. Floats are written as float.hex, so equal dumps mean equal
+bits. `diff` prints every entry in which two dumps differ and exits 1 if
+any does, 0 if none; a part that one dump lacks (dumps of earlier
+versions have no report hashes) is named and not compared. Nothing under
+benchmarks/ is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 SUITE_SEEDS = (0, 1, 2, 3)
+PARTS = ("searches", "suites", "report_sha256")
+REPORT_FORMATS = ("json", "csv")
 
 
 def _hex(values) -> list:
@@ -47,20 +55,34 @@ def dump(tree: Path) -> dict:
         searches[key] = [{"odd": _hex(s.gaps.odd), "even": _hex(s.gaps.even),
                           "theta1": float(s.theta1).hex(), "residual": float(s.residual).hex(),
                           "parallel": bool(s.parallel)} for s in survivors]
-    suites = {}
-    for seed in SUITE_SEEDS:
-        for case in report.run_suite("all", seed):
-            suites[f"seed{seed}:{case.case_id}"] = {
-                "suite": case.suite, "params": case.params, "status": case.status,
-                "residual": case.residual.hex(), "tolerance": case.tolerance.hex(),
-                "seed": case.seed}
-    return {"searches": searches, "suites": suites}
+    suites, report_sha256 = {}, {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for seed in SUITE_SEEDS:
+            cases = report.run_suite("all", seed)
+            for case in cases:
+                suites[f"seed{seed}:{case.case_id}"] = {
+                    "suite": case.suite, "params": case.params, "status": case.status,
+                    "residual": case.residual.hex(), "tolerance": case.tolerance.hex(),
+                    "seed": case.seed}
+            untimed = [dataclasses.replace(case, runtime_ms=0.0) for case in cases]
+            for fmt in REPORT_FORMATS:
+                path = Path(scratch) / f"report.{fmt}"
+                report.emit_report(untimed, str(path), fmt, seed)
+                report_sha256[f"seed{seed}:{fmt}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return {"searches": searches, "suites": suites, "report_sha256": report_sha256}
+
+
+def unshared_parts(a: dict, b: dict) -> list:
+    """The parts that only one of two dumps holds; diff does not compare them."""
+    return [part for part in PARTS if (part in a) != (part in b)]
 
 
 def diff(a: dict, b: dict) -> list:
     """One line per entry that is missing from a dump or differs between them."""
     lines = []
-    for part in ("searches", "suites"):
+    for part in PARTS:
+        if part not in a or part not in b:
+            continue
         left, right = a[part], b[part]
         for key in sorted(left.keys() | right.keys()):
             if key not in right:
@@ -87,14 +109,16 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"{args.out}: {len(data['searches'])} searches, "
               f"{sum(map(len, data['searches'].values()))} survivors, "
-              f"{len(data['suites'])} cases")
+              f"{len(data['suites'])} cases, {len(data['report_sha256'])} report hashes")
         return 0
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in (args.first, args.second))
     lines = diff(first, second)
     for line in lines:
         print(line)
-    print(f"{len(lines)} difference(s) over {len(first['searches'])} searches and "
-          f"{len(first['suites'])} cases")
+    for part in unshared_parts(first, second):
+        print(f"{part}: only one dump has this part; not compared")
+    print(f"{len(lines)} difference(s) over {len(first['searches'])} searches, "
+          f"{len(first['suites'])} cases and {len(first.get('report_sha256', {}))} report hashes")
     return 1 if lines else 0
 
 
