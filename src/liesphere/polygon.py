@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dji import NEGATIVE, POSITIVE, SignCertificate
-from .errors import CertificateFailure, DomainError, NormalizationFailure
+from .errors import CertificateFailure, DomainError, NormalizationFailure, raise_where
 from .indefinite import Signature, is_lie_transform
 from .isoparam import multiplicity_vector
 from .quadric import (PAPER6_12_34, STANDARD_13_24, LieCurvatureValue,
@@ -123,14 +123,15 @@ def _table_plan(g: int) -> np.ndarray:
 
 
 def _radius_table(g: int, gaps, theta1, theta2) -> np.ndarray:
-    """The 2g x g table of a gap array (..., 2g) and base radii (...); broadcasts over a stack.
+    """The 2g x g table of a gap array (..., 2g) and base radii (...); broadcasts over stacks.
 
     A row is its base radius plus the running sums of its steps: one array
     operation per column, since numpy's cumsum over a last axis this short
     costs a call per row.
     """
     gaps = np.asarray(gaps, dtype=float)
-    table = np.empty(gaps.shape[:-1] + (2 * g, g))
+    stack = np.broadcast_shapes(gaps.shape[:-1], np.shape(theta1), np.shape(theta2))
+    table = np.empty(stack + (2 * g, g))
     base = table[..., 0]
     base[..., 0] = theta1
     for k in range(1, g):  # the link chain theta^(2k+1)_1 = theta^(2k-1)_1 + odd[k-1] - even[g-k]
@@ -146,7 +147,11 @@ def _radius_table(g: int, gaps, theta1, theta2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeodesicPolygon:
-    """2g vertex angles (strictly increasing, one turn) plus the 2g x g radius table."""
+    """2g vertex angles (strictly increasing, one turn) plus the 2g x g radius table.
+
+    A stack of polygons of one g holds angles (..., 2g) and tables (..., 2g, g),
+    checked at once; the methods broadcast over it.
+    """
 
     g: int
     vertex_angles: np.ndarray
@@ -159,7 +164,7 @@ class GeodesicPolygon:
         table = np.asarray(self.radius_table, dtype=float)
         object.__setattr__(self, "vertex_angles", phis)
         object.__setattr__(self, "radius_table", table)
-        if phis.shape != (2 * self.g,):
+        if phis.shape[-1:] != (2 * self.g,):
             raise DomainError("need 2g vertex angles")
         _check_polygons(phis, table)
 
@@ -167,15 +172,15 @@ class GeodesicPolygon:
         return 1.0 / np.tan(self.radius_table)
 
     def vertex_points(self) -> np.ndarray:
-        """(2g, 2) unit-circle coordinates."""
-        return np.stack([np.cos(self.vertex_angles), np.sin(self.vertex_angles)], axis=1)
+        """(..., 2g, 2) unit-circle coordinates."""
+        return np.stack([np.cos(self.vertex_angles), np.sin(self.vertex_angles)], axis=-1)
 
     def vertex_normals(self) -> np.ndarray:
         """Unit normals: positions rotated +pi/2 at odd vertices, -pi/2 at even ones."""
         pts = self.vertex_points()
         normals = np.empty_like(pts)
-        normals[0::2] = np.stack([-pts[0::2, 1], pts[0::2, 0]], axis=1)
-        normals[1::2] = np.stack([pts[1::2, 1], -pts[1::2, 0]], axis=1)
+        normals[..., 0::2, 0], normals[..., 0::2, 1] = -pts[..., 0::2, 1], pts[..., 0::2, 0]
+        normals[..., 1::2, 0], normals[..., 1::2, 1] = pts[..., 1::2, 1], -pts[..., 1::2, 0]
         return normals
 
 
@@ -213,12 +218,12 @@ def _positions_from_table(table: np.ndarray, phi1) -> np.ndarray:
     return _one_turn(phis)
 
 
-def angle_table(g: int, gaps: AngleGaps, theta1: float,
-                theta2: float | None = None) -> GeodesicPolygon:
+def angle_table(g: int, gaps: AngleGaps, theta1, theta2=None) -> GeodesicPolygon:
     """Polygon from the Table-1/2 shift pattern with link-relation base radii.
 
     theta2 defaults to theta1 (the lambda-leaf link); passing a different
     value produces a deliberately inconsistent table for link_check tests.
+    An array of base radii gives a stack of polygons.
     """
     if gaps.g != g:
         raise DomainError("gap cycle length does not match g")
@@ -229,24 +234,25 @@ def angle_table(g: int, gaps: AngleGaps, theta1: float,
     return GeodesicPolygon(g, _positions_from_table(table, math.pi / 2 - theta1), table)
 
 
-def build_parallel_polygon(g: int, theta: float) -> GeodesicPolygon:
-    """Isoparametric member: all gaps pi/g, base radius pi/(2g) + theta."""
+def build_parallel_polygon(g: int, theta) -> GeodesicPolygon:
+    """Isoparametric member: all gaps pi/g, base radius pi/(2g) + theta; a stack for an array."""
     bound = math.pi / (2 * g)
-    if not -bound < theta < bound:
-        raise DomainError(f"theta must lie in (-pi/{2 * g}, pi/{2 * g})")
+    theta = np.asarray(theta, dtype=float)
+    raise_where(~((-bound < theta) & (theta < bound)), DomainError,
+                f"theta must lie in (-pi/{2 * g}, pi/{2 * g})")
     return angle_table(g, AngleGaps.regular(g), bound + theta)
 
 
 def polygon_from_positions(g: int, vertex_angles) -> GeodesicPolygon:
-    """Rebuild the radius table from vertex positions via the pairing map."""
+    """Rebuild the radius table from vertex positions (..., 2g) via the pairing map."""
     phis = np.asarray(vertex_angles, dtype=float)
-    if phis.shape != (2 * g,):
+    if phis.shape[-1:] != (2 * g,):
         raise DomainError("need 2g vertex angles")
     phis = _one_turn(phis)
     if np.any(np.diff(phis) <= 0):
         raise DomainError("vertex angles are not in cyclic order")
     t = np.arange(1, 2 * g + 1)[:, None]
-    near, far = phis[t - 1], phis[link_partner(g, t, np.arange(1, g + 1)) - 1]
+    near, far = phis[..., t - 1], phis[..., link_partner(g, t, np.arange(1, g + 1)) - 1]
     arcs = np.where(t % 2 == 1, far - near, near - far) % (2 * math.pi)
     return GeodesicPolygon(g, phis, arcs / 2.0)
 
@@ -334,13 +340,19 @@ def _difference_jacobians(func, p: np.ndarray, r: np.ndarray):
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solutions (k, n) of a[s] x = b[s]; NaN rows where a[s] is singular."""
+    """Solutions (k, n) of a[s] x = b[s]; NaN rows where a[s] is singular.
+
+    One singular member fails the whole call, so a failed stack is solved again
+    as two halves: a single singular member costs O(log k) calls, and each row
+    keeps the bits of its member solved alone.
+    """
     try:
         return np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # one singular member fails the call: solve one by one
+    except np.linalg.LinAlgError:
         if len(a) == 1:
             return np.full(b.shape, np.nan)
-        return np.concatenate([_solve_stack(a[s:s + 1], b[s:s + 1]) for s in range(len(a))])
+        half = len(a) // 2
+        return np.concatenate([_solve_stack(a[:half], b[:half]), _solve_stack(a[half:], b[half:])])
 
 
 def _levenberg_polish(func, starts, max_iter=120):
@@ -655,30 +667,35 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
 # circle Moebius group O(2,1) and the conformal reduction
 # ---------------------------------------------------------------------------
 
-def _su11_params(chi: float, m):
-    # np.hypot rounds as abs() of a Python complex; broadcasts over an array of m
-    s = 1.0 / np.sqrt(1.0 - np.hypot(np.real(m), np.imag(m)) ** 2)
-    a = np.exp(1j * chi / 2) * s
-    b = np.exp(1j * chi / 2) * m * s
-    return a, b
+def _su11_params(chi, m):
+    # np.hypot rounds as abs() of a Python complex; broadcasts over arrays of chi and m
+    x, y = np.real(m), np.imag(m)
+    s = 1.0 / np.sqrt(1.0 - np.hypot(x, y) ** 2)
+    e = np.exp(1j * chi / 2)
+    # e m with the product spelled out: numpy's array loop fuses the multiply-adds of a
+    # complex product and its scalar one does not, so one map and a stack would differ
+    b = (e.real * x - e.imag * y) + 1j * (e.real * y + e.imag * x)
+    return e * s, b * s
 
 
-def _so21_matrix(a: complex, b: complex) -> np.ndarray:
-    # coords (x, y, t) <-> Hermitian [[t, x+iy], [x-iy, t]]; action H -> g H g^dagger
-    gmat = np.array([[a, b], [b.conjugate(), a.conjugate()]])
-    basis = (np.array([[0, 1], [1, 0]], dtype=complex),
-             np.array([[0, 1j], [-1j, 0]], dtype=complex),
-             np.eye(2, dtype=complex))
-    cols = []
-    for h in basis:
-        hp = gmat @ h @ gmat.conj().T
-        cols.append([hp[0, 1].real, hp[0, 1].imag, hp[0, 0].real])
-    return np.array(cols).T
+# the Hermitian forms of the coordinates x, y, t: [[t, x+iy], [x-iy, t]]
+_SO21_BASIS = np.array([[[0, 1], [1, 0]], [[0, 1j], [-1j, 0]], [[1, 0], [0, 1]]])
+
+
+def _so21_matrix(a, b) -> np.ndarray:
+    """The (..., 3, 3) matrices of the action H -> g H g^dagger of g = [[a, b], [b*, a*]]."""
+    gmat = np.stack([np.stack([a, b], axis=-1), np.stack([np.conj(b), np.conj(a)], axis=-1)],
+                    axis=-2)[..., None, :, :]
+    hp = gmat @ _SO21_BASIS @ np.conj(gmat).swapaxes(-1, -2)  # (..., basis, 2, 2)
+    return np.stack([hp[..., 0, 1].real, hp[..., 0, 1].imag, hp[..., 0, 0].real], axis=-2)
 
 
 @dataclass(frozen=True)
 class CircleMobius:
-    """O(2,1) element acting on the geodesic circle; (x, y, alpha_check) is its bottom row."""
+    """O(2,1) element acting on the geodesic circle; (x, y, alpha_check) is its bottom row.
+
+    A stack holds matrices (..., 3, 3) and a stack of each bottom-row entry.
+    """
 
     matrix: np.ndarray
     x: float
@@ -689,29 +706,28 @@ class CircleMobius:
         matrix = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", matrix)
         ok, residual = is_lie_transform(matrix, Signature(2, 1), 1e-9)
-        if not ok:
-            raise ValueError(f"not in O(2,1): residual {residual:.3e}")
+        raise_where(~ok, ValueError, "not in O(2,1): residual {:.3e}", residual)
 
     @classmethod
-    def from_parameters(cls, chi: float, m: complex) -> "CircleMobius":
-        if abs(m) >= 1.0:
-            raise DomainError("boost parameter must satisfy |m| < 1")
+    def from_parameters(cls, chi, m) -> "CircleMobius":
+        """The map of rotation chi and boost m; arrays of them give a stack."""
+        raise_where(np.abs(m) >= 1.0, DomainError, "boost parameter must satisfy |m| < 1")
         matrix = _so21_matrix(*_su11_params(chi, m))
-        return cls(matrix, matrix[2, 0], matrix[2, 1], matrix[2, 2])
+        return cls(matrix, *(matrix[..., 2, j][()] for j in range(3)))
 
     @classmethod
     def identity(cls) -> "CircleMobius":
         return cls.from_parameters(0.0, 0.0)
 
 
-def _transform_positions(phis: np.ndarray, chi: float, m) -> np.ndarray:
-    """The angles phis moved by the map (chi, m); a stack of m gives a stack of rows."""
+def _transform_positions(phis: np.ndarray, chi, m) -> np.ndarray:
+    """The angles phis (..., 2g) moved by the maps (chi, m) of shape (...)."""
     a, b = (np.asarray(x)[..., None] for x in _su11_params(chi, m))
     z = np.exp(1j * phis)
     return _one_turn(np.angle((a * z + b) / (b.conjugate() * z + a.conjugate())))
 
 
-def _wrap(angle: float) -> float:
+def _wrap(angle):
     return (angle + math.pi) % (2 * math.pi) - math.pi
 
 
@@ -725,29 +741,36 @@ def conformal_normalize(poly: GeodesicPolygon):
     |m| < 0.999), with the rotation gauge fixed by re-anchoring vertex 1.
     The rotation keeps vertex differences, so the antipodal condition solved
     for holds on the result; isometry_reduction checks it on its input.
-    Returns (map, transformed polygon).
+    Returns (map, transformed polygon). A stack of polygons is solved one
+    polygon at a time and mapped as one stack, into a stack of maps and one
+    of polygons; the first polygon whose solve fails raises.
     """
     g = poly.g
     if g not in (4, 6):
         raise DomainError("conformal normalization is defined for g = 4 and g = 6")
     phis = poly.vertex_angles
 
-    def constraints(m: np.ndarray):
-        feasible = np.hypot(m[:, 0], m[:, 1]) < 0.999
-        with np.errstate(invalid="ignore", divide="ignore"):  # rows with |m| >= 1
-            new = _transform_positions(phis, 0.0, m[:, 0] + 1j * m[:, 1])
-            return _wrap(new[:, g:g + 2] - new[:, :2] - math.pi), feasible
+    def boost(row: np.ndarray) -> np.ndarray:
+        def constraints(m: np.ndarray):
+            feasible = np.hypot(m[:, 0], m[:, 1]) < 0.999
+            with np.errstate(invalid="ignore", divide="ignore"):  # rows with |m| >= 1
+                new = _transform_positions(row, 0.0, m[:, 0] + 1j * m[:, 1])
+                return _wrap(new[:, g:g + 2] - new[:, :2] - math.pi), feasible
 
-    m = _solve_system(constraints, (0.0, 0.0), 1e-12, NormalizationFailure)
-    mboost = complex(m[0], m[1])
+        return _solve_system(constraints, (0.0, 0.0), 1e-12, NormalizationFailure)
+
+    m = np.array([boost(row) for row in phis.reshape(-1, 2 * g)]).reshape(phis.shape[:-1] + (2,))
+    mboost = m[..., 0] + 1j * m[..., 1]
     moved = _transform_positions(phis, 0.0, mboost)
-    chi = _wrap(phis[0] - moved[0])
+    chi = _wrap(phis[..., 0] - moved[..., 0])
     mapped = CircleMobius.from_parameters(chi, mboost)
     return mapped, polygon_from_positions(g, _transform_positions(phis, chi, mboost))
 
 
 @dataclass(frozen=True)
 class IsometryReduction:
+    """The reduction of one polygon; of a stack, each field but trace_multiplicity is a stack."""
+
     x: float
     y: float
     matrix: np.ndarray
@@ -764,61 +787,63 @@ def isometry_reduction(g: int, poly: GeodesicPolygon, m1: int, m2: int) -> Isome
     it nonsingular, so the unique solution is (0, 0). The certificates are
     returned, not judged: the isometry_reduction suite checks their
     margins. Raises CertificateFailure only when the system is singular.
+    A stack of polygons is reduced as one stack, and its first bad polygon
+    raises, naming its stack index.
     """
     if g not in (4, 6):
         raise DomainError("isometry reduction is defined for g = 4 and g = 6")
     if poly.g != g:
         raise DomainError("polygon does not match g")
-    if not is_parallel(poly, 1e-8):
-        raise DomainError("polygon must be parallel")
+    raise_where(~_parallel(poly.radius_table, 1e-8), DomainError, "polygon must be parallel")
     phis = poly.vertex_angles
-    for t in (0, 1):
-        if abs(_wrap(phis[t + g] - phis[t] - math.pi)) > 1e-8:
-            raise DomainError("polygon must be antipodally normalized")
+    raise_where((np.abs(_wrap(phis[..., g:g + 2] - phis[..., :2] - math.pi)) > 1e-8).any(axis=-1),
+                DomainError, "polygon must be antipodally normalized")
     # rotate to the standard gauge p^1 = (sin theta_1, cos theta_1)
-    theta1 = poly.radius_table[0, 0]
-    gauge = math.pi / 2 - theta1 - phis[0]
-    poly = GeodesicPolygon(g, phis + gauge, poly.radius_table)
+    theta1 = poly.radius_table[..., 0, 0]
+    gauge = math.pi / 2 - theta1 - phis[..., 0]
+    poly = GeodesicPolygon(g, phis + gauge[..., None], poly.radius_table)
 
     mult = multiplicity_vector(g, m1, m2)
-    cot_row = 1.0 / np.tan(poly.radius_table[0])
-    h_hat = float(mult @ cot_row)
+    cot_row = 1.0 / np.tan(poly.radius_table[..., 0, :])
+    # H = sum m_i cot theta_i left to right, in one order for a polygon and a stack (a matrix
+    # product takes BLAS dot for one and another loop for many)
+    terms = list(np.moveaxis(cot_row * mult, -1, 0))
+    h_hat = sum(terms[1:], terms[0])
     k_trace = float(mult.sum())
     pts = poly.vertex_points()
     normals = poly.vertex_normals()
 
-    pairs = ((1, 2), (1, 3)) if g == 4 else ((1, 2), (4, 5))
-    matrix = np.empty((2, 2))
-    for r, (t, s) in enumerate(pairs):
-        dp = pts[t - 1] - pts[s - 1]
-        dn = normals[t - 1] - normals[s - 1]
-        matrix[r] = dp * h_hat + dn * k_trace
+    # rows: vertex pairs (1, 2), (1, 3) for g = 4 and (1, 2), (4, 5) for g = 6
+    t, s = ([0, 0], [1, 2]) if g == 4 else ([0, 3], [1, 4])
+    dp = pts[..., t, :] - pts[..., s, :]
+    dn = normals[..., t, :] - normals[..., s, :]
+    matrix = dp * h_hat[..., None, None] + dn * k_trace
 
-    u_hat, v_hat = pts[0]
-    lam_hat = cot_row[0]
-    tau_hat = cot_row[-1]
+    u_hat, v_hat = pts[..., 0, 0], pts[..., 0, 1]
+    lam_hat = cot_row[..., 0]
+    tau_hat = cot_row[..., -1]
     certs = [SignCertificate("H_minus_K_lambda", h_hat - k_trace * lam_hat, NEGATIVE),
              SignCertificate("H_minus_K_tau", h_hat - k_trace * tau_hat, POSITIVE)]
+    expected = np.zeros(matrix.shape)
+    expected[..., 0, 0] = 2 * u_hat * (h_hat - lam_hat * k_trace)
     if g == 4:
         certs.append(SignCertificate("tau_side_g4",
                                      (v_hat - u_hat) * (h_hat - tau_hat * k_trace), POSITIVE))
-        expected = np.array([[2 * u_hat * (h_hat - lam_hat * k_trace), 0.0],
-                             [(u_hat + v_hat) * h_hat + (u_hat - v_hat) * k_trace,
-                              (v_hat - u_hat) * h_hat + (u_hat + v_hat) * k_trace]])
+        expected[..., 1, 0] = (u_hat + v_hat) * h_hat + (u_hat - v_hat) * k_trace
+        expected[..., 1, 1] = (v_hat - u_hat) * h_hat + (u_hat + v_hat) * k_trace
     else:
-        l_hat = pts[3][1]
+        l_hat = pts[..., 3, 1]
         certs.append(SignCertificate("tau_side_g6",
                                      l_hat * (h_hat - tau_hat * k_trace), POSITIVE))
-        expected = np.array([[2 * u_hat * (h_hat - lam_hat * k_trace), 0.0],
-                             [0.0, 2 * l_hat * (h_hat - tau_hat * k_trace)]])
-    if np.abs(matrix - expected).max() > 1e-8 * max(1.0, np.abs(expected).max()):
-        raise ArithmeticError("assembled system disagrees with its closed form")
-    det = float(np.linalg.det(matrix))
-    if abs(det) <= 1e-12:
-        raise CertificateFailure("reduction system is singular")
-    solution = np.linalg.solve(matrix, np.zeros(2))
-    return IsometryReduction(float(solution[0]), float(solution[1]), matrix,
-                             tuple(certs), h_hat, k_trace)
+        expected[..., 1, 1] = 2 * l_hat * (h_hat - tau_hat * k_trace)
+    scale = np.maximum(1.0, np.abs(expected).max(axis=(-2, -1)))
+    raise_where(np.abs(matrix - expected).max(axis=(-2, -1)) > 1e-8 * scale, ArithmeticError,
+                "assembled system disagrees with its closed form")
+    raise_where(np.abs(np.linalg.det(matrix)) <= 1e-12, CertificateFailure,
+                "reduction system is singular")
+    solution = np.linalg.solve(matrix, np.zeros(matrix.shape[:-1] + (1,)))[..., 0]
+    return IsometryReduction(solution[..., 0][()], solution[..., 1][()], matrix, tuple(certs),
+                             h_hat, k_trace)
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,12 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
         status, residual, tolerance = "error", math.inf, 0.0
     else:
         status = "pass" if residual <= tolerance else "fail"
-    return VerificationCase(suite, case_id, params, status, float(residual), float(tolerance),
-                            (time.perf_counter_ns() - t0) / 1e6, seed)
+    # the record the constructor makes, in its field order, without one frozen setattr per field
+    case = object.__new__(VerificationCase)
+    case.__dict__.update(suite=suite, case_id=case_id, params=params, status=status,
+                         residual=float(residual), tolerance=float(tolerance),
+                         runtime_ms=(time.perf_counter_ns() - t0) / 1e6, seed=seed)
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -360,36 +364,65 @@ def _suite_sign_certificates(seed: int, tol: float | None):
     yield "sign_certificates/d5_obstruction_always_negative", draw, residual, 0.5
 
 
-def _suite_isometry_reduction(seed: int, tol: float | None):
-    """Each (g, theta) polygon is built and normalized once and reduced for every pair of g.
+def _stack_or_each(count: int, compute):
+    """compute over a stack of `count` members, and where each member's result sits in it.
 
-    A build or normalization that raises gives each of that theta's cases
-    its exception; a reduction that raises is its one case's error.
+    compute takes an index array for a stack and an int for one member. Returns
+    (result, at): at[k] is member k's index in result, or the exception it raised.
+    When the whole stack raises, each member is tried alone, and the members that
+    do not raise are computed once more as one stack; result is None if none is left.
+    """
+    members = np.arange(count)
+    try:
+        return compute(members), list(range(count))
+    except Exception:  # noqa: BLE001 - the members that raise alone are found below
+        at, kept = [], []
+        for k in range(count):
+            try:
+                compute(k)
+            except Exception as exc:  # noqa: BLE001 - one bad member is its own error
+                at.append(exc)
+            else:
+                at.append(len(kept))
+                kept.append(k)
+        return (compute(members[kept]) if kept else None), at
+
+
+def _suite_isometry_reduction(seed: int, tol: float | None):
+    """Each g's 21 polygons are built and normalized as one stack, and reduced as one per pair.
+
+    A stack that raises is retried one theta at a time, as single polygons, so a
+    build or normalization that raises gives each of that theta's cases its
+    exception, and a reduction that raises is its one case's error.
     """
     tolerance = tol if tol is not None else 1e-10
+    margin = _certificate_margin(tol)
     pairs = {4: ((1, 1), (2, 2), (4, 5)), 6: ((1, 1), (2, 2))}
     for g, multiplicities in pairs.items():
         bound = math.pi / (2 * g)
-        for idx, theta in enumerate(np.linspace(-0.85 * bound, 0.85 * bound, 21)):
-            try:
-                poly = poly_mod.build_parallel_polygon(g, float(theta))
-                mapped, normalized = poly_mod.conformal_normalize(poly)
-            except Exception as exc:  # noqa: BLE001 - one bad theta is one error per pair
-                normalized = exc
-            for m1, m2 in multiplicities:
+        thetas = np.linspace(-0.85 * bound, 0.85 * bound, 21)
+        normal, built = _stack_or_each(len(thetas), lambda k: poly_mod.conformal_normalize(
+            poly_mod.build_parallel_polygon(g, thetas[k])))
+        mapped, normalized = normal or (None, None)
+        for m1, m2 in multiplicities:
+            def reduce(j):  # j indexes the normalized polygons
+                result = poly_mod.isometry_reduction(g, poly_mod.GeodesicPolygon(
+                    g, normalized.vertex_angles[j], normalized.radius_table[j]), m1, m2)
+                # the one check of the reduction's sign certificates
+                strict = np.logical_and.reduce([c.holds & (c.margin > margin)
+                                                for c in result.certificates])
+                return np.where(strict, np.maximum(abs(result.x), abs(result.y)), math.inf)
+
+            residuals, reduced = (_stack_or_each(len(normalized.vertex_angles), reduce)
+                                  if normal else (None, []))
+            for idx, (theta, j) in enumerate(zip(thetas, built)):
                 params = {"theta": f"{theta:.6f}"}
-                if isinstance(normalized, Exception):
-                    residual = normalized
+                at = j if isinstance(j, Exception) else reduced[j]
+                if isinstance(at, Exception):
+                    residual = at
                 else:
-                    try:
-                        result = poly_mod.isometry_reduction(g, normalized, m1, m2)
-                        params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
-                        # the one check of the reduction's sign certificates
-                        strict = all(c.holds and c.margin > _certificate_margin(tol)
-                                     for c in result.certificates)
-                        residual = max(abs(result.x), abs(result.y)) if strict else math.inf
-                    except Exception as exc:  # noqa: BLE001 - one bad case is one error record
-                        residual = exc
+                    params.update(map_x=f"{mapped.x[j]:.2e}", map_y=f"{mapped.y[j]:.2e}")
+                    residual = residuals[at]
                 yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
 
 

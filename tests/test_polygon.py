@@ -533,6 +533,102 @@ def test_isometry_reduction_rejects_non_parallel():
         isometry_reduction(4, skew, 1, 1)
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _one(stack, k):
+    """Member k of a polygon stack as one polygon."""
+    return GeodesicPolygon(stack.g, stack.vertex_angles[k], stack.radius_table[k])
+
+
+def _reduction_bits(result):
+    return [result.x, result.y, result.matrix, result.mean_curvature,
+            *(c.expression_value for c in result.certificates)]
+
+
+@pytest.mark.parametrize("g", (4, 6))
+def test_reduction_path_on_a_stack_equals_one_polygon_at_a_time(g):
+    # every step of the reduction gives each member of a stack the bits of its own call;
+    # the members are boosted, so the normalization solves a boost away from m = 0
+    rng = np.random.default_rng(g)
+    thetas = rng.uniform(-0.9, 0.9, 6) * PI / (2 * g)
+    built = build_parallel_polygon(g, thetas)
+    for k, theta in enumerate(thetas):
+        one = build_parallel_polygon(g, float(theta))
+        assert _same_bits(built.vertex_angles[k], one.vertex_angles)
+        assert _same_bits(built.radius_table[k], one.radius_table)
+    boosts = rng.uniform(-0.25, 0.25, 6) + 1j * rng.uniform(-0.25, 0.25, 6)
+    chis = rng.uniform(-1.0, 1.0, 6)
+    maps = CircleMobius.from_parameters(chis, boosts)
+    phis = np.array([[_moved_angle(CircleMobius.from_parameters(c, m), p) for p in row]
+                     for c, m, row in zip(chis, boosts, built.vertex_angles)])
+    moved = polygon_from_positions(g, phis)
+    mapped, normalized = conformal_normalize(moved)
+    for k in range(6):
+        one_map = CircleMobius.from_parameters(chis[k], boosts[k])
+        assert _same_bits(maps.matrix[k], one_map.matrix) and maps.x[k] == one_map.x
+        assert _same_bits(moved.radius_table[k], polygon_from_positions(g, phis[k]).radius_table)
+        alone_map, alone = conformal_normalize(_one(moved, k))
+        assert not is_parallel(_one(moved, k))
+        for stacked, single in ((mapped.matrix, alone_map.matrix), (mapped.x, alone_map.x),
+                                (mapped.y, alone_map.y),
+                                (normalized.vertex_angles, alone.vertex_angles),
+                                (normalized.radius_table, alone.radius_table)):
+            assert _same_bits(stacked[k], single)
+    for m1, m2 in ((1, 1), (2, 2), (4, 5)) if g == 4 else ((1, 1), (2, 2)):
+        result = isometry_reduction(g, normalized, m1, m2)
+        assert result.matrix.shape == (6, 2, 2) and result.trace_multiplicity == (m1 + m2) * g / 2
+        for k in range(6):
+            alone = isometry_reduction(g, _one(normalized, k), m1, m2)
+            assert all(_same_bits(stacked[k], single) for stacked, single
+                       in zip(_reduction_bits(result), _reduction_bits(alone)))
+
+
+def test_stacked_checks_name_the_first_bad_member():
+    bound = PI / 8
+    with pytest.raises(DomainError, match=r"theta must lie in \(-pi/8, pi/8\) at stack index 2"):
+        build_parallel_polygon(4, [0.0, 0.1, bound, -bound])
+    with pytest.raises(DomainError, match=r"^theta must lie in \(-pi/8, pi/8\)$"):
+        build_parallel_polygon(4, bound)
+    with pytest.raises(DomainError, match=r"\|m\| < 1 at stack index 1"):
+        CircleMobius.from_parameters([0.0, 0.0], [0.5, 1.0])
+    polys = build_parallel_polygon(4, np.array([0.0, 0.05, 0.1]))
+    skew = angle_table(4, AngleGaps(4, (0.8, 0.76, 0.78, PI - 2.34),
+                                    (0.79, 0.77, 0.8, PI - 2.36)), 0.3)
+    table = polys.radius_table.copy()
+    table[1] = skew.radius_table
+    angles = polys.vertex_angles.copy()
+    angles[1] = skew.vertex_angles
+    with pytest.raises(DomainError, match="polygon must be parallel at stack index 1"):
+        isometry_reduction(4, GeodesicPolygon(4, angles, table), 1, 1)
+    with pytest.raises(DomainError, match="antipodally normalized at stack index 0"):
+        isometry_reduction(4, GeodesicPolygon(4, angles[[0]] + np.repeat([0.0, 0.01], 4),
+                                              polys.radius_table[[0]]), 1, 1)
+
+
+def test_solve_stack_splits_around_a_singular_member(monkeypatch):
+    # one singular member of 16 costs the halves that hold it, not 16 single solves
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(16, 5, 5)) + 4 * np.eye(5)
+    a[9] = 0.0
+    b = rng.normal(size=(16, 5))
+    solve, calls = np.linalg.solve, []
+
+    def counting_solve(*args):
+        calls.append(len(args[0]))
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rows = polygon._solve_stack(a, b)
+    assert len(calls) <= 9 and calls[0] == 16
+    assert np.isnan(rows[9]).all() and not np.isnan(np.delete(rows, 9, axis=0)).any()
+    for s in range(16):
+        if s != 9:
+            assert _same_bits(rows[s], solve(a[s:s + 1], b[s:s + 1, :, None])[0, :, 0])
+
+
 # ---------------------------------------------------------------------------
 # falsification search
 # ---------------------------------------------------------------------------

@@ -37,6 +37,18 @@ def test_case_status_validation():
         VerificationCase("s", "c", {}, "maybe", 0.0, 1.0, 0, 0)
 
 
+def test_case_records_equal_constructor_records():
+    # _case skips the constructor's per-field setattr calls, not what the record holds
+    for residual, status in ((1e-12, "pass"), (2.5, "fail"), (DomainError("bad"), "error")):
+        case = report._case("s", "s/c", {"k": 1}, residual, 1e-9, 3, 0)
+        built = VerificationCase(case.suite, case.case_id, dict(case.params), case.status,
+                                 case.residual, case.tolerance, case.runtime_ms, case.seed)
+        assert case.status == status and case == built and hash(case) == hash(built)
+        assert list(vars(case)) == list(vars(built)) and vars(case) == vars(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            case.status = "pass"
+
+
 def test_emit_json_empty(tmp_path):
     path = tmp_path / "report.json"
     emit_report([], str(path), "json", seed=5)
@@ -238,9 +250,80 @@ def test_isometry_suite_fails_weak_certificates(monkeypatch):
     assert cases and all(c.status == "fail" and c.residual == math.inf for c in cases)
 
 
-def test_isometry_suite_normalizes_each_theta_once_per_call(monkeypatch):
-    calls = {"normalize": 0, "reduce": 0}
+def _reference_isometry_suite(seed, tol):
+    """The per-theta suite loop, kept as the reference: one polygon at a time."""
+    tolerance = tol if tol is not None else 1e-10
+    pairs = {4: ((1, 1), (2, 2), (4, 5)), 6: ((1, 1), (2, 2))}
+    for g, multiplicities in pairs.items():
+        bound = math.pi / (2 * g)
+        for idx, theta in enumerate(np.linspace(-0.85 * bound, 0.85 * bound, 21)):
+            try:
+                poly = polygon.build_parallel_polygon(g, float(theta))
+                mapped, normalized = polygon.conformal_normalize(poly)
+            except Exception as exc:  # noqa: BLE001
+                normalized = exc
+            for m1, m2 in multiplicities:
+                params = {"theta": f"{theta:.6f}"}
+                if isinstance(normalized, Exception):
+                    residual = normalized
+                else:
+                    try:
+                        result = polygon.isometry_reduction(g, normalized, m1, m2)
+                        params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
+                        strict = all(c.holds and c.margin > report._certificate_margin(tol)
+                                     for c in result.certificates)
+                        residual = max(abs(result.x), abs(result.y)) if strict else math.inf
+                    except Exception as exc:  # noqa: BLE001
+                        residual = exc
+                yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
+
+
+def _isometry_records(monkeypatch=None, reference=False, tol=None):
+    """(case_id, params, status, residual) of the suite, or of the reference loop."""
+    if reference:
+        monkeypatch.setitem(report._SUITES, "isometry_reduction", _reference_isometry_suite)
+    cases = run_suite("isometry_reduction", 0, tol)
+    if reference:
+        monkeypatch.undo()
+    return [(c.case_id, c.params, c.status, c.residual) for c in cases]
+
+
+@pytest.mark.parametrize("tol", (None, 1e3))
+def test_isometry_suite_equals_the_per_theta_loop(monkeypatch, tol):
+    stacked = _isometry_records(tol=tol)
+    assert len(stacked) == 105 and stacked == _isometry_records(monkeypatch, True, tol)
+
+
+def test_isometry_suite_stacks_equal_one_polygon_at_a_time():
+    # every normalization, reduction matrix and certificate value at the suite's 42 thetas
+    pairs = {4: ((1, 1), (2, 2), (4, 5)), 6: ((1, 1), (2, 2))}
+    for g, multiplicities in pairs.items():
+        bound = math.pi / (2 * g)
+        thetas = np.linspace(-0.85 * bound, 0.85 * bound, 21)
+        mapped, normalized = polygon.conformal_normalize(polygon.build_parallel_polygon(g, thetas))
+        results = [polygon.isometry_reduction(g, normalized, m1, m2) for m1, m2 in multiplicities]
+        for k, theta in enumerate(thetas):
+            one_map, one = polygon.conformal_normalize(build_parallel_polygon(g, float(theta)))
+            assert np.array_equal(mapped.matrix[k], one_map.matrix)
+            assert (mapped.x[k], mapped.y[k]) == (one_map.x, one_map.y)
+            assert np.array_equal(normalized.vertex_angles[k], one.vertex_angles)
+            assert np.array_equal(normalized.radius_table[k], one.radius_table)
+            for result, (m1, m2) in zip(results, multiplicities):
+                alone = polygon.isometry_reduction(g, one, m1, m2)
+                assert np.array_equal(result.matrix[k], alone.matrix)
+                assert result.mean_curvature[k] == alone.mean_curvature
+                assert [c.expression_value[k] for c in result.certificates] == [
+                    c.expression_value for c in alone.certificates]
+
+
+def test_isometry_suite_normalizes_each_g_as_one_stack(monkeypatch):
+    calls = {"build": 0, "normalize": 0, "reduce": 0}
+    build = polygon.build_parallel_polygon
     normalize, reduce = polygon.conformal_normalize, polygon.isometry_reduction
+
+    def counting_build(*args):
+        calls["build"] += 1
+        return build(*args)
 
     def counting_normalize(poly):
         calls["normalize"] += 1
@@ -250,25 +333,36 @@ def test_isometry_suite_normalizes_each_theta_once_per_call(monkeypatch):
         calls["reduce"] += 1
         return reduce(*args)
 
+    monkeypatch.setattr(polygon, "build_parallel_polygon", counting_build)
     monkeypatch.setattr(polygon, "conformal_normalize", counting_normalize)
     monkeypatch.setattr(polygon, "isometry_reduction", counting_reduce)
     first = run_suite("isometry_reduction", 0)
     assert len(first) == 105 and all_passed(first)
-    assert calls == {"normalize": 42, "reduce": 105}   # 21 thetas for each of g = 4, 6
+    # one stack of 21 thetas for each of g = 4, 6, one reduction per multiplicity pair
+    assert calls == {"build": 2, "normalize": 2, "reduce": 5}
     second = run_suite("isometry_reduction", 0)         # nothing is kept between calls
-    assert calls == {"normalize": 84, "reduce": 210}
+    assert calls == {"build": 4, "normalize": 4, "reduce": 10}
     assert [(c.case_id, c.params, c.residual) for c in second] == [
         (c.case_id, c.params, c.residual) for c in first]
 
 
+def _suite_theta(g, idx):
+    bound = math.pi / (2 * g)
+    return np.linspace(-0.85 * bound, 0.85 * bound, 21)[idx]
+
+
+def _holds(poly, bad):
+    """Whether a polygon, or any polygon of a stack, has the vertex angles of bad."""
+    return bool(np.any((poly.vertex_angles == bad.vertex_angles).all(axis=-1)))
+
+
 @pytest.mark.parametrize("g, pairs", ((4, ("11", "22", "45")), (6, ("11", "22"))))
 def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch, g, pairs):
-    bound = math.pi / (2 * g)
-    bad = build_parallel_polygon(g, float(np.linspace(-0.85 * bound, 0.85 * bound, 21)[7]))
+    bad = build_parallel_polygon(g, float(_suite_theta(g, 7)))
     normalize = polygon.conformal_normalize
 
     def failing_normalize(poly):
-        if poly.g == g and np.array_equal(poly.vertex_angles, bad.vertex_angles):
+        if poly.g == g and _holds(poly, bad):
             raise polygon.NormalizationFailure("boost did not converge")
         return normalize(poly)
 
@@ -281,6 +375,40 @@ def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch
     assert all(c.params["error"] == "NormalizationFailure: boost did not converge"
                and set(c.params) == {"theta", "error", "where"} for c in errors)
     assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
+    assert _isometry_records() == _isometry_records(monkeypatch, True)
+
+
+@pytest.mark.parametrize("g, pairs", ((4, ("11", "22", "45")), (6, ("11", "22"))))
+def test_failed_build_is_an_error_for_each_pair_of_its_theta(monkeypatch, g, pairs):
+    bad = _suite_theta(g, 13)
+    build = polygon.build_parallel_polygon
+
+    def failing_build(h, theta):
+        if h == g and np.any(theta == bad):
+            raise DomainError("injected")
+        return build(h, theta)
+
+    monkeypatch.setattr(polygon, "build_parallel_polygon", failing_build)
+    cases = run_suite("isometry_reduction", 0)
+    errors = [c for c in cases if c.status == "error"]
+    assert [c.case_id for c in errors] == [f"isometry_reduction/g{g}_m{p}[13]" for p in pairs]
+    assert all(c.params["error"] == "DomainError: injected"
+               and c.params["where"].endswith("in failing_build") for c in errors)
+    assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
+    assert _isometry_records() == _isometry_records(monkeypatch, True)
+
+
+def test_every_build_failing_leaves_only_errors_for_its_g(monkeypatch):
+    build = polygon.build_parallel_polygon
+    monkeypatch.setattr(polygon, "build_parallel_polygon", lambda g, theta: (
+        build(g, theta) if g == 4 else build(g, np.asarray(theta) + 1.0)))
+    cases = run_suite("isometry_reduction", 0)
+    assert [c.case_id for c in cases if c.status == "error"] == [
+        c.case_id for c in cases if c.case_id.startswith("isometry_reduction/g6")]
+    assert len(cases) == 105 and {c.status for c in cases if "/g4" in c.case_id} == {"pass"}
+    assert {c.params["error"] for c in cases if c.status == "error"} == {
+        "DomainError: theta must lie in (-pi/12, pi/12)"}
+    assert _isometry_records() == _isometry_records(monkeypatch, True)
 
 
 def test_failed_reduction_is_an_error_for_its_own_pair(monkeypatch):
@@ -298,6 +426,27 @@ def test_failed_reduction_is_an_error_for_its_own_pair(monkeypatch):
                                            for k in range(21)]
     assert all(c.params["where"].endswith("in failing_reduce") for c in errors)
     assert {c.status for c in cases if c not in errors} == {"pass"}
+
+
+def test_singular_reduction_is_an_error_for_its_one_case(monkeypatch):
+    bad = polygon.conformal_normalize(build_parallel_polygon(6, float(_suite_theta(6, 4))))[1]
+    reduce = polygon.isometry_reduction
+
+    def singular_reduce(g, poly, m1, m2):
+        if (g, m1, m2) == (6, 2, 2) and _holds(poly, bad):
+            raise polygon.CertificateFailure("reduction system is singular")
+        return reduce(g, poly, m1, m2)
+
+    monkeypatch.setattr(polygon, "isometry_reduction", singular_reduce)
+    cases = run_suite("isometry_reduction", 0)
+    errors = [c for c in cases if c.status == "error"]
+    assert [c.case_id for c in errors] == ["isometry_reduction/g6_m22[04]"]
+    assert errors[0].params == {"theta": f"{_suite_theta(6, 4):.6f}",
+                                "error": "CertificateFailure: reduction system is singular",
+                                "where": errors[0].params["where"]}
+    assert errors[0].params["where"].endswith("in singular_reduce")
+    assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
+    assert _isometry_records() == _isometry_records(monkeypatch, True)
 
 
 def _indented_report(cases, seed):
