@@ -278,20 +278,23 @@ def _reference_isometry_suite(seed, tol):
                 yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
 
 
-def _isometry_records(monkeypatch=None, reference=False, tol=None):
-    """(case_id, params, status, residual) of the suite, or of the reference loop."""
-    if reference:
-        monkeypatch.setitem(report._SUITES, "isometry_reduction", _reference_isometry_suite)
-    cases = run_suite("isometry_reduction", 0, tol)
-    if reference:
-        monkeypatch.undo()
-    return [(c.case_id, c.params, c.status, c.residual) for c in cases]
+def _isometry_records(tol=None):
+    """(case_id, params, status, residual) of each isometry_reduction case."""
+    return [(c.case_id, c.params, c.status, c.residual)
+            for c in run_suite("isometry_reduction", 0, tol)]
+
+
+def _reference_records(monkeypatch, tol=None):
+    """_isometry_records of the reference loop, under the monkeypatches already set."""
+    with monkeypatch.context() as patch:
+        patch.setitem(report._SUITES, "isometry_reduction", _reference_isometry_suite)
+        return _isometry_records(tol)
 
 
 @pytest.mark.parametrize("tol", (None, 1e3))
 def test_isometry_suite_equals_the_per_theta_loop(monkeypatch, tol):
-    stacked = _isometry_records(tol=tol)
-    assert len(stacked) == 105 and stacked == _isometry_records(monkeypatch, True, tol)
+    stacked = _isometry_records(tol)
+    assert len(stacked) == 105 and stacked == _reference_records(monkeypatch, tol)
 
 
 def test_isometry_suite_stacks_equal_one_polygon_at_a_time():
@@ -375,7 +378,7 @@ def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch
     assert all(c.params["error"] == "NormalizationFailure: boost did not converge"
                and set(c.params) == {"theta", "error", "where"} for c in errors)
     assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
-    assert _isometry_records() == _isometry_records(monkeypatch, True)
+    assert _isometry_records() == _reference_records(monkeypatch)
 
 
 @pytest.mark.parametrize("g, pairs", ((4, ("11", "22", "45")), (6, ("11", "22"))))
@@ -395,7 +398,7 @@ def test_failed_build_is_an_error_for_each_pair_of_its_theta(monkeypatch, g, pai
     assert all(c.params["error"] == "DomainError: injected"
                and c.params["where"].endswith("in failing_build") for c in errors)
     assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
-    assert _isometry_records() == _isometry_records(monkeypatch, True)
+    assert _isometry_records() == _reference_records(monkeypatch)
 
 
 def test_every_build_failing_leaves_only_errors_for_its_g(monkeypatch):
@@ -408,7 +411,7 @@ def test_every_build_failing_leaves_only_errors_for_its_g(monkeypatch):
     assert len(cases) == 105 and {c.status for c in cases if "/g4" in c.case_id} == {"pass"}
     assert {c.params["error"] for c in cases if c.status == "error"} == {
         "DomainError: theta must lie in (-pi/12, pi/12)"}
-    assert _isometry_records() == _isometry_records(monkeypatch, True)
+    assert _isometry_records() == _reference_records(monkeypatch)
 
 
 def test_failed_reduction_is_an_error_for_its_own_pair(monkeypatch):
@@ -446,7 +449,7 @@ def test_singular_reduction_is_an_error_for_its_one_case(monkeypatch):
                                 "where": errors[0].params["where"]}
     assert errors[0].params["where"].endswith("in singular_reduce")
     assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
-    assert _isometry_records() == _isometry_records(monkeypatch, True)
+    assert _isometry_records() == _reference_records(monkeypatch)
 
 
 def _indented_report(cases, seed):
