@@ -99,23 +99,20 @@ def critical_point_pinning(g: int) -> frozenset:
     return frozenset({(j, 1) for j in range(2, g + 1)} | {(1, 2)})
 
 
-def _cross_ratio_log_row(pcs, j, ia, ib, ic, id_):
-    """Coefficients of e_j log[(la-lb)(lc-ld)/((la-ld)(lc-lb))] on d_ji, i = 1..g."""
+def _require_decreasing(pcs):
+    if not np.all(np.diff(pcs) < 0):
+        raise DomainError("principal curvatures must be strictly decreasing")
+
+
+def _cross_ratio_log_row(pcs, ia, ib, ic, id_):
+    """Coefficients of e_j log[(la-lb)(lc-ld)/((la-ld)(lc-lb))] on d_j1..d_jg, for any j."""
     la, lb, lc, ld = pcs[ia - 1], pcs[ib - 1], pcs[ic - 1], pcs[id_ - 1]
-    co: dict[int, float] = {}
-
-    def acc(i, val):
-        co[i] = co.get(i, 0.0) + val
-
-    acc(ia, 1.0 / (la - lb))
-    acc(ib, -1.0 / (la - lb))
-    acc(ic, 1.0 / (lc - ld))
-    acc(id_, -1.0 / (lc - ld))
-    acc(ia, -1.0 / (la - ld))
-    acc(id_, 1.0 / (la - ld))
-    acc(ic, -1.0 / (lc - lb))
-    acc(ib, 1.0 / (lc - lb))
-    return co
+    row = np.zeros(len(pcs))
+    quad = [ia - 1, ib - 1, ic - 1, id_ - 1]
+    # the four indices are distinct, so each += adds one term to each entry
+    row[quad] += [1.0 / (la - lb), -1.0 / (la - lb), 1.0 / (lc - ld), -1.0 / (lc - ld)]
+    row[quad] += [-1.0 / (la - ld), 1.0 / (lc - lb), -1.0 / (lc - lb), 1.0 / (la - ld)]
+    return row
 
 
 # curvature-index quadruples (ia, ib, ic, id) of the g=6 cross-ratio families,
@@ -131,59 +128,50 @@ G6_AUX_FAMILIES = (
 
 def build_system(g: int, pcs, m1: int, m2: int, constraints,
                  assumed_zero=frozenset()) -> DerivativeSystem:
-    """Assemble the constraint rows over the non-pinned unknowns d_ji."""
+    """Assemble the constraint rows over the non-pinned unknowns d_ji.
+
+    A row of direction j is written into row j of a g x g grid; the grid's free
+    entries (off the diagonal, not pinned), in (j, i) order, are the row's coefficients.
+    """
     pcs = np.asarray(pcs, dtype=float)
     if len(pcs) != g:
         raise ValueError("need g principal curvatures")
-    if not np.all(np.diff(pcs) < 0):
-        raise DomainError("principal curvatures must be strictly decreasing")
+    _require_decreasing(pcs)
     constraints = set(constraints)
-    unknown = set(constraints) - {"cmc", "csc", "clc"}
+    unknown = constraints - {"cmc", "csc", "clc"}
     if unknown:
         raise ValueError(f"unknown constraints {sorted(unknown)}")
     assumed_zero = frozenset(assumed_zero)
-    labels = tuple((j, i) for j in range(1, g + 1) for i in range(1, g + 1)
-                   if i != j and (j, i) not in assumed_zero)
-    index = {lab: k for k, lab in enumerate(labels)}
     mult = multiplicity_vector(g, m1, m2)
     if g in (1, 3, 6):
         # multiplicity_vector forces a common multiplicity here; it divides out of every row
         mult = np.ones(g)
 
-    rows: list[np.ndarray] = []
-    names: list[str] = []
-
-    def add(j, coeffs, name):
-        row = np.zeros(len(labels))
-        for i, val in coeffs.items():
-            if i != j and (j, i) not in assumed_zero:
-                row[index[(j, i)]] = val
-        rows.append(row)
-        names.append(name)
-
+    directions = range(1, g + 1)
+    families = []  # (row-name prefix, coefficients on d_j1..d_jg, directions j)
     if "cmc" in constraints:
-        for j in range(1, g + 1):
-            add(j, {i: mult[i - 1] for i in range(1, g + 1)}, f"cmc[j={j}]")
+        families.append(("cmc", mult, directions))
     if "csc" in constraints:
-        for j in range(1, g + 1):
-            add(j, {i: mult[i - 1] * pcs[i - 1] for i in range(1, g + 1)}, f"csc[j={j}]")
+        families.append(("csc", mult * pcs, directions))
     if "clc" in constraints:
         if g == 4:
-            for j in range(1, 5):
-                add(j, _cross_ratio_log_row(pcs, j, 1, 2, 3, 4), f"clc_phi[j={j}]")
+            families.append(("clc_phi", _cross_ratio_log_row(pcs, 1, 2, 3, 4), directions))
         elif g == 6:
-            for h, quad in G6_PHI_INDICES.items():
-                for j in range(1, 7):
-                    add(j, _cross_ratio_log_row(pcs, j, *quad), f"clc_phi{h}[j={j}]")
-            for family, j, quads in G6_AUX_FAMILIES:
-                for quad in quads:
-                    add(j, _cross_ratio_log_row(pcs, j, *quad),
-                        f"clc_{family}{quad[2]}[j={j}]")
+            families += [(f"clc_phi{h}", _cross_ratio_log_row(pcs, *quad), directions)
+                         for h, quad in G6_PHI_INDICES.items()]
+            families += [(f"clc_{family}{quad[2]}", _cross_ratio_log_row(pcs, *quad), (j,))
+                         for family, j, quads in G6_AUX_FAMILIES for quad in quads]
         else:
             raise DomainError("clc rows are defined for g = 4 and g = 6")
+    rows = [(f"{prefix}[j={j}]", j, coeffs) for prefix, coeffs, js in families for j in js]
 
-    matrix = np.array(rows) if rows else np.zeros((0, len(labels)))
-    return DerivativeSystem(g, labels, matrix, tuple(names),
+    free = np.array([[i != j and (j, i) not in assumed_zero for i in directions]
+                     for j in directions])
+    grid = np.zeros((len(rows), g, g))
+    for k, (_, j, coeffs) in enumerate(rows):
+        grid[k, j - 1] = coeffs
+    labels = tuple(map(tuple, (np.argwhere(free) + 1).tolist()))
+    return DerivativeSystem(g, labels, grid[:, free], tuple(name for name, _, _ in rows),
                             {"pcs": pcs, "m1": m1, "m2": m2,
                              "constraints": frozenset(constraints)},
                             assumed_zero)
@@ -211,24 +199,13 @@ def kernel_analysis(sys: DerivativeSystem) -> KernelAnalysis:
     return KernelAnalysis(n - rank, basis, s, warnings)
 
 
-def _g6_uvw(pcs):
-    lam, mu, sig = float(pcs[0]), float(pcs[1]), float(pcs[4])
-    pcs = [float(v) for v in pcs]
-    u = {h: (lam - pcs[h - 1]) / ((pcs[h - 1] - mu) * (lam - mu)) for h in (3, 4, 6)}
-    v = {h: (pcs[h - 1] - lam) / ((lam - sig) * (pcs[h - 1] - sig)) for h in (3, 4, 6)}
-    w = {h: (sig - mu) / ((pcs[h - 1] - sig) * (pcs[h - 1] - mu)) for h in (3, 4, 6)}
-    return u, v, w
-
-
 def sign_certificates(g: int, pcs) -> list[SignCertificate]:
     """Evaluate the named coefficient expressions whose signs the kernel arguments use."""
     pcs = np.asarray(pcs, dtype=float)
-    if not np.all(np.diff(pcs) < 0):
-        raise DomainError("principal curvatures must be strictly decreasing")
-    certs: list[SignCertificate] = []
+    _require_decreasing(pcs)
     if g == 4:
         lam, mu, nu, tau = (float(v) for v in pcs)
-        certs += [
+        return [
             SignCertificate("g4_d23_ratio", (tau - mu) / (nu - mu), POSITIVE),
             SignCertificate("g4_d24_ratio", (nu - lam) / (lam - tau), NEGATIVE),
             SignCertificate("g4_d42_ratio", (lam - nu) / (lam - mu), POSITIVE),
@@ -236,60 +213,48 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
             SignCertificate("g4_one_minus_ratio_sq",
                             1.0 - ((nu - mu) / (nu - tau)) ** 2, POSITIVE),
         ]
-        return certs
     if g != 6:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
-    lam, mu, nu, rho, sig, tau = (float(v) for v in pcs)
-    u, v, w = _g6_uvw(pcs)
-    certs += [
-        SignCertificate("g6_v3", v[3], NEGATIVE),
-        SignCertificate("g6_v4", v[4], NEGATIVE),
-        SignCertificate("g6_v6", v[6], POSITIVE),
-        SignCertificate("g6_w3", w[3], POSITIVE),
-        SignCertificate("g6_w4", w[4], POSITIVE),
-        SignCertificate("g6_w6", w[6], NEGATIVE),
-        SignCertificate("g6_one_minus_v_over_w",
-                        1.0 - v[3] / w[3] - v[4] / w[4] - v[6] / w[6], POSITIVE),
-    ]
-    # Lie-curvature ratio constants of the elimination families
-    certs += [
-        SignCertificate("g6_psi_check_ratio_mu",
-                        (lam - rho) * (nu - mu) / ((lam - mu) * (nu - rho)), NEGATIVE),
-        SignCertificate("g6_psi_check_ratio_sigma",
-                        (lam - rho) * (nu - sig) / ((lam - sig) * (nu - rho)), POSITIVE),
-        SignCertificate("g6_psi_check_ratio_tau",
-                        (lam - rho) * (nu - tau) / ((lam - tau) * (nu - rho)), POSITIVE),
-        SignCertificate("g6_psi_bar_ratio_mu",
-                        (lam - nu) * (rho - mu) / ((lam - mu) * (rho - nu)), POSITIVE),
-        SignCertificate("g6_psi_bar_ratio_sigma",
-                        (lam - nu) * (rho - sig) / ((lam - sig) * (rho - nu)), NEGATIVE),
-        SignCertificate("g6_psi_bar_ratio_tau",
-                        (lam - nu) * (rho - tau) / ((lam - tau) * (rho - nu)), NEGATIVE),
-    ]
-    denom2 = (lam - rho) * (nu - rho)
-    step2 = 1.0 + ((lam - mu) * (nu - mu) + (lam - sig) * (nu - sig)
-                   + (lam - tau) * (nu - tau)) / denom2
-    denom3 = (lam - nu) * (rho - nu)
-    step3 = 1.0 + ((lam - mu) * (rho - mu) + (lam - sig) * (rho - sig)
-                   + (lam - tau) * (rho - tau)) / denom3
-    denom4 = (lam - nu) * (tau - nu)
-    step4 = 1.0 + ((lam - mu) * (tau - mu) + (lam - rho) * (tau - rho)
-                   + (lam - sig) * (tau - sig)) / denom4
-    denom5 = (lam - mu) * (sig - mu)
-    step5 = 1.0 + ((lam - nu) * (sig - nu) + (lam - rho) * (sig - rho)
-                   + (lam - tau) * (sig - tau)) / denom5
-    certs += [
-        SignCertificate("g6_step2_coefficient", step2, POSITIVE),
-        SignCertificate("g6_step3_coefficient", step3, NEGATIVE),
-        SignCertificate("g6_step4_coefficient", step4, POSITIVE),
-        SignCertificate("g6_d5_linear_coefficient", step5, NEGATIVE),
-    ]
-    for name, h in (("mu", mu), ("nu", nu), ("rho", rho)):
-        certs.append(SignCertificate(f"g6_d5_obstruction_term_{name}",
-                                     (h - tau) * (lam - h) * (sig - h), NEGATIVE))
+    lam, mu, nu, rho, sig, tau = curv = [float(v) for v in pcs]
+    # v_h and w_h of the Phi_h families, h = 3, 4, 6
+    v = {h: (curv[h - 1] - lam) / ((lam - sig) * (curv[h - 1] - sig)) for h in (3, 4, 6)}
+    w = {h: (sig - mu) / ((curv[h - 1] - sig) * (curv[h - 1] - mu)) for h in (3, 4, 6)}
+    certs = [SignCertificate(f"g6_{name}{h}", values[h], claim)
+             for name, values, claims in (("v", v, (NEGATIVE, NEGATIVE, POSITIVE)),
+                                          ("w", w, (POSITIVE, POSITIVE, NEGATIVE)))
+             for h, claim in zip((3, 4, 6), claims)]
+    certs.append(SignCertificate("g6_one_minus_v_over_w",
+                                 1.0 - v[3] / w[3] - v[4] / w[4] - v[6] / w[6], POSITIVE))
+
+    def ratio(a, b, c):
+        """Lie-curvature ratio constant (lam - a)(b - c) / ((lam - c)(b - a)) of a family."""
+        return (lam - a) * (b - c) / ((lam - c) * (b - a))
+
+    certs += [SignCertificate(f"g6_{family}_ratio_{name}", ratio(a, b, c), claim)
+              for family, a, b, claims in (("psi_check", rho, nu, (NEGATIVE, POSITIVE, POSITIVE)),
+                                           ("psi_bar", nu, rho, (POSITIVE, NEGATIVE, NEGATIVE)))
+              for (name, c), claim in zip((("mu", mu), ("sigma", sig), ("tau", tau)), claims)]
+
+    def step(b, c):
+        """1 + sum of (lam - x)(b - x) / ((lam - c)(b - c)) over the three other curvatures x."""
+        t1, t2, t3 = ((lam - x) * (b - x) for x in curv[1:] if x not in (b, c))
+        return 1.0 + (t1 + t2 + t3) / ((lam - c) * (b - c))
+
+    certs += [SignCertificate("g6_step2_coefficient", step(nu, rho), POSITIVE),
+              SignCertificate("g6_step3_coefficient", step(rho, nu), NEGATIVE),
+              SignCertificate("g6_step4_coefficient", step(tau, nu), POSITIVE),
+              SignCertificate("g6_d5_linear_coefficient", step(sig, mu), NEGATIVE)]
+    certs += [SignCertificate(f"g6_d5_obstruction_term_{name}", float(term), NEGATIVE)
+              for name, term in zip(("mu", "nu", "rho"), _d5_terms(pcs))]
     certs.append(SignCertificate("g6_d5_obstruction_total", float(g6_d5_obstruction(pcs)),
                                  NEGATIVE))
     return certs
+
+
+def _d5_terms(pcs):
+    """(h - tau)(lambda - h)(sigma - h) for h = mu, nu, rho, over the last axis of pcs."""
+    lam, h, sig, tau = pcs[..., :1], pcs[..., 1:4], pcs[..., 4:5], pcs[..., 5:]
+    return (h - tau) * (lam - h) * (sig - h)
 
 
 def g6_d5_obstruction(pcs):
@@ -300,8 +265,7 @@ def g6_d5_obstruction(pcs):
     pcs = np.asarray(pcs, dtype=float)
     if pcs.shape[-1:] != (6,) or not np.all(np.diff(pcs) < 0):
         raise DomainError("need a strictly decreasing sextuple")
-    lam, h, sig, tau = pcs[..., :1], pcs[..., 1:4], pcs[..., 4:5], pcs[..., 5:]
-    terms = (h - tau) * (lam - h) * (sig - h)
+    terms = _d5_terms(pcs)
     if np.any(terms >= 0):
         raise InconsistentData("obstruction term not negative; input not admissible")
     t_mu, t_nu, t_rho = np.moveaxis(terms, -1, 0)

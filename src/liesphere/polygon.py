@@ -267,13 +267,13 @@ class LinkReport:
 def link_check(poly: GeodesicPolygon, tol: float = LINK_TOL) -> LinkReport:
     """Residuals |cot theta^t_i - cot theta^s_i| of every leaf pairing."""
     cot = poly.curvatures()
-    residuals = {}
-    for t in range(1, 2 * poly.g + 1):
-        for i in range(1, poly.g + 1):
-            s = link_partner(poly.g, t, i)
-            if s < t:
-                continue
-            residuals[(t, i, s)] = abs(cot[t - 1, i - 1] - cot[s - 1, i - 1])
+    t, i = np.arange(1, 2 * poly.g + 1)[:, None], np.arange(1, poly.g + 1)
+    s = link_partner(poly.g, t, i)
+    gaps = np.abs(cot - cot[s - 1, i - 1])
+    first = s >= t  # each pairing once, from its lower vertex
+    t, i = np.broadcast_arrays(t, i)
+    residuals = dict(zip(zip(t[first].tolist(), i[first].tolist(), s[first].tolist()),
+                         gaps[first].tolist()))
     worst = max(residuals.values())
     return LinkReport(worst <= tol, worst, residuals)
 

@@ -20,6 +20,7 @@ case_id so output is independent of scheduling.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -293,22 +294,46 @@ def _suite_dji_kernels(seed: int, tol: float | None):
         yield (name, {"unknowns": len(system.unknown_labels), "rows": system.rows.shape[0]},
                float(analysis.dimension), 0.5)
         yield name + "_stability", {}, 0.0 if stable else 1.0, 0.5
-    pcs6 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(6, 1, 1, 0.0))
-    free = dji.build_system(6, pcs6, 1, 1, (), frozenset())
-    yield ("dji_kernels/no_constraints_full_kernel", {"unknowns": len(free.unknown_labels)},
-           abs(dji.kernel_analysis(free).dimension - len(free.unknown_labels)), 0.5)
-    counted = dji.build_system(6, pcs6, 1, 1, ("cmc",), dji.critical_point_pinning(6))
-    yield ("dji_kernels/g6_unknown_count_18",
-           {"unknowns": len(counted.unknown_labels), "cmc_rows": counted.rows.shape[0]},
-           abs((len(counted.unknown_labels) - counted.rows.shape[0]) - 18), 0.5)
-    pcs4 = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.0))
-    cmc_only = dji.build_system(4, pcs4, 1, 1, ("cmc",), dji.critical_point_pinning(4))
-    dim = dji.kernel_analysis(cmc_only).dimension
-    # the mean-curvature rows alone leave derivatives free: the csc/clc rows are needed
-    yield ("dji_kernels/g4_cmc_only_kernel_positive", {"kernel_dim": dim},
-           0.0 if dim > 0 else 1.0, 0.5)
-    cmc_rank = int(np.linalg.matrix_rank(counted.rows, tol=1e-9))
-    yield "dji_kernels/g6_cmc_rows_independent", {"rank": cmc_rank}, abs(cmc_rank - 6), 0.5
+
+    # the cases below share these, so each is made once
+    @functools.cache
+    def family_pcs(g):
+        return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
+
+    @functools.cache
+    def cmc_system(g):
+        return dji.build_system(g, family_pcs(g), 1, 1, ("cmc",), dji.critical_point_pinning(g))
+
+    def full_kernel():
+        free = dji.build_system(6, family_pcs(6), 1, 1, (), frozenset())
+        unknowns = len(free.unknown_labels)
+        return {"unknowns": unknowns}, abs(dji.kernel_analysis(free).dimension - unknowns)
+
+    def unknown_count():
+        counted = cmc_system(6)
+        return ({"unknowns": len(counted.unknown_labels), "cmc_rows": counted.rows.shape[0]},
+                abs((len(counted.unknown_labels) - counted.rows.shape[0]) - 18))
+
+    def cmc_only_kernel():
+        # the mean-curvature rows alone leave derivatives free: the csc/clc rows are needed
+        dim = dji.kernel_analysis(cmc_system(4)).dimension
+        return {"kernel_dim": dim}, 0.0 if dim > 0 else 1.0
+
+    def cmc_rank():
+        rank = int(np.linalg.matrix_rank(cmc_system(6).rows, tol=1e-9))
+        return {"rank": rank}, abs(rank - 6)
+
+    # each case is contained on its own: a raise is the error record of that case only
+    for name, compute in (("no_constraints_full_kernel", full_kernel),
+                          ("g6_unknown_count_18", unknown_count),
+                          ("g4_cmc_only_kernel_positive", cmc_only_kernel),
+                          ("g6_cmc_rows_independent", cmc_rank)):
+        try:
+            params, residual = compute()
+        except Exception as exc:  # noqa: BLE001 - one bad case is one error record
+            yield f"dji_kernels/{name}", {}, exc, 0.5
+            continue
+        yield f"dji_kernels/{name}", params, residual, 0.5
 
 
 def _certificate_margin(tol: float | None) -> float:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from liesphere import report
-from liesphere.dji import (build_system, critical_point_pinning, g6_d5_obstruction,
+from liesphere.dji import (G6_AUX_FAMILIES, G6_PHI_INDICES, NEGATIVE, POSITIVE,
+                           DerivativeSystem, SignCertificate, _cross_ratio_log_row,
+                           build_system, critical_point_pinning, g6_d5_obstruction,
                            kernel_analysis, recover_pair, sign_certificates)
 from liesphere.errors import DomainError, InconsistentData
 from liesphere.isoparam import (IsoparametricFamily, mean_curvature, multiplicity_vector,
@@ -266,3 +268,269 @@ def test_d5_obstruction_always_negative():
             continue
         assert g6_d5_obstruction(sample) < 0
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# references: build_system, _cross_ratio_log_row, sign_certificates and _g6_uvw
+# as they were written before the rows went through one grid and each
+# certificate formula was written once; the library must match them bit for bit
+# ---------------------------------------------------------------------------
+
+def _ref_cross_ratio_log_row(pcs, j, ia, ib, ic, id_):
+    la, lb, lc, ld = pcs[ia - 1], pcs[ib - 1], pcs[ic - 1], pcs[id_ - 1]
+    co: dict[int, float] = {}
+
+    def acc(i, val):
+        co[i] = co.get(i, 0.0) + val
+
+    acc(ia, 1.0 / (la - lb))
+    acc(ib, -1.0 / (la - lb))
+    acc(ic, 1.0 / (lc - ld))
+    acc(id_, -1.0 / (lc - ld))
+    acc(ia, -1.0 / (la - ld))
+    acc(id_, 1.0 / (la - ld))
+    acc(ic, -1.0 / (lc - lb))
+    acc(ib, 1.0 / (lc - lb))
+    return co
+
+
+def _ref_build_system(g, pcs, m1, m2, constraints, assumed_zero=frozenset()):
+    pcs = np.asarray(pcs, dtype=float)
+    if len(pcs) != g:
+        raise ValueError("need g principal curvatures")
+    if not np.all(np.diff(pcs) < 0):
+        raise DomainError("principal curvatures must be strictly decreasing")
+    constraints = set(constraints)
+    unknown = set(constraints) - {"cmc", "csc", "clc"}
+    if unknown:
+        raise ValueError(f"unknown constraints {sorted(unknown)}")
+    assumed_zero = frozenset(assumed_zero)
+    labels = tuple((j, i) for j in range(1, g + 1) for i in range(1, g + 1)
+                   if i != j and (j, i) not in assumed_zero)
+    index = {lab: k for k, lab in enumerate(labels)}
+    mult = multiplicity_vector(g, m1, m2)
+    if g in (1, 3, 6):
+        mult = np.ones(g)
+
+    rows: list[np.ndarray] = []
+    names: list[str] = []
+
+    def add(j, coeffs, name):
+        row = np.zeros(len(labels))
+        for i, val in coeffs.items():
+            if i != j and (j, i) not in assumed_zero:
+                row[index[(j, i)]] = val
+        rows.append(row)
+        names.append(name)
+
+    if "cmc" in constraints:
+        for j in range(1, g + 1):
+            add(j, {i: mult[i - 1] for i in range(1, g + 1)}, f"cmc[j={j}]")
+    if "csc" in constraints:
+        for j in range(1, g + 1):
+            add(j, {i: mult[i - 1] * pcs[i - 1] for i in range(1, g + 1)}, f"csc[j={j}]")
+    if "clc" in constraints:
+        if g == 4:
+            for j in range(1, 5):
+                add(j, _ref_cross_ratio_log_row(pcs, j, 1, 2, 3, 4), f"clc_phi[j={j}]")
+        elif g == 6:
+            for h, quad in G6_PHI_INDICES.items():
+                for j in range(1, 7):
+                    add(j, _ref_cross_ratio_log_row(pcs, j, *quad), f"clc_phi{h}[j={j}]")
+            for family, j, quads in G6_AUX_FAMILIES:
+                for quad in quads:
+                    add(j, _ref_cross_ratio_log_row(pcs, j, *quad),
+                        f"clc_{family}{quad[2]}[j={j}]")
+        else:
+            raise DomainError("clc rows are defined for g = 4 and g = 6")
+
+    matrix = np.array(rows) if rows else np.zeros((0, len(labels)))
+    return DerivativeSystem(g, labels, matrix, tuple(names),
+                            {"pcs": pcs, "m1": m1, "m2": m2,
+                             "constraints": frozenset(constraints)},
+                            assumed_zero)
+
+
+def _ref_g6_uvw(pcs):
+    lam, mu, sig = float(pcs[0]), float(pcs[1]), float(pcs[4])
+    pcs = [float(v) for v in pcs]
+    u = {h: (lam - pcs[h - 1]) / ((pcs[h - 1] - mu) * (lam - mu)) for h in (3, 4, 6)}
+    v = {h: (pcs[h - 1] - lam) / ((lam - sig) * (pcs[h - 1] - sig)) for h in (3, 4, 6)}
+    w = {h: (sig - mu) / ((pcs[h - 1] - sig) * (pcs[h - 1] - mu)) for h in (3, 4, 6)}
+    return u, v, w
+
+
+def _ref_sign_certificates(g, pcs):
+    pcs = np.asarray(pcs, dtype=float)
+    if not np.all(np.diff(pcs) < 0):
+        raise DomainError("principal curvatures must be strictly decreasing")
+    certs: list[SignCertificate] = []
+    if g == 4:
+        lam, mu, nu, tau = (float(v) for v in pcs)
+        certs += [
+            SignCertificate("g4_d23_ratio", (tau - mu) / (nu - mu), POSITIVE),
+            SignCertificate("g4_d24_ratio", (nu - lam) / (lam - tau), NEGATIVE),
+            SignCertificate("g4_d42_ratio", (lam - nu) / (lam - mu), POSITIVE),
+            SignCertificate("g4_d43_ratio", (tau - mu) / (nu - tau), NEGATIVE),
+            SignCertificate("g4_one_minus_ratio_sq",
+                            1.0 - ((nu - mu) / (nu - tau)) ** 2, POSITIVE),
+        ]
+        return certs
+    if g != 6:
+        raise DomainError("sign certificates are defined for g = 4 and g = 6")
+    lam, mu, nu, rho, sig, tau = (float(v) for v in pcs)
+    u, v, w = _ref_g6_uvw(pcs)
+    certs += [
+        SignCertificate("g6_v3", v[3], NEGATIVE),
+        SignCertificate("g6_v4", v[4], NEGATIVE),
+        SignCertificate("g6_v6", v[6], POSITIVE),
+        SignCertificate("g6_w3", w[3], POSITIVE),
+        SignCertificate("g6_w4", w[4], POSITIVE),
+        SignCertificate("g6_w6", w[6], NEGATIVE),
+        SignCertificate("g6_one_minus_v_over_w",
+                        1.0 - v[3] / w[3] - v[4] / w[4] - v[6] / w[6], POSITIVE),
+    ]
+    certs += [
+        SignCertificate("g6_psi_check_ratio_mu",
+                        (lam - rho) * (nu - mu) / ((lam - mu) * (nu - rho)), NEGATIVE),
+        SignCertificate("g6_psi_check_ratio_sigma",
+                        (lam - rho) * (nu - sig) / ((lam - sig) * (nu - rho)), POSITIVE),
+        SignCertificate("g6_psi_check_ratio_tau",
+                        (lam - rho) * (nu - tau) / ((lam - tau) * (nu - rho)), POSITIVE),
+        SignCertificate("g6_psi_bar_ratio_mu",
+                        (lam - nu) * (rho - mu) / ((lam - mu) * (rho - nu)), POSITIVE),
+        SignCertificate("g6_psi_bar_ratio_sigma",
+                        (lam - nu) * (rho - sig) / ((lam - sig) * (rho - nu)), NEGATIVE),
+        SignCertificate("g6_psi_bar_ratio_tau",
+                        (lam - nu) * (rho - tau) / ((lam - tau) * (rho - nu)), NEGATIVE),
+    ]
+    denom2 = (lam - rho) * (nu - rho)
+    step2 = 1.0 + ((lam - mu) * (nu - mu) + (lam - sig) * (nu - sig)
+                   + (lam - tau) * (nu - tau)) / denom2
+    denom3 = (lam - nu) * (rho - nu)
+    step3 = 1.0 + ((lam - mu) * (rho - mu) + (lam - sig) * (rho - sig)
+                   + (lam - tau) * (rho - tau)) / denom3
+    denom4 = (lam - nu) * (tau - nu)
+    step4 = 1.0 + ((lam - mu) * (tau - mu) + (lam - rho) * (tau - rho)
+                   + (lam - sig) * (tau - sig)) / denom4
+    denom5 = (lam - mu) * (sig - mu)
+    step5 = 1.0 + ((lam - nu) * (sig - nu) + (lam - rho) * (sig - rho)
+                   + (lam - tau) * (sig - tau)) / denom5
+    certs += [
+        SignCertificate("g6_step2_coefficient", step2, POSITIVE),
+        SignCertificate("g6_step3_coefficient", step3, NEGATIVE),
+        SignCertificate("g6_step4_coefficient", step4, POSITIVE),
+        SignCertificate("g6_d5_linear_coefficient", step5, NEGATIVE),
+    ]
+    for name, h in (("mu", mu), ("nu", nu), ("rho", rho)):
+        certs.append(SignCertificate(f"g6_d5_obstruction_term_{name}",
+                                     (h - tau) * (lam - h) * (sig - h), NEGATIVE))
+    certs.append(SignCertificate("g6_d5_obstruction_total", float(g6_d5_obstruction(pcs)),
+                                 NEGATIVE))
+    return certs
+
+
+_REF_MULTIPLICITIES = {2: ((1, 1), (1, 2), (3, 2)), 3: ((1, 1), (2, 2), (4, 4)),
+                       4: ((1, 1), (2, 2), (4, 5), (1, 2)), 6: ((1, 1), (2, 2))}
+_REF_CONSTRAINTS = tuple(tuple(c for c, on in zip(("cmc", "csc", "clc"), bits) if on)
+                         for bits in np.ndindex(2, 2, 2))
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the comparison covers every raise
+        return type(exc), str(exc)
+
+
+def _assert_same_system(new, ref):
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert new.g == ref.g and new.assumed_zero == ref.assumed_zero
+    assert new.unknown_labels == ref.unknown_labels
+    assert new.row_labels == ref.row_labels
+    assert new.rows.shape == ref.rows.shape and np.array_equal(new.rows, ref.rows)
+    assert new.rows.tobytes() == ref.rows.tobytes()
+
+
+def _assert_same_certificates(new, ref):
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert [(c.name, c.claimed_sign) for c in new] == [(c.name, c.claimed_sign) for c in ref]
+    assert ([float(c.expression_value).hex() for c in new]
+            == [float(c.expression_value).hex() for c in ref])
+
+
+def _systems_agree(g, pcs, m1, m2):
+    for constraints in _REF_CONSTRAINTS:
+        for pinned in (frozenset(), critical_point_pinning(g)):
+            args = (g, pcs, m1, m2, constraints, pinned)
+            _assert_same_system(_outcome(build_system, *args), _outcome(_ref_build_system, *args))
+
+
+@pytest.mark.parametrize("g", sorted(_REF_MULTIPLICITIES))
+def test_build_system_and_certificates_match_reference_over_family(g):
+    thetas = np.linspace(-1.0, 1.0, 43)[1:-1] * (math.pi / (2 * g))
+    for m1, m2 in _REF_MULTIPLICITIES[g]:
+        for pcs in principal_curvatures(IsoparametricFamily(g, m1, m2, thetas)):
+            _systems_agree(g, pcs, m1, m2)
+            _assert_same_certificates(_outcome(sign_certificates, g, pcs),
+                                      _outcome(_ref_sign_certificates, g, pcs))
+
+
+@pytest.mark.parametrize("g", sorted(_REF_MULTIPLICITIES))
+def test_build_system_and_certificates_match_reference_on_random_tuples(g):
+    tuples = np.sort(np.random.default_rng(150 + g).uniform(-8.0, 8.0, (1000, g)))[:, ::-1]
+    for pcs in tuples[:60]:
+        for m1, m2 in _REF_MULTIPLICITIES[g][:2]:
+            _systems_agree(g, pcs, m1, m2)
+    for pcs in tuples:
+        _assert_same_certificates(_outcome(sign_certificates, g, pcs),
+                                  _outcome(_ref_sign_certificates, g, pcs))
+
+
+def test_cross_ratio_row_matches_reference():
+    pcs = np.sort(np.random.default_rng(15).uniform(-8.0, 8.0, (200, 6)))[:, ::-1]
+    quads = (*G6_PHI_INDICES.values(), *(q for _, _, qs in G6_AUX_FAMILIES for q in qs))
+    for row in pcs:
+        for quad in quads:
+            ref = _ref_cross_ratio_log_row(row, 1, *quad)
+            expected = np.zeros(6)
+            expected[[i - 1 for i in ref]] = list(ref.values())
+            assert _cross_ratio_log_row(row, *quad).tobytes() == expected.tobytes()
+
+
+_PCS4 = (3.0, 1.0, -1.0, -3.0)
+
+
+@pytest.mark.parametrize("args, raised", (
+    # a wrong length is named before the ordering
+    ((4, (1.0, 2.0, 3.0), 1, 1, ("cmc",)), (ValueError, "need g principal curvatures")),
+    # an unordered tuple is named before an unknown constraint
+    ((4, (1.0, 3.0, -1.0, -3.0), 1, 1, ("cmc", "xyz")),
+     (DomainError, "principal curvatures must be strictly decreasing")),
+    # an unknown constraint is named before a bad multiplicity
+    ((4, _PCS4, 0, 1, ("xyz", "cmc")), (ValueError, "unknown constraints ['xyz']")),
+    # clc has no rows at g = 3; a bad multiplicity there is named first
+    ((3, (2.0, 0.0, -2.0), 1, 1, ("cmc", "clc")),
+     (DomainError, "clc rows are defined for g = 4 and g = 6")),
+    ((3, (2.0, 0.0, -2.0), 1, 2, ("clc",)),
+     (DomainError, "g = 3 forces a common multiplicity")),
+))
+def test_build_system_raises_as_reference(args, raised):
+    assert _outcome(build_system, *args) == raised
+    assert _outcome(_ref_build_system, *args) == raised
+
+
+@pytest.mark.parametrize("g, pcs, raised", (
+    (3, (2.0, 0.0, -2.0), (DomainError, "sign certificates are defined for g = 4 and g = 6")),
+    (3, (0.0, 2.0, -2.0), (DomainError, "principal curvatures must be strictly decreasing")),
+    (6, (3e-160, 2e-160, 1e-160, 0.0, -1e-160, -2e-160),
+     (InconsistentData, "obstruction term not negative; input not admissible")),
+))
+def test_sign_certificates_raise_as_reference(g, pcs, raised):
+    assert _outcome(sign_certificates, g, pcs) == raised
+    assert _outcome(_ref_sign_certificates, g, pcs) == raised

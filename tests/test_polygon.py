@@ -230,6 +230,34 @@ def test_link_check_detects_mismatched_base_radii():
     assert not report.ok
 
 
+def _link_residuals_reference(poly):
+    """The per-pairing loop that link_check broadcasts, kept as the reference."""
+    cot = poly.curvatures()
+    residuals = {}
+    for t in range(1, 2 * poly.g + 1):
+        for i in range(1, poly.g + 1):
+            s = link_partner(poly.g, t, i)
+            if s < t:
+                continue
+            residuals[(t, i, s)] = abs(cot[t - 1, i - 1] - cot[s - 1, i - 1])
+    return residuals
+
+
+def test_link_check_residuals_equal_the_pairing_loop():
+    perturbed = build_parallel_polygon(4, 0.0)
+    table = perturbed.radius_table.copy()
+    table[0, 1] += 0.01
+    polygons = [build_parallel_polygon(g, theta) for g in (3, 4, 6) for theta in (-0.1, 0.0, 0.07)]
+    polygons += [GeodesicPolygon(4, perturbed.vertex_angles, table),
+                 angle_table(4, AngleGaps.regular(4), 0.35, 0.349)]
+    for poly in polygons:
+        residuals = link_check(poly).residuals
+        expected = _link_residuals_reference(poly)
+        assert list(residuals) == list(expected)
+        assert [float(v).hex() for v in residuals.values()] == [
+            float(v).hex() for v in expected.values()]
+
+
 def test_is_parallel_verdicts():
     assert is_parallel(build_parallel_polygon(6, 0.05))
     assert is_parallel(build_parallel_polygon(6, 0.0))

@@ -228,6 +228,44 @@ def test_failed_kernel_system_is_an_error_for_its_two_cases(monkeypatch):
     assert len(cases) == 18 and {c.status for c in cases if c not in errors} == {"pass"}
 
 
+_TRAILING_KERNEL_FAILURES = {
+    # kernel_analysis of the unconstrained g = 6 system
+    "free_kernel": (dji, "kernel_analysis", lambda system: system.rows.shape[0] == 0,
+                    ("dji_kernels/no_constraints_full_kernel",)),
+    # kernel_analysis of the g = 4 system with the cmc rows alone
+    "cmc_only_kernel": (dji, "kernel_analysis",
+                        lambda system: system.context["constraints"] == {"cmc"},
+                        ("dji_kernels/g4_cmc_only_kernel_positive",)),
+    # the g = 6 cmc-only system, which two cases share
+    "cmc_system": (dji, "build_system", lambda g, pcs, m1, m2, constraints, *rest:
+                   (g, tuple(constraints)) == (6, ("cmc",)),
+                   ("dji_kernels/g6_cmc_rows_independent", "dji_kernels/g6_unknown_count_18")),
+    "cmc_rank": (np.linalg, "matrix_rank", lambda *args, **kwargs: True,
+                 ("dji_kernels/g6_cmc_rows_independent",)),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_TRAILING_KERNEL_FAILURES))
+def test_failed_trailing_kernel_case_is_an_error_of_its_own(monkeypatch, failure):
+    module, function, raises_for, expected = _TRAILING_KERNEL_FAILURES[failure]
+    original = getattr(module, function)
+
+    def failing(*args, **kwargs):
+        if raises_for(*args, **kwargs):
+            raise DomainError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, failing)
+    cases = run_suite("dji_kernels", seed=0)
+    errors = tuple(c.case_id for c in cases if c.status == "error")
+    assert errors == expected
+    assert all(c.params["error"] == "DomainError: injected" for c in cases
+               if c.status == "error")
+    # the other cases still run and pass, and the suite is not aborted
+    assert len(cases) == 18 and {c.status for c in cases if c.case_id not in errors} == {"pass"}
+    assert not any(c.case_id.endswith("/aborted") for c in cases)
+
+
 def test_psi_route_disagreement_fails_psi_triple(monkeypatch):
     # the closed-form/cross-ratio agreement of psi_values is judged by one case
     monkeypatch.setattr(polygon, "cross_ratio", lambda *z: quadric.cross_ratio(*z) + 1e-6)

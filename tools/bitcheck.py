@@ -10,11 +10,16 @@ constraint_search(4, ("cmc", "csc"), 25, 0)) with each survivor's gaps,
 theta1, residual and parallel verdict, and run_suite("all", s) for
 s = 0-3 without runtime_ms, and the sha256 of the bytes that emit_report
 writes for each seed's report in JSON and in CSV, with every runtime_ms
-set to 0. Floats are written as float.hex, so equal dumps mean equal
-bits. `diff` prints every entry in which two dumps differ and exits 1 if
-any does, 0 if none; a part that one dump lacks (dumps of earlier
-versions have no report hashes) is named and not compared. Nothing under
-benchmarks/ is written.
+set to 0, and the derivative systems of the dji layer: the rows,
+unknown_labels and row_labels of every system the dji_kernels suite builds
+(each report._KERNEL_SYSTEMS entry at its curvatures and at the perturbed
+ones, the unconstrained g = 6 system and the cmc-only g = 6 and g = 4
+systems), and every sign_certificates value at the suite's curvatures.
+Floats are written as float.hex, so equal dumps mean equal bits. `diff`
+prints every entry in which two dumps differ and exits 1 if any does, 0 if
+none; a part that one dump lacks (dumps of earlier versions have no report
+hashes or systems) is named and not compared. Nothing under benchmarks/ is
+written.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 SUITE_SEEDS = (0, 1, 2, 3)
-PARTS = ("searches", "suites", "report_sha256")
+PARTS = ("searches", "suites", "report_sha256", "systems")
 REPORT_FORMATS = ("json", "csv")
 
 
@@ -40,6 +45,38 @@ def _search_args(key: str):
     """(g, constraints, grid, seed) of a refs.json search key."""
     g, constraints, grid, seed = key.split(":")
     return int(g[1:]), tuple(constraints.split("+")), int(grid[4:]), int(seed[4:])
+
+
+def _system(system) -> dict:
+    return {"rows": [_hex(row) for row in system.rows],
+            "unknown_labels": [list(label) for label in system.unknown_labels],
+            "row_labels": list(system.row_labels)}
+
+
+def dump_systems() -> dict:
+    """The systems that the dji_kernels suite builds and the g = 4, 6 sign certificates."""
+    import numpy as np
+    from liesphere import dji, isoparam, report
+
+    def family_pcs(g, m1=1, m2=1):
+        return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, m1, m2, 0.0))
+
+    systems = {}
+    for g, constraints, m1, m2 in report._KERNEL_SYSTEMS:
+        pcs = family_pcs(g, m1, m2)
+        key = f"kernel:g{g}:{'+'.join(constraints)}:m{m1}{m2}"
+        for suffix, at in (("", pcs), (":perturbed", pcs + 1e-8 * np.arange(1, g + 1))):
+            systems[key + suffix] = _system(dji.build_system(g, at, m1, m2, constraints,
+                                                             dji.critical_point_pinning(g)))
+    systems["free:g6"] = _system(dji.build_system(6, family_pcs(6), 1, 1, (), frozenset()))
+    for g in (6, 4):
+        systems[f"cmc:g{g}"] = _system(dji.build_system(g, family_pcs(g), 1, 1, ("cmc",),
+                                                        dji.critical_point_pinning(g)))
+    for g in (4, 6):
+        systems[f"certificates:g{g}"] = [
+            [cert.name, float(cert.expression_value).hex(), cert.claimed_sign]
+            for cert in dji.sign_certificates(g, family_pcs(g))]
+    return systems
 
 
 def dump(tree: Path) -> dict:
@@ -69,7 +106,8 @@ def dump(tree: Path) -> dict:
                 path = Path(scratch) / f"report.{fmt}"
                 report.emit_report(untimed, str(path), fmt, seed)
                 report_sha256[f"seed{seed}:{fmt}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"searches": searches, "suites": suites, "report_sha256": report_sha256}
+    return {"searches": searches, "suites": suites, "report_sha256": report_sha256,
+            "systems": dump_systems()}
 
 
 def unshared_parts(a: dict, b: dict) -> list:
@@ -109,7 +147,8 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"{args.out}: {len(data['searches'])} searches, "
               f"{sum(map(len, data['searches'].values()))} survivors, "
-              f"{len(data['suites'])} cases, {len(data['report_sha256'])} report hashes")
+              f"{len(data['suites'])} cases, {len(data['report_sha256'])} report hashes, "
+              f"{len(data['systems'])} dji systems and certificate lists")
         return 0
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in (args.first, args.second))
     lines = diff(first, second)
@@ -118,7 +157,8 @@ def main(argv=None) -> int:
     for part in unshared_parts(first, second):
         print(f"{part}: only one dump has this part; not compared")
     print(f"{len(lines)} difference(s) over {len(first['searches'])} searches, "
-          f"{len(first['suites'])} cases and {len(first.get('report_sha256', {}))} report hashes")
+          f"{len(first['suites'])} cases, {len(first.get('report_sha256', {}))} report hashes "
+          f"and {len(first.get('systems', {}))} dji systems and certificate lists")
     return 1 if lines else 0
 
 
