@@ -244,16 +244,15 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
               SignCertificate("g6_step3_coefficient", step(rho, nu), NEGATIVE),
               SignCertificate("g6_step4_coefficient", step(tau, nu), POSITIVE),
               SignCertificate("g6_d5_linear_coefficient", step(sig, mu), NEGATIVE)]
-    certs += [SignCertificate(f"g6_d5_obstruction_term_{name}", float(term), NEGATIVE)
-              for name, term in zip(("mu", "nu", "rho"), _d5_terms(pcs))]
+    certs += [SignCertificate(f"g6_d5_obstruction_term_{name}", _d5_term(lam, h, sig, tau),
+                              NEGATIVE) for name, h in (("mu", mu), ("nu", nu), ("rho", rho))]
     certs.append(SignCertificate("g6_d5_obstruction_total", float(g6_d5_obstruction(pcs)),
                                  NEGATIVE))
     return certs
 
 
-def _d5_terms(pcs):
-    """(h - tau)(lambda - h)(sigma - h) for h = mu, nu, rho, over the last axis of pcs."""
-    lam, h, sig, tau = pcs[..., :1], pcs[..., 1:4], pcs[..., 4:5], pcs[..., 5:]
+def _d5_term(lam, h, sig, tau):
+    """(h - tau)(lambda - h)(sigma - h), the d5 obstruction term of h; floats or arrays."""
     return (h - tau) * (lam - h) * (sig - h)
 
 
@@ -265,7 +264,7 @@ def g6_d5_obstruction(pcs):
     pcs = np.asarray(pcs, dtype=float)
     if pcs.shape[-1:] != (6,) or not np.all(np.diff(pcs) < 0):
         raise DomainError("need a strictly decreasing sextuple")
-    terms = _d5_terms(pcs)
+    terms = _d5_term(pcs[..., :1], pcs[..., 1:4], pcs[..., 4:5], pcs[..., 5:])
     if np.any(terms >= 0):
         raise InconsistentData("obstruction term not negative; input not admissible")
     t_mu, t_nu, t_rho = np.moveaxis(terms, -1, 0)
