@@ -230,20 +230,22 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
         """Lie-curvature ratio constant (lam - a)(b - c) / ((lam - c)(b - a)) of a family."""
         return (lam - a) * (b - c) / ((lam - c) * (b - a))
 
-    certs += [SignCertificate(f"g6_{family}_ratio_{name}", ratio(a, b, c), claim)
-              for family, a, b, claims in (("psi_check", rho, nu, (NEGATIVE, POSITIVE, POSITIVE)),
-                                           ("psi_bar", nu, rho, (POSITIVE, NEGATIVE, NEGATIVE)))
-              for (name, c), claim in zip((("mu", mu), ("sigma", sig), ("tau", tau)), claims)]
+    certs += [SignCertificate("g6_psi_check_ratio_mu", ratio(rho, nu, mu), NEGATIVE),
+              SignCertificate("g6_psi_check_ratio_sigma", ratio(rho, nu, sig), POSITIVE),
+              SignCertificate("g6_psi_check_ratio_tau", ratio(rho, nu, tau), POSITIVE),
+              SignCertificate("g6_psi_bar_ratio_mu", ratio(nu, rho, mu), POSITIVE),
+              SignCertificate("g6_psi_bar_ratio_sigma", ratio(nu, rho, sig), NEGATIVE),
+              SignCertificate("g6_psi_bar_ratio_tau", ratio(nu, rho, tau), NEGATIVE)]
 
-    def step(b, c):
-        """1 + sum of (lam - x)(b - x) / ((lam - c)(b - c)) over the three other curvatures x."""
-        t1, t2, t3 = ((lam - x) * (b - x) for x in curv[1:] if x not in (b, c))
-        return 1.0 + (t1 + t2 + t3) / ((lam - c) * (b - c))
+    def step(b, c, x1, x2, x3):
+        """1 + sum_x (lam - x)(b - x) / ((lam - c)(b - c)), x the three other curvatures."""
+        return 1.0 + ((lam - x1) * (b - x1) + (lam - x2) * (b - x2)
+                      + (lam - x3) * (b - x3)) / ((lam - c) * (b - c))
 
-    certs += [SignCertificate("g6_step2_coefficient", step(nu, rho), POSITIVE),
-              SignCertificate("g6_step3_coefficient", step(rho, nu), NEGATIVE),
-              SignCertificate("g6_step4_coefficient", step(tau, nu), POSITIVE),
-              SignCertificate("g6_d5_linear_coefficient", step(sig, mu), NEGATIVE)]
+    certs += [SignCertificate("g6_step2_coefficient", step(nu, rho, mu, sig, tau), POSITIVE),
+              SignCertificate("g6_step3_coefficient", step(rho, nu, mu, sig, tau), NEGATIVE),
+              SignCertificate("g6_step4_coefficient", step(tau, nu, mu, rho, sig), POSITIVE),
+              SignCertificate("g6_d5_linear_coefficient", step(sig, mu, nu, rho, tau), NEGATIVE)]
     certs += [SignCertificate(f"g6_d5_obstruction_term_{name}", _d5_term(lam, h, sig, tau),
                               NEGATIVE) for name, h in (("mu", mu), ("nu", nu), ("rho", rho))]
     certs.append(SignCertificate("g6_d5_obstruction_total", float(g6_d5_obstruction(pcs)),
