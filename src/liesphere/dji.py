@@ -107,11 +107,11 @@ def _require_decreasing(pcs):
 def _cross_ratio_log_row(pcs, ia, ib, ic, id_):
     """Coefficients of e_j log[(la-lb)(lc-ld)/((la-ld)(lc-lb))] on d_j1..d_jg, for any j."""
     la, lb, lc, ld = pcs[ia - 1], pcs[ib - 1], pcs[ic - 1], pcs[id_ - 1]
+    ab, cd, ad, cb = 1.0 / (la - lb), 1.0 / (lc - ld), 1.0 / (la - ld), 1.0 / (lc - lb)
     row = np.zeros(len(pcs))
-    quad = [ia - 1, ib - 1, ic - 1, id_ - 1]
-    # the four indices are distinct, so each += adds one term to each entry
-    row[quad] += [1.0 / (la - lb), -1.0 / (la - lb), 1.0 / (lc - ld), -1.0 / (lc - ld)]
-    row[quad] += [-1.0 / (la - ld), 1.0 / (lc - lb), -1.0 / (lc - lb), 1.0 / (la - ld)]
+    for i, term in ((ia, ab), (ib, -ab), (ic, cd), (id_, -cd),
+                    (ia, -ad), (id_, ad), (ic, -cb), (ib, cb)):
+        row[i - 1] += term
     return row
 
 
