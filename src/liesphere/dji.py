@@ -89,9 +89,6 @@ class DerivativeSystem:
     def __post_init__(self):
         if self.rows.size and self.rows.shape[1] != len(self.unknown_labels):
             raise ValueError("row width does not match unknown count")
-        pcs = self.context["pcs"]
-        if not np.all(np.diff(pcs) < 0):
-            raise DomainError("context curvatures must be strictly decreasing")
 
 
 def critical_point_pinning(g: int) -> frozenset:
@@ -203,6 +200,14 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
     """Evaluate the named coefficient expressions whose signs the kernel arguments use."""
     pcs = np.asarray(pcs, dtype=float)
     _require_decreasing(pcs)
+    try:
+        return _certificates(g, pcs)
+    except ZeroDivisionError as exc:  # a g = 6 denominator product, e.g. at gaps near 1e-170
+        raise DomainError(f"a certificate denominator underflows to 0 at curvatures "
+                          f"{pcs.tolist()}") from exc
+
+
+def _certificates(g: int, pcs: np.ndarray) -> list[SignCertificate]:
     if g == 4:
         lam, mu, nu, tau = (float(v) for v in pcs)
         return [

@@ -108,14 +108,14 @@ def _suite_lie_invariance(seed: int, tol: float | None):
     base = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.09))
 
     def invariance_gaps():
-        transforms = random_lie_transform(sig, seed * 100003 + np.arange(1000), 0.5)
+        transforms = random_lie_transform(sig, seed * 100003, 0.5, 1000)
         a, b, c, d = moebius_coefficients(transforms, ce)
         moved = [moebius_curvature(a, b, c, d, ProjectiveCurvature.from_value(v)) for v in base]
         return np.max([abs(lie_curvature(*moved, ordering=o).value
                            - lie_curvature_of_values(base, o).value) for o in ORDERINGS], axis=0)
 
     for k, residual in enumerate(_per_case(1000, invariance_gaps)):
-        yield f"lie_invariance/random_action[{k:04d}]", {"seed_offset": k}, residual, tolerance
+        yield f"lie_invariance/random_action[{k:04d}]", {"draw": k}, residual, tolerance
     # parallel transformation law over a 100 x 100 (theta, xi) grid
     law_tol = tol if tol is not None else 1e-10
     xis = np.linspace(0.05, math.pi - 0.05, 100)
@@ -134,10 +134,10 @@ def _suite_lie_invariance(seed: int, tol: float | None):
         yield (f"lie_invariance/parallel_law[{row:03d}]",
                {"theta": f"{thetas[row]:.6f}", "skipped": int(pole[row].sum())}, residual, law_tol)
 
-    # group sanity: membership and closure over 100 seed pairs
+    # group sanity: membership and closure over 100 pairs, drawn as two stacks
     def closure_gap():
-        l1 = random_lie_transform(sig, seed + np.arange(100), 0.6)
-        l2 = random_lie_transform(sig, seed + 7919 + np.arange(100), 0.6)
+        l1 = random_lie_transform(sig, seed, 0.6, 100)
+        l2 = random_lie_transform(sig, seed + 7919, 0.6, 100)
         return [max(is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1].max(),
                     is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1].max())]
 

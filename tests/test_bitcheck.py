@@ -72,3 +72,48 @@ def test_dump_systems_holds_every_dji_kernels_system_and_certificate():
     certificates = systems["certificates:g4"] + systems["certificates:g6"]
     assert len(certificates) == 26 and all(claim in ("positive", "negative")
                                            for _, _, claim in certificates)
+
+
+def _suites(**cases):
+    """A dump holding only suites entries: key -> (status, residual, tolerance)."""
+    return {"suites": {key: {"status": status, "residual": float(residual).hex(),
+                             "tolerance": float(tolerance).hex(), "params": {}}
+                       for key, (status, residual, tolerance) in cases.items()}}
+
+
+def test_suite_summary_of_a_moved_residual():
+    old = _suites(**{"seed0:s/a[0]": ("pass", 1e-15, 1e-8), "seed1:s/a[1]": ("pass", 2e-15, 1e-8),
+                     "seed0:s/b": ("pass", 1e-12, 1e-8)})
+    new = _suites(**{"seed0:s/a[0]": ("pass", 1e-15, 1e-8), "seed1:s/a[1]": ("pass", 3e-15, 1e-8),
+                     "seed0:s/b": ("pass", 1e-12, 1e-8)})
+    new["suites"]["seed0:s/a[0]"]["params"] = {"draw": "0"}
+    assert bitcheck.suite_summary(old, new) == [
+        "suites s/a: 2 moved (1 in the residual), largest residual move 1e-15, "
+        "largest moved residual/tolerance 3e-07, every status unchanged"]
+
+
+def test_suite_summary_counts_a_status_flip(tmp_path, capsys):
+    old = _suites(**{"seed0:s/a[0]": ("pass", 1e-9, 1e-8), "seed0:s/a[1]": ("pass", 1e-9, 1e-8)})
+    new = _suites(**{"seed0:s/a[0]": ("fail", 2e-8, 1e-8), "seed0:s/a[1]": ("pass", 1e-9, 1e-8)})
+    (line,) = bitcheck.suite_summary(old, new)
+    assert line.startswith("suites s/a: 1 moved (1 in the residual)")
+    assert "largest moved residual/tolerance 2," in line and line.endswith("1 status change(s)")
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps({"searches": {}, **old}), encoding="utf-8")
+    second.write_text(json.dumps({"searches": {}, **new}), encoding="utf-8")
+    assert bitcheck.main(["diff", str(first), str(second)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # the entry line, then the family summary, then the count
+    assert len(out) == 3 and out[0].startswith("suites seed0:s/a[0]: ") and out[1] == line
+
+
+def test_main_prints_no_summary_for_an_unmoved_dump(tmp_path, capsys):
+    cases = _suites(**{"seed0:s/a[0]": ("pass", 1e-15, 1e-8), "seed0:s/b": ("pass", 0.0, 1e-8)})
+    assert bitcheck.suite_summary(cases, cases) == []
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (first, second):
+        path.write_text(json.dumps({"searches": {}, **cases}), encoding="utf-8")
+    assert bitcheck.main(["diff", str(first), str(second)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "0 difference(s) over 0 searches, 2 cases, 0 report hashes "
+        "and 0 dji systems and certificate lists"]

@@ -534,3 +534,14 @@ def test_build_system_raises_as_reference(args, raised):
 def test_sign_certificates_raise_as_reference(g, pcs, raised):
     assert _outcome(sign_certificates, g, pcs) == raised
     assert _outcome(_ref_sign_certificates, g, pcs) == raised
+
+
+def test_sign_certificates_name_an_underflowing_denominator():
+    # gaps near 1e-170: a g = 6 denominator product underflows to 0 in float arithmetic
+    pcs = [3e-170, 2e-170, 1e-170, 0.0, -1e-170, -2e-170]
+    with pytest.raises(DomainError, match=r"underflows to 0 at curvatures \[3e-170, ") as info:
+        sign_certificates(6, pcs)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
+    # the reference copy raises the bare ZeroDivisionError that the message replaces
+    with pytest.raises(ZeroDivisionError):
+        _ref_sign_certificates(6, pcs)

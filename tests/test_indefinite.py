@@ -92,55 +92,58 @@ def test_random_determinism():
     assert np.array_equal(a.matrix, b.matrix)
 
 
-def test_stacked_random_transforms_equal_per_seed_calls():
-    # one _expm over the (k, n, n) stack, bit for bit the k scalar calls
-    seeds = np.arange(1000)
-    stack = random_lie_transform(SIG, seeds, 0.5).matrix
+def test_stack_row_zero_equals_the_call_without_count():
+    # one _expm over the (k, n, n) stack; its first row is the one-transform call bit for bit
+    stack = random_lie_transform(SIG, 12345, 0.5, 1000).matrix
     assert stack.shape == (1000, 6, 6)
-    assert np.array_equal(stack, [random_lie_transform(SIG, int(s), 0.5).matrix for s in seeds])
+    assert np.array_equal(stack[0], random_lie_transform(SIG, 12345, 0.5).matrix)
     ok, residual = is_lie_transform(stack, SIG, 1e-9)
     assert ok.shape == (1000,) and ok.all(), residual.max()
+    assert random_lie_transform(SIG, 12345, 0.5, 0).matrix.shape == (0, 6, 6)
 
 
-def _per_seed_transforms(sig, seeds, scale):
-    """The generators assembled one seed at a time, each drawn as three uniform blocks.
+def _per_seed_transforms(sig, seed, scale, count):
+    """`count` generators read from one default_rng(seed) in turn, each alone.
 
-    This is the per-seed assembly of the earlier random_lie_transform; its
-    one draw per seed reads the same stream as the three blocks (a, d, b).
+    Each generator is drawn as three uniform blocks (a, d, b), assembled and
+    exponentiated on its own: the one-seed assembly of the earlier
+    random_lie_transform, repeated. uniform reads the stream in order, so
+    generator k reads row k of one (count, width) draw.
     """
     p, q = sig.plus_count, sig.minus_count
-    x = np.zeros((len(seeds), p + q, p + q))
-    for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
         a = rng.uniform(-1.0, 1.0, (p, p))
         d = rng.uniform(-1.0, 1.0, (q, q))
         b = rng.uniform(-1.0, 1.0, (p, q))
-        x[k, :p, :p], x[k, p:, p:], x[k, :p, p:], x[k, p:, :p] = a - a.T, d - d.T, b, b.T
-        norm = float(np.linalg.norm(x[k]))
-        x[k] *= scale / norm if norm > 0 and scale > 0 else 0.0
-    return indefinite._expm(x)
+        x = np.zeros((p + q, p + q))
+        x[:p, :p], x[p:, p:], x[:p, p:], x[p:, :p] = a - a.T, d - d.T, b, b.T
+        norm = float(np.linalg.norm(x))
+        x *= scale / norm if norm > 0 and scale > 0 else 0.0
+        out.append(indefinite._expm(x))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("scale", (0.0, 0.5, 0.6, 2.0))
 def test_stacked_assembly_equals_per_seed_reference(scale):
-    seeds = np.arange(3181)
-    reference = _per_seed_transforms(SIG, seeds, scale)
-    assert np.array_equal(random_lie_transform(SIG, seeds, scale).matrix, reference)
-    assert all(np.array_equal(random_lie_transform(SIG, int(s), scale).matrix, reference[s])
-               for s in seeds)
+    # row k of a stack is row k's draws assembled and exponentiated alone
+    for seed in (0, 7919, 100003):
+        stack = random_lie_transform(SIG, seed, scale, 1000).matrix
+        assert np.array_equal(stack, _per_seed_transforms(SIG, seed, scale, 1000))
 
 
 @pytest.mark.parametrize("scale", (0.0, 0.5, 0.6, 2.0))
 def test_one_draw_per_seed_equals_three_block_draws(scale):
-    # uniform reads the stream in order, so one draw sliced into a, d, b is the same stream
-    seeds = np.arange(3181) * 7919 + 12345
-    stack = random_lie_transform(SIG, seeds, scale).matrix
-    assert np.array_equal(stack, _per_seed_transforms(SIG, seeds, scale))
+    # the call without count slices one draw into a, d, b: the stream of three block draws
+    for seed in np.arange(300) * 7919 + 12345:
+        assert np.array_equal(random_lie_transform(SIG, seed, scale).matrix,
+                              _per_seed_transforms(SIG, seed, scale, 1)[0])
 
 
 def test_stacked_compose_and_invert_equal_per_member():
-    a = random_lie_transform(SIG, np.arange(5), 0.7)
-    b = random_lie_transform(SIG, np.arange(10, 15), 0.7)
+    a = random_lie_transform(SIG, 0, 0.7, 5)
+    b = random_lie_transform(SIG, 10, 0.7, 5)
     for k in range(5):
         ak, bk = LieTransform(a.matrix[k], SIG), LieTransform(b.matrix[k], SIG)
         assert np.array_equal(compose(a, b).matrix[k], compose(ak, bk).matrix)
@@ -148,7 +151,7 @@ def test_stacked_compose_and_invert_equal_per_member():
 
 
 def test_lie_transform_stack_names_its_bad_member():
-    stack = random_lie_transform(SIG, np.arange(6), 0.5).matrix.copy()
+    stack = random_lie_transform(SIG, 0, 0.5, 6).matrix.copy()
     stack[4] *= 2.0
     with pytest.raises(ValueError, match=r"not in O\(4,2\).* at stack index 4$"):
         LieTransform(stack, SIG)
@@ -202,66 +205,24 @@ def test_signature_validation():
         Signature(3, 3)
 
 
-_WIDTH = 28  # p^2 + q^2 + p q entries for Signature(4, 2)
-
-
-def _default_rng_draws(seeds, width=_WIDTH):
-    return np.array([np.random.default_rng(int(s)).uniform(-1.0, 1.0, width)
-                     for s in np.ravel(seeds)]).reshape(np.shape(seeds) + (width,))
-
-
-@pytest.mark.parametrize("seed", (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 - 2,
-                                  2 ** 64 - 1))
-def test_uniform_draws_equal_default_rng_at_word_edges(seed):
-    # one and two uint32 entropy words, the sign bit of int64, the top of uint64
-    drawn = indefinite._uniform_draws(np.asarray(seed), _WIDTH)
-    assert drawn.shape == (_WIDTH,)
-    assert np.array_equal(drawn, np.random.default_rng(seed).uniform(-1.0, 1.0, _WIDTH))
-
-
-def test_uniform_draws_equal_default_rng_near_the_top_of_uint64():
-    seeds = np.uint64(2 ** 64 - 1) - np.arange(300, dtype=np.uint64)
-    assert np.array_equal(indefinite._uniform_draws(seeds, _WIDTH), _default_rng_draws(seeds))
-
-
-@pytest.mark.parametrize("width", (1, 2, 5, 28, 101))
-def test_uniform_draws_keep_shape_of_a_seed_stack(width):
-    seeds = np.array([[0, 7919, 100003], [2 ** 32 - 500, 2 ** 62, 12345]])
-    drawn = indefinite._uniform_draws(seeds, width)
-    assert drawn.shape == (2, 3, width)
-    assert np.array_equal(drawn, _default_rng_draws(seeds, width))
-
-
-def test_uniform_draws_of_an_empty_stack():
-    for seeds in (np.arange(0), np.zeros((0, 4), dtype=np.uint64)):
-        assert indefinite._uniform_draws(seeds, _WIDTH).shape == seeds.shape + (_WIDTH,)
-    assert random_lie_transform(SIG, np.arange(0), 0.5).matrix.shape == (0, 6, 6)
-
-
-@pytest.mark.parametrize("seed", (-1, [3, -7], np.array([-(2 ** 63)])))
+@pytest.mark.parametrize("seed", (-1, np.int64(-7), np.int64(-(2 ** 63))))
 def test_negative_seed_raises_as_default_rng_does(seed):
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
-        np.random.default_rng(np.ravel(seed)[-1])
+        np.random.default_rng(seed)
     with pytest.raises(ValueError, match="^expected non-negative integer$"):
         random_lie_transform(SIG, seed, 0.5)
 
 
-@pytest.mark.parametrize("seed", (1.5, [2.0, 3.0], np.array([True]), "7"))
+@pytest.mark.parametrize("seed", (1.5, np.float32(2.0), np.bool_(True), "7"))
 def test_non_integer_seed_raises_type_error(seed):
     with pytest.raises(TypeError):
-        np.random.default_rng(np.ravel(seed)[-1])
+        np.random.default_rng(seed)
     with pytest.raises(TypeError):
         random_lie_transform(SIG, seed, 0.5)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
-def test_uniform_draws_equal_default_rng_over_uint64(seeds):
-    stack = np.array(seeds, dtype=np.uint64)
-    assert np.array_equal(indefinite._uniform_draws(stack, _WIDTH), _default_rng_draws(stack))
-
-
-def test_seed_beyond_uint64_raises_type_error():
-    # numpy holds such a seed as a Python object, which the one-pass draw does not read
-    with pytest.raises(TypeError, match=r"in \[0, 2\*\*64\)"):
-        random_lie_transform(SIG, 2 ** 64, 0.5)
+@pytest.mark.parametrize("seed", ([3, 7], (5,), np.arange(4), np.zeros((0,), dtype=int)))
+def test_non_scalar_seed_raises_type_error(seed):
+    # default_rng would read an array as entropy words; a stack is asked for with count
+    with pytest.raises(TypeError, match="^seed must be one integer"):
+        random_lie_transform(SIG, seed, 0.5)

@@ -649,16 +649,19 @@ def test_report_determinism_modulo_runtime(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _reference_lie_invariance(seed):
-    """The suite as one scalar library call per action and grid point: (case_id, residual, tol)."""
+    """The suite as one scalar library call per action and grid point: (case_id, residual, tol).
+
+    The actions are the rows of the suite's stacks, each used as a transform of its own.
+    """
     out = []
     sig = Signature(4, 2)
     ce = legendre_lift(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
     base = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.09))
     phi0 = lie_curvature_of_values(base, STANDARD_13_24).value
     phi0_p6 = lie_curvature_of_values(base, PAPER6_12_34).value
+    actions = random_lie_transform(sig, seed * 100003, 0.5, 1000).matrix
     for k in range(1000):
-        transform = random_lie_transform(sig, seed * 100003 + k, 0.5)
-        a, b, c, d = moebius_coefficients(transform, ce)
+        a, b, c, d = moebius_coefficients(LieTransform(actions[k], sig), ce)
         moved = [moebius_curvature(a, b, c, d, ProjectiveCurvature.from_value(v)) for v in base]
         r1 = abs(lie_curvature(*moved, ordering=STANDARD_13_24).value - phi0)
         r2 = abs(lie_curvature(*moved, ordering=PAPER6_12_34).value - phi0_p6)
@@ -675,9 +678,10 @@ def _reference_lie_invariance(seed):
             worst = max(worst, abs(lam.value - 1.0 / math.tan(xi + theta)))
         out.append((f"lie_invariance/parallel_law[{row:03d}]", worst, 1e-10))
     worst = 0.0
+    first = random_lie_transform(sig, seed, 0.6, 100).matrix
+    second = random_lie_transform(sig, seed + 7919, 0.6, 100).matrix
     for k in range(100):
-        l1 = random_lie_transform(sig, seed + k, 0.6)
-        l2 = random_lie_transform(sig, seed + 7919 + k, 0.6)
+        l1, l2 = LieTransform(first[k], sig), LieTransform(second[k], sig)
         worst = max(worst, is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1],
                     is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1])
     out.append(("lie_invariance/group_closure", worst, 1e-8))
@@ -736,10 +740,26 @@ def test_sampling_suites_count_what_they_kept():
     assert len(law) == 100 and all(int(p["skipped"]) >= 0 for p in law)
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lie_invariance_draws_three_stacks(monkeypatch, seed):
+    # the 1000 actions, then the two closure stacks: one random_lie_transform call each
+    calls = []
+
+    def spy(sig, seed, scale=0.5, count=None):
+        calls.append((sig, seed, scale, count))
+        return random_lie_transform(sig, seed, scale, count)
+
+    monkeypatch.setattr(report, "random_lie_transform", spy)
+    run_suite("lie_invariance", seed)
+    sig = Signature(4, 2)
+    assert calls == [(sig, seed * 100003, 0.5, 1000), (sig, seed, 0.6, 100),
+                     (sig, seed + 7919, 0.6, 100)]
+
+
 def test_bad_member_turns_its_stack_into_error_records(monkeypatch):
     # one non-Lie member: every case of that stack is an error naming it, the others still run
-    def one_bad_member(sig, seed, scale=0.5):
-        matrix = random_lie_transform(sig, seed, scale).matrix.copy()
+    def one_bad_member(sig, seed, scale=0.5, count=None):
+        matrix = random_lie_transform(sig, seed, scale, count).matrix.copy()
         matrix[7] *= 2.0
         return LieTransform(matrix, sig)
 

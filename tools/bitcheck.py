@@ -16,9 +16,12 @@ unknown_labels and row_labels of every system the dji_kernels suite builds
 ones, the unconstrained g = 6 system and the cmc-only g = 6 and g = 4
 systems), and every sign_certificates value at the suite's curvatures.
 Floats are written as float.hex, so equal dumps mean equal bits. `diff`
-prints every entry in which two dumps differ and exits 1 if any does, 0 if
-none; a part that one dump lacks (dumps of earlier versions have no report
-hashes or systems) is named and not compared. Nothing under benchmarks/ is
+prints every entry in which two dumps differ, then one summary line per
+suites case family with moved entries (how many, the largest residual move,
+the largest moved residual/tolerance ratio and whether every status is
+unchanged), and exits 1 if any entry differs, 0 if none; a part that one
+dump lacks (dumps of earlier versions have no report hashes or systems) is
+named and not compared. Nothing under benchmarks/ is
 written.
 """
 
@@ -28,6 +31,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -132,6 +136,36 @@ def diff(a: dict, b: dict) -> list:
     return lines
 
 
+def suite_summary(a: dict, b: dict) -> list:
+    """One line per suites case family (the case_id up to "[") with entries that differ.
+
+    Each line gives the number of moved entries (and how many of them moved in
+    the residual), the largest residual move, the largest moved residual/tolerance
+    ratio (second dump) and whether every status is unchanged. Entries that only
+    one dump holds are not counted.
+    """
+    moved = {}  # family -> [(residual move, residual/tolerance, status flipped)]
+    left, right = a.get("suites", {}), b.get("suites", {})
+    for key in sorted(left.keys() & right.keys()):
+        old, new = left[key], right[key]
+        if old == new:
+            continue
+        before, after = float.fromhex(old["residual"]), float.fromhex(new["residual"])
+        tolerance = float.fromhex(new["tolerance"])
+        moved.setdefault(key.split(":", 1)[1].split("[")[0], []).append(
+            (0.0 if before == after else abs(after - before),
+             after / tolerance if tolerance > 0 else math.inf, old["status"] != new["status"]))
+    lines = []
+    for family, entries in moved.items():
+        shifts, ratios, flips = zip(*entries)
+        lines.append(f"suites {family}: {len(entries)} moved ({sum(map(bool, shifts))} in the "
+                     f"residual), largest residual move {max(shifts):.3g}, "
+                     f"largest moved residual/tolerance {max(ratios):.3g}, "
+                     + (f"{sum(flips)} status change(s)" if any(flips)
+                        else "every status unchanged"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,7 +186,7 @@ def main(argv=None) -> int:
         return 0
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in (args.first, args.second))
     lines = diff(first, second)
-    for line in lines:
+    for line in lines + suite_summary(first, second):
         print(line)
     for part in unshared_parts(first, second):
         print(f"{part}: only one dump has this part; not compared")
