@@ -200,14 +200,6 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
     """Evaluate the named coefficient expressions whose signs the kernel arguments use."""
     pcs = np.asarray(pcs, dtype=float)
     _require_decreasing(pcs)
-    try:
-        return _certificates(g, pcs)
-    except ZeroDivisionError as exc:  # a g = 6 denominator product, e.g. at gaps near 1e-170
-        raise DomainError(f"a certificate denominator underflows to 0 at curvatures "
-                          f"{pcs.tolist()}") from exc
-
-
-def _certificates(g: int, pcs: np.ndarray) -> list[SignCertificate]:
     if g == 4:
         lam, mu, nu, tau = (float(v) for v in pcs)
         return [
@@ -220,6 +212,14 @@ def _certificates(g: int, pcs: np.ndarray) -> list[SignCertificate]:
         ]
     if g != 6:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
+    try:
+        return _g6_certificates(pcs)
+    except ZeroDivisionError as exc:  # a denominator product, e.g. at gaps near 1e-170
+        raise DomainError(f"a certificate denominator underflows to 0 at curvatures "
+                          f"{pcs.tolist()}") from exc
+
+
+def _g6_certificates(pcs: np.ndarray) -> list[SignCertificate]:
     lam, mu, nu, rho, sig, tau = curv = [float(v) for v in pcs]
     # v_h and w_h of the Phi_h families, h = 3, 4, 6
     v = {h: (curv[h - 1] - lam) / ((lam - sig) * (curv[h - 1] - sig)) for h in (3, 4, 6)}

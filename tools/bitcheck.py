@@ -21,8 +21,7 @@ suites case family with moved entries (how many, the largest residual move,
 the largest moved residual/tolerance ratio and whether every status is
 unchanged), and exits 1 if any entry differs, 0 if none; a part that one
 dump lacks (dumps of earlier versions have no report hashes or systems) is
-named and not compared. Nothing under benchmarks/ is
-written.
+named and not compared. Nothing under benchmarks/ is written.
 """
 
 from __future__ import annotations
