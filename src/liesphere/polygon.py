@@ -48,6 +48,7 @@ LINK_TOL = 1e-9
 PARALLEL_TOL = 1e-9
 SEARCH_FILTER_TOL = 1e-6
 _SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid at once costs ~3 MB
+_ORACLE_BLOCK = 1 << 15  # cells per grid-oracle objective call: 256 KiB per float64 array
 _unit_steps = functools.cache(lambda n: np.eye(n) * 1e-7)  # row d steps p_d; never written to
 
 # family values of the g=6 Lie curvatures Phi_h (theta-independent)
@@ -513,21 +514,36 @@ class OracleResult:
 def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleResult:
     """Grid minimum of objective_of(alpha, gamma) over (0, pi/2)^2, polished by func.
 
-    The cells are resolution^2 centres of side step. objective_of gets the
-    centres as a column alpha (resolution, 1) and a row gamma (1, resolution)
-    and broadcasts them to the (resolution, resolution) grid, so a term of
-    one angle alone is evaluated once per centre, not once per cell. The
-    minimizing cell is unique when every other cell's objective exceeds the
-    best by more than margin * step^2; its centre starts the polish of the
-    angle system func.
+    The cells are resolution^2 centres of side step. They are evaluated in
+    blocks of max(1, _ORACLE_BLOCK // resolution) whole rows, so no objective
+    array holds more than _ORACLE_BLOCK cells unless one row does.
+    objective_of gets a block's centres as a column alpha (rows, 1) and all
+    centres as a row gamma (1, resolution) and broadcasts them to the block,
+    so a term of one angle alone is evaluated once per centre and block, not
+    once per cell. Across the blocks the oracle keeps the first minimum in
+    row-major order (cell 0 when every value is inf) and the second-smallest
+    value (inf on a one-cell grid, which has no other cell). The minimizing
+    cell is unique when that second value exceeds the best by more than
+    margin * step^2; its centre starts the polish of the angle system func.
     """
+    if resolution < 1:
+        raise DomainError(f"grid oracle resolution must be at least 1, got {resolution}")
     step = (math.pi / 2) / resolution
     centers = (np.arange(resolution) + 0.5) * step
-    objective = objective_of(centers[:, None], centers[None, :])
-    i, j = np.unravel_index(np.argmin(objective), objective.shape)
-    best = objective[i, j]
-    objective[i, j] = np.inf
-    unique = bool(objective.min() > best + margin * step * step)
+    rows = max(1, _ORACLE_BLOCK // resolution)
+    best = second = math.inf
+    where = 0
+    for first in range(0, resolution, rows):
+        values = objective_of(centers[first:first + rows, None], centers[None, :])
+        k = int(np.argmin(values))
+        low = values.flat[k]
+        values.flat[k] = np.inf
+        if low < best:
+            best, second, where = low, min(best, values.min()), first * resolution + k
+        else:  # the rest of this block is >= low
+            second = min(second, low)
+    unique = bool(second > best + margin * step * step)
+    i, j = divmod(where, resolution)
     point = (float(centers[i]), float(centers[j]))
     return OracleResult(point, tuple(_solve_system(func, point)), step, unique)
 
@@ -641,13 +657,22 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
     The objective combines the Psi^1 condition with the antipodal-closure
     incidence (gamma - alpha)^2; without the closure the Psi system keeps a
     spurious solution curve 5(x+y) = 4(xy+1). Cells with a gap below
-    gap_margin are infeasible (degenerate polygon).
+    gap_margin are infeasible (degenerate polygon). With w1 = e^(2i alpha)
+    and w3 = e^(2i gamma) the Psi^1 term is the real per-axis identity
+
+        |2(w1 w3 + 1) - (w1 + w3)|^2
+            = 10 - 8(cos 2a + cos 2c) + 10 cos 2a cos 2c - 6 sin 2a sin 2c,
+
+    written so that swapping alpha and gamma gives the same bits. The gap
+    mask is symmetric too at every resolution from 1 to 2001, so there mirror
+    cells tie exactly and a unique minimizing cell lies on the diagonal.
     """
     def objective(alpha, gamma):
         beta = math.pi / 2 - alpha - gamma
-        w1 = np.exp(2j * alpha)
-        w3 = np.exp(2j * gamma)
-        values = np.abs(2 * (w1 * w3 + 1) - (w1 + w3)) ** 2 + (gamma - alpha) ** 2
+        cos_a, sin_a = np.cos(2.0 * alpha), np.sin(2.0 * alpha)
+        cos_c, sin_c = np.cos(2.0 * gamma), np.sin(2.0 * gamma)
+        values = (10.0 - 8.0 * (cos_a + cos_c) + 10.0 * (cos_a * cos_c)
+                  - 6.0 * (sin_a * sin_c) + (gamma - alpha) ** 2)
         values[(beta <= gap_margin) | (alpha <= gap_margin) | (gamma <= gap_margin)] = np.inf
         return values
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from liesphere import dji, isoparam, report
+from liesphere import dji, isoparam, polygon, report
 
 _SPEC = importlib.util.spec_from_file_location(
     "bitcheck", Path(__file__).resolve().parents[1] / "tools" / "bitcheck.py")
@@ -17,7 +17,10 @@ def _dump(**hashes):
             "suites": {"seed0:x/a": {"status": "pass", "residual": "0x0.0p+0"}},
             "report_sha256": {"seed0:json": "aa", "seed0:csv": "bb", **hashes},
             "systems": {"free:g6": {"rows": [], "unknown_labels": [[1, 2]], "row_labels": []},
-                        "certificates:g4": [["g4_d23_ratio", "0x1.0p+0", "positive"]]}}
+                        "certificates:g4": [["g4_d23_ratio", "0x1.0p+0", "positive"]]},
+            "oracles": {"g6:721": {"grid_minimum": ["0x1.0p-1", "0x1.0p-1"],
+                                   "polished": ["0x1.0p-1", "0x1.0p-1"],
+                                   "cell_size": "0x1.0p-8", "unique_cell": True}}}
 
 
 def test_diff_compares_the_report_hashes():
@@ -72,6 +75,32 @@ def test_dump_systems_holds_every_dji_kernels_system_and_certificate():
     certificates = systems["certificates:g4"] + systems["certificates:g6"]
     assert len(certificates) == 26 and all(claim in ("positive", "negative")
                                            for _, _, claim in certificates)
+
+
+def test_diff_compares_the_oracles_and_names_a_dump_without_them(tmp_path, capsys):
+    changed = _dump()
+    changed["oracles"]["g6:721"]["unique_cell"] = False
+    (line,) = bitcheck.diff(_dump(), changed)
+    assert line.startswith('oracles g6:721: {') and '"unique_cell": false}' in line
+    old = _dump()
+    del old["oracles"]
+    assert bitcheck.diff(old, changed) == []
+    assert bitcheck.unshared_parts(old, changed) == ["oracles"]
+    first, second = tmp_path / "old.json", tmp_path / "new.json"
+    first.write_text(json.dumps(old), encoding="utf-8")
+    second.write_text(json.dumps(changed), encoding="utf-8")
+    assert bitcheck.main(["diff", str(first), str(second)]) == 0
+    assert "oracles: only one dump has this part; not compared" in capsys.readouterr().out
+
+
+def test_dump_oracles_holds_both_oracles_at_each_resolution():
+    oracles = json.loads(json.dumps(bitcheck.dump_oracles()))
+    assert sorted(oracles) == sorted(f"g{g}:{resolution}" for g in (4, 6)
+                                     for resolution in bitcheck.ORACLE_RESOLUTIONS)
+    result = polygon.g6_grid_oracle(721)
+    assert oracles["g6:721"] == {"grid_minimum": [v.hex() for v in result.grid_minimum],
+                                 "polished": [float(v).hex() for v in result.polished],
+                                 "cell_size": result.cell_size.hex(), "unique_cell": True}
 
 
 def _suites(**cases):

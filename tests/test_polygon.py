@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,7 +348,7 @@ def test_g4_oracle():
 
 
 def _meshgrid_grid_oracle(resolution, objective_of, func, margin):
-    """The grid oracle evaluated on two full meshgrid copies of the centres."""
+    """The grid oracle evaluated in one call on two full meshgrid copies of the centres."""
     step = (PI / 2) / resolution
     centers = (np.arange(resolution) + 0.5) * step
     objective = objective_of(*np.meshgrid(centers, centers, indexing="ij"))
@@ -359,25 +360,100 @@ def _meshgrid_grid_oracle(resolution, objective_of, func, margin):
     return polygon.OracleResult(point, tuple(polygon._solve_system(func, point)), step, unique)
 
 
+def _recorded(grid_oracle, objectives):
+    """grid_oracle with a copy of every objective_of value array appended to objectives."""
+    def oracle(resolution, objective_of, func, margin):
+        def objective(alpha, gamma):
+            values = objective_of(alpha, gamma)
+            objectives.append(values.copy())
+            return values
+        return grid_oracle(resolution, objective, func, margin)
+    return oracle
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of the ArithmeticError it raised."""
+    try:
+        return call()
+    except ArithmeticError as error:
+        return type(error), str(error)
+
+
 @pytest.mark.parametrize("oracle", (g4_grid_oracle, g6_grid_oracle))
 def test_broadcast_grid_oracle_equals_meshgrid_reference(monkeypatch, oracle):
-    grid_oracles = {"broadcast": polygon._grid_oracle, "meshgrid": _meshgrid_grid_oracle}
-    objectives = {name: [] for name in grid_oracles}
-    results = {}
-    for name, grid_oracle in grid_oracles.items():
-        def recording(resolution, objective_of, func, margin, name=name, grid_oracle=grid_oracle):
-            def objective(alpha, gamma):
-                values = objective_of(alpha, gamma)
-                objectives[name].append(values.copy())
-                return values
-            return grid_oracle(resolution, objective, func, margin)
+    streamed_oracle = polygon._grid_oracle
+    edge = math.isqrt(polygon._ORACLE_BLOCK)  # the largest resolution whose grid is one block
+    for resolution in (1, 2, 3, 101, 721, 1001, edge - 1, edge, edge + 1):
+        blocks, meshgrid = [], []
+        monkeypatch.setattr(polygon, "_grid_oracle", _recorded(streamed_oracle, blocks))
+        streamed = _outcome(lambda: oracle(resolution))
+        monkeypatch.setattr(polygon, "_grid_oracle", _recorded(_meshgrid_grid_oracle, meshgrid))
+        assert streamed == _outcome(lambda: oracle(resolution)), resolution
+        rows = max(1, polygon._ORACLE_BLOCK // resolution)
+        assert [block.shape for block in blocks] == [
+            (min(rows, resolution - first), resolution) for first in range(0, resolution, rows)]
+        assert np.array_equal(np.concatenate(blocks), meshgrid[0]), resolution
 
-        monkeypatch.setattr(polygon, "_grid_oracle", recording)
-        results[name] = oracle(721)
-    (broadcast,), (meshgrid,) = objectives["broadcast"], objectives["meshgrid"]
-    assert broadcast.shape == (721, 721)
-    assert np.array_equal(broadcast, meshgrid)
-    assert results["broadcast"] == results["meshgrid"]
+
+def _table_objective(table):
+    """An objective_of that reads each cell's value from a square table."""
+    table = np.array(table, dtype=float)
+    step = (PI / 2) / len(table)
+
+    def objective_of(alpha, gamma):
+        return table[np.rint(alpha / step - 0.5).astype(int),
+                     np.rint(gamma / step - 0.5).astype(int)]
+    return objective_of
+
+
+@pytest.mark.parametrize("block", (1, polygon._ORACLE_BLOCK))  # 1: one row per block
+@pytest.mark.parametrize("table, cell, unique", (
+    ([[7.0]], (0, 0), True),  # one cell: no other cell, so the second value is inf
+    ([[np.inf]], (0, 0), False),
+    ([[np.inf] * 3] * 3, (0, 0), False),  # all inf: cell 0, as np.argmin gives
+    ([[3.0, 1.0], [1.0, 3.0]], (0, 1), False),  # a tie: the first cell in row-major order
+    ([[4.0, 2.0, 4.0], [4.0, 4.0, 4.0], [4.0, 1.0, 4.0]], (2, 1), True),
+    ([[4.0, 1.2, 4.0], [4.0, 4.0, 4.0], [4.0, 1.0, 4.0]], (2, 1), False),  # within the margin
+))
+def test_grid_oracle_keeps_the_first_minimum_and_the_second_value(monkeypatch, block, table,
+                                                                  cell, unique):
+    monkeypatch.setattr(polygon, "_ORACLE_BLOCK", block)
+    monkeypatch.setattr(polygon, "_solve_system", lambda func, point: point)
+    result = polygon._grid_oracle(len(table), _table_objective(table), None, 1.0)
+    centers = (np.arange(len(table)) + 0.5) * result.cell_size
+    assert result.grid_minimum == tuple(centers[list(cell)]) and result.unique_cell is unique
+    assert result == _meshgrid_grid_oracle(len(table), _table_objective(table), None, 1.0)
+
+
+@pytest.mark.parametrize("block", (1, polygon._ORACLE_BLOCK))
+def test_g4_oracle_breaks_the_resolution_2_tie_by_row_major_order(monkeypatch, block):
+    blocks = []
+    monkeypatch.setattr(polygon, "_ORACLE_BLOCK", block)  # 1: the tied cells lie in two blocks
+    monkeypatch.setattr(polygon, "_grid_oracle", _recorded(polygon._grid_oracle, blocks))
+    result = g4_grid_oracle(2)
+    values = np.concatenate(blocks)
+    assert values[0, 1] == values[1, 0] == values.min()
+    assert result.grid_minimum == (PI / 8, 3 * PI / 8) and not result.unique_cell
+
+
+@pytest.mark.parametrize("resolution", (0, -1))
+@pytest.mark.parametrize("oracle", (g4_grid_oracle, g6_grid_oracle))
+def test_grid_oracle_rejects_a_resolution_below_one(oracle, resolution):
+    with pytest.raises(DomainError, match=f"got {resolution}$"):
+        oracle(resolution)
+
+
+@pytest.mark.parametrize("resolution", (721, 2001))
+@pytest.mark.parametrize("oracle", (g4_grid_oracle, g6_grid_oracle))
+def test_grid_oracle_traced_peak_stays_under_4_mib(oracle, resolution):
+    oracle(resolution)  # fill the module caches outside the trace
+    tracemalloc.start()
+    try:
+        oracle(resolution)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _exp_g4_objective(alpha, gamma):
@@ -453,6 +529,46 @@ def test_g6_oracle():
     assert oracle.unique_cell
     assert max(abs(v - PI / 6) for v in oracle.grid_minimum) <= oracle.cell_size
     assert max(abs(v - PI / 6) for v in oracle.polished) <= 1e-6
+
+
+def _complex_g6_objective(alpha, gamma, gap_margin=0.02):
+    """The g = 6 grid objective in complex form, as before the real per-axis identity."""
+    beta = PI / 2 - alpha - gamma
+    w1 = np.exp(2j * alpha)
+    w3 = np.exp(2j * gamma)
+    values = np.abs(2 * (w1 * w3 + 1) - (w1 + w3)) ** 2 + (gamma - alpha) ** 2
+    values[(beta <= gap_margin) | (alpha <= gap_margin) | (gamma <= gap_margin)] = np.inf
+    return values
+
+
+@pytest.mark.parametrize("resolution", (101, 301, 721, 1001))
+def test_real_g6_objective_equals_complex_reference(monkeypatch, resolution):
+    objectives = []
+    grid_oracle = polygon._grid_oracle
+
+    def recording(resolution, objective_of, func, margin):
+        objectives.append(objective_of)
+        return grid_oracle(resolution, objective_of, func, margin)
+
+    monkeypatch.setattr(polygon, "_grid_oracle", recording)
+    g6_grid_oracle(resolution)
+    (objective_of,) = objectives
+    centers = (np.arange(resolution) + 0.5) * (PI / 2) / resolution
+    new = objective_of(centers[:, None], centers[None, :])
+    old = _complex_g6_objective(centers[:, None], centers[None, :])
+    finite = np.isfinite(old)
+    assert np.array_equal(np.isfinite(new), finite)
+    assert np.all(np.abs(new[finite] - old[finite]) <= 1e-14 * np.maximum(1.0, np.abs(old[finite])))
+    assert np.array_equal(new, new.T)  # mirror cells tie bit for bit
+
+
+def test_unique_g6_cell_lies_on_the_diagonal(monkeypatch):
+    # judge the grid alone: at resolution 1 every cell is infeasible and no polish converges
+    monkeypatch.setattr(polygon, "_solve_system", lambda func, point: point)
+    for resolution in range(1, 201):
+        result = g6_grid_oracle(resolution)
+        alpha, gamma = result.grid_minimum
+        assert alpha == gamma or not result.unique_cell, resolution
 
 
 def test_psi_values_on_random_normalized_gaps():

@@ -14,14 +14,15 @@ set to 0, and the derivative systems of the dji layer: the rows,
 unknown_labels and row_labels of every system the dji_kernels suite builds
 (each report._KERNEL_SYSTEMS entry at its curvatures and at the perturbed
 ones, the unconstrained g = 6 system and the cmc-only g = 6 and g = 4
-systems), and every sign_certificates value at the suite's curvatures.
-Floats are written as float.hex, so equal dumps mean equal bits. `diff`
+systems), and every sign_certificates value at the suite's curvatures,
+and the OracleResult of g4_grid_oracle and g6_grid_oracle at resolutions
+101, 721 and 1001. Floats are written as float.hex, so equal dumps mean equal bits. `diff`
 prints every entry in which two dumps differ, then one summary line per
 suites case family with moved entries (how many, the largest residual move,
 the largest moved residual/tolerance ratio and whether every status is
 unchanged), and exits 1 if any entry differs, 0 if none; a part that one
-dump lacks (dumps of earlier versions have no report hashes or systems) is
-named and not compared. Nothing under benchmarks/ is written.
+dump lacks (dumps of earlier versions have no report hashes, systems or
+oracles) is named and not compared. Nothing under benchmarks/ is written.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import tempfile
 from pathlib import Path
 
 SUITE_SEEDS = (0, 1, 2, 3)
-PARTS = ("searches", "suites", "report_sha256", "systems")
+PARTS = ("searches", "suites", "report_sha256", "systems", "oracles")
 REPORT_FORMATS = ("json", "csv")
+ORACLE_RESOLUTIONS = (101, 721, 1001)
 
 
 def _hex(values) -> list:
@@ -82,6 +84,20 @@ def dump_systems() -> dict:
     return systems
 
 
+def dump_oracles() -> dict:
+    """Both grid oracles' results at ORACLE_RESOLUTIONS, keyed "g<g>:<resolution>"."""
+    from liesphere import polygon
+
+    oracles = {}
+    for g, oracle in ((4, polygon.g4_grid_oracle), (6, polygon.g6_grid_oracle)):
+        for resolution in ORACLE_RESOLUTIONS:
+            result = oracle(resolution)
+            oracles[f"g{g}:{resolution}"] = {
+                "grid_minimum": _hex(result.grid_minimum), "polished": _hex(result.polished),
+                "cell_size": float(result.cell_size).hex(), "unique_cell": result.unique_cell}
+    return oracles
+
+
 def dump(tree: Path) -> dict:
     sys.path.insert(0, str(tree / "src"))
     from liesphere import polygon, report
@@ -110,7 +126,7 @@ def dump(tree: Path) -> dict:
                 report.emit_report(untimed, str(path), fmt, seed)
                 report_sha256[f"seed{seed}:{fmt}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"searches": searches, "suites": suites, "report_sha256": report_sha256,
-            "systems": dump_systems()}
+            "systems": dump_systems(), "oracles": dump_oracles()}
 
 
 def unshared_parts(a: dict, b: dict) -> list:
@@ -181,7 +197,8 @@ def main(argv=None) -> int:
         print(f"{args.out}: {len(data['searches'])} searches, "
               f"{sum(map(len, data['searches'].values()))} survivors, "
               f"{len(data['suites'])} cases, {len(data['report_sha256'])} report hashes, "
-              f"{len(data['systems'])} dji systems and certificate lists")
+              f"{len(data['systems'])} dji systems and certificate lists, "
+              f"{len(data['oracles'])} oracle results")
         return 0
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in (args.first, args.second))
     lines = diff(first, second)
