@@ -23,10 +23,6 @@ class DegenerateConfiguration(ValueError):
     """Cross ratio or Moebius action undefined (coincident points, singular map)."""
 
 
-class NormalizationFailure(RuntimeError):
-    """The conformal normalization's boost solve did not converge."""
-
-
 class CertificateFailure(RuntimeError):
     """The conformal-to-isometry reduction system is singular."""
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dji import NEGATIVE, POSITIVE, SignCertificate
-from .errors import CertificateFailure, DomainError, NormalizationFailure, raise_where
+from .errors import CertificateFailure, DomainError, raise_where
 from .indefinite import Signature, is_lie_transform
 from .isoparam import multiplicity_vector
 from .quadric import (PAPER6_12_34, STANDARD_13_24, LieCurvatureValue,
@@ -309,7 +309,7 @@ def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> L
 
 
 # ---------------------------------------------------------------------------
-# damped least squares, shared by the angle systems, the boost and the search
+# damped least squares, shared by the angle systems and the search
 # ---------------------------------------------------------------------------
 
 def _sum_squares(r: np.ndarray) -> np.ndarray:  # r @ r per row, by the same dot product
@@ -477,12 +477,12 @@ def _g4_system(p: np.ndarray):
     return np.stack([r.real, r.imag, beta + gamma - math.pi / 2], axis=1), feasible
 
 
-def _solve_system(func, start, tol=1e-13, failure=ArithmeticError) -> np.ndarray:
-    """Polish one start of a small system; raise failure when |r| stays above tol."""
+def _solve_system(func, start) -> np.ndarray:
+    """Polish one start of a small system; raise ArithmeticError when |r| stays above 1e-13."""
     p, r = _levenberg_polish(func, [start])
     norm = float(np.abs(r).max()) if len(p) else math.inf
-    if norm > tol:
-        raise failure(f"solve did not converge: residual {norm:.3e}")
+    if norm > 1e-13:
+        raise ArithmeticError(f"solve did not converge: residual {norm:.3e}")
     return p[0]
 
 
@@ -511,7 +511,7 @@ class OracleResult:
     unique_cell: bool
 
 
-def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleResult:
+def _grid_oracle(resolution: int, objective_of, func, margin: float, infeasible="") -> OracleResult:
     """Grid minimum of objective_of(alpha, gamma) over (0, pi/2)^2, polished by func.
 
     The cells are resolution^2 centres of side step. They are evaluated in
@@ -521,10 +521,11 @@ def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleRe
     centres as a row gamma (1, resolution) and broadcasts them to the block,
     so a term of one angle alone is evaluated once per centre and block, not
     once per cell. Across the blocks the oracle keeps the first minimum in
-    row-major order (cell 0 when every value is inf) and the second-smallest
-    value (inf on a one-cell grid, which has no other cell). The minimizing
-    cell is unique when that second value exceeds the best by more than
-    margin * step^2; its centre starts the polish of the angle system func.
+    row-major order and the second-smallest value (inf on a one-cell grid,
+    which has no other cell). The minimizing cell is unique when that second
+    value exceeds the best by more than margin * step^2; its centre starts
+    the polish of the angle system func. An all-inf grid has no start: it
+    raises DomainError naming the resolution, then the text infeasible.
     """
     if resolution < 1:
         raise DomainError(f"grid oracle resolution must be at least 1, got {resolution}")
@@ -532,7 +533,6 @@ def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleRe
     centers = (np.arange(resolution) + 0.5) * step
     rows = max(1, _ORACLE_BLOCK // resolution)
     best = second = math.inf
-    where = 0
     for first in range(0, resolution, rows):
         values = objective_of(centers[first:first + rows, None], centers[None, :])
         k = int(np.argmin(values))
@@ -542,6 +542,8 @@ def _grid_oracle(resolution: int, objective_of, func, margin: float) -> OracleRe
             best, second, where = low, min(best, values.min()), first * resolution + k
         else:  # the rest of this block is >= low
             second = min(second, low)
+    if best == math.inf:
+        raise DomainError(f"every cell of the resolution-{resolution} grid is inf{infeasible}")
     unique = bool(second > best + margin * step * step)
     i, j = divmod(where, resolution)
     point = (float(centers[i]), float(centers[j]))
@@ -685,7 +687,8 @@ def g6_grid_oracle(resolution: int = 721, gap_margin: float = 0.02) -> OracleRes
         feasible = (0 < a) & (0 < c) & (a + c < math.pi / 2)
         return np.stack([re, im, c - a], axis=1), feasible
 
-    return _grid_oracle(resolution, objective, func, 0.0)
+    return _grid_oracle(resolution, objective, func, 0.0,
+                        f": each leaves a gap at most gap_margin = {gap_margin}")
 
 
 # ---------------------------------------------------------------------------
@@ -761,31 +764,28 @@ def conformal_normalize(poly: GeodesicPolygon):
 
     For g = 4 that makes the lambda leaves of p^1, p^5 antipodally symmetric
     (with the nu leaves parallel); for g = 6 it does the same for the
-    lambda leaves of p^1, p^7. Solved by the shared _levenberg_polish from
-    the one start m = 0 over the two boost parameters (feasible for
-    |m| < 0.999), with the rotation gauge fixed by re-anchoring vertex 1.
-    The rotation keeps vertex differences, so the antipodal condition solved
-    for holds on the result; isometry_reduction checks it on its input.
-    Returns (map, transformed polygon). A stack of polygons is solved one
-    polygon at a time and mapped as one stack, into a stack of maps and one
-    of polygons; the first polygon whose solve fails raises.
+    lambda leaves of p^1, p^7. The pairs are antipodal exactly when the
+    chords z1-z(g+1) and z2-z(g+2), geodesics of the Klein model, are
+    diameters, so the boost m = -p sends their crossing k, at p = k / (1 +
+    sqrt(1 - |k|^2)) in the Poincare disc, to 0 (Beardon, The Geometry of
+    Discrete Groups, 1983). The chords cross inside the disc because vertices
+    1 < 2 < g+1 < g+2 are in cyclic order, so every polygon has this map,
+    unique up to the rotation that re-anchoring vertex 1 fixes. k is formed
+    in real arithmetic, which rounds alike for one polygon and a stack.
+    Returns (map, transformed polygon); a stack gives a stack of each.
     """
     g = poly.g
     if g not in (4, 6):
         raise DomainError("conformal normalization is defined for g = 4 and g = 6")
     phis = poly.vertex_angles
-
-    def boost(row: np.ndarray) -> np.ndarray:
-        def constraints(m: np.ndarray):
-            feasible = np.hypot(m[:, 0], m[:, 1]) < 0.999
-            with np.errstate(invalid="ignore", divide="ignore"):  # rows with |m| >= 1
-                new = _transform_positions(row, 0.0, m[:, 0] + 1j * m[:, 1])
-                return _wrap(new[:, g:g + 2] - new[:, :2] - math.pi), feasible
-
-        return _solve_system(constraints, (0.0, 0.0), 1e-12, NormalizationFailure)
-
-    m = np.array([boost(row) for row in phis.reshape(-1, 2 * g)]).reshape(phis.shape[:-1] + (2,))
-    mboost = m[..., 0] + 1j * m[..., 1]
+    x, y = np.cos(phis), np.sin(phis)
+    ux, uy = x[..., g] - x[..., 0], y[..., g] - y[..., 0]  # chord z1-z(g+1)
+    vx, vy = x[..., g + 1] - x[..., 1], y[..., g + 1] - y[..., 1]  # chord z2-z(g+2)
+    # their crossing k = z1 + t u, by Cramer's rule on z1 + t u = z2 + s v
+    t = ((x[..., 1] - x[..., 0]) * vy - (y[..., 1] - y[..., 0]) * vx) / (ux * vy - uy * vx)
+    kx, ky = x[..., 0] + t * ux, y[..., 0] + t * uy
+    shrink = 1.0 + np.sqrt(1.0 - (kx * kx + ky * ky))  # the Poincare point is k / shrink
+    mboost = -(kx / shrink) - 1j * (ky / shrink)
     moved = _transform_positions(phis, 0.0, mboost)
     chi = _wrap(phis[..., 0] - moved[..., 0])
     mapped = CircleMobius.from_parameters(chi, mboost)

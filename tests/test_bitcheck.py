@@ -118,7 +118,23 @@ def test_suite_summary_of_a_moved_residual():
     new["suites"]["seed0:s/a[0]"]["params"] = {"draw": "0"}
     assert bitcheck.suite_summary(old, new) == [
         "suites s/a: 2 moved (1 in the residual), largest residual move 1e-15, "
-        "largest moved residual/tolerance 3e-07, every status unchanged"]
+        "largest moved residual/tolerance 3e-07, params moved: draw, every status unchanged"]
+
+
+def test_suite_summary_names_the_moved_params_and_the_largest_numeric_move():
+    old = _suites(**{f"seed{s}:iso/g4[0{k}]": ("pass", 0.0, 1e-10) for s in (0, 1) for k in (0, 1)})
+    new = json.loads(json.dumps(old))
+    for key, (x, y) in zip(sorted(old["suites"]), (("0.00e+00", "0.00e+00"),
+                                                   ("-2.31e-15", "4.66e-15"),
+                                                   ("1.18e-16", "0.00e+00"),
+                                                   ("0.00e+00", "0.00e+00"))):
+        old["suites"][key]["params"] = {"theta": "0.1", "map_x": "0.00e+00", "map_y": "0.00e+00"}
+        new["suites"][key]["params"] = {"theta": "0.1", "map_x": x, "map_y": y}
+    new["suites"]["seed1:iso/g4[01]"]["params"]["error"] = "DomainError: x"
+    assert bitcheck.suite_summary(old, new) == [
+        "suites iso/g4: 3 moved (0 in the residual), largest residual move 0, "
+        "largest moved residual/tolerance 0, params moved: error, map_x, map_y "
+        "(largest numeric move 4.66e-15), every status unchanged"]
 
 
 def test_suite_summary_counts_a_status_flip(tmp_path, capsys):
@@ -126,7 +142,8 @@ def test_suite_summary_counts_a_status_flip(tmp_path, capsys):
     new = _suites(**{"seed0:s/a[0]": ("fail", 2e-8, 1e-8), "seed0:s/a[1]": ("pass", 1e-9, 1e-8)})
     (line,) = bitcheck.suite_summary(old, new)
     assert line.startswith("suites s/a: 1 moved (1 in the residual)")
-    assert "largest moved residual/tolerance 2," in line and line.endswith("1 status change(s)")
+    assert "largest moved residual/tolerance 2, no params moved, 1 status change(s)" in line
+    assert line.endswith("1 status change(s)")
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     first.write_text(json.dumps({"searches": {}, **old}), encoding="utf-8")
     second.write_text(json.dumps({"searches": {}, **new}), encoding="utf-8")

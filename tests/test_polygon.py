@@ -347,13 +347,15 @@ def test_g4_oracle():
     assert max(abs(v - PI / 4) for v in oracle.polished) <= 1e-6
 
 
-def _meshgrid_grid_oracle(resolution, objective_of, func, margin):
+def _meshgrid_grid_oracle(resolution, objective_of, func, margin, infeasible=""):
     """The grid oracle evaluated in one call on two full meshgrid copies of the centres."""
     step = (PI / 2) / resolution
     centers = (np.arange(resolution) + 0.5) * step
     objective = objective_of(*np.meshgrid(centers, centers, indexing="ij"))
     i, j = np.unravel_index(np.argmin(objective), objective.shape)
     best = objective[i, j]
+    if best == np.inf:
+        raise DomainError(f"every cell of the resolution-{resolution} grid is inf{infeasible}")
     objective[i, j] = np.inf
     unique = bool(objective.min() > best + margin * step * step)
     point = (float(centers[i]), float(centers[j]))
@@ -362,20 +364,20 @@ def _meshgrid_grid_oracle(resolution, objective_of, func, margin):
 
 def _recorded(grid_oracle, objectives):
     """grid_oracle with a copy of every objective_of value array appended to objectives."""
-    def oracle(resolution, objective_of, func, margin):
+    def oracle(resolution, objective_of, *args):
         def objective(alpha, gamma):
             values = objective_of(alpha, gamma)
             objectives.append(values.copy())
             return values
-        return grid_oracle(resolution, objective, func, margin)
+        return grid_oracle(resolution, objective, *args)
     return oracle
 
 
 def _outcome(call):
-    """call()'s result, or the type and message of the ArithmeticError it raised."""
+    """call()'s result, or the type and message of the ArithmeticError or DomainError it raised."""
     try:
         return call()
-    except ArithmeticError as error:
+    except (ArithmeticError, DomainError) as error:
         return type(error), str(error)
 
 
@@ -409,8 +411,8 @@ def _table_objective(table):
 @pytest.mark.parametrize("block", (1, polygon._ORACLE_BLOCK))  # 1: one row per block
 @pytest.mark.parametrize("table, cell, unique", (
     ([[7.0]], (0, 0), True),  # one cell: no other cell, so the second value is inf
-    ([[np.inf]], (0, 0), False),
-    ([[np.inf] * 3] * 3, (0, 0), False),  # all inf: cell 0, as np.argmin gives
+    ([[np.inf]], (0, 0), False),  # all inf: no start to polish, so a DomainError
+    ([[np.inf] * 3] * 3, (0, 0), False),
     ([[3.0, 1.0], [1.0, 3.0]], (0, 1), False),  # a tie: the first cell in row-major order
     ([[4.0, 2.0, 4.0], [4.0, 4.0, 4.0], [4.0, 1.0, 4.0]], (2, 1), True),
     ([[4.0, 1.2, 4.0], [4.0, 4.0, 4.0], [4.0, 1.0, 4.0]], (2, 1), False),  # within the margin
@@ -419,6 +421,12 @@ def test_grid_oracle_keeps_the_first_minimum_and_the_second_value(monkeypatch, b
                                                                   cell, unique):
     monkeypatch.setattr(polygon, "_ORACLE_BLOCK", block)
     monkeypatch.setattr(polygon, "_solve_system", lambda func, point: point)
+    if np.isinf(table).all():
+        for oracle in (polygon._grid_oracle, _meshgrid_grid_oracle):
+            with pytest.raises(DomainError, match=f"^every cell of the resolution-{len(table)} "
+                                                  "grid is inf$"):
+                oracle(len(table), _table_objective(table), None, 1.0)
+        return
     result = polygon._grid_oracle(len(table), _table_objective(table), None, 1.0)
     centers = (np.arange(len(table)) + 0.5) * result.cell_size
     assert result.grid_minimum == tuple(centers[list(cell)]) and result.unique_cell is unique
@@ -441,6 +449,20 @@ def test_g4_oracle_breaks_the_resolution_2_tie_by_row_major_order(monkeypatch, b
 def test_grid_oracle_rejects_a_resolution_below_one(oracle, resolution):
     with pytest.raises(DomainError, match=f"got {resolution}$"):
         oracle(resolution)
+
+
+# resolution 1 has the one cell (pi/4, pi/4), whose beta is 0; at margin 0.5 every cell leaves
+# a gap of at most 0.5, since the three gaps sum to pi/2 < 1.5
+@pytest.mark.parametrize("resolution, gap_margin", ((1, 0.02), (1, 0.5), (3, 0.5)))
+def test_all_inf_g6_grid_raises_before_polishing(monkeypatch, resolution, gap_margin):
+    def no_polish(func, point):
+        raise AssertionError("an all-inf grid has no start to polish")
+
+    monkeypatch.setattr(polygon, "_solve_system", no_polish)
+    with pytest.raises(DomainError, match=(
+            rf"^every cell of the resolution-{resolution} grid is inf: each leaves a gap "
+            rf"at most gap_margin = {gap_margin}$")):
+        g6_grid_oracle(resolution, gap_margin)
 
 
 @pytest.mark.parametrize("resolution", (721, 2001))
@@ -467,9 +489,9 @@ def test_per_axis_g4_objective_equals_exp_reference(monkeypatch, resolution):
     objectives = []
     grid_oracle = polygon._grid_oracle
 
-    def recording(resolution, objective_of, func, margin):
+    def recording(resolution, objective_of, *args):
         objectives.append(objective_of)
-        return grid_oracle(resolution, objective_of, func, margin)
+        return grid_oracle(resolution, objective_of, *args)
 
     monkeypatch.setattr(polygon, "_grid_oracle", recording)
     result = g4_grid_oracle(resolution)
@@ -546,9 +568,9 @@ def test_real_g6_objective_equals_complex_reference(monkeypatch, resolution):
     objectives = []
     grid_oracle = polygon._grid_oracle
 
-    def recording(resolution, objective_of, func, margin):
+    def recording(resolution, objective_of, *args):
         objectives.append(objective_of)
-        return grid_oracle(resolution, objective_of, func, margin)
+        return grid_oracle(resolution, objective_of, *args)
 
     monkeypatch.setattr(polygon, "_grid_oracle", recording)
     g6_grid_oracle(resolution)
@@ -563,9 +585,9 @@ def test_real_g6_objective_equals_complex_reference(monkeypatch, resolution):
 
 
 def test_unique_g6_cell_lies_on_the_diagonal(monkeypatch):
-    # judge the grid alone: at resolution 1 every cell is infeasible and no polish converges
+    # judge the grid alone; resolution 1, whose one cell is infeasible, raises (tested above)
     monkeypatch.setattr(polygon, "_solve_system", lambda func, point: point)
-    for resolution in range(1, 201):
+    for resolution in range(2, 201):
         result = g6_grid_oracle(resolution)
         alpha, gamma = result.grid_minimum
         assert alpha == gamma or not result.unique_cell, resolution
@@ -620,6 +642,72 @@ def test_conformal_normalize_recovers_perturbed_dodecagon():
     after = polygon_lie_curvature(recovered, 1, "psi_nu").value
     assert abs(before - after) <= 1e-8
     assert abs(after + 1.0) <= 1e-8
+
+
+def _reference_normalize(poly):
+    """The per-polygon boost solve that the closed form replaced, kept as the reference.
+
+    Levenberg-Marquardt over the two boost parameters from m = 0 (feasible for
+    |m| < 0.999) until the antipodal residual is at most 1e-12, one polygon of a
+    stack at a time, then the same re-anchoring of vertex 1.
+    """
+    g, phis = poly.g, poly.vertex_angles
+
+    def boost(row):
+        def constraints(m):
+            feasible = np.hypot(m[:, 0], m[:, 1]) < 0.999
+            with np.errstate(invalid="ignore", divide="ignore"):  # rows with |m| >= 1
+                new = polygon._transform_positions(row, 0.0, m[:, 0] + 1j * m[:, 1])
+                return polygon._wrap(new[:, g:g + 2] - new[:, :2] - PI), feasible
+
+        p, r = polygon._levenberg_polish(constraints, [(0.0, 0.0)])
+        assert len(p) and np.abs(r).max() <= 1e-12
+        return p[0]
+
+    m = np.array([boost(row) for row in phis.reshape(-1, 2 * g)]).reshape(phis.shape[:-1] + (2,))
+    mboost = m[..., 0] + 1j * m[..., 1]
+    moved = polygon._transform_positions(phis, 0.0, mboost)
+    chi = polygon._wrap(phis[..., 0] - moved[..., 0])
+    return (CircleMobius.from_parameters(chi, mboost),
+            polygon_from_positions(g, polygon._transform_positions(phis, chi, mboost)))
+
+
+def _assert_agrees_with_reference(poly, tol):
+    mapped, normalized = conformal_normalize(poly)
+    ref_map, ref = _reference_normalize(poly)
+    assert np.abs(mapped.matrix - ref_map.matrix).max() <= tol
+    assert np.abs(polygon._wrap(normalized.vertex_angles - ref.vertex_angles)).max() <= tol
+    return mapped, normalized
+
+
+def test_closed_form_normalization_agrees_with_the_solve_on_the_dodecagon():
+    base = build_parallel_polygon(6, 0.05)
+    perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
+    moved = polygon_from_positions(6, [_moved_angle(perturb, p) for p in base.vertex_angles])
+    _assert_agrees_with_reference(moved, 1e-12)
+
+
+@pytest.mark.parametrize("g", (4, 6))
+def test_boosted_parallel_polygons_normalize_to_the_parallel_polygon(g):
+    # 21 thetas, each moved by 20 seeded maps with |m| < 0.9 and a random rotation
+    bound = PI / (2 * g)
+    thetas = np.repeat(np.linspace(-0.85 * bound, 0.85 * bound, 21), 20)
+    rng = np.random.default_rng(20 + g)
+    boosts = rng.uniform(0.0, 0.9, thetas.size) * np.exp(1j * rng.uniform(-PI, PI, thetas.size))
+    maps = CircleMobius.from_parameters(rng.uniform(-PI, PI, thetas.size), boosts)
+    base = build_parallel_polygon(g, thetas)
+    points = np.concatenate([base.vertex_points(), np.ones(base.vertex_angles.shape + (1,))],
+                            axis=-1)
+    image = points @ maps.matrix.swapaxes(-1, -2)
+    moved = polygon_from_positions(g, np.arctan2(image[..., 1], image[..., 0]))
+    assert not polygon._parallel(moved.radius_table).any()
+    _, normalized = _assert_agrees_with_reference(moved, 1e-11)
+    phis = normalized.vertex_angles
+    assert np.abs(polygon._wrap(phis[..., g:g + 2] - phis[..., :2] - PI)).max() <= 1e-12
+    # up to rotation it is the parallel polygon it was moved from
+    turn = polygon._wrap((phis - phis[..., :1]) - (base.vertex_angles - base.vertex_angles[..., :1]))
+    assert np.abs(turn).max() <= 1e-12
+    assert np.abs(normalized.radius_table - base.radius_table).max() <= 1e-12
 
 
 def test_circle_mobius_is_o21():
@@ -907,7 +995,7 @@ def test_stacked_polish_equals_scalar_loop_on_search_residual(g):
 
 
 def test_stacked_polish_equals_scalar_loop_on_angle_systems(monkeypatch):
-    # capture the g = 4, g = 6 and boost systems as the library hands them to the solver
+    # capture the g = 4 and g = 6 systems as the library hands them to the solver
     systems = []
     solver = polygon._levenberg_polish
 
@@ -918,13 +1006,9 @@ def test_stacked_polish_equals_scalar_loop_on_angle_systems(monkeypatch):
     monkeypatch.setattr(polygon, "_levenberg_polish", spy)
     solve_g4_normalized()
     g6_grid_oracle(101)
-    perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
-    base = build_parallel_polygon(6, 0.05)
-    conformal_normalize(polygon_from_positions(6, [_moved_angle(perturb, p)
-                                                   for p in base.vertex_angles]))
-    g4, _, g6, boost = systems
+    g4, _, g6 = systems
     rng = np.random.default_rng(7)
-    for func, lo, hi in ((g4, -0.1, 1.7), (g6, -0.1, 1.0), (boost, -1.0, 1.0)):
+    for func, lo, hi in ((g4, -0.1, 1.7), (g6, -0.1, 1.0)):
         starts = rng.uniform(lo, hi, (40, 2))
         assert 20 <= _assert_polish_matches_reference(func, starts) < 40
     # the stacked 2-D residuals round as the scalar cmath forms did

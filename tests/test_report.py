@@ -397,6 +397,10 @@ def _holds(poly, bad):
     return bool(np.any((poly.vertex_angles == bad.vertex_angles).all(axis=-1)))
 
 
+class InjectedNormalizationError(RuntimeError):
+    """A normalization failure that only a test injects: no valid polygon fails the closed form."""
+
+
 @pytest.mark.parametrize("g, pairs", ((4, ("11", "22", "45")), (6, ("11", "22"))))
 def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch, g, pairs):
     bad = build_parallel_polygon(g, float(_suite_theta(g, 7)))
@@ -404,7 +408,7 @@ def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch
 
     def failing_normalize(poly):
         if poly.g == g and _holds(poly, bad):
-            raise polygon.NormalizationFailure("boost did not converge")
+            raise InjectedNormalizationError("boost did not converge")
         return normalize(poly)
 
     monkeypatch.setattr(polygon, "conformal_normalize", failing_normalize)
@@ -413,7 +417,7 @@ def test_failed_normalization_is_an_error_for_each_pair_of_its_theta(monkeypatch
     assert [c.case_id for c in errors] == [f"isometry_reduction/g{g}_m{p}[07]" for p in pairs]
     assert len({c.params["where"] for c in errors}) == 1
     assert errors[0].params["where"].endswith("in failing_normalize")
-    assert all(c.params["error"] == "NormalizationFailure: boost did not converge"
+    assert all(c.params["error"] == "InjectedNormalizationError: boost did not converge"
                and set(c.params) == {"theta", "error", "where"} for c in errors)
     assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
     assert _isometry_records() == _reference_records(monkeypatch)

@@ -19,7 +19,8 @@ and the OracleResult of g4_grid_oracle and g6_grid_oracle at resolutions
 101, 721 and 1001. Floats are written as float.hex, so equal dumps mean equal bits. `diff`
 prints every entry in which two dumps differ, then one summary line per
 suites case family with moved entries (how many, the largest residual move,
-the largest moved residual/tolerance ratio and whether every status is
+the largest moved residual/tolerance ratio, the params keys that moved with
+the largest move among numeric params, and whether every status is
 unchanged), and exits 1 if any entry differs, 0 if none; a part that one
 dump lacks (dumps of earlier versions have no report hashes, systems or
 oracles) is named and not compared. Nothing under benchmarks/ is written.
@@ -156,10 +157,12 @@ def suite_summary(a: dict, b: dict) -> list:
 
     Each line gives the number of moved entries (and how many of them moved in
     the residual), the largest residual move, the largest moved residual/tolerance
-    ratio (second dump) and whether every status is unchanged. Entries that only
-    one dump holds are not counted.
+    ratio (second dump), the params keys that differ (added, dropped or changed)
+    with the largest move among the params that read as numbers in both dumps,
+    and whether every status is unchanged. Entries that only one dump holds are
+    not counted.
     """
-    moved = {}  # family -> [(residual move, residual/tolerance, status flipped)]
+    moved = {}  # family -> [(residual move, residual/tolerance, status flipped, params moves)]
     left, right = a.get("suites", {}), b.get("suites", {})
     for key in sorted(left.keys() & right.keys()):
         old, new = left[key], right[key]
@@ -167,18 +170,34 @@ def suite_summary(a: dict, b: dict) -> list:
             continue
         before, after = float.fromhex(old["residual"]), float.fromhex(new["residual"])
         tolerance = float.fromhex(new["tolerance"])
+        was, now = old.get("params", {}), new.get("params", {})
+        params = {name: _numeric_move(was.get(name), now.get(name))
+                  for name in was.keys() | now.keys() if was.get(name) != now.get(name)}
         moved.setdefault(key.split(":", 1)[1].split("[")[0], []).append(
             (0.0 if before == after else abs(after - before),
-             after / tolerance if tolerance > 0 else math.inf, old["status"] != new["status"]))
+             after / tolerance if tolerance > 0 else math.inf, old["status"] != new["status"],
+             params))
     lines = []
     for family, entries in moved.items():
-        shifts, ratios, flips = zip(*entries)
+        shifts, ratios, flips, params = zip(*entries)
+        names = sorted(set().union(*params))
+        numeric = [move for moves in params for move in moves.values() if move is not None]
         lines.append(f"suites {family}: {len(entries)} moved ({sum(map(bool, shifts))} in the "
                      f"residual), largest residual move {max(shifts):.3g}, "
                      f"largest moved residual/tolerance {max(ratios):.3g}, "
+                     + (f"params moved: {', '.join(names)}" if names else "no params moved")
+                     + (f" (largest numeric move {max(numeric):.3g}), " if numeric else ", ")
                      + (f"{sum(flips)} status change(s)" if any(flips)
                         else "every status unchanged"))
     return lines
+
+
+def _numeric_move(before, after):
+    """|after - before| of two params values that both read as numbers, else None."""
+    try:
+        return abs(float(after) - float(before))
+    except (TypeError, ValueError):
+        return None
 
 
 def main(argv=None) -> int:
