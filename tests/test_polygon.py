@@ -621,29 +621,6 @@ def test_psi_sensitivity_to_gap_swap():
 # conformal machinery
 # ---------------------------------------------------------------------------
 
-def test_conformal_normalize_identity_on_normalized():
-    poly = build_parallel_polygon(4, 0.1)
-    mapped, out = conformal_normalize(poly)
-    assert abs(mapped.x) <= 1e-10 and abs(mapped.y) <= 1e-10
-    assert np.abs(out.vertex_angles - poly.vertex_angles).max() <= 1e-10
-
-
-def test_conformal_normalize_recovers_perturbed_dodecagon():
-    base = build_parallel_polygon(6, 0.05)
-    perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
-    phis = np.array([_moved_angle(perturb, p) for p in base.vertex_angles])
-    moved = polygon_from_positions(6, phis)
-    assert not is_parallel(moved)
-    mapped, recovered = conformal_normalize(moved)
-    for t in (0, 1):
-        arc = recovered.vertex_angles[t + 6] - recovered.vertex_angles[t]
-        assert abs(arc - PI) <= 1e-8
-    before = polygon_lie_curvature(moved, 1, "psi_nu").value
-    after = polygon_lie_curvature(recovered, 1, "psi_nu").value
-    assert abs(before - after) <= 1e-8
-    assert abs(after + 1.0) <= 1e-8
-
-
 def _reference_normalize(poly):
     """The per-polygon boost solve that the closed form replaced, kept as the reference.
 
@@ -680,11 +657,27 @@ def _assert_agrees_with_reference(poly, tol):
     return mapped, normalized
 
 
-def test_closed_form_normalization_agrees_with_the_solve_on_the_dodecagon():
+def test_conformal_normalize_identity_on_normalized():
+    poly = build_parallel_polygon(4, 0.1)
+    mapped, out = conformal_normalize(poly)
+    assert abs(mapped.x) <= 1e-10 and abs(mapped.y) <= 1e-10
+    assert np.abs(out.vertex_angles - poly.vertex_angles).max() <= 1e-10
+
+
+def test_conformal_normalize_recovers_perturbed_dodecagon():
     base = build_parallel_polygon(6, 0.05)
     perturb = CircleMobius.from_parameters(0.4, 0.25 + 0.1j)
-    moved = polygon_from_positions(6, [_moved_angle(perturb, p) for p in base.vertex_angles])
-    _assert_agrees_with_reference(moved, 1e-12)
+    phis = np.array([_moved_angle(perturb, p) for p in base.vertex_angles])
+    moved = polygon_from_positions(6, phis)
+    assert not is_parallel(moved)
+    mapped, recovered = _assert_agrees_with_reference(moved, 1e-12)
+    for t in (0, 1):
+        arc = recovered.vertex_angles[t + 6] - recovered.vertex_angles[t]
+        assert abs(arc - PI) <= 1e-8
+    before = polygon_lie_curvature(moved, 1, "psi_nu").value
+    after = polygon_lie_curvature(recovered, 1, "psi_nu").value
+    assert abs(before - after) <= 1e-8
+    assert abs(after + 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("g", (4, 6))
