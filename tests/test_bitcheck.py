@@ -142,8 +142,7 @@ def test_suite_summary_counts_a_status_flip(tmp_path, capsys):
     new = _suites(**{"seed0:s/a[0]": ("fail", 2e-8, 1e-8), "seed0:s/a[1]": ("pass", 1e-9, 1e-8)})
     (line,) = bitcheck.suite_summary(old, new)
     assert line.startswith("suites s/a: 1 moved (1 in the residual)")
-    assert "largest moved residual/tolerance 2, no params moved, 1 status change(s)" in line
-    assert line.endswith("1 status change(s)")
+    assert line.endswith("largest moved residual/tolerance 2, no params moved, 1 status change(s)")
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     first.write_text(json.dumps({"searches": {}, **old}), encoding="utf-8")
     second.write_text(json.dumps({"searches": {}, **new}), encoding="utf-8")

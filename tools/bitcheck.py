@@ -182,11 +182,12 @@ def suite_summary(a: dict, b: dict) -> list:
         shifts, ratios, flips, params = zip(*entries)
         names = sorted(set().union(*params))
         numeric = [move for moves in params for move in moves.values() if move is not None]
+        moved_params = f"params moved: {', '.join(names)}" if names else "no params moved"
+        if numeric:
+            moved_params += f" (largest numeric move {max(numeric):.3g})"
         lines.append(f"suites {family}: {len(entries)} moved ({sum(map(bool, shifts))} in the "
                      f"residual), largest residual move {max(shifts):.3g}, "
-                     f"largest moved residual/tolerance {max(ratios):.3g}, "
-                     + (f"params moved: {', '.join(names)}" if names else "no params moved")
-                     + (f" (largest numeric move {max(numeric):.3g}), " if numeric else ", ")
+                     f"largest moved residual/tolerance {max(ratios):.3g}, {moved_params}, "
                      + (f"{sum(flips)} status change(s)" if any(flips)
                         else "every status unchanged"))
     return lines
