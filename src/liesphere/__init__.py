@@ -2,14 +2,12 @@
 
 from .indefinite import (LieTransform, Signature, SignedVector, compose, inner,
                          invert, is_lie_transform, random_lie_transform)
-from .quadric import (ContactElement, LieCurvatureValue, OrientedSphere,
-                      ProjectiveCurvature, QuadricPoint, classify_quadric_point,
+from .quadric import (ContactElement, LieCurvatureValue, ProjectiveCurvature, QuadricPoint,
                       cross_ratio, curvature_sphere, legendre_lift, lie_curvature,
                       lie_curvature_of_values, moebius_coefficients, moebius_curvature,
-                      oriented_contact, parallel_transform, sphere_to_quadric)
-from .isoparam import (FamilyInvariants, IsoparametricFamily, focal_points,
-                       mean_curvature, minimal_theta, principal_curvatures,
-                       scalar_curvature, theta_from_mean_curvature)
+                      parallel_transform)
+from .isoparam import (FamilyInvariants, IsoparametricFamily, mean_curvature, minimal_theta,
+                       principal_curvatures, scalar_curvature, theta_from_mean_curvature)
 from .polygon import (AngleGaps, CircleMobius, GeodesicPolygon, angle_table,
                       build_parallel_polygon, conformal_normalize, constraint_search,
                       g4_grid_oracle, g4_residual, g6_grid_oracle, is_parallel,

@@ -28,7 +28,6 @@ from .isoparam import multiplicity_vector
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-ZERO = "zero"
 
 SVD_RELATIVE_THRESHOLD = 1e-9
 CERTIFICATE_MARGIN = 1e-6
@@ -48,7 +47,7 @@ class SignCertificate:
             return self.expression_value > 0
         if self.claimed_sign == NEGATIVE:
             return self.expression_value < 0
-        return self.expression_value == 0.0
+        raise ValueError(f"unknown claimed sign {self.claimed_sign!r}")
 
     @property
     def margin(self) -> float:

@@ -1,4 +1,4 @@
-"""Isoparametric families M_theta in S^n: curvatures, mean/scalar curvature, focal points.
+"""Isoparametric families M_theta in S^n: curvatures, mean and scalar curvature.
 
 The g distinct principal curvatures of the family member at parameter
 theta in (-pi/(2g), pi/(2g)) are
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, raise_where
-from .quadric import ProjectiveCurvature
 
 ADMISSIBLE_G = (1, 2, 3, 4, 6)
 
@@ -173,19 +172,3 @@ def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
     elif fam.g == 6:
         closed = 36 * m1 * (m1 - 1) * (1 + 1.0 / np.tan(6 * theta1) ** 2)
     return FamilyInvariants(n, h, s, r, closed)
-
-
-def focal_points(p: np.ndarray, n: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
-    """cos(theta) p + sin(theta) n and its antipode, theta = arccot(lambda) in (0, pi).
-
-    Accepts a real curvature or a ProjectiveCurvature (so lambda = infinity is exact).
-    """
-    p = np.asarray(p, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if (abs(np.linalg.norm(p) - 1.0) > 1e-10 or abs(np.linalg.norm(n) - 1.0) > 1e-10
-            or abs(float(np.dot(p, n))) > 1e-10):
-        raise DomainError("p and n must be orthonormal")
-    if not isinstance(lam, ProjectiveCurvature):
-        lam = ProjectiveCurvature.from_value(lam)
-    f = math.cos(lam.angle) * p + math.sin(lam.angle) * n
-    return f, -f

@@ -743,10 +743,6 @@ class CircleMobius:
         matrix = _so21_matrix(*_su11_params(chi, m))
         return cls(matrix, *(matrix[..., 2, j][()] for j in range(3)))
 
-    @classmethod
-    def identity(cls) -> "CircleMobius":
-        return cls.from_parameters(0.0, 0.0)
-
 
 def _transform_positions(phis: np.ndarray, chi, m) -> np.ndarray:
     """The angles phis (..., 2g) moved by the maps (chi, m) of shape (...)."""

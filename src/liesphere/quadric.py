@@ -1,19 +1,15 @@
-"""Oriented hyperspheres of S^n in the projective quadric model.
+"""Principal curvatures of a contact element in the projective quadric model.
 
-An oriented sphere with center p in S^n, radius theta in (0, pi) and
-orientation eps = +/-1 is the projective class of
+A point of the Lie quadric is the projective class of a null vector for
+the signature-(n+1, 2) form, and two points are in oriented contact iff
+their indefinite inner product vanishes. A pointed unit normal (p, n)
+lifts to the contact element (k1, k2) = ((p,1,0), (n,0,1)): the point
+sphere at p and the great sphere with pole n, both null and in contact.
+The curvature sphere for a principal curvature lambda = v/u = cot(xi) is
+v k1 + u k2. A group element maps principal curvatures by the Moebius rule
+lambda -> (a lambda + c)/(b lambda + d), so curvatures are kept as
+projective pairs (v, u) and poles are exact.
 
-    z = (p, cos theta, eps sin theta)  in R^(n+3),
-
-null for the signature-(n+1, 2) form. The point sphere at p is (p, 1, 0)
-and the oriented great sphere is (p, 0, +/-1). Two quadric points are in
-oriented contact iff their indefinite inner product vanishes.
-
-A pointed unit normal (p, n) lifts to the contact element (k1, k2) =
-((p,1,0), (n,0,1)); the curvature sphere for a principal curvature
-lambda = v/u = cot(xi) is v k1 + u k2. A group element maps principal
-curvatures by the Moebius rule lambda -> (a lambda + c)/(b lambda + d),
-so curvatures are kept as projective pairs (v, u) and poles are exact.
 Curvatures, the Moebius action, parallel transformations, cross ratios and
 Lie curvatures broadcast over stacks; a degenerate member raises once and
 the error names its stack index.
@@ -29,7 +25,6 @@ convention drift is the main correctness hazard:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,55 +35,14 @@ from .indefinite import LieTransform, Signature, SignedVector, inner
 QUADRIC_TOL = 1e-9
 PROJECTIVE_TOL = 1e-10
 
-SPHERE = "sphere"
-POINT_SPHERE = "point_sphere"
-GREAT_SPHERE = "great_sphere"
-
 STANDARD_13_24 = "standard_13_24"
 PAPER6_12_34 = "paper6_12_34"
 ORDERINGS = (STANDARD_13_24, PAPER6_12_34)
 
 
 @dataclass(frozen=True)
-class OrientedSphere:
-    """Oriented hypersphere of S^n; point spheres and great spheres carry no radius."""
-
-    center: np.ndarray
-    kind: str
-    radius: float | None = None
-    orientation: int = 1
-
-    def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
-        object.__setattr__(self, "center", center)
-        if abs(np.linalg.norm(center) - 1.0) > 1e-12:
-            raise DomainError("center must be a unit vector")
-        if self.kind not in (SPHERE, POINT_SPHERE, GREAT_SPHERE):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == SPHERE:
-            if self.radius is None or not 0.0 < self.radius < math.pi:
-                raise DomainError("sphere radius must lie in (0, pi)")
-        elif self.radius is not None:
-            raise DomainError(f"{self.kind} carries no radius")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-    @classmethod
-    def sphere(cls, center, radius: float, orientation: int = 1) -> "OrientedSphere":
-        return cls(center, SPHERE, radius, orientation)
-
-    @classmethod
-    def point(cls, center) -> "OrientedSphere":
-        return cls(center, POINT_SPHERE)
-
-    @classmethod
-    def great(cls, center, orientation: int = 1) -> "OrientedSphere":
-        return cls(center, GREAT_SPHERE, None, orientation)
-
-
-@dataclass(frozen=True)
 class QuadricPoint:
-    """Projective class [z] of a null vector; equality means parallel representatives."""
+    """Projective class [z] of a null vector, given by a nonzero representative z."""
 
     rep: SignedVector
 
@@ -99,11 +53,6 @@ class QuadricPoint:
             raise ValueError("representative must be nonzero")
         if abs(inner(self.rep, self.rep)) > QUADRIC_TOL * norm2:
             raise DomainError("representative is not on the quadric")
-
-    def same_point(self, other: "QuadricPoint", tol: float = QUADRIC_TOL) -> bool:
-        a, b = self.rep.coords, other.rep.coords
-        cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        return abs(abs(cos) - 1.0) <= tol
 
 
 @dataclass(frozen=True)
@@ -140,10 +89,6 @@ class ProjectiveCurvature:
     def from_angle(cls, xi) -> "ProjectiveCurvature":
         return cls(np.cos(xi), np.sin(xi))
 
-    @classmethod
-    def infinity(cls) -> "ProjectiveCurvature":
-        return cls(1.0, 0.0)
-
     @property
     def is_infinite(self):
         return np.abs(self.u) <= PROJECTIVE_TOL * np.abs(self.v)
@@ -153,49 +98,6 @@ class ProjectiveCurvature:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(self.is_infinite, np.copysign(np.inf, self.v),
                             np.divide(self.v, self.u))[()]
-
-    @property
-    def angle(self):
-        """Radius xi = arccot(v/u) in [0, pi)."""
-        return np.arctan2(self.u, self.v) % np.pi
-
-
-def sphere_to_quadric(s: OrientedSphere) -> QuadricPoint:
-    """(p, cos theta, eps sin theta); (p, 1, 0) for point spheres; (p, 0, eps) for great."""
-    n_plus = len(s.center)
-    sig = Signature(n_plus, 2)
-    if s.kind == POINT_SPHERE:
-        tail = (1.0, 0.0)
-    elif s.kind == GREAT_SPHERE:
-        tail = (0.0, float(s.orientation))
-    else:
-        tail = (math.cos(s.radius), s.orientation * math.sin(s.radius))
-    rep = np.concatenate([s.center, tail])
-    return QuadricPoint(SignedVector(rep, sig))
-
-
-def classify_quadric_point(q: QuadricPoint, tol: float = 1e-12) -> OrientedSphere:
-    """Inverse of sphere_to_quadric: scale the spatial part to a unit vector and read (c, s)."""
-    z = q.rep.coords
-    spatial = z[:-2]
-    norm = np.linalg.norm(spatial)
-    if norm <= tol * np.linalg.norm(z):
-        raise DomainError("malformed representative: zero spatial part")
-    center = spatial / norm
-    c, s = z[-2] / norm, z[-1] / norm
-    if abs(s) <= tol:
-        return OrientedSphere.point(center)
-    if abs(c) <= tol:
-        return OrientedSphere.great(center, 1 if s > 0 else -1)
-    theta = math.atan2(abs(s), c)
-    return OrientedSphere.sphere(center, theta, 1 if s > 0 else -1)
-
-
-def oriented_contact(a: QuadricPoint, b: QuadricPoint, tol: float = QUADRIC_TOL):
-    """True iff <a, b> = 0 relative to the representative norms. Returns (ok, residual)."""
-    scale = np.linalg.norm(a.rep.coords) * np.linalg.norm(b.rep.coords)
-    residual = abs(inner(a.rep, b.rep)) / scale
-    return residual <= tol, residual
 
 
 def legendre_lift(p: np.ndarray, n: np.ndarray) -> ContactElement:

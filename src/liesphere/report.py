@@ -47,7 +47,7 @@ class UsageError(ValueError):
     """Unknown suite or malformed report request."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationCase:
     suite: str
     case_id: str
@@ -80,12 +80,8 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
         status, residual, tolerance = "error", math.inf, 0.0
     else:
         status = "pass" if residual <= tolerance else "fail"
-    # the record the constructor makes, in its field order, without one frozen setattr per field
-    case = object.__new__(VerificationCase)
-    case.__dict__.update(suite=suite, case_id=case_id, params=params, status=status,
-                         residual=float(residual), tolerance=float(tolerance),
-                         runtime_ms=(time.perf_counter_ns() - t0) / 1e6, seed=seed)
-    return case
+    return VerificationCase(suite, case_id, params, status, float(residual), float(tolerance),
+                            (time.perf_counter_ns() - t0) / 1e6, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +272,11 @@ _KERNEL_SYSTEMS = (
 )
 
 
+def _family_pcs(g: int) -> np.ndarray:
+    """The principal curvatures of the member theta = 0 of the g family at m = (1, 1)."""
+    return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
+
+
 def _suite_dji_kernels(seed: int, tol: float | None):
     for g, constraints, m1, m2 in _KERNEL_SYSTEMS:
         name = f"dji_kernels/kernel_g{g}_{'_'.join(constraints)}_m{m1}{m2}"
@@ -295,17 +296,13 @@ def _suite_dji_kernels(seed: int, tol: float | None):
                float(analysis.dimension), 0.5)
         yield name + "_stability", {}, 0.0 if stable else 1.0, 0.5
 
-    # the cases below share these, so each is made once
-    @functools.cache
-    def family_pcs(g):
-        return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
-
+    # the cases below share these systems, so each is made once
     @functools.cache
     def cmc_system(g):
-        return dji.build_system(g, family_pcs(g), 1, 1, ("cmc",), dji.critical_point_pinning(g))
+        return dji.build_system(g, _family_pcs(g), 1, 1, ("cmc",), dji.critical_point_pinning(g))
 
     def full_kernel():
-        free = dji.build_system(6, family_pcs(6), 1, 1, (), frozenset())
+        free = dji.build_system(6, _family_pcs(6), 1, 1, (), frozenset())
         unknowns = len(free.unknown_labels)
         return {"unknowns": unknowns}, abs(dji.kernel_analysis(free).dimension - unknowns)
 
@@ -350,13 +347,9 @@ def _suite_sign_certificates(seed: int, tol: float | None):
     """
     margin = _certificate_margin(tol)
     root3 = math.sqrt(3.0)
-
-    def family_pcs(g):
-        return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
-
     for g in (4, 6):
         try:
-            certificates = dji.sign_certificates(g, family_pcs(g))
+            certificates = dji.sign_certificates(g, _family_pcs(g))
         except Exception as exc:  # noqa: BLE001 - one bad block is one error record
             yield f"sign_certificates/g{g}_certificates", {}, exc, 0.5
             continue
@@ -367,7 +360,7 @@ def _suite_sign_certificates(seed: int, tol: float | None):
                    violation, 0.5)
 
     def closed_form_values():
-        pcs6 = family_pcs(6)
+        pcs6 = _family_pcs(6)
         one_minus = next(c for c in dji.sign_certificates(6, pcs6)
                          if c.name == "g6_one_minus_v_over_w")
         return [abs(one_minus.expression_value - (9 - 2 * root3)),
@@ -549,17 +542,6 @@ def emit_report(cases, path: str, fmt: str = "json", seed: int = 0) -> None:
                                  repr(c.tolerance), c.runtime_ms, c.seed])
     else:
         raise UsageError(f"unknown report format {fmt!r}")
-
-
-def parse_csv_report(path: str):
-    """Read back a CSV report as VerificationCase records (params are not stored in CSV)."""
-    out = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            out.append(VerificationCase(row["suite"], row["case_id"], {}, row["status"],
-                                        float(row["residual"]), float(row["tolerance"]),
-                                        float(row["runtime_ms"]), int(row["seed"])))
-    return out
 
 
 _CHORD_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#b7950b", "#7d3c98", "#566573")

@@ -89,7 +89,8 @@ def test_acceptance_04_parallel_transformation_law():
             if abs(math.sin(xi + theta)) >= 0.15:
                 worst_value = max(worst_value, abs(out.value - 1.0 / math.tan(xi + theta)))
             # angle-space comparison is pole-free and covers every grid point
-            angle_dev = min(abs(out.angle - target), PI - abs(out.angle - target))
+            angle = np.arctan2(out.u, out.v) % PI
+            angle_dev = min(abs(angle - target), PI - abs(angle - target))
             worst_angle = max(worst_angle, angle_dev)
             checked += 1
     elapsed = time.perf_counter() - started

@@ -199,6 +199,13 @@ def test_sign_certificates_hold_with_margin():
             assert cert.margin > 1e-6, cert
 
 
+def test_sign_certificate_rejects_an_unknown_claim():
+    assert SignCertificate("x", 1.0, POSITIVE).holds
+    assert not SignCertificate("x", 0.0, NEGATIVE).holds
+    with pytest.raises(ValueError, match="unknown claimed sign 'postive'"):
+        SignCertificate("x", 0.0, "postive").holds
+
+
 def test_g6_certificate_closed_forms():
     certs = {c.name: c.expression_value for c in sign_certificates(6, family_pcs(6))}
     assert abs(certs["g6_one_minus_v_over_w"] - (9 - 2 * ROOT3)) <= 1e-12

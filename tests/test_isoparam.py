@@ -6,7 +6,7 @@ import pytest
 from liesphere import isoparam
 from liesphere.errors import DomainError
 from liesphere.isoparam import (FamilyInvariants, IsoparametricFamily,
-                                focal_points, mean_curvature, minimal_theta,
+                                mean_curvature, minimal_theta,
                                 multiplicity_vector, principal_curvatures,
                                 scalar_curvature, theta_from_mean_curvature)
 from liesphere.quadric import ProjectiveCurvature, moebius_curvature
@@ -277,25 +277,3 @@ def test_parallel_family_consistency():
         moved = [moebius_curvature(a, b, -b, a, ProjectiveCurvature.from_value(v)).value
                  for v in pcs0]
         assert np.abs(np.array(moved) - pcs1).max() <= 1e-10
-
-
-def test_focal_points_basic():
-    e1 = np.array([1.0, 0, 0])
-    e2 = np.array([0.0, 1, 0])
-    f, antipode = focal_points(e1, e2, 1.0)
-    assert np.abs(f - (ROOT2 / 2) * (e1 + e2)).max() <= 1e-12
-    assert np.abs(antipode + f).max() == 0.0
-
-
-def test_focal_points_poles():
-    e1 = np.array([1.0, 0, 0])
-    e2 = np.array([0.0, 1, 0])
-    f_inf, _ = focal_points(e1, e2, ProjectiveCurvature.infinity())
-    assert np.abs(f_inf - e1).max() <= 1e-15
-    f_zero, _ = focal_points(e1, e2, 0.0)
-    assert np.abs(f_zero - e2).max() <= 1e-15
-
-
-def test_focal_points_reject_non_orthonormal():
-    with pytest.raises(DomainError):
-        focal_points(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 1.0)

@@ -7,127 +7,64 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesphere.errors import ContactViolation, DegenerateConfiguration, DomainError
-from liesphere.indefinite import Signature, compose, random_lie_transform
-from liesphere.quadric import (PAPER6_12_34, STANDARD_13_24, OrientedSphere,
-                               ProjectiveCurvature, classify_quadric_point, cross_ratio,
+from liesphere.indefinite import Signature, SignedVector, compose, inner, random_lie_transform
+from liesphere.quadric import (PAPER6_12_34, STANDARD_13_24, ContactElement,
+                               ProjectiveCurvature, QuadricPoint, cross_ratio,
                                curvature_sphere, legendre_lift, lie_curvature,
                                lie_curvature_of_values, moebius_coefficients,
-                               moebius_curvature, oriented_contact, parallel_transform,
-                               sphere_to_quadric)
+                               moebius_curvature, parallel_transform)
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])
 ROOT2 = math.sqrt(2.0)
 
 
+def quadric_point(coords):
+    return QuadricPoint(SignedVector(np.array(coords, dtype=float), Signature(3, 2)))
+
+
 def test_point_sphere_rep_and_nullity():
-    q = sphere_to_quadric(OrientedSphere.point(E1))
-    assert np.array_equal(q.rep.coords, [1, 0, 0, 1, 0])
+    k1 = legendre_lift(E1, E2).k1
+    assert np.array_equal(k1.rep.coords, [1, 0, 0, 1, 0])
+    assert inner(k1.rep, k1.rep) == 0.0
 
 
 def test_oriented_sphere_validation():
+    with pytest.raises(ValueError):
+        quadric_point([0, 0, 0, 0, 0])              # zero representative
     with pytest.raises(DomainError):
-        OrientedSphere.sphere(2 * E1, 0.3, 1)       # non-unit center
-    with pytest.raises(DomainError):
-        OrientedSphere.sphere(E1, math.pi, 1)       # radius outside (0, pi)
-    with pytest.raises(DomainError):
-        OrientedSphere(E1, "point_sphere", 0.5)     # point sphere carries no radius
+        quadric_point([2, 0, 0, 1, 0])              # off the quadric
 
 
 def test_half_turn_sphere_is_great_sphere():
-    q = sphere_to_quadric(OrientedSphere.sphere(E1, math.pi / 2, 1))
-    great = sphere_to_quadric(OrientedSphere.great(E1, 1))
-    assert np.abs(q.rep.coords - great.rep.coords).max() <= 1e-15
+    ce = legendre_lift(E1, E2)
+    q = curvature_sphere(ce, ProjectiveCurvature.from_angle(math.pi / 2))
+    assert np.abs(q.rep.coords - ce.k2.rep.coords).max() <= 1e-15
 
 
 def test_quarter_turn_rep():
-    q = sphere_to_quadric(OrientedSphere.sphere(E1, math.pi / 4, 1))
-    assert np.abs(q.rep.coords - [1, 0, 0, ROOT2 / 2, ROOT2 / 2]).max() <= 1e-15
-
-
-def test_classify_scaled_point_sphere():
-    from liesphere.indefinite import SignedVector
-    from liesphere.quadric import QuadricPoint
-    q = QuadricPoint(SignedVector(np.array([2.0, 0, 0, 2.0, 0.0]), Signature(3, 2)))
-    sphere = classify_quadric_point(q)
-    assert sphere.kind == "point_sphere"
-    assert np.abs(sphere.center - E1).max() <= 1e-15
-
-
-def test_projective_equality_of_quadric_points():
-    a = sphere_to_quadric(OrientedSphere.sphere(E1, 0.4, 1))
-    from liesphere.indefinite import SignedVector
-    from liesphere.quadric import QuadricPoint
-    b = QuadricPoint(SignedVector(-3.0 * a.rep.coords, a.rep.signature))
-    c = sphere_to_quadric(OrientedSphere.sphere(E1, 0.41, 1))
-    assert a.same_point(b)
-    assert not a.same_point(c)
-
-
-def test_classify_negative_great_sphere():
-    from liesphere.indefinite import SignedVector
-    from liesphere.quadric import QuadricPoint
-    q = QuadricPoint(SignedVector(np.array([0.0, 1, 0, 0, -1.0]), Signature(3, 2)))
-    sphere = classify_quadric_point(q)
-    assert sphere.kind == "great_sphere" and sphere.orientation == -1
-
-
-def test_classify_roundtrip_quarter_turn():
-    original = OrientedSphere.sphere(E1, math.pi / 4, 1)
-    again = classify_quadric_point(sphere_to_quadric(original))
-    assert again.kind == "sphere"
-    assert abs(again.radius - math.pi / 4) <= 1e-12
-    assert again.orientation == 1
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.floats(0.01, math.pi - 0.01), st.sampled_from([1, -1]), st.integers(0, 10_000))
-def test_classify_roundtrip_random(radius, orientation, seed):
-    rng = np.random.default_rng(seed)
-    center = rng.normal(size=4)
-    center /= np.linalg.norm(center)
-    original = OrientedSphere.sphere(center, radius, orientation)
-    again = classify_quadric_point(sphere_to_quadric(original))
-    assert abs(again.radius - radius) <= 1e-10
-    assert again.orientation == orientation
-    assert np.abs(again.center - center).max() <= 1e-10
-
-
-def test_classify_zero_spatial_part_errors():
-    # a null vector cannot have zero spatial part, so the guard is only reachable
-    # through a malformed object constructed around the validation
-    from liesphere.indefinite import SignedVector
-    from liesphere.quadric import QuadricPoint
-    q = object.__new__(QuadricPoint)
-    object.__setattr__(q, "rep", SignedVector(np.array([0.0, 0, 0, 1.0, 1.0]),
-                                              Signature(3, 2)))
-    with pytest.raises(DomainError):
-        classify_quadric_point(q)
-
-
-def test_oriented_contact_point_vs_orthogonal_great():
-    point = sphere_to_quadric(OrientedSphere.point(E1))
-    great = sphere_to_quadric(OrientedSphere.great(E2, 1))
-    ok, residual = oriented_contact(point, great, 1e-9)
-    assert ok and residual <= 1e-15
+    # (center, cos xi, sin xi) at xi = pi/4, centered at the focal point (E1 + E2)/sqrt(2)
+    q = curvature_sphere(legendre_lift(E1, E2), ProjectiveCurvature.from_angle(math.pi / 4))
+    assert np.abs(q.rep.coords - [ROOT2 / 2, ROOT2 / 2, 0, ROOT2 / 2, ROOT2 / 2]).max() <= 1e-15
 
 
 def test_no_contact_between_distinct_point_spheres():
-    a = sphere_to_quadric(OrientedSphere.point(E1))
-    b = sphere_to_quadric(OrientedSphere.point(E2))
-    ok, _ = oriented_contact(a, b, 1e-9)
-    assert not ok
+    a, b = quadric_point([1, 0, 0, 1, 0]), quadric_point([0, 1, 0, 1, 0])
+    with pytest.raises(ContactViolation, match="not in oriented contact"):
+        ContactElement(a, b)
 
 
 def test_self_contact():
-    q = sphere_to_quadric(OrientedSphere.sphere(E1, 0.4, -1))
-    ok, _ = oriented_contact(q, q, 1e-9)
-    assert ok
+    # every quadric point touches itself, so only the independence guard rejects the pair
+    q = quadric_point([0, 0, 1, 0, -1])
+    assert inner(q.rep, q.rep) == 0.0
+    for pair in ((q, q), (q, quadric_point(-3.0 * q.rep.coords))):
+        with pytest.raises(ContactViolation, match="linearly independent"):
+            ContactElement(*pair)
 
 
 def test_legendre_lift_basic():
     ce = legendre_lift(E1, E2)
-    from liesphere.indefinite import inner
     assert inner(ce.k1.rep, ce.k2.rep) == 0.0
 
 
@@ -145,18 +82,19 @@ def test_legendre_lift_random_orthonormal():
         b -= (b @ a) * a
         b /= np.linalg.norm(b)
         ce = legendre_lift(a, b)
-        from liesphere.indefinite import inner
         assert abs(inner(ce.k1.rep, ce.k2.rep)) <= 1e-14
 
 
 def test_curvature_sphere_poles_and_radius():
     ce = legendre_lift(E1, E2)
-    at_infinity = curvature_sphere(ce, ProjectiveCurvature.infinity())
+    at_infinity = curvature_sphere(ce, ProjectiveCurvature(1.0, 0.0))
     assert np.array_equal(at_infinity.rep.coords, ce.k1.rep.coords)
     at_zero = curvature_sphere(ce, ProjectiveCurvature(0.0, 1.0))
     assert np.array_equal(at_zero.rep.coords, ce.k2.rep.coords)
-    unit = classify_quadric_point(curvature_sphere(ce, ProjectiveCurvature(1.0, 1.0)))
-    assert abs(unit.radius - math.pi / 4) <= 1e-12
+    unit = curvature_sphere(ce, ProjectiveCurvature(1.0, 1.0))
+    assert inner(unit.rep, ce.k1.rep) == 0.0 and inner(unit.rep, ce.k2.rep) == 0.0
+    cos, sin = unit.rep.coords[-2:]
+    assert abs(math.atan2(sin, cos) - math.pi / 4) <= 1e-12
 
 
 def test_moebius_identity():
@@ -249,7 +187,7 @@ def test_lie_curvature_rejects_repeats():
 
 
 def test_lie_curvature_handles_infinity():
-    values = [ProjectiveCurvature.infinity(), ProjectiveCurvature.from_value(1.0),
+    values = [ProjectiveCurvature(1.0, 0.0), ProjectiveCurvature.from_value(1.0),
               ProjectiveCurvature.from_value(0.0), ProjectiveCurvature.from_value(-1.0)]
     # with l1 = infinity the standard cross ratio degenerates to (l2-l4)/(l2-l3)
     out = lie_curvature(*values, ordering=STANDARD_13_24)

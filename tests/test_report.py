@@ -1,4 +1,5 @@
 import cmath
+import csv
 import dataclasses
 import hashlib
 import json
@@ -21,9 +22,8 @@ from liesphere.quadric import (PAPER6_12_34, STANDARD_13_24, ProjectiveCurvature
                                legendre_lift, lie_curvature, lie_curvature_of_values,
                                moebius_coefficients, moebius_curvature)
 from liesphere.polygon import build_parallel_polygon
-from liesphere.report import (UsageError, VerificationCase, all_passed,
-                              emit_polygon_svg, emit_report, parse_csv_report,
-                              run_suite)
+from liesphere.report import (UsageError, VerificationCase, all_passed, emit_polygon_svg,
+                              emit_report, run_suite)
 
 
 def make_case(case_id="suite/x", residual=0.0, tolerance=1e-9, status=None):
@@ -37,16 +37,23 @@ def test_case_status_validation():
         VerificationCase("s", "c", {}, "maybe", 0.0, 1.0, 0, 0)
 
 
-def test_case_records_equal_constructor_records():
-    # _case skips the constructor's per-field setattr calls, not what the record holds
+def test_case_records_equal_constructor_records(monkeypatch):
+    # _case builds every record through the constructor, so the status check runs on each
+    checked = []
+    check_status = VerificationCase.__post_init__
+
+    def spy(case):
+        checked.append(case.status)
+        check_status(case)
+
+    monkeypatch.setattr(VerificationCase, "__post_init__", spy)
     for residual, status in ((1e-12, "pass"), (2.5, "fail"), (DomainError("bad"), "error")):
         case = report._case("s", "s/c", {"k": 1}, residual, 1e-9, 3, 0)
+        assert checked.pop() == case.status == status
         built = VerificationCase(case.suite, case.case_id, dict(case.params), case.status,
                                  case.residual, case.tolerance, case.runtime_ms, case.seed)
-        assert case.status == status and case == built and hash(case) == hash(built)
+        assert checked.pop() == status and case == built
         assert list(vars(case)) == list(vars(built)) and vars(case) == vars(built)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            case.status = "pass"
 
 
 def test_emit_json_empty(tmp_path):
@@ -73,14 +80,15 @@ def test_csv_roundtrip(tmp_path):
     emit_report(cases, str(path), "csv")
     header = path.read_text().splitlines()[0]
     assert header == "suite,case_id,status,residual,tolerance,runtime_ms,seed"
-    back = parse_csv_report(str(path))
+    with open(path, encoding="utf-8", newline="") as handle:
+        back = list(csv.DictReader(handle))
     for orig, parsed in zip(cases, back):
-        assert (parsed.suite, parsed.case_id, parsed.status) == (
+        assert (parsed["suite"], parsed["case_id"], parsed["status"]) == (
             orig.suite, orig.case_id, orig.status)
-        assert parsed.residual == orig.residual
-        assert parsed.tolerance == orig.tolerance
-        assert parsed.runtime_ms == orig.runtime_ms  # float milliseconds, exactly
-        assert parsed.seed == orig.seed
+        assert float(parsed["residual"]) == orig.residual
+        assert float(parsed["tolerance"]) == orig.tolerance
+        assert float(parsed["runtime_ms"]) == orig.runtime_ms  # float milliseconds, exactly
+        assert int(parsed["seed"]) == orig.seed
     assert len(back) == len(cases)
 
 
