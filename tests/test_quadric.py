@@ -30,10 +30,10 @@ def test_point_sphere_rep_and_nullity():
 
 
 def test_oriented_sphere_validation():
-    with pytest.raises(ValueError):
-        quadric_point([0, 0, 0, 0, 0])              # zero representative
-    with pytest.raises(DomainError):
-        quadric_point([2, 0, 0, 1, 0])              # off the quadric
+    with pytest.raises(ValueError, match="must be nonzero"):
+        quadric_point([0, 0, 0, 0, 0])
+    with pytest.raises(DomainError, match="not on the quadric"):
+        quadric_point([2, 0, 0, 1, 0])
 
 
 def test_half_turn_sphere_is_great_sphere():
