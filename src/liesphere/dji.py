@@ -76,7 +76,7 @@ def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[flo
     return mu, tau
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivativeSystem:
     g: int
     unknown_labels: tuple
@@ -173,7 +173,7 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
                             assumed_zero)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelAnalysis:
     dimension: int
     basis: np.ndarray            # columns span the kernel

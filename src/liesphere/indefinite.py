@@ -42,7 +42,7 @@ class Signature:
         return np.diag(np.concatenate([np.ones(self.plus_count), -np.ones(self.minus_count)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedVector:
     """A vector of R^(p+q) tagged with its Signature."""
 
@@ -82,7 +82,7 @@ def is_lie_transform(matrix: np.ndarray, sig: Signature, tol: float = GROUP_TOL)
     return residual <= tol, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieTransform:
     """An element of O(p, q), or a stack (..., n, n) of them, validated once on construction."""
 

@@ -16,7 +16,9 @@ is recovered from H in closed form: t is the one positive root of the
 quadratic m1 t^2 - (2H/g) t - m2 = 0. The scalar curvature is
 R = (n-1)(n-2) + H^2 - S with S = sum m_i lambda_i^2; for g = 3, 4, 6 its
 closed form is returned beside it. The isoparametric_formulas suite
-cross-checks both closed forms against the direct sums.
+cross-checks both closed forms against the direct sums. S, like the search's
+cmc and csc rows, is a multiplicity_sum: one fixed order of additions, so a
+member and a stack agree to the bit, whatever BLAS kernel the CPU would pick.
 
 A family, and every function of it, takes theta as a float or as an array
 of thetas; the curvatures then come as (..., g) and H, S and R as (...).
@@ -49,6 +51,19 @@ def multiplicity_vector(g: int, m1: int, m2: int) -> np.ndarray:
     if g % 2 == 0:
         return np.array([m1, m2] * (g // 2), dtype=float)
     return np.full(g, float(m1))
+
+
+def multiplicity_sum(w):
+    """sum_i w[i] over the g terms of the first axis: (w1 + w3) + (w2 + w4) (+ (w5 + w6)).
+
+    Left to right for g < 4: the order in which x86-64 OpenBLAS's gemv adds a row
+    of g = 3, 4 or 6 terms, so `lam @ mult` gave these bits on such a host.
+    """
+    if len(w) >= 4:
+        pairs = w[:2] + w[2:4]  # w1 + w3 and w2 + w4
+        total = pairs[0] + pairs[1]
+        return total + (w[4] + w[5]) if len(w) == 6 else total
+    return sum((w[i] for i in range(1, len(w))), w[0])
 
 
 @dataclass(frozen=True)
@@ -154,13 +169,7 @@ def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
     """General R = (n-1)(n-2) + H^2 - S, with the closed form for g in {3,4,6} beside it."""
     n = fam.ambient_dim
     h = mean_curvature(fam)
-    # S = sum m_i lambda_i^2 in one order for a member and a stack (a matrix product takes
-    # BLAS dot for one, gemv for many): (w1 + w3) + (w2 + w4) (+ (w5 + w6)) for g >= 4, else
-    # left to right; x86-64 OpenBLAS's gemv adds in this order for every suite family
-    w = list(np.moveaxis(principal_curvatures(fam) ** 2 * fam.multiplicities, -1, 0))
-    s = sum(w[1:], w[0]) if fam.g < 4 else (w[0] + w[2]) + (w[1] + w[3])
-    if fam.g == 6:
-        s = s + (w[4] + w[5])
+    s = multiplicity_sum(np.moveaxis(principal_curvatures(fam) ** 2 * fam.multiplicities, -1, 0))
     r = (n - 1) * (n - 2) + h * h - s
     m1, m2, theta1 = fam.m1, fam.m2, fam.theta1
     closed = None

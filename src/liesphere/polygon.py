@@ -39,22 +39,29 @@ import numpy as np
 from .dji import NEGATIVE, POSITIVE, SignCertificate
 from .errors import CertificateFailure, DomainError, raise_where
 from .indefinite import Signature, is_lie_transform
-from .isoparam import multiplicity_vector
+from .isoparam import multiplicity_sum, multiplicity_vector
 from .quadric import (PAPER6_12_34, STANDARD_13_24, LieCurvatureValue,
                       ProjectiveCurvature, cross_ratio, lie_curvature)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, flagged so that a write raises: a cached or module-level plan has many readers."""
+    array.flags.writeable = False
+    return array
+
 
 SUPPORTED_G = (3, 4, 6)
 LINK_TOL = 1e-9
 PARALLEL_TOL = 1e-9
 SEARCH_FILTER_TOL = 1e-6
-_SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid at once costs ~3 MB
+_SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid of g = 6 tables is ~1.3 MB
 _ORACLE_BLOCK = 1 << 15  # cells per grid-oracle objective call: 256 KiB per float64 array
-_unit_steps = functools.cache(lambda n: np.eye(n) * 1e-7)  # row d steps p_d; never written to
+_unit_steps = functools.cache(lambda n: _read_only(np.eye(n) * 1e-7))  # row d steps p_d
 
 # family values of the g=6 Lie curvatures Phi_h (theta-independent)
 G6_FAMILY_PHI = {3: -1.0, 4: -1.0 / 3.0, 6: 1.0 / 3.0}
-# the 0-based curvatures (1, 2, h, 5) of each Phi_h, one column per h, and its target
-_G6_PHI_INDEX = np.array([[0, 1, h - 1, 4] for h in G6_FAMILY_PHI]).T
+# the 0-based curvature h of each Phi_h (of curvatures 1, 2, h, 5) and its target
+_G6_PHI_H = _read_only(np.array([h - 1 for h in G6_FAMILY_PHI]))
 _G6_PHI_TARGET = np.array(list(G6_FAMILY_PHI.values()))[:, None, None]
 _TABLE_OUT_OF_RANGE = "configuration leaves (0, pi): radius table invalid"
 
@@ -110,7 +117,7 @@ def link_partner(g: int, t, i):
 
 @functools.cache
 def _table_plan(g: int) -> np.ndarray:
-    """Gather indices (g - 1, 2g) into a gap array (..., 2g), the odd cycle then the even.
+    """Gather indices (g - 1, 2g) into a gap array (2g, ...), the odd cycle then the even.
 
     Entry [i, t] is the gap that radius row t adds at its (i + 1)-th step from its
     base radius: row 2k steps through odd[k], odd[k + 1], ..., row 2k + 1 through
@@ -120,33 +127,47 @@ def _table_plan(g: int) -> np.ndarray:
     plan = np.empty((g - 1, 2 * g), dtype=int)
     plan[:, 0::2] = ((k[:, None] + k) % g)[:, :-1].T
     plan[:, 1::2] = g + ((k - k[:, None]) % g)[:, :-1].T
-    return plan
+    return _read_only(plan)
+
+
+def _stack_last_table(g: int, gaps: np.ndarray, theta1, theta2) -> np.ndarray:
+    """The radius tables (g, 2g, ...) of gap arrays (2g, ...) and base radii (...).
+
+    Stack-last: entry [i, t] is theta^(t+1)_(i+1), and every term is a contiguous slab.
+    The base radii chain is one accumulate over theta1, odd[0], -even[g-1], odd[1], ...
+    (x + (-y) is x - y in IEEE); the running sums of the steps go slab by slab, since an
+    accumulate over that axis pays an inner loop per lane, 15 times the cost at S = 1000.
+    """
+    stack = gaps.shape[1:]
+    chain = np.empty((2 * g - 1,) + stack)
+    chain[0] = theta1
+    chain[1::2] = gaps[:g - 1]
+    np.negative(gaps[:g:-1], chain[2::2])
+    np.add.accumulate(chain, 0, None, chain)
+    table = np.empty((g, 2 * g) + stack)
+    table[0].reshape((g, 2) + stack)[...] = chain[::2, None]
+    table[0, 1] = theta2
+    run = gaps.take(_table_plan(g), 0, table[1:], "clip")  # the steps, summed in place
+    for i in range(1, g - 1):
+        run[i] += run[i - 1]
+    run += table[0]
+    return table
 
 
 def _radius_table(g: int, gaps, theta1, theta2) -> np.ndarray:
     """The 2g x g table of a gap array (..., 2g) and base radii (...); broadcasts over stacks.
 
-    A row is its base radius plus the running sums of its steps: one array
-    operation per column, since numpy's cumsum over a last axis this short
-    costs a call per row.
+    The stack-first view of _stack_last_table, copied to a C-ordered array (..., 2g, g).
     """
     gaps = np.asarray(gaps, dtype=float)
-    stack = np.broadcast_shapes(gaps.shape[:-1], np.shape(theta1), np.shape(theta2))
-    table = np.empty(stack + (2 * g, g))
-    base = table[..., 0]
-    base[..., 0] = theta1
-    for k in range(1, g):  # the link chain theta^(2k+1)_1 = theta^(2k-1)_1 + odd[k-1] - even[g-k]
-        base[..., 2 * k] = base[..., 2 * k - 2] + gaps[..., k - 1] - gaps[..., 2 * g - k]
-    base[..., 3::2] = base[..., 2::2]
-    base[..., 1] = theta2
-    steps, run = gaps[..., _table_plan(g)], 0.0
-    for i in range(1, g):
-        run = run + steps[..., i - 1, :]
-        np.add(base, run, out=table[..., i])
-    return table
+    stack = np.broadcast(gaps[..., 0], theta1, theta2).shape
+    last = tuple(range(len(stack)))
+    table = _stack_last_table(g, np.broadcast_to(gaps, stack + (2 * g,)).transpose((-1,) + last),
+                              theta1, theta2)
+    return table.transpose(tuple(d + 2 for d in last) + (1, 0)).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeodesicPolygon:
     """2g vertex angles (strictly increasing, one turn) plus the 2g x g radius table.
 
@@ -320,16 +341,16 @@ def _difference_jacobians(func, p: np.ndarray, r: np.ndarray):
     """Forward-difference Jacobians (k, m, n) at k feasible points, and which exist.
 
     One func call takes all k n forward steps; when all are feasible (623 of the 765
-    calls of the seed-0 search_sweep) the columns are one expression. Else a second call
+    calls of the seed-0 search_sweep) the columns are formed in place. Else a second call
     steps the infeasible ones backward; a start where that fails too has no Jacobian.
     """
     k, n = p.shape
     steps = p[:, None, :] + _unit_steps(n)  # steps[s, d]: p[s] with p[s, d] + 1e-7
     rs, ok = func(steps.reshape(k * n, n))
     rs, ok = rs.reshape(k, n, -1), ok.reshape(k, n)
-    if ok.all():
-        cols = (rs - r[:, None]) / 1e-7  # cols[s, d]: column d of start s
-        return np.ascontiguousarray(cols.swapaxes(1, 2)), ok[:, 0]
+    if ok.all():  # jac[s, :, d] = (rs[s, d] - r[s]) / 1e-7
+        jac = np.subtract(rs.swapaxes(1, 2), r[:, :, None], np.empty((k, rs.shape[2], n)))
+        return np.divide(jac, 1e-7, jac), ok[:, 0]
     # (rb - r) / -h is (r - rb) / h to the bit: IEEE subtraction and division are odd
     h = np.where(ok, 1e-7, -1e-7)
     s, d = np.nonzero(~ok)
@@ -371,13 +392,14 @@ def _levenberg_polish(func, starts, max_iter=120):
     J and r are fixed within an iteration, so the trials of a start are formed
     before any is judged, in rounds: round 1 solves and evaluates trials 0-2
     of every start at once, round 2 the rest of the ladder, up to the cap, of
-    the starts still without a step. The first trial that lowers |r|^2 is the
-    one the trial-by-trial loop takes, to the bit. Round 1 is 3 wide because
-    most iterations end there: 585 of the 765 of the seed-0 search_sweep, and
-    165 take round 2. Most of those climb to the cap from a point at its
+    the starts still without a step; each start of a round makes the trials that
+    the lowest damp reaches before the cap. The first trial that lowers |r|^2 is
+    the one the trial-by-trial loop takes, to the bit. Round 1 is 3 wide because
+    most iterations end there: 596 of the 765 of the seed-0 search_sweep, and
+    169 take round 2. Most of those climb to the cap from a point at its
     floating-point floor. Only a singular trial past the cap needs a further round.
     So an iteration makes one or two func calls for the Jacobian and one per round;
-    a boolean re-index that would drop nothing is skipped.
+    a boolean re-index that would drop nothing, or a round with no start left, is skipped.
 
     Returns the points (k, n) and residuals (k, m) of the k feasible starts in
     order; k = 0 when m = 0.
@@ -388,60 +410,69 @@ def _levenberg_polish(func, starts, max_iter=120):
     if r.shape[1] == 0:
         return p[:0], r[:0]
     f, damp, live = _sum_squares(r), np.full(len(p), 1e-3), np.arange(len(p))
-    eye = np.eye(p.shape[1])
+    # per-polish constants; take and compress index as [] does, at a third of its call cost
+    eye, no_row = np.eye(p.shape[1]), np.array([-1])
     for _ in range(max_iter):
-        live = live[f[live] >= 1e-28]
+        live = live.compress(f.take(live) >= 1e-28)
         if not live.size:
             break
-        jac, has_jac = _difference_jacobians(func, p[live], r[live])
+        r_live = r.take(live, 0)
+        jac, has_jac = _difference_jacobians(func, p.take(live, 0), r_live)
         if not has_jac.all():  # each re-index below is skipped when it would drop nothing
-            live, jac = live[has_jac], jac[has_jac]
+            live, jac, r_live = live[has_jac], jac[has_jac], r_live[has_jac]
+            if not live.size:
+                break
         jt = jac.swapaxes(1, 2)
-        normal, grad = jt @ jac, (-jt @ r[live][:, :, None])[:, :, 0]
-        # s: the starts still without a step; normal, grad and left follow them
-        s, left, width = live, np.full(live.size, 40), 3  # left: trials still allowed
-        stepped = np.zeros(len(p), dtype=bool)
-        while s.size:
-            # ladder[i, j]: the damp after j failed trials this round, by the loop's own * 10
-            ladder = np.full((s.size, width + 1), 10.0)
-            ladder[:, 0] = damp[s]
-            ladder = np.multiply.accumulate(ladder, axis=1)
-            made = np.arange(width) < left[:, None]
-            made[:, 1:] &= ladder[:, :-2] <= 1e12  # past the cap only after a singular trial
-            at, j = np.nonzero(made)
-            trial = ladder[at, j]
-            dp = _solve_stack(normal[at] + trial[:, None, None] * eye, grad[at])
+        normal, grad = jt @ jac, (-jt @ r_live[:, :, None])[:, :, 0]
+        # s: the starts still without a step, each with `left` trials allowed, the next at
+        # damp `start`; normal and grad follow s. A round makes at most `most` trials of each.
+        s, start, left, most, stepped = live, damp.take(live), 40, 3, []
+        while True:
+            # ladder[i, j]: the damp after j failed trials, by the loop's own * 10
+            ladder = np.full((s.size, most + 1), 10.0)
+            ladder[:, 0] = start
+            np.multiply.accumulate(ladder, 1, None, ladder)
+            # every start makes the trials that the lowest damp reaches before the cap; past
+            # its own cap a start goes on only through a singular trial
+            width = 1 + ladder[start.argmin(), 1:most].searchsorted(1e12, "right")
+            ladder = ladder[:, :width + 1]
+            trial = ladder[:, :-1].ravel()  # trial j of s[i] at i * width + j
+            a = normal.repeat(width, 0)
+            a += trial[:, None, None] * eye
+            dp = _solve_stack(a, grad.repeat(width, 0))
+            # a ladder ends at its first solved trial that steps or leaves damp past the cap
+            who, capped = s.repeat(width), (ladder[:, 1:] > 1e12).ravel()
             singular = np.isnan(dp[:, 0])
-            if singular.any():
-                at, j, trial, dp = at[~singular], j[~singular], trial[~singular], dp[~singular]
-            who = s[at]
-            cand = p[who] + dp
+            if singular.any():  # evaluated at its start, which it cannot lower, it goes on
+                dp[singular], capped[singular] = 0.0, False
+            cand = p.take(who, 0) + dp
             rn, ok = func(cand)
             if ok.all():
                 fn = _sum_squares(rn)
             else:
-                fn = np.full(at.size, np.inf)
-                fn[ok] = _sum_squares(rn[ok])
-            better = fn < f[who]
-            # a ladder ends at its first solved trial that steps or leaves damp past the cap
-            ends = (better | (ladder[:, 1:] > 1e12)[at, j]).nonzero()[0]
-            ended = at[ends]
-            first = ended != np.concatenate(([-1], ended[:-1]))  # first end of its ladder
-            c = ends[first & better[ends]]
-            t = who[c]
-            p[t], r[t], f[t] = cand[c], rn[c], fn[c]
-            damp[t] = np.maximum(trial[c] * 0.3, 1e-13)
-            stepped[t] = True
-            count = made.sum(axis=1)
-            left = left - count
-            more = left > 0
-            more[ended] = False
-            s, left, width = s[more], left[more], 37
+                fn = np.full(who.size, np.inf)
+                fn[ok] = _sum_squares(rn.compress(ok, 0))
+            better = fn < f.take(who)
+            ends = (better | capped).nonzero()[0]
+            ended = ends // width  # the row in s of each end
+            first = ended != np.concatenate((no_row, ended[:-1]))  # first end of its ladder
+            c = ends.compress(first & better.take(ends))
+            t = who.take(c)
+            p[t], r[t] = cand.take(c, 0), rn.take(c, 0)
+            f.put(t, fn.take(c))
+            damp.put(t, np.maximum(trial.take(c) * 0.3, 1e-13))
+            stepped.append(t)
+            left -= width
+            if t.size == s.size or not left:
+                break
+            more = np.ones(s.size, dtype=bool)
+            more.put(ended, False)
+            s, most = s.compress(more), left
             if not s.size:
                 break
-            damp[s] = ladder[more, count[more]]
-            normal, grad = normal[more], grad[more]
-        live = live[stepped[live]]
+            start = ladder[:, -1].compress(more)
+            normal, grad = normal.compress(more, 0), grad.compress(more, 0)
+        live = stepped[0] if len(stepped) == 1 else np.sort(np.concatenate(stepped))
     return p, r
 
 
@@ -718,7 +749,7 @@ def _so21_matrix(a, b) -> np.ndarray:
     return np.stack([hp[..., 0, 1].real, hp[..., 0, 1].imag, hp[..., 0, 0].real], axis=-2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleMobius:
     """O(2,1) element acting on the geodesic circle; (x, y, alpha_check) is its bottom row.
 
@@ -788,7 +819,7 @@ def conformal_normalize(poly: GeodesicPolygon):
     return mapped, polygon_from_positions(g, _transform_positions(phis, chi, mboost))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryReduction:
     """The reduction of one polygon; of a stack, each field but trace_multiplicity is a stack."""
 
@@ -879,33 +910,48 @@ class SearchSurvivor:
     parallel: bool
 
 
+def _search_tables(g: int, params: np.ndarray):
+    """Radius tables (g, 2g, S) and feasibility (S,) of rows (free odd, free even gaps, theta1)."""
+    count = len(params)
+    cycles = np.empty((2, g, count))  # each gap cycle: its free gaps, then its closer
+    cycles[:, :-1] = params[:, :-1].T.reshape(2, g - 1, count)
+    np.subtract(math.pi, np.add.reduce(cycles[:, :-1], 1), cycles[:, -1])
+    gaps, theta1 = cycles.reshape(2 * g, count), params[:, -1]
+    table = _stack_last_table(g, gaps, theta1, theta1)
+    # with every gap positive a row only grows: its ends bound it
+    feasible = ((np.minimum(gaps, table[0]) > 1e-3) & (table[-1] < math.pi - 1e-3)).all(axis=0)
+    return table, feasible
+
+
 def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
     """Residuals (S, m) and feasibility (S,) of rows (free odd gaps, free even gaps, theta1)."""
-    cycles = np.empty((len(params), 2, g))  # each free gap cycle and its closer
-    cycles[:, :, :-1] = params[:, :-1].reshape(len(params), 2, g - 1)
-    cycles[:, :, -1] = math.pi - cycles[:, :, :-1].sum(axis=2)
-    gaps = cycles.reshape(len(params), 2 * g)
-    table = _radius_table(g, gaps, params[:, -1], params[:, -1])
-    # with every gap positive a row only grows: its ends bound it
-    feasible = ((np.minimum(gaps, table[:, :, 0]) > 1e-3)
-                & (table[:, :, -1] < math.pi - 1e-3)).all(axis=1)
-    out = [np.zeros((len(params), 0))]  # the (S, 0) result when no constraint is set
+    table, feasible = _search_tables(g, params)
+    count = len(params)
+    blocks = [np.empty((0, count))]  # stack-last; the (S, 0) result when no constraint is set
+    # in place where a stack-sized array is dead: a fresh one costs page faults at 1000s of rows
     with np.errstate(all="ignore"):  # only rows already infeasible overflow or divide by 0
-        lam = 1.0 / np.tan(table)
+        lam, mult, w = np.divide(1.0, np.tan(table, table), table), mult[:, None, None], None
         if "cmc" in constraints:
-            h = lam @ mult
-            out.append(h[:, 1:] - h[:, :1])
+            w = lam * mult
+            h = multiplicity_sum(w)
+            blocks.append(h[1:] - h[:1])
         if "csc" in constraints:
-            s = (lam * lam) @ mult
-            out.append(s[:, 1:] - s[:, :1])
+            w = np.multiply(lam, lam, w)
+            s = multiplicity_sum(np.multiply(w, mult, w))
+            blocks.append(s[1:] - s[:1])
         if "clc" in constraints:
             if g == 4:
-                l1, l2, l3, l4 = np.moveaxis(lam, -1, 0)
-                out.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
-            else:  # the three Phi_h blocks from one gather: l1 (3, S, 2g) is lam[..., 0] thrice
-                l1, l2, lh, l5 = np.moveaxis(lam, -1, 0)[_G6_PHI_INDEX]
-                out.extend((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - _G6_PHI_TARGET)
-    return np.concatenate(out, axis=1), feasible
+                l1, l2, l3, l4 = lam
+                blocks.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
+            else:  # (l1 - l2)(lh - l5) / ((l1 - l5)(lh - l2)) - Phi_h for h = 3, 4, 6 at once
+                lh = lam.take(_G6_PHI_H, 0)
+                phi = np.multiply(lh - lam[4], lam[0] - lam[1])
+                phi /= np.multiply(np.subtract(lh, lam[1], lh), lam[0] - lam[4], lh)
+                phi -= _G6_PHI_TARGET
+                blocks.append(phi.reshape(6 * g, count))
+    out = np.empty((count, sum(map(len, blocks))))
+    np.concatenate(blocks, out=out.T)
+    return out, feasible
 
 
 def _start_draws(seed: int, grid_resolution: int, ndim: int):
@@ -961,14 +1007,15 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     array pass from the raw stream (_start_draws); the loop itself runs only
     for a search in which a bounded-integer draw is rejected.
 
-    Each polish iteration costs one Jacobian call of the residual (two when
-    a forward step is infeasible: 142 of 765 over the 21 searches of grids
-    5, 15 and 35 at seed 0) and one or two trial calls: the damping trials
-    0-2 of every start in one, the rest of the ladder of the starts still
-    without a step in the other. Three trials end most iterations (585 of the
-    765); most of the rest are starts at their floating-point floor, whose
-    damping climbs to the cap. Those 21 searches make 1911 residual calls of
-    42 rows on average.
+    The screening forms only the radius tables (_search_tables). Each polish
+    iteration costs one Jacobian call of the residual (two when a forward step
+    is infeasible: 142 of 765 over the 21 searches of grids 5, 15 and 35 at
+    seed 0) and one or two trial calls: the damping trials 0-2 of every start
+    in one, the rest of the ladder of the starts still without a step in the
+    other. Three trials end most iterations (596 of the 765); most of the rest
+    are starts at their floating-point floor, whose damping climbs to the cap.
+    Those 21 searches make 49 screening calls and 1862 residual calls of 37
+    rows on average.
     """
     if g not in SUPPORTED_G:
         raise DomainError(f"g must be one of {SUPPORTED_G}")
@@ -986,10 +1033,10 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
     hi = np.concatenate([np.full(2 * g - 2, 2.0 * math.pi / g), [1.4 * math.pi / g]])
     levels, jitter = _start_draws(seed, grid_resolution, ndim)
     starts = lo + (levels + 0.5 + jitter) * (hi - lo) / grid_resolution
-    residual = functools.partial(_search_residual, g, constraints, mult)
-    feasible = np.concatenate([residual(starts[k:k + _SCREEN_BLOCK])[1]
+    feasible = np.concatenate([_search_tables(g, starts[k:k + _SCREEN_BLOCK])[1]
                                for k in range(0, len(starts), _SCREEN_BLOCK)])
-    points, res = _levenberg_polish(residual, starts[feasible])
+    points, res = _levenberg_polish(functools.partial(_search_residual, g, constraints, mult),
+                                    starts[feasible])
     worst = np.abs(res).max(axis=1, initial=0.0)  # initial: res is (0, 0) without constraints
     kept = np.flatnonzero(worst <= SEARCH_FILTER_TOL)
     found = {}  # the first polished point of each rounded parameter vector
@@ -997,10 +1044,8 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
         found.setdefault(key, k)
     picked = [found[key] for key in sorted(found)]
     gaps = [AngleGaps.from_free(g, p[:g - 1], p[g - 1:2 * g - 2]) for p in points[picked]]
-    # the polygons angle_table would build, as one stack through its checks
-    theta1 = points[picked, -1]
-    tables = _radius_table(g, np.reshape([gp.odd + gp.even for gp in gaps], (-1, 2 * g)),
-                           theta1, theta1)
+    # the polygons angle_table would build (same gaps, same kernel), as one stack through its checks
+    theta1, tables = points[picked, -1], _search_tables(g, points[picked])[0].transpose(2, 1, 0)
     _check_radii(tables, _TABLE_OUT_OF_RANGE)
     _check_polygons(_positions_from_table(tables, math.pi / 2 - theta1), tables)
     return [SearchSurvivor(*survivor) for survivor in zip(

@@ -40,7 +40,7 @@ PAPER6_12_34 = "paper6_12_34"
 ORDERINGS = (STANDARD_13_24, PAPER6_12_34)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadricPoint:
     """Projective class [z] of a null vector, given by a nonzero representative z."""
 
@@ -55,7 +55,7 @@ class QuadricPoint:
             raise DomainError("representative is not on the quadric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactElement:
     """Legendre pair (k1, k2): point sphere and great sphere in oriented contact."""
 
@@ -71,7 +71,7 @@ class ContactElement:
             raise ContactViolation("k1 and k2 must be linearly independent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveCurvature:
     """Curvature lambda = v/u = cot(xi) as a projective pair (v, u scalars or arrays)."""
 
@@ -169,7 +169,7 @@ def cross_ratio(w1, w2, w3, w4):
     return (w1 - w3) * (w2 - w4) / ((w1 - w4) * (w2 - w3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieCurvatureValue:
     value: float
     ordering: str = STANDARD_13_24

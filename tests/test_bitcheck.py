@@ -160,5 +160,54 @@ def test_main_prints_no_summary_for_an_unmoved_dump(tmp_path, capsys):
         path.write_text(json.dumps({"searches": {}, **cases}), encoding="utf-8")
     assert bitcheck.main(["diff", str(first), str(second)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "0 difference(s) over 0 searches, 2 cases, 0 report hashes "
+        "0 difference(s) over 0 searches, 0 extra searches, 2 cases, 0 report hashes "
         "and 0 dji systems and certificate lists"]
+
+
+def test_extra_searches_cover_what_the_refs_lack():
+    specs = bitcheck.EXTRA_SEARCHES
+    refs = json.loads((Path(__file__).resolve().parents[1] / "benchmarks" / "refs.json")
+                      .read_text(encoding="utf-8"))
+    ref_keys = {tuple(bitcheck._search_args(key)) for key in refs["survivors"]}
+    assert not {(g, tuple(sorted(c)), grid, seed) for g, c, grid, seed, m1, m2 in specs
+                if (m1, m2) == (1, 1)} & {(g, tuple(sorted(c)), grid, seed)
+                                          for g, c, grid, seed in ref_keys}
+    assert {(g, m1, m2) for g, _, _, _, m1, m2 in specs} == {
+        (3, 1, 1), (3, 2, 2), (4, 1, 1), (4, 2, 2), (4, 1, 2), (6, 1, 1), (6, 2, 2)}
+    assert (4, ("cmc", "csc", "clc"), 20, 5, 1, 1) in specs
+    assert (6, ("csc", "clc"), 10, 0, 1, 1) in specs
+    assert {grid for _, _, grid, _, _, _ in specs} == {10, 20, 55}
+    assert {seed for _, _, _, seed, _, _ in specs} == {0, 5, 83}
+    # the first of test_polygon's _REJECTING_SEARCHES: it draws its starts one by one
+    assert specs[-1] == (3, ("cmc",), 55, 83, 1, 1)
+
+
+def test_dump_extra_searches_holds_each_survivor():
+    specs = [(4, ("cmc", "csc"), 10, 5, 1, 2), (4, ("clc",), 10, 0, 1, 1)]
+    extra = json.loads(json.dumps(bitcheck.dump_extra_searches(specs)))
+    assert sorted(extra) == ["g4:clc:grid10:seed0:m11", "g4:cmc+csc:grid10:seed5:m12"]
+    for spec in specs:
+        survivors = polygon.constraint_search(*spec)
+        entries = extra[bitcheck._extra_key(*spec)]
+        assert len(entries) == len(survivors) >= 1
+        for entry, s in zip(entries, survivors):
+            assert entry == {"odd": [v.hex() for v in s.gaps.odd],
+                             "even": [v.hex() for v in s.gaps.even],
+                             "theta1": s.theta1.hex(), "residual": s.residual.hex(),
+                             "parallel": s.parallel}
+
+
+def test_diff_compares_the_extra_searches_and_names_a_dump_without_them(tmp_path, capsys):
+    with_extra = {**_dump(), "extra_searches": {"g4:cmc:grid10:seed0:m22": []}}
+    moved = json.loads(json.dumps(with_extra))
+    moved["extra_searches"]["g4:cmc:grid10:seed0:m22"] = [{"theta1": "0x1.0p-1"}]
+    assert bitcheck.diff(with_extra, with_extra) == []
+    assert bitcheck.diff(with_extra, moved) == [
+        'extra_searches g4:cmc:grid10:seed0:m22: [] != [{"theta1": "0x1.0p-1"}]']
+    assert bitcheck.diff(_dump(), moved) == []
+    assert bitcheck.unshared_parts(_dump(), moved) == ["extra_searches"]
+    first, second = tmp_path / "old.json", tmp_path / "new.json"
+    first.write_text(json.dumps(_dump()), encoding="utf-8")
+    second.write_text(json.dumps(moved), encoding="utf-8")
+    assert bitcheck.main(["diff", str(first), str(second)]) == 0
+    assert "extra_searches: only one dump has this part; not compared" in capsys.readouterr().out

@@ -5,7 +5,8 @@ import pytest
 
 from liesphere import report
 from liesphere.dji import (G6_AUX_FAMILIES, G6_PHI_INDICES, NEGATIVE, POSITIVE,
-                           DerivativeSystem, SignCertificate, _cross_ratio_log_row,
+                           DerivativeSystem, KernelAnalysis, SignCertificate,
+                           _cross_ratio_log_row,
                            build_system, critical_point_pinning, g6_d5_obstruction,
                            kernel_analysis, recover_pair, sign_certificates)
 from liesphere.errors import DomainError, InconsistentData
@@ -55,6 +56,18 @@ def test_recover_pair_negative_discriminant():
     # puts A on top of lambda+nu and nearly equal inputs force a negative discriminant
     with pytest.raises(InconsistentData):
         recover_pair(1.0, 0.9, 3.8, 1, 1)
+
+
+@pytest.mark.parametrize("analyse", (False, True))
+def test_records_of_arrays_compare_by_identity(analyse):
+    def make():
+        system = build_system(4, family_pcs(4), 1, 1, ("cmc",), critical_point_pinning(4))
+        return kernel_analysis(system) if analyse else system
+
+    a, b = make(), make()
+    assert type(a) is (KernelAnalysis if analyse else DerivativeSystem)
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
 
 
 def test_build_system_cmc_row_content():

@@ -197,6 +197,22 @@ def test_stacked_family_equals_member_calls():
         assert inv.scalar_curvature.shape == thetas.shape
 
 
+@pytest.mark.parametrize("g, m1, m2", ((3, 1, 1), (3, 2, 2), (4, 1, 1), (4, 2, 2), (4, 1, 2),
+                                       (6, 1, 1), (6, 2, 2)))
+def test_multiplicity_sum_equals_gemv(g, m1, m2):
+    # The search formed its cmc and csc rows as lam @ mult and (lam * lam) @ mult on stacks
+    # (S, 2g, g), which numpy hands to BLAS gemv, and benchmarks/refs.json holds the survivors
+    # of that order as x86-64 OpenBLAS runs it. This pins that host gemv order: if it fails,
+    # the host's gemv adds in another order and refs.json was made under a different one.
+    rng = np.random.default_rng((g, m1, m2))
+    mult = multiplicity_vector(g, m1, m2)
+    for count in (1, 2, 3, 7, 64, 257, 1000, 5000):
+        lam = 1.0 / np.tan(rng.uniform(0.01, math.pi - 0.01, (count, 2 * g, g)))
+        for values in (lam, lam * lam):
+            assert np.array_equal(isoparam.multiplicity_sum(np.moveaxis(values * mult, -1, 0)),
+                                  values @ mult)
+
+
 @pytest.mark.parametrize("g, m1, m2", [(g, m1, m2) for g in (1, 2, 3, 4, 6)
                                         for m1, m2 in ((1, 1), (1, 2), (2, 2), (4, 5))
                                         if g in (2, 4) or m1 == m2])  # else m1 = m2 is forced

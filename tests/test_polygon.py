@@ -712,6 +712,18 @@ def test_circle_mobius_is_o21():
     assert mapped.matrix[2, 2] == mapped.alpha_check
 
 
+@pytest.mark.parametrize("make, cls", [
+    (lambda: build_parallel_polygon(4, np.array([0.0, 0.1])), GeodesicPolygon),
+    (lambda: CircleMobius.from_parameters(0.3, 0.2 + 0.1j), CircleMobius),
+    (lambda: isometry_reduction(4, build_parallel_polygon(4, 0.05), 1, 1),
+     polygon.IsometryReduction),
+])
+def test_records_of_arrays_compare_by_identity(make, cls):
+    a, b = make(), make()
+    assert type(a) is cls and a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
 def test_isometry_reduction_g6_minimal():
     poly = build_parallel_polygon(6, 0.0)
     result = isometry_reduction(6, poly, 1, 1)
@@ -1422,6 +1434,18 @@ def test_difference_jacobians_equal_the_masked_path_without_a_jacobian():
 # the radius-table kernel against the array code it replaced
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("plan", [pytest.param(functools.partial(polygon._table_plan, g),
+                                              id=f"table_plan{g}") for g in (3, 4, 6)]
+                         + [pytest.param(functools.partial(polygon._unit_steps, n),
+                                         id=f"unit_steps{n}") for n in (2, 5, 11)]
+                         + [pytest.param(lambda: polygon._G6_PHI_H, id="g6_phi_h")])
+def test_shared_plans_are_read_only(plan):
+    # every caller reads the same array, cached or built at import, so a write must raise
+    with pytest.raises(ValueError, match="read-only"):
+        plan()[0] = 0
+    assert plan() is plan()
+
+
 def _reference_radius_table(g, odd, even, theta1, theta2):
     """The table from separate gap cycles by cumsum, kept as the reference."""
     odd = np.asarray(odd, dtype=float)
@@ -1484,8 +1508,14 @@ def test_radius_table_equals_reference(g):
         odd, even = rng.uniform(-0.2, 1.5, (2,) + shape + (g,))
         theta1, theta2 = rng.uniform(-0.1, 1.0, (2,) + shape)
         expected = _reference_radius_table(g, odd, even, theta1, theta2)
-        table = polygon._radius_table(g, np.concatenate([odd, even], axis=-1), theta1, theta2)
+        gaps = np.concatenate([odd, even], axis=-1)
+        table = polygon._radius_table(g, gaps, theta1, theta2)
         assert table.shape == shape + (2 * g, g) and (table == expected).all()
+        assert table.flags.c_contiguous
+        # the kernel itself, stack-last: entry [i, t, ...] is row t, column i
+        last = polygon._stack_last_table(g, np.moveaxis(gaps, -1, 0), theta1, theta2)
+        assert last.shape == (g, 2 * g) + shape
+        assert (np.moveaxis(last, (0, 1), (-1, -2)) == expected).all()
     gaps = random_gaps(rng, g)  # scalar base radii, as angle_table passes them
     assert (polygon._radius_table(g, gaps.odd + gaps.even, 0.3, 0.31)
             == _reference_radius_table(g, gaps.odd, gaps.even, 0.3, 0.31)).all()
@@ -1493,17 +1523,20 @@ def test_radius_table_equals_reference(g):
 
 @pytest.mark.parametrize("g", (3, 4, 6))
 def test_search_residual_equals_reference(g):
+    # the reference sums the cmc and csc rows by BLAS gemv; isoparam's
+    # test_multiplicity_sum_equals_gemv pins that order on this kind of host
     rng = np.random.default_rng(30 + g)
-    mult = multiplicity_vector(g, 1, 1)
     feasible_rows = infeasible_rows = 0
-    for constraints in _CONSTRAINT_SETS[g]:
-        constraints = frozenset(constraints)
-        for count in (0, 1, 2, 300):
-            params = _random_params(rng, g, count)
-            r, ok = polygon._search_residual(g, constraints, mult, params)
-            r_ref, ok_ref = _reference_search_residual(g, constraints, mult, params)
-            assert (ok == ok_ref).all() and r.shape == r_ref.shape
-            assert np.array_equal(r, r_ref, equal_nan=True)
-            feasible_rows += ok.sum()
-            infeasible_rows += (~ok).sum()
+    for m1, m2 in ((1, 1), (2, 2)) + (((1, 2),) if g == 4 else ()):
+        mult = multiplicity_vector(g, m1, m2)
+        for constraints in _CONSTRAINT_SETS[g]:
+            constraints = frozenset(constraints)
+            for count in (0, 1, 2, 300):
+                params = _random_params(rng, g, count)
+                r, ok = polygon._search_residual(g, constraints, mult, params)
+                r_ref, ok_ref = _reference_search_residual(g, constraints, mult, params)
+                assert (ok == ok_ref).all() and r.shape == r_ref.shape
+                assert np.array_equal(r, r_ref, equal_nan=True) and r.flags.c_contiguous
+                feasible_rows += ok.sum()
+                infeasible_rows += (~ok).sum()
     assert feasible_rows >= 50 and infeasible_rows >= 50

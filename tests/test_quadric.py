@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liesphere.errors import ContactViolation, DegenerateConfiguration, DomainError
-from liesphere.indefinite import Signature, SignedVector, compose, inner, random_lie_transform
+from liesphere.indefinite import (LieTransform, Signature, SignedVector, compose, inner,
+                                  random_lie_transform)
 from liesphere.quadric import (PAPER6_12_34, STANDARD_13_24, ContactElement,
-                               ProjectiveCurvature, QuadricPoint, cross_ratio,
-                               curvature_sphere, legendre_lift, lie_curvature,
+                               LieCurvatureValue, ProjectiveCurvature, QuadricPoint,
+                               cross_ratio, curvature_sphere, legendre_lift, lie_curvature,
                                lie_curvature_of_values, moebius_coefficients,
                                moebius_curvature, parallel_transform)
 
@@ -27,6 +28,22 @@ def test_point_sphere_rep_and_nullity():
     k1 = legendre_lift(E1, E2).k1
     assert np.array_equal(k1.rep.coords, [1, 0, 0, 1, 0])
     assert inner(k1.rep, k1.rep) == 0.0
+
+
+@pytest.mark.parametrize("make, cls", [
+    (lambda: legendre_lift(E1, E2).k1.rep, SignedVector),
+    (lambda: parallel_transform(0.3, Signature(3, 2)), LieTransform),
+    (lambda: legendre_lift(E1, E2).k1, QuadricPoint),
+    (lambda: legendre_lift(E1, E2), ContactElement),
+    (lambda: ProjectiveCurvature.from_value(np.array([1.0, 2.0])), ProjectiveCurvature),
+    (lambda: lie_curvature_of_values(np.array([[3.0, 2.5], [1.0, 0.5], [-1.0, -0.5],
+                                               [-2.0, -3.0]])), LieCurvatureValue),
+])
+def test_records_of_arrays_compare_by_identity(make, cls):
+    # == on two equal-valued records is identity: False, and it never raises
+    a, b = make(), make()
+    assert type(a) is cls and a == a and a != b and not a == b
+    assert len({a, b, a}) == 2  # hashed by identity too
 
 
 def test_oriented_sphere_validation():

@@ -7,7 +7,9 @@
 `dump` imports liesphere from TREE/src and writes one JSON object: every
 search named in TREE/benchmarks/refs.json ("g4:cmc+csc:grid25:seed0" runs
 constraint_search(4, ("cmc", "csc"), 25, 0)) with each survivor's gaps,
-theta1, residual and parallel verdict, and run_suite("all", s) for
+theta1, residual and parallel verdict, the same for the EXTRA_SEARCHES that
+the refs lack ("g4:cmc+csc:grid10:seed5:m12" runs constraint_search(4,
+("cmc", "csc"), 10, 5, 1, 2)), and run_suite("all", s) for
 s = 0-3 without runtime_ms, and the sha256 of the bytes that emit_report
 writes for each seed's report in JSON and in CSV, with every runtime_ms
 set to 0, and the derivative systems of the dji layer: the rows,
@@ -22,8 +24,8 @@ suites case family with moved entries (how many, the largest residual move,
 the largest moved residual/tolerance ratio, the params keys that moved with
 the largest move among numeric params, and whether every status is
 unchanged), and exits 1 if any entry differs, 0 if none; a part that one
-dump lacks (dumps of earlier versions have no report hashes, systems or
-oracles) is named and not compared. Nothing under benchmarks/ is written.
+dump lacks (dumps of earlier versions have no extra searches, report hashes,
+systems or oracles) is named and not compared. Nothing under benchmarks/ is written.
 """
 
 from __future__ import annotations
@@ -38,7 +40,21 @@ import tempfile
 from pathlib import Path
 
 SUITE_SEEDS = (0, 1, 2, 3)
-PARTS = ("searches", "suites", "report_sha256", "systems", "oracles")
+PARTS = ("searches", "extra_searches", "suites", "report_sha256", "systems", "oracles")
+# (g, constraints, grid, seed, m1, m2) of searches that refs.json lacks: multiplicities
+# (2, 2) and, where g accepts them, (1, 2); the constraint sets the refs skip; grids 10 and
+# 20 and seeds 0 and 5; and a search whose start draws meet a rejected bounded integer
+_REF_SETS = {3: (("cmc",), ("cmc", "csc")), 4: (("cmc",), ("cmc", "csc"), ("cmc", "clc")),
+             6: (("cmc",), ("cmc", "clc"))}
+_OTHER_SETS = {3: (("csc",),), 4: (("csc",), ("clc",), ("csc", "clc"), ("cmc", "csc", "clc"))}
+_OTHER_SETS[6] = _OTHER_SETS[4]
+EXTRA_SEARCHES = tuple(
+    [(g, constraints, grid, seed, m1, m2) for g in (3, 4, 6)
+     for m1, m2 in ((2, 2), (1, 2)) if g == 4 or m1 == m2 for constraints in _REF_SETS[g]
+     for grid in (10, 20) for seed in (0, 5)]
+    + [(g, constraints, grid, seed, 1, 1) for g in (3, 4, 6) for constraints in _OTHER_SETS[g]
+       for grid in (10, 20) for seed in (0, 5)]
+    + [(3, ("cmc",), 55, 83, 1, 1)])
 REPORT_FORMATS = ("json", "csv")
 ORACLE_RESOLUTIONS = (101, 721, 1001)
 
@@ -51,6 +67,23 @@ def _search_args(key: str):
     """(g, constraints, grid, seed) of a refs.json search key."""
     g, constraints, grid, seed = key.split(":")
     return int(g[1:]), tuple(constraints.split("+")), int(grid[4:]), int(seed[4:])
+
+
+def _extra_key(g, constraints, grid, seed, m1, m2) -> str:
+    return f"g{g}:{'+'.join(constraints)}:grid{grid}:seed{seed}:m{m1}{m2}"
+
+
+def _survivors(survivors) -> list:
+    return [{"odd": _hex(s.gaps.odd), "even": _hex(s.gaps.even), "theta1": float(s.theta1).hex(),
+             "residual": float(s.residual).hex(), "parallel": bool(s.parallel)}
+            for s in survivors]
+
+
+def dump_extra_searches(specs=EXTRA_SEARCHES) -> dict:
+    """The survivors of each (g, constraints, grid, seed, m1, m2) search, keyed by _extra_key."""
+    from liesphere import polygon
+
+    return {_extra_key(*spec): _survivors(polygon.constraint_search(*spec)) for spec in specs}
 
 
 def _system(system) -> dict:
@@ -106,12 +139,8 @@ def dump(tree: Path) -> dict:
     if not Path(polygon.__file__).resolve().is_relative_to(tree):
         raise SystemExit(f"liesphere was imported from {polygon.__file__}, not from {tree}")
     refs = json.loads((tree / "benchmarks" / "refs.json").read_text(encoding="utf-8"))
-    searches = {}
-    for key in refs["survivors"]:
-        survivors = polygon.constraint_search(*_search_args(key))
-        searches[key] = [{"odd": _hex(s.gaps.odd), "even": _hex(s.gaps.even),
-                          "theta1": float(s.theta1).hex(), "residual": float(s.residual).hex(),
-                          "parallel": bool(s.parallel)} for s in survivors]
+    searches = {key: _survivors(polygon.constraint_search(*_search_args(key)))
+                for key in refs["survivors"]}
     suites, report_sha256 = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         for seed in SUITE_SEEDS:
@@ -126,8 +155,8 @@ def dump(tree: Path) -> dict:
                 path = Path(scratch) / f"report.{fmt}"
                 report.emit_report(untimed, str(path), fmt, seed)
                 report_sha256[f"seed{seed}:{fmt}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return {"searches": searches, "suites": suites, "report_sha256": report_sha256,
-            "systems": dump_systems(), "oracles": dump_oracles()}
+    return {"searches": searches, "extra_searches": dump_extra_searches(), "suites": suites,
+            "report_sha256": report_sha256, "systems": dump_systems(), "oracles": dump_oracles()}
 
 
 def unshared_parts(a: dict, b: dict) -> list:
@@ -216,6 +245,8 @@ def main(argv=None) -> int:
         args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"{args.out}: {len(data['searches'])} searches, "
               f"{sum(map(len, data['searches'].values()))} survivors, "
+              f"{len(data['extra_searches'])} extra searches, "
+              f"{sum(map(len, data['extra_searches'].values()))} extra survivors, "
               f"{len(data['suites'])} cases, {len(data['report_sha256'])} report hashes, "
               f"{len(data['systems'])} dji systems and certificate lists, "
               f"{len(data['oracles'])} oracle results")
@@ -227,6 +258,7 @@ def main(argv=None) -> int:
     for part in unshared_parts(first, second):
         print(f"{part}: only one dump has this part; not compared")
     print(f"{len(lines)} difference(s) over {len(first['searches'])} searches, "
+          f"{len(first.get('extra_searches', {}))} extra searches, "
           f"{len(first['suites'])} cases, {len(first.get('report_sha256', {}))} report hashes "
           f"and {len(first.get('systems', {}))} dji systems and certificate lists")
     return 1 if lines else 0
