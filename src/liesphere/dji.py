@@ -11,9 +11,10 @@ The diagonal entries d_jj vanish identically (each curvature is constant
 along its own curvature direction), and critical-point hypotheses pin
 further unknowns to zero (all d_j1 plus d_12 at the standard critical
 point). For g = 6, the three generating cross ratios use curvature indices
-(1, 2, h, 5) for h in {3, 4, 6}; the auxiliary families used to eliminate
-the remaining unknowns are also exposed as rows. Kernel dimensions are
-decided by SVD with a relative threshold.
+(1, 2, h, 5) for h in {3, 4, 6}, and auxiliary families eliminate the other
+unknowns; 11 of the g = 6 sign certificates are entries of these rows or the
+pivots their eliminations leave on a cmc row (_eliminate). Kernel dimensions
+are decided by SVD with a relative threshold.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InconsistentData
+from .errors import DegenerateConfiguration, DomainError, InconsistentData
 from .isoparam import multiplicity_vector
+from .quadric import lie_curvature_of_values
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -212,49 +214,56 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
     if g != 6:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
     try:
-        return _g6_certificates(pcs)
-    except ZeroDivisionError as exc:  # a denominator product, e.g. at gaps near 1e-170
-        raise DomainError(f"a certificate denominator underflows to 0 at curvatures "
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return _g6_certificates(pcs)
+    except (FloatingPointError, DegenerateConfiguration) as exc:
+        raise DomainError(f"a g = 6 certificate cannot be evaluated at curvatures "
                           f"{pcs.tolist()}") from exc
 
 
+# the g = 6 certificates in report order, each with the sign it claims
+_G6_CLAIMS = dict(
+    g6_v3=NEGATIVE, g6_v4=NEGATIVE, g6_v6=POSITIVE,
+    g6_w3=POSITIVE, g6_w4=POSITIVE, g6_w6=NEGATIVE, g6_one_minus_v_over_w=POSITIVE,
+    g6_psi_check_ratio_mu=NEGATIVE, g6_psi_check_ratio_sigma=POSITIVE,
+    g6_psi_check_ratio_tau=POSITIVE, g6_psi_bar_ratio_mu=POSITIVE,
+    g6_psi_bar_ratio_sigma=NEGATIVE, g6_psi_bar_ratio_tau=NEGATIVE,
+    g6_step2_coefficient=POSITIVE, g6_step3_coefficient=NEGATIVE,
+    g6_step4_coefficient=POSITIVE, g6_d5_linear_coefficient=NEGATIVE,
+    g6_d5_obstruction_term_mu=NEGATIVE, g6_d5_obstruction_term_nu=NEGATIVE,
+    g6_d5_obstruction_term_rho=NEGATIVE, g6_d5_obstruction_total=NEGATIVE)
+# (direction j, family, kept unknown) of one_minus_v_over_w, step2, step3, step4, d5_linear
+_G6_ELIMINATIONS = ((2, "phi", 5), (3, "psi_check", 4), (4, "psi_bar", 3), (6, "psi_tilde", 3),
+                    (5, "psi_sigma", 2))
+
+
+def _eliminate(system: DerivativeSystem, j: int, family: str, keep: int):
+    """Each row clc_<family>*[j=<j>] removes its free unknown other than d_j,keep from row
+    cmc[j=<j>]: the pivot left on d_j,keep, and each such row's two coefficients."""
+    cmc = system.rows[system.row_labels.index(f"cmc[j={j}]")]
+    k = system.unknown_labels.index((j, keep))
+    pivot, pairs = cmc[k], []
+    for label, row in zip(system.row_labels, system.rows):
+        if label.startswith(f"clc_{family}") and label.endswith(f"[j={j}]"):
+            (other,) = set(np.flatnonzero(row)) - {k}
+            pivot = pivot - cmc[other] * row[k] / row[other]
+            pairs.append((row[k], row[other]))
+    return pivot, pairs
+
+
 def _g6_certificates(pcs: np.ndarray) -> list[SignCertificate]:
-    lam, mu, nu, rho, sig, tau = curv = [float(v) for v in pcs]
-    # v_h and w_h of the Phi_h families, h = 3, 4, 6
-    v = {h: (curv[h - 1] - lam) / ((lam - sig) * (curv[h - 1] - sig)) for h in (3, 4, 6)}
-    w = {h: (sig - mu) / ((curv[h - 1] - sig) * (curv[h - 1] - mu)) for h in (3, 4, 6)}
-    certs = [SignCertificate(f"g6_{name}{h}", values[h], claim)
-             for name, values, claims in (("v", v, (NEGATIVE, NEGATIVE, POSITIVE)),
-                                          ("w", w, (POSITIVE, POSITIVE, NEGATIVE)))
-             for h, claim in zip((3, 4, 6), claims)]
-    certs.append(SignCertificate("g6_one_minus_v_over_w",
-                                 1.0 - v[3] / w[3] - v[4] / w[4] - v[6] / w[6], POSITIVE))
-
-    def ratio(a, b, c):
-        """Lie-curvature ratio constant (lam - a)(b - c) / ((lam - c)(b - a)) of a family."""
-        return (lam - a) * (b - c) / ((lam - c) * (b - a))
-
-    certs += [SignCertificate("g6_psi_check_ratio_mu", ratio(rho, nu, mu), NEGATIVE),
-              SignCertificate("g6_psi_check_ratio_sigma", ratio(rho, nu, sig), POSITIVE),
-              SignCertificate("g6_psi_check_ratio_tau", ratio(rho, nu, tau), POSITIVE),
-              SignCertificate("g6_psi_bar_ratio_mu", ratio(nu, rho, mu), POSITIVE),
-              SignCertificate("g6_psi_bar_ratio_sigma", ratio(nu, rho, sig), NEGATIVE),
-              SignCertificate("g6_psi_bar_ratio_tau", ratio(nu, rho, tau), NEGATIVE)]
-
-    def step(b, c, x1, x2, x3):
-        """1 + sum_x (lam - x)(b - x) / ((lam - c)(b - c)), x the three other curvatures."""
-        return 1.0 + ((lam - x1) * (b - x1) + (lam - x2) * (b - x2)
-                      + (lam - x3) * (b - x3)) / ((lam - c) * (b - c))
-
-    certs += [SignCertificate("g6_step2_coefficient", step(nu, rho, mu, sig, tau), POSITIVE),
-              SignCertificate("g6_step3_coefficient", step(rho, nu, mu, sig, tau), NEGATIVE),
-              SignCertificate("g6_step4_coefficient", step(tau, nu, mu, rho, sig), POSITIVE),
-              SignCertificate("g6_d5_linear_coefficient", step(sig, mu, nu, rho, tau), NEGATIVE)]
-    certs += [SignCertificate(f"g6_d5_obstruction_term_{name}", _d5_term(lam, h, sig, tau),
-                              NEGATIVE) for name, h in (("mu", mu), ("nu", nu), ("rho", rho))]
-    certs.append(SignCertificate("g6_d5_obstruction_total", float(g6_d5_obstruction(pcs)),
-                                 NEGATIVE))
-    return certs
+    total = g6_d5_obstruction(pcs)  # first, so an inadmissible term is what is named
+    lam, mu, nu, rho, sig, tau = pcs
+    system = build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
+    # v_h and w_h are the coefficients on d_25 and d_2h of row clc_phi<h>[j=2]
+    (one_minus, vw), *steps = (_eliminate(system, *spec) for spec in _G6_ELIMINATIONS)
+    # psi_check [lambda, nu; rho, x] and psi_bar [lambda, rho; nu, x], x = mu, sigma, tau
+    psi = lie_curvature_of_values((lam, np.repeat((nu, rho), 3), np.repeat((rho, nu), 3),
+                                   np.tile((mu, sig, tau), 2))).value
+    values = (*(v for v, _ in vw), *(w for _, w in vw), one_minus, *psi,
+              *(pivot for pivot, _ in steps), *_d5_term(lam, pcs[1:4], sig, tau), total)
+    return [SignCertificate(name, float(value), claim)
+            for (name, claim), value in zip(_G6_CLAIMS.items(), values, strict=True)]
 
 
 def _d5_term(lam, h, sig, tau):

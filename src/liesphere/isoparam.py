@@ -16,8 +16,9 @@ is recovered from H in closed form: t is the one positive root of the
 quadratic m1 t^2 - (2H/g) t - m2 = 0. The scalar curvature is
 R = (n-1)(n-2) + H^2 - S with S = sum m_i lambda_i^2; for g = 3, 4, 6 its
 closed form is returned beside it. The isoparametric_formulas suite
-cross-checks both closed forms against the direct sums. S, like the search's
-cmc and csc rows, is a multiplicity_sum: one fixed order of additions, so a
+cross-checks both closed forms against the direct sums. Every sum of m_i x_i in
+the package (S, the suite's direct H, the search's cmc and csc rows and the H of
+the isometry reduction) is a multiplicity_sum: one fixed order of additions, so a
 member and a stack agree to the bit, whatever BLAS kernel the CPU would pick.
 
 A family, and every function of it, takes theta as a float or as an array

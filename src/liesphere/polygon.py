@@ -857,10 +857,7 @@ def isometry_reduction(g: int, poly: GeodesicPolygon, m1: int, m2: int) -> Isome
 
     mult = multiplicity_vector(g, m1, m2)
     cot_row = 1.0 / np.tan(poly.radius_table[..., 0, :])
-    # H = sum m_i cot theta_i left to right, in one order for a polygon and a stack (a matrix
-    # product takes BLAS dot for one and another loop for many)
-    terms = list(np.moveaxis(cot_row * mult, -1, 0))
-    h_hat = sum(terms[1:], terms[0])
+    h_hat = multiplicity_sum(np.moveaxis(cot_row * mult, -1, 0))
     k_trace = float(mult.sum())
     pts = poly.vertex_points()
     normals = poly.vertex_normals()

@@ -211,3 +211,30 @@ def test_diff_compares_the_extra_searches_and_names_a_dump_without_them(tmp_path
     second.write_text(json.dumps(moved), encoding="utf-8")
     assert bitcheck.main(["diff", str(first), str(second)]) == 0
     assert "extra_searches: only one dump has this part; not compared" in capsys.readouterr().out
+
+
+def test_certificate_summary_names_the_moved_certificates(tmp_path, capsys):
+    assert bitcheck.CERTIFICATE_MARGIN == dji.CERTIFICATE_MARGIN
+    old = {"searches": {}, "suites": {}, "systems": {"certificates:g6": [
+        ["g6_v3", (-0.5).hex(), "negative"], ["g6_w3", (2.0).hex(), "positive"],
+        ["g6_w6", (-0.25).hex(), "negative"]], "certificates:g4": [
+        ["g4_d23_ratio", (1.0).hex(), "positive"]]}}
+    new = json.loads(json.dumps(old))
+    new["systems"]["certificates:g6"][0][1] = (-0.5 * (1 + 2 ** -51)).hex()
+    new["systems"]["certificates:g6"][2][1] = (-0.25 * (1 - 2 ** -52)).hex()
+    line = ("systems certificates:g6: 2 moved (g6_v3, g6_w6), largest relative move 4.44e-16, "
+            "every claimed sign holds with the 1e-06 margin")
+    assert bitcheck.certificate_summary(old, old) == []
+    assert bitcheck.certificate_summary(old, new) == [line]
+    new["systems"]["certificates:g6"][1][1] = (5e-7).hex()
+    assert bitcheck.certificate_summary(old, new) == [
+        "systems certificates:g6: 3 moved (g6_v3, g6_w3, g6_w6), largest relative move 1, "
+        "claimed sign fails the 1e-06 margin: g6_w3"]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps(old), encoding="utf-8")
+    second.write_text(json.dumps(new), encoding="utf-8")
+    assert bitcheck.main(["diff", str(first), str(second)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # the entry line, then the certificate summary, then the count
+    assert len(out) == 3 and out[0].startswith("systems certificates:g6: [")
+    assert out[1].startswith("systems certificates:g6: 3 moved")

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from liesphere import report
+from liesphere import dji, report
 from liesphere.dji import (G6_AUX_FAMILIES, G6_PHI_INDICES, NEGATIVE, POSITIVE,
                            DerivativeSystem, KernelAnalysis, SignCertificate,
                            _cross_ratio_log_row,
                            build_system, critical_point_pinning, g6_d5_obstruction,
                            kernel_analysis, recover_pair, sign_certificates)
-from liesphere.errors import DomainError, InconsistentData
+from liesphere.errors import DegenerateConfiguration, DomainError, InconsistentData
 from liesphere.isoparam import (IsoparametricFamily, mean_curvature, multiplicity_vector,
                                 principal_curvatures)
 from liesphere.polygon import build_parallel_polygon
@@ -371,13 +371,40 @@ def _ref_build_system(g, pcs, m1, m2, constraints, assumed_zero=frozenset()):
                             assumed_zero)
 
 
-def _ref_g6_uvw(pcs):
-    lam, mu, sig = float(pcs[0]), float(pcs[1]), float(pcs[4])
-    pcs = [float(v) for v in pcs]
-    u = {h: (lam - pcs[h - 1]) / ((pcs[h - 1] - mu) * (lam - mu)) for h in (3, 4, 6)}
-    v = {h: (pcs[h - 1] - lam) / ((lam - sig) * (pcs[h - 1] - sig)) for h in (3, 4, 6)}
-    w = {h: (sig - mu) / ((pcs[h - 1] - sig) * (pcs[h - 1] - mu)) for h in (3, 4, 6)}
+def _ref_g6_uvw(curv):
+    lam, mu, sig = curv[0], curv[1], curv[4]
+    u = {h: (lam - curv[h - 1]) / ((curv[h - 1] - mu) * (lam - mu)) for h in (3, 4, 6)}
+    v = {h: (curv[h - 1] - lam) / ((lam - sig) * (curv[h - 1] - sig)) for h in (3, 4, 6)}
+    w = {h: (sig - mu) / ((curv[h - 1] - sig) * (curv[h - 1] - mu)) for h in (3, 4, 6)}
     return u, v, w
+
+
+def _ref_g6_row_read(curv):
+    """The hand formulas of the 11 g = 6 certificates that sign_certificates reads off the
+    rows, by name, on six floats or six sympy symbols."""
+    lam, mu, nu, rho, sig, tau = curv
+    _, v, w = _ref_g6_uvw(curv)
+    formulas = {f"g6_{name}{h}": values[h] for name, values in (("v", v), ("w", w))
+                for h in (3, 4, 6)}
+    formulas["g6_one_minus_v_over_w"] = 1.0 - v[3] / w[3] - v[4] / w[4] - v[6] / w[6]
+    denom2 = (lam - rho) * (nu - rho)
+    step2 = 1.0 + ((lam - mu) * (nu - mu) + (lam - sig) * (nu - sig)
+                   + (lam - tau) * (nu - tau)) / denom2
+    denom3 = (lam - nu) * (rho - nu)
+    step3 = 1.0 + ((lam - mu) * (rho - mu) + (lam - sig) * (rho - sig)
+                   + (lam - tau) * (rho - tau)) / denom3
+    denom4 = (lam - nu) * (tau - nu)
+    step4 = 1.0 + ((lam - mu) * (tau - mu) + (lam - rho) * (tau - rho)
+                   + (lam - sig) * (tau - sig)) / denom4
+    denom5 = (lam - mu) * (sig - mu)
+    step5 = 1.0 + ((lam - nu) * (sig - nu) + (lam - rho) * (sig - rho)
+                   + (lam - tau) * (sig - tau)) / denom5
+    formulas.update(g6_step2_coefficient=step2, g6_step3_coefficient=step3,
+                    g6_step4_coefficient=step4, g6_d5_linear_coefficient=step5)
+    return formulas
+
+
+_ROW_READ = tuple(_ref_g6_row_read([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]))
 
 
 def _ref_sign_certificates(g, pcs):
@@ -398,17 +425,16 @@ def _ref_sign_certificates(g, pcs):
         return certs
     if g != 6:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
-    lam, mu, nu, rho, sig, tau = (float(v) for v in pcs)
-    u, v, w = _ref_g6_uvw(pcs)
+    lam, mu, nu, rho, sig, tau = curv = [float(v) for v in pcs]
+    row_read = _ref_g6_row_read(curv)
     certs += [
-        SignCertificate("g6_v3", v[3], NEGATIVE),
-        SignCertificate("g6_v4", v[4], NEGATIVE),
-        SignCertificate("g6_v6", v[6], POSITIVE),
-        SignCertificate("g6_w3", w[3], POSITIVE),
-        SignCertificate("g6_w4", w[4], POSITIVE),
-        SignCertificate("g6_w6", w[6], NEGATIVE),
-        SignCertificate("g6_one_minus_v_over_w",
-                        1.0 - v[3] / w[3] - v[4] / w[4] - v[6] / w[6], POSITIVE),
+        SignCertificate("g6_v3", row_read["g6_v3"], NEGATIVE),
+        SignCertificate("g6_v4", row_read["g6_v4"], NEGATIVE),
+        SignCertificate("g6_v6", row_read["g6_v6"], POSITIVE),
+        SignCertificate("g6_w3", row_read["g6_w3"], POSITIVE),
+        SignCertificate("g6_w4", row_read["g6_w4"], POSITIVE),
+        SignCertificate("g6_w6", row_read["g6_w6"], NEGATIVE),
+        SignCertificate("g6_one_minus_v_over_w", row_read["g6_one_minus_v_over_w"], POSITIVE),
     ]
     certs += [
         SignCertificate("g6_psi_check_ratio_mu",
@@ -424,23 +450,12 @@ def _ref_sign_certificates(g, pcs):
         SignCertificate("g6_psi_bar_ratio_tau",
                         (lam - nu) * (rho - tau) / ((lam - tau) * (rho - nu)), NEGATIVE),
     ]
-    denom2 = (lam - rho) * (nu - rho)
-    step2 = 1.0 + ((lam - mu) * (nu - mu) + (lam - sig) * (nu - sig)
-                   + (lam - tau) * (nu - tau)) / denom2
-    denom3 = (lam - nu) * (rho - nu)
-    step3 = 1.0 + ((lam - mu) * (rho - mu) + (lam - sig) * (rho - sig)
-                   + (lam - tau) * (rho - tau)) / denom3
-    denom4 = (lam - nu) * (tau - nu)
-    step4 = 1.0 + ((lam - mu) * (tau - mu) + (lam - rho) * (tau - rho)
-                   + (lam - sig) * (tau - sig)) / denom4
-    denom5 = (lam - mu) * (sig - mu)
-    step5 = 1.0 + ((lam - nu) * (sig - nu) + (lam - rho) * (sig - rho)
-                   + (lam - tau) * (sig - tau)) / denom5
     certs += [
-        SignCertificate("g6_step2_coefficient", step2, POSITIVE),
-        SignCertificate("g6_step3_coefficient", step3, NEGATIVE),
-        SignCertificate("g6_step4_coefficient", step4, POSITIVE),
-        SignCertificate("g6_d5_linear_coefficient", step5, NEGATIVE),
+        SignCertificate("g6_step2_coefficient", row_read["g6_step2_coefficient"], POSITIVE),
+        SignCertificate("g6_step3_coefficient", row_read["g6_step3_coefficient"], NEGATIVE),
+        SignCertificate("g6_step4_coefficient", row_read["g6_step4_coefficient"], POSITIVE),
+        SignCertificate("g6_d5_linear_coefficient", row_read["g6_d5_linear_coefficient"],
+                        NEGATIVE),
     ]
     for name, h in (("mu", mu), ("nu", nu), ("rho", rho)):
         certs.append(SignCertificate(f"g6_d5_obstruction_term_{name}",
@@ -475,13 +490,24 @@ def _assert_same_system(new, ref):
     assert new.rows.tobytes() == ref.rows.tobytes()
 
 
-def _assert_same_certificates(new, ref):
+def _assert_same_certificates(new, ref, pcs):
+    """Names and claims equal; values hex-equal, but the row-read ones equal up to rounding.
+
+    A row entry such as 1/(la - lb) - 1/(la - ld) loses digits as the gaps close, so the
+    row-read tolerance, 1e-12 relative, grows with the gap ratio past 1000.
+    """
     if isinstance(ref, tuple):
         assert new == ref
         return
     assert [(c.name, c.claimed_sign) for c in new] == [(c.name, c.claimed_sign) for c in ref]
-    assert ([float(c.expression_value).hex() for c in new]
-            == [float(c.expression_value).hex() for c in ref])
+    gaps = -np.diff(pcs)
+    tol = 1e-12 * max(1.0, gaps.sum() / gaps.min() / 1000)
+    for got, want in zip((c.expression_value for c in new), ref):
+        if want.name in _ROW_READ:  # read off the rows now: same sign where it is clear
+            assert abs(got - want.expression_value) <= tol * max(1.0, abs(want.expression_value))
+            assert abs(want.expression_value) <= 1e-12 or (got > 0) == (want.expression_value > 0)
+        else:
+            assert float(got).hex() == float(want.expression_value).hex(), want.name
 
 
 def _systems_agree(g, pcs, m1, m2):
@@ -498,7 +524,7 @@ def test_build_system_and_certificates_match_reference_over_family(g):
         for pcs in principal_curvatures(IsoparametricFamily(g, m1, m2, thetas)):
             _systems_agree(g, pcs, m1, m2)
             _assert_same_certificates(_outcome(sign_certificates, g, pcs),
-                                      _outcome(_ref_sign_certificates, g, pcs))
+                                      _outcome(_ref_sign_certificates, g, pcs), pcs)
 
 
 @pytest.mark.parametrize("g", sorted(_REF_MULTIPLICITIES))
@@ -509,7 +535,7 @@ def test_build_system_and_certificates_match_reference_on_random_tuples(g):
             _systems_agree(g, pcs, m1, m2)
     for pcs in tuples:
         _assert_same_certificates(_outcome(sign_certificates, g, pcs),
-                                  _outcome(_ref_sign_certificates, g, pcs))
+                                  _outcome(_ref_sign_certificates, g, pcs), pcs)
 
 
 def test_cross_ratio_row_matches_reference():
@@ -556,12 +582,110 @@ def test_sign_certificates_raise_as_reference(g, pcs, raised):
     assert _outcome(_ref_sign_certificates, g, pcs) == raised
 
 
-def test_sign_certificates_name_an_underflowing_denominator():
-    # gaps near 1e-170: a g = 6 denominator product underflows to 0 in float arithmetic
-    pcs = [3e-170, 2e-170, 1e-170, 0.0, -1e-170, -2e-170]
-    with pytest.raises(DomainError, match=r"underflows to 0 at curvatures \[3e-170, ") as info:
+@pytest.mark.parametrize("pcs, cause", (
+    # gaps of 1e-12: lie_curvature_of_values judges the curvatures to coincide
+    ([3e-12, 2e-12, 1e-12, 0.0, -1e-12, -2e-12], DegenerateConfiguration),
+    # a gap of 1e-310: its reciprocal in the rows overflows
+    ([3.0, 2.0, 1.0, 1e-310, 0.0, -1.0], FloatingPointError),
+))
+def test_sign_certificates_name_the_curvatures_they_cannot_evaluate(pcs, cause):
+    # raised as DomainError under filterwarnings = error, so no numpy warning escaped
+    match = rf"cannot be evaluated at curvatures \[{pcs[0]}, "
+    with pytest.raises(DomainError, match=match) as info:
         sign_certificates(6, pcs)
-    assert isinstance(info.value.__cause__, ZeroDivisionError)
-    # the reference copy raises the bare ZeroDivisionError that the message replaces
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_sign_certificates_name_an_underflowing_obstruction_term_first():
+    # gaps near 1e-170: the d5 obstruction terms underflow to 0, and that is what is named
+    pcs = [3e-170, 2e-170, 1e-170, 0.0, -1e-170, -2e-170]
+    with pytest.raises(InconsistentData, match="obstruction term not negative"):
+        sign_certificates(6, pcs)
+    # the reference copy divides by a product that underflows to 0 before it gets there
     with pytest.raises(ZeroDivisionError):
         _ref_sign_certificates(6, pcs)
+
+
+def _g6_system(pcs):
+    return build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
+
+
+def test_g6_certificates_are_read_off_the_rows(monkeypatch):
+    pcs = family_pcs(6)
+    before = {c.name: c.expression_value for c in sign_certificates(6, pcs)}
+
+    def scaled(*args):
+        system = build_system(*args)
+        system.rows[system.row_labels.index("clc_phi3[j=2]")] *= 3.0
+        return system
+
+    monkeypatch.setattr(dji, "build_system", scaled)
+    after = {c.name: c.expression_value for c in sign_certificates(6, pcs)}
+    assert after["g6_v3"] == 3.0 * before["g6_v3"] and after["g6_w3"] == 3.0 * before["g6_w3"]
+    assert abs(after["g6_one_minus_v_over_w"] - before["g6_one_minus_v_over_w"]) <= 1e-14
+    assert all(after[name] == before[name] for name in before
+               if name not in ("g6_v3", "g6_w3", "g6_one_minus_v_over_w"))
+
+
+def test_each_elimination_leaves_only_its_pivot():
+    for pcs in (family_pcs(6), family_pcs(6, theta=-0.2),
+                np.sort(np.random.default_rng(23).uniform(-8.0, 8.0, 6))[::-1]):
+        system = _g6_system(pcs)
+        rows = dict(zip(system.row_labels, system.rows))
+        for j, family, keep in dji._G6_ELIMINATIONS:
+            reduced = rows[f"cmc[j={j}]"].copy()
+            eliminating = [row for label, row in rows.items()
+                           if label.startswith(f"clc_{family}") and label.endswith(f"[j={j}]")]
+            assert len(eliminating) == 3
+            k = system.unknown_labels.index((j, keep))
+            for row in eliminating:
+                (other,) = set(np.flatnonzero(row)) - {k}
+                reduced = reduced - reduced[other] / row[other] * row
+            pivot, pairs = dji._eliminate(system, j, family, keep)
+            assert np.abs(np.delete(reduced, k)).max() <= 1e-12
+            assert abs(reduced[k] - pivot) <= 1e-13 * max(1.0, abs(pivot))
+            assert [pair[0] for pair in pairs] == [row[k] for row in eliminating]
+
+
+def _symbolic_g6_system(sp, lam):
+    """The system of _g6_system with every clc row the sympy derivative of log X."""
+    numeric = _g6_system(family_pcs(6))
+
+    def log_row(a, b, c, d):
+        la, lb, lc, ld = (lam[i - 1] for i in (a, b, c, d))
+        log_x = sp.log((la - lb) * (lc - ld) / ((la - ld) * (lc - lb)))
+        return [sp.cancel(sp.diff(log_x, symbol)) for symbol in lam]
+
+    families = [("cmc", [sp.Integer(1)] * 6, range(1, 7))]
+    families += [(f"clc_phi{h}", log_row(*quad), range(1, 7))
+                 for h, quad in G6_PHI_INDICES.items()]
+    families += [(f"clc_{family}{quad[2]}", log_row(*quad), (j,))
+                 for family, j, quads in G6_AUX_FAMILIES for quad in quads]
+    rows = [(f"{prefix}[j={j}]", j, coeffs) for prefix, coeffs, js in families for j in js]
+    assert tuple(label for label, _, _ in rows) == numeric.row_labels
+    grid = np.array([[coeffs[i - 1] if row_j == j else sp.Integer(0)
+                      for row_j, i in numeric.unknown_labels] for _, j, coeffs in rows])
+    return DerivativeSystem(6, numeric.unknown_labels, grid, numeric.row_labels, {},
+                            numeric.assumed_zero)
+
+
+def test_row_read_certificates_are_the_hand_formulas():
+    """Each of the 11 row-read certificates equals its formula of _ref_sign_certificates as a
+    rational function of the six curvatures, and so does the pivot on d_52 that the Phi rows
+    of direction 5 leave: the sign change of g6_d5_linear_coefficient is the step's own."""
+    sp = pytest.importorskip("sympy")
+    lam = sp.symbols("lambda mu nu rho sigma tau")
+    system = _symbolic_g6_system(sp, lam)
+    # the symbolic rows are build_system's rows
+    pcs = np.sort(np.random.default_rng(7).uniform(-8.0, 8.0, 6))[::-1]
+    values = sp.Matrix(system.rows).subs(dict(zip(lam, pcs.tolist())))
+    assert np.allclose(np.array(values, dtype=float), _g6_system(pcs).rows, rtol=1e-12, atol=0)
+    (one_minus, vw), *steps = (dji._eliminate(system, *step) for step in dji._G6_ELIMINATIONS)
+    derived = dict(zip(_ROW_READ, (*(v for v, _ in vw), *(w for _, w in vw), one_minus,
+                                   *(pivot for pivot, _ in steps)), strict=True))
+    formulas = _ref_g6_row_read(lam)
+    assert list(formulas) == [*_ROW_READ]
+    for name in _ROW_READ:
+        assert sp.cancel(sp.nsimplify(derived[name] - formulas[name])) == 0, name
+    other_order, _ = dji._eliminate(system, 5, "phi", 2)
+    assert sp.cancel(sp.nsimplify(other_order - formulas["g6_d5_linear_coefficient"])) == 0

@@ -23,7 +23,9 @@ prints every entry in which two dumps differ, then one summary line per
 suites case family with moved entries (how many, the largest residual move,
 the largest moved residual/tolerance ratio, the params keys that moved with
 the largest move among numeric params, and whether every status is
-unchanged), and exits 1 if any entry differs, 0 if none; a part that one
+unchanged) and one per certificate list with moved values (the moved names,
+the largest relative move, and whether every claimed sign still holds with
+the 1e-6 margin), and exits 1 if any entry differs, 0 if none; a part that one
 dump lacks (dumps of earlier versions have no extra searches, report hashes,
 systems or oracles) is named and not compared. Nothing under benchmarks/ is written.
 """
@@ -56,6 +58,7 @@ EXTRA_SEARCHES = tuple(
        for grid in (10, 20) for seed in (0, 5)]
     + [(3, ("cmc",), 55, 83, 1, 1)])
 REPORT_FORMATS = ("json", "csv")
+CERTIFICATE_MARGIN = 1e-6  # dji.CERTIFICATE_MARGIN, the margin every sign certificate clears
 ORACLE_RESOLUTIONS = (101, 721, 1001)
 
 
@@ -222,6 +225,34 @@ def suite_summary(a: dict, b: dict) -> list:
     return lines
 
 
+def certificate_summary(a: dict, b: dict) -> list:
+    """One line per systems certificates:g<g> list whose values differ between two dumps.
+
+    Each line names the moved certificates (compared by name; a name only one list
+    holds is not compared), gives the largest relative move |after - before| / |before|,
+    and says whether every claimed sign holds in the second dump with CERTIFICATE_MARGIN.
+    """
+    lines = []
+    left, right = a.get("systems", {}), b.get("systems", {})
+    for key in sorted(k for k in left.keys() & right.keys() if k.startswith("certificates:")):
+        before = {name: float.fromhex(value) for name, value, _ in left[key]}
+        after = {name: (float.fromhex(value), claim) for name, value, claim in right[key]}
+        moved = [name for name in before if name in after and after[name][0] != before[name]]
+        if not moved:
+            continue
+        largest = max(abs(after[name][0] - before[name]) / abs(before[name])
+                      if before[name] else math.inf for name in moved)
+        failing = [name for name, (value, claim) in after.items()
+                   if not (value > CERTIFICATE_MARGIN if claim == "positive"
+                           else value < -CERTIFICATE_MARGIN)]
+        margin = f"the {CERTIFICATE_MARGIN:g} margin"
+        lines.append(f"systems {key}: {len(moved)} moved ({', '.join(moved)}), largest relative "
+                     f"move {largest:.3g}, "
+                     + (f"claimed sign fails {margin}: {', '.join(failing)}" if failing
+                        else f"every claimed sign holds with {margin}"))
+    return lines
+
+
 def _numeric_move(before, after):
     """|after - before| of two params values that both read as numbers, else None."""
     try:
@@ -253,7 +284,7 @@ def main(argv=None) -> int:
         return 0
     first, second = (json.loads(p.read_text(encoding="utf-8")) for p in (args.first, args.second))
     lines = diff(first, second)
-    for line in lines + suite_summary(first, second):
+    for line in lines + suite_summary(first, second) + certificate_summary(first, second):
         print(line)
     for part in unshared_parts(first, second):
         print(f"{part}: only one dump has this part; not compared")
