@@ -12,9 +12,8 @@ along its own curvature direction), and critical-point hypotheses pin
 further unknowns to zero (all d_j1 plus d_12 at the standard critical
 point). For g = 6, the three generating cross ratios use curvature indices
 (1, 2, h, 5) for h in {3, 4, 6}, and auxiliary families eliminate the other
-unknowns; 11 of the g = 6 sign certificates are entries of these rows or the
-pivots their eliminations leave on a cmc row (_eliminate). Kernel dimensions
-are decided by SVD with a relative threshold.
+unknowns; 11 g = 6 sign certificates are entries of these rows or pivots
+(_pivot). Kernel dimensions are decided by SVD with a relative threshold.
 """
 
 from __future__ import annotations
@@ -103,13 +102,13 @@ def _require_decreasing(pcs):
 
 
 def _cross_ratio_log_row(pcs, ia, ib, ic, id_):
-    """Coefficients of e_j log[(la-lb)(lc-ld)/((la-ld)(lc-lb))] on d_j1..d_jg, for any j."""
+    """Coefficients of e_j log[(la-lb)(lc-ld)/((la-ld)(lc-lb))] on d_j1..d_jg, for any j, one
+    quotient each: 1/(la-lb) - 1/(la-ld) = (lb-ld)/((la-lb)(la-ld)) cancels no digits."""
     la, lb, lc, ld = pcs[ia - 1], pcs[ib - 1], pcs[ic - 1], pcs[id_ - 1]
-    ab, cd, ad, cb = 1.0 / (la - lb), 1.0 / (lc - ld), 1.0 / (la - ld), 1.0 / (lc - lb)
     row = np.zeros(len(pcs))
-    for i, term in ((ia, ab), (ib, -ab), (ic, cd), (id_, -cd),
-                    (ia, -ad), (id_, ad), (ic, -cb), (ib, cb)):
-        row[i - 1] += term
+    row[[ia - 1, ib - 1, ic - 1, id_ - 1]] = (
+        (lb - ld) / ((la - lb) * (la - ld)), (la - lc) / ((la - lb) * (lc - lb)),
+        (ld - lb) / ((lc - ld) * (lc - lb)), (lc - la) / ((la - ld) * (lc - ld)))
     return row
 
 
@@ -213,57 +212,48 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
         ]
     if g != 6:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return _g6_certificates(pcs)
+    try:  # a division by zero, an overflow or an invalid operation raises in there
+        return _g6_certificates(pcs)
     except (FloatingPointError, DegenerateConfiguration) as exc:
         raise DomainError(f"a g = 6 certificate cannot be evaluated at curvatures "
                           f"{pcs.tolist()}") from exc
 
 
-# the g = 6 certificates in report order, each with the sign it claims
-_G6_CLAIMS = dict(
-    g6_v3=NEGATIVE, g6_v4=NEGATIVE, g6_v6=POSITIVE,
-    g6_w3=POSITIVE, g6_w4=POSITIVE, g6_w6=NEGATIVE, g6_one_minus_v_over_w=POSITIVE,
-    g6_psi_check_ratio_mu=NEGATIVE, g6_psi_check_ratio_sigma=POSITIVE,
-    g6_psi_check_ratio_tau=POSITIVE, g6_psi_bar_ratio_mu=POSITIVE,
-    g6_psi_bar_ratio_sigma=NEGATIVE, g6_psi_bar_ratio_tau=NEGATIVE,
-    g6_step2_coefficient=POSITIVE, g6_step3_coefficient=NEGATIVE,
-    g6_step4_coefficient=POSITIVE, g6_d5_linear_coefficient=NEGATIVE,
-    g6_d5_obstruction_term_mu=NEGATIVE, g6_d5_obstruction_term_nu=NEGATIVE,
-    g6_d5_obstruction_term_rho=NEGATIVE, g6_d5_obstruction_total=NEGATIVE)
-# (direction j, family, kept unknown) of one_minus_v_over_w, step2, step3, step4, d5_linear
-_G6_ELIMINATIONS = ((2, "phi", 5), (3, "psi_check", 4), (4, "psi_bar", 3), (6, "psi_tilde", 3),
-                    (5, "psi_sigma", 2))
+def _pivot(system: DerivativeSystem, j: int, family: str, keep: int):
+    """The coefficient left on d_j,keep of row cmc[j=<j>] once each other free d_jh is
+    eliminated by row clc_<family><h>[j=<j>], whose free unknowns are d_jh and d_j,keep."""
+    rows, k = dict(zip(system.row_labels, system.rows)), system.unknown_labels.index((j, keep))
+    pivot = rows[f"cmc[j={j}]"][k]
+    for other, (row_j, h) in enumerate(system.unknown_labels):
+        if row_j == j and h != keep:
+            row = rows[f"clc_{family}{h}[j={j}]"]
+            pivot = pivot - rows[f"cmc[j={j}]"][other] * row[k] / row[other]
+    return pivot
 
 
-def _eliminate(system: DerivativeSystem, j: int, family: str, keep: int):
-    """Each row clc_<family>*[j=<j>] removes its free unknown other than d_j,keep from row
-    cmc[j=<j>]: the pivot left on d_j,keep, and each such row's two coefficients."""
-    cmc = system.rows[system.row_labels.index(f"cmc[j={j}]")]
-    k = system.unknown_labels.index((j, keep))
-    pivot, pairs = cmc[k], []
-    for label, row in zip(system.row_labels, system.rows):
-        if label.startswith(f"clc_{family}") and label.endswith(f"[j={j}]"):
-            (other,) = set(np.flatnonzero(row)) - {k}
-            pivot = pivot - cmc[other] * row[k] / row[other]
-            pairs.append((row[k], row[other]))
-    return pivot, pairs
-
-
+@np.errstate(divide="raise", over="raise", invalid="raise")
 def _g6_certificates(pcs: np.ndarray) -> list[SignCertificate]:
-    total = g6_d5_obstruction(pcs)  # first, so an inadmissible term is what is named
-    lam, mu, nu, rho, sig, tau = pcs
     system = build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
-    # v_h and w_h are the coefficients on d_25 and d_2h of row clc_phi<h>[j=2]
-    (one_minus, vw), *steps = (_eliminate(system, *spec) for spec in _G6_ELIMINATIONS)
+    total = g6_d5_obstruction(pcs)  # an underflowing term is named before a psi coincidence
+    rows, col = dict(zip(system.row_labels, system.rows)), system.unknown_labels.index
+    v = {h: rows[f"clc_phi{h}[j=2]"][col((2, 5))] for h in (3, 4, 6)}
+    w = {h: rows[f"clc_phi{h}[j=2]"][col((2, h))] for h in (3, 4, 6)}
     # psi_check [lambda, nu; rho, x] and psi_bar [lambda, rho; nu, x], x = mu, sigma, tau
-    psi = lie_curvature_of_values((lam, np.repeat((nu, rho), 3), np.repeat((rho, nu), 3),
-                                   np.tile((mu, sig, tau), 2))).value
-    values = (*(v for v, _ in vw), *(w for _, w in vw), one_minus, *psi,
-              *(pivot for pivot, _ in steps), *_d5_term(lam, pcs[1:4], sig, tau), total)
-    return [SignCertificate(name, float(value), claim)
-            for (name, claim), value in zip(_G6_CLAIMS.items(), values, strict=True)]
+    psi = lie_curvature_of_values(pcs[[[0, 0, 0, 0, 0, 0], [2, 2, 2, 3, 3, 3], [3, 3, 3, 2, 2, 2],
+                                       [1, 4, 5, 1, 4, 5]]]).value
+    return [SignCertificate(name, float(value), claim) for name, value, claim in (
+        ("g6_v3", v[3], NEGATIVE), ("g6_v4", v[4], NEGATIVE), ("g6_v6", v[6], POSITIVE),
+        ("g6_w3", w[3], POSITIVE), ("g6_w4", w[4], POSITIVE), ("g6_w6", w[6], NEGATIVE),
+        ("g6_one_minus_v_over_w", _pivot(system, 2, "phi", 5), POSITIVE),
+        *zip((f"g6_psi_{f}_ratio_{x}" for f in ("check", "bar") for x in ("mu", "sigma", "tau")),
+             psi, (NEGATIVE, POSITIVE, POSITIVE, POSITIVE, NEGATIVE, NEGATIVE)),
+        ("g6_step2_coefficient", _pivot(system, 3, "psi_check", 4), POSITIVE),
+        ("g6_step3_coefficient", _pivot(system, 4, "psi_bar", 3), NEGATIVE),
+        ("g6_step4_coefficient", _pivot(system, 6, "psi_tilde", 3), POSITIVE),
+        ("g6_d5_linear_coefficient", _pivot(system, 5, "psi_sigma", 2), NEGATIVE),
+        *((f"g6_d5_obstruction_term_{x}", term, NEGATIVE)
+          for x, term in zip(("mu", "nu", "rho"), _d5_term(pcs[0], pcs[1:4], pcs[4], pcs[5]))),
+        ("g6_d5_obstruction_total", total, NEGATIVE))]
 
 
 def _d5_term(lam, h, sig, tau):

@@ -214,7 +214,6 @@ def test_diff_compares_the_extra_searches_and_names_a_dump_without_them(tmp_path
 
 
 def test_certificate_summary_names_the_moved_certificates(tmp_path, capsys):
-    assert bitcheck.CERTIFICATE_MARGIN == dji.CERTIFICATE_MARGIN
     old = {"searches": {}, "suites": {}, "systems": {"certificates:g6": [
         ["g6_v3", (-0.5).hex(), "negative"], ["g6_w3", (2.0).hex(), "positive"],
         ["g6_w6", (-0.25).hex(), "negative"]], "certificates:g4": [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,24 +295,18 @@ def test_d5_obstruction_always_negative():
 # references: build_system, _cross_ratio_log_row, sign_certificates and _g6_uvw
 # as they were written before the rows went through one grid and each
 # certificate formula was written once; the library must match them bit for bit,
-# except the 11 g = 6 certificates now read off the rows (_ROW_READ), up to rounding
+# except the 11 g = 6 certificates now read off the rows (_ROW_READ), up to rounding.
+# Each cross-ratio row entry is one quotient, (lb - ld)/((la - lb)(la - ld)) where it was
+# 1/(la - lb) - 1/(la - ld), in the reference as in the library
 # ---------------------------------------------------------------------------
 
 def _ref_cross_ratio_log_row(pcs, j, ia, ib, ic, id_):
     la, lb, lc, ld = pcs[ia - 1], pcs[ib - 1], pcs[ic - 1], pcs[id_ - 1]
     co: dict[int, float] = {}
-
-    def acc(i, val):
-        co[i] = co.get(i, 0.0) + val
-
-    acc(ia, 1.0 / (la - lb))
-    acc(ib, -1.0 / (la - lb))
-    acc(ic, 1.0 / (lc - ld))
-    acc(id_, -1.0 / (lc - ld))
-    acc(ia, -1.0 / (la - ld))
-    acc(id_, 1.0 / (la - ld))
-    acc(ic, -1.0 / (lc - lb))
-    acc(ib, 1.0 / (lc - lb))
+    co[ia] = (lb - ld) / ((la - lb) * (la - ld))  # 1/(la - lb) - 1/(la - ld)
+    co[ib] = (la - lc) / ((la - lb) * (lc - lb))  # -1/(la - lb) + 1/(lc - lb)
+    co[ic] = (ld - lb) / ((lc - ld) * (lc - lb))  # 1/(lc - ld) - 1/(lc - lb)
+    co[id_] = (lc - la) / ((la - ld) * (lc - ld))  # -1/(lc - ld) + 1/(la - ld)
     return co
 
 
@@ -491,21 +486,15 @@ def _assert_same_system(new, ref):
     assert new.rows.tobytes() == ref.rows.tobytes()
 
 
-def _assert_same_certificates(new, ref, pcs):
-    """Names and claims equal; values hex-equal, but the row-read ones equal up to rounding.
-
-    A row entry such as 1/(la - lb) - 1/(la - ld) loses digits as the gaps close, so the
-    row-read tolerance, 1e-12 relative, grows with the gap ratio past 1000.
-    """
+def _assert_same_certificates(new, ref):
+    """Names and claims equal; values hex-equal, but the row-read ones equal up to rounding."""
     if isinstance(ref, tuple):
         assert new == ref
         return
     assert [(c.name, c.claimed_sign) for c in new] == [(c.name, c.claimed_sign) for c in ref]
-    gaps = -np.diff(pcs)
-    tol = 1e-12 * max(1.0, gaps.sum() / gaps.min() / 1000)
     for got, want in zip((c.expression_value for c in new), ref):
         if want.name in _ROW_READ:  # read off the rows now: same sign where it is clear
-            assert abs(got - want.expression_value) <= tol * max(1.0, abs(want.expression_value))
+            assert abs(got - want.expression_value) <= 1e-12 * max(1.0, abs(want.expression_value))
             assert abs(want.expression_value) <= 1e-12 or (got > 0) == (want.expression_value > 0)
         else:
             assert float(got).hex() == float(want.expression_value).hex(), want.name
@@ -525,7 +514,7 @@ def test_build_system_and_certificates_match_reference_over_family(g):
         for pcs in principal_curvatures(IsoparametricFamily(g, m1, m2, thetas)):
             _systems_agree(g, pcs, m1, m2)
             _assert_same_certificates(_outcome(sign_certificates, g, pcs),
-                                      _outcome(_ref_sign_certificates, g, pcs), pcs)
+                                      _outcome(_ref_sign_certificates, g, pcs))
 
 
 @pytest.mark.parametrize("g", sorted(_REF_MULTIPLICITIES))
@@ -536,7 +525,7 @@ def test_build_system_and_certificates_match_reference_on_random_tuples(g):
             _systems_agree(g, pcs, m1, m2)
     for pcs in tuples:
         _assert_same_certificates(_outcome(sign_certificates, g, pcs),
-                                  _outcome(_ref_sign_certificates, g, pcs), pcs)
+                                  _outcome(_ref_sign_certificates, g, pcs))
 
 
 def test_cross_ratio_row_matches_reference():
@@ -586,25 +575,37 @@ def test_sign_certificates_raise_as_reference(g, pcs, raised):
 @pytest.mark.parametrize("pcs, cause", (
     # gaps of 1e-12: lie_curvature_of_values judges the curvatures to coincide
     ([3e-12, 2e-12, 1e-12, 0.0, -1e-12, -2e-12], DegenerateConfiguration),
-    # a gap of 1e-310: its reciprocal in the rows overflows
+    # a gap of 1e-310: a quotient in the rows overflows
     ([3.0, 2.0, 1.0, 1e-310, 0.0, -1.0], FloatingPointError),
+    # gaps of 1e200: a denominator product of the rows overflows
+    ([3e200, 2e200, 1e200, 0.0, -1e200, -2e200], FloatingPointError),
 ))
 def test_sign_certificates_name_the_curvatures_they_cannot_evaluate(pcs, cause):
     # raised as DomainError under filterwarnings = error, so no numpy warning escaped
-    match = rf"cannot be evaluated at curvatures \[{pcs[0]}, "
+    match = rf"cannot be evaluated at curvatures \[{re.escape(str(pcs[0]))}, "
     with pytest.raises(DomainError, match=match) as info:
         sign_certificates(6, pcs)
     assert isinstance(info.value.__cause__, cause)
 
 
-def test_sign_certificates_name_an_underflowing_obstruction_term_first():
-    # gaps near 1e-170: the d5 obstruction terms underflow to 0, and that is what is named
+def test_sign_certificates_name_an_underflowing_denominator():
+    # gaps near 1e-170: a denominator product of the rows underflows to 0 in float arithmetic
     pcs = [3e-170, 2e-170, 1e-170, 0.0, -1e-170, -2e-170]
-    with pytest.raises(InconsistentData, match="obstruction term not negative"):
+    with pytest.raises(DomainError, match=r"cannot be evaluated at curvatures \[3e-170, ") as info:
         sign_certificates(6, pcs)
-    # the reference copy divides by a product that underflows to 0 before it gets there
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    # the reference copy raises the bare ZeroDivisionError that the message replaces
     with pytest.raises(ZeroDivisionError):
         _ref_sign_certificates(6, pcs)
+
+
+def test_sign_certificates_keep_a_row_entry_that_a_difference_of_reciprocals_loses():
+    # at tau = -1e17 the d_26 coefficient of clc_phi6[j=2], 1/(tau - sigma) - 1/(tau - mu),
+    # is 0 in float arithmetic; its one quotient (sigma - mu)/((tau - sigma)(tau - mu)) is not
+    pcs = [3.0, 2.0, 1.0, 0.0, -1.0, -1e17]
+    certificates = sign_certificates(6, pcs)
+    _assert_same_certificates(certificates, _ref_sign_certificates(6, pcs))
+    assert next(c for c in certificates if c.name == "g6_w6").expression_value == -3e-34
 
 
 def _g6_system(pcs):
@@ -628,24 +629,38 @@ def test_g6_certificates_are_read_off_the_rows(monkeypatch):
                if name not in ("g6_v3", "g6_w3", "g6_one_minus_v_over_w"))
 
 
+# (direction j, family, kept unknown) of the eliminations whose pivots are certificates
+_ELIMINATIONS = {"g6_one_minus_v_over_w": (2, "phi", 5),
+                 "g6_step2_coefficient": (3, "psi_check", 4),
+                 "g6_step3_coefficient": (4, "psi_bar", 3),
+                 "g6_step4_coefficient": (6, "psi_tilde", 3),
+                 "g6_d5_linear_coefficient": (5, "psi_sigma", 2)}
+
+
+def _row_read(system):
+    """The 11 row-read certificates of a g = 6 (cmc, clc) system, by name: v_h and w_h the
+    coefficients of row clc_phi<h>[j=2] on d_25 and d_2h, and the five pivots."""
+    rows, col = dict(zip(system.row_labels, system.rows)), system.unknown_labels.index
+    return {**{f"g6_v{h}": rows[f"clc_phi{h}[j=2]"][col((2, 5))] for h in (3, 4, 6)},
+            **{f"g6_w{h}": rows[f"clc_phi{h}[j=2]"][col((2, h))] for h in (3, 4, 6)},
+            **{name: dji._pivot(system, *spec) for name, spec in _ELIMINATIONS.items()}}
+
+
 def test_each_elimination_leaves_only_its_pivot():
     for pcs in (family_pcs(6), family_pcs(6, theta=-0.2),
                 np.sort(np.random.default_rng(23).uniform(-8.0, 8.0, 6))[::-1]):
         system = _g6_system(pcs)
         rows = dict(zip(system.row_labels, system.rows))
-        for j, family, keep in dji._G6_ELIMINATIONS:
+        for j, family, keep in (*_ELIMINATIONS.values(), (5, "phi", 2)):
             reduced = rows[f"cmc[j={j}]"].copy()
-            eliminating = [row for label, row in rows.items()
-                           if label.startswith(f"clc_{family}") and label.endswith(f"[j={j}]")]
-            assert len(eliminating) == 3
             k = system.unknown_labels.index((j, keep))
-            for row in eliminating:
-                (other,) = set(np.flatnonzero(row)) - {k}
+            for h in sorted({2, 3, 4, 5, 6} - {j, keep}):
+                row, other = rows[f"clc_{family}{h}[j={j}]"], system.unknown_labels.index((j, h))
+                assert set(np.flatnonzero(row)) == {k, other}  # its two free unknowns
                 reduced = reduced - reduced[other] / row[other] * row
-            pivot, pairs = dji._eliminate(system, j, family, keep)
+            pivot = dji._pivot(system, j, family, keep)
             assert np.abs(np.delete(reduced, k)).max() <= 1e-12
             assert abs(reduced[k] - pivot) <= 1e-13 * max(1.0, abs(pivot))
-            assert [pair[0] for pair in pairs] == [row[k] for row in eliminating]
 
 
 def _symbolic_g6_system(sp, lam):
@@ -671,21 +686,24 @@ def _symbolic_g6_system(sp, lam):
 
 
 def test_row_read_certificates_are_the_hand_formulas():
-    """Each of the 11 row-read certificates equals its formula of _ref_sign_certificates as a
-    rational function of the six curvatures, and so does the pivot on d_52 that the Phi rows
-    of direction 5 leave: the sign change of g6_d5_linear_coefficient is the step's own."""
+    """Each of the 11 certificates that sign_certificates reads off the rows equals its formula
+    of _ref_sign_certificates as a rational function of the six curvatures, and so does the
+    pivot on d_52 that the Phi rows of direction 5 leave: the sign change of
+    g6_d5_linear_coefficient is the step's own."""
     sp = pytest.importorskip("sympy")
+    # _row_read reads the values that sign_certificates reports, to the bit
+    pcs = family_pcs(6, theta=0.1)
+    reported = {c.name: c.expression_value for c in sign_certificates(6, pcs)}
+    assert {name: float(value) for name, value in _row_read(_g6_system(pcs)).items()} == {
+        name: reported[name] for name in _ROW_READ}
     lam = sp.symbols("lambda mu nu rho sigma tau")
     system = _symbolic_g6_system(sp, lam)
     # the symbolic rows are build_system's rows
     pcs = np.sort(np.random.default_rng(7).uniform(-8.0, 8.0, 6))[::-1]
     values = sp.Matrix(system.rows).subs(dict(zip(lam, pcs.tolist())))
     assert np.allclose(np.array(values, dtype=float), _g6_system(pcs).rows, rtol=1e-12, atol=0)
-    (one_minus, vw), *steps = (dji._eliminate(system, *spec) for spec in dji._G6_ELIMINATIONS)
-    derived = dict(zip(_ROW_READ, (*(v for v, _ in vw), *(w for _, w in vw), one_minus,
-                                   *(pivot for pivot, _ in steps)), strict=True))
-    formulas = _ref_g6_row_read(lam)
+    derived, formulas = _row_read(system), _ref_g6_row_read(lam)
     for name in _ROW_READ:
         assert sp.cancel(sp.nsimplify(derived[name] - formulas[name])) == 0, name
-    other_order, _ = dji._eliminate(system, 5, "phi", 2)
+    other_order = dji._pivot(system, 5, "phi", 2)
     assert sp.cancel(sp.nsimplify(other_order - formulas["g6_d5_linear_coefficient"])) == 0

@@ -25,8 +25,8 @@ the largest moved residual/tolerance ratio, the params keys that moved with
 the largest move among numeric params, and whether every status is
 unchanged) and one per certificate list with moved values (the moved names,
 the largest relative move, and whether every claimed sign still holds with
-the 1e-6 margin), and exits 1 if any entry differs, 0 if none; a part that one
-dump lacks (dumps of earlier versions have no extra searches, report hashes,
+the margin dji.CERTIFICATE_MARGIN of this checkout's src, 1e-6), and exits
+1 if any entry differs, 0 if none; a part that one dump lacks (dumps of earlier versions have no extra searches, report hashes,
 systems or oracles) is named and not compared. Nothing under benchmarks/ is written.
 """
 
@@ -58,7 +58,6 @@ EXTRA_SEARCHES = tuple(
        for grid in (10, 20) for seed in (0, 5)]
     + [(3, ("cmc",), 55, 83, 1, 1)])
 REPORT_FORMATS = ("json", "csv")
-CERTIFICATE_MARGIN = 1e-6  # dji.CERTIFICATE_MARGIN, the margin every sign certificate clears
 ORACLE_RESOLUTIONS = (101, 721, 1001)
 
 
@@ -230,8 +229,14 @@ def certificate_summary(a: dict, b: dict) -> list:
 
     Each line names the moved certificates (compared by name; a name only one list
     holds is not compared), gives the largest relative move |after - before| / |before|,
-    and says whether every claimed sign holds in the second dump with CERTIFICATE_MARGIN.
+    and says whether every claimed sign holds in the second dump with the margin that
+    dji.CERTIFICATE_MARGIN of this checkout sets.
     """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from liesphere.dji import CERTIFICATE_MARGIN
+
     lines = []
     left, right = a.get("systems", {}), b.get("systems", {})
     for key in sorted(k for k in left.keys() & right.keys() if k.startswith("certificates:")):
