@@ -234,7 +234,7 @@ def _pivot(system: DerivativeSystem, j: int, family: str, keep: int):
 @np.errstate(divide="raise", over="raise", invalid="raise")
 def _g6_certificates(pcs: np.ndarray) -> list[SignCertificate]:
     system = build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
-    total = g6_d5_obstruction(pcs)  # an underflowing term is named before a psi coincidence
+    total = g6_d5_obstruction(pcs)  # underflowing d5 terms are named before a psi coincidence
     rows, col = dict(zip(system.row_labels, system.rows)), system.unknown_labels.index
     v = {h: rows[f"clc_phi{h}[j=2]"][col((2, 5))] for h in (3, 4, 6)}
     w = {h: rows[f"clc_phi{h}[j=2]"][col((2, h))] for h in (3, 4, 6)}
@@ -246,7 +246,7 @@ def _g6_certificates(pcs: np.ndarray) -> list[SignCertificate]:
         ("g6_w3", w[3], POSITIVE), ("g6_w4", w[4], POSITIVE), ("g6_w6", w[6], NEGATIVE),
         ("g6_one_minus_v_over_w", _pivot(system, 2, "phi", 5), POSITIVE),
         *zip((f"g6_psi_{f}_ratio_{x}" for f in ("check", "bar") for x in ("mu", "sigma", "tau")),
-             psi, (NEGATIVE, POSITIVE, POSITIVE, POSITIVE, NEGATIVE, NEGATIVE)),
+             psi, (NEGATIVE, POSITIVE, POSITIVE, POSITIVE, NEGATIVE, NEGATIVE), strict=True),
         ("g6_step2_coefficient", _pivot(system, 3, "psi_check", 4), POSITIVE),
         ("g6_step3_coefficient", _pivot(system, 4, "psi_bar", 3), NEGATIVE),
         ("g6_step4_coefficient", _pivot(system, 6, "psi_tilde", 3), POSITIVE),
