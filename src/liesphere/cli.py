@@ -39,10 +39,9 @@ def _family_rows(g, m1, m2, theta):
     """Rows (theta, lambda_1..lambda_g, H, S, R) of the members at theta, a float or an array."""
     fam = isoparam.IsoparametricFamily(g, m1, m2, theta)
     inv = isoparam.scalar_curvature(fam)
-    # R's closed form for g = 3, 4, 6: (n-1)(n-2) + H^2 - S cancels to noise where R = 0
-    r = inv.scalar_curvature if inv.closed_form is None else inv.closed_form
+    # R's closed form: (n-1)(n-2) + H^2 - S cancels to noise where R = 0
     return np.column_stack([fam.theta, np.atleast_2d(isoparam.principal_curvatures(fam)),
-                            inv.mean_curvature, inv.second_moment, r])
+                            inv.mean_curvature, inv.second_moment, inv.closed_form])
 
 
 def _family(args) -> int:

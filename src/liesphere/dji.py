@@ -10,10 +10,10 @@ Lie curvatures each impose one linear row per direction e_j:
 The diagonal entries d_jj vanish identically (each curvature is constant
 along its own curvature direction), and critical-point hypotheses pin
 further unknowns to zero (all d_j1 plus d_12 at the standard critical
-point). For g = 6, the three generating cross ratios use curvature indices
-(1, 2, h, 5) for h in {3, 4, 6}, and auxiliary families eliminate the other
-unknowns; 11 g = 6 sign certificates are entries of these rows or pivots
-(_pivot). Kernel dimensions are decided by SVD with a relative threshold.
+point). The Lie curvatures that clc holds constant, with their family
+values, are one table, CLC_PHI; for g = 6 auxiliary families eliminate the
+other unknowns, and 11 g = 6 sign certificates are entries of these rows or
+pivots (_pivot). Kernel dimensions are decided by SVD with a relative threshold.
 """
 
 from __future__ import annotations
@@ -112,9 +112,11 @@ def _cross_ratio_log_row(pcs, ia, ib, ic, id_):
     return row
 
 
-# curvature-index quadruples (ia, ib, ic, id) of the g=6 cross-ratio families,
+# Lie curvatures held constant by (iii) and (iv): g -> (d, {c: family value of Phi_c}), where
+# Phi_c = [l1, l2; lc, ld] = (l1-l2)(lc-ld)/((l1-ld)(lc-l2)), the paper6_12_34 ordering
+CLC_PHI = {4: (4, {3: -1.0}), 6: (5, {3: -1.0, 4: -1 / 3, 6: 1 / 3})}
+# curvature-index quadruples (ia, ib, ic, id) of the auxiliary g=6 cross-ratio families,
 # keyed by the direction j whose derivatives they eliminate
-G6_PHI_INDICES = {h: (1, 2, h, 5) for h in (3, 4, 6)}
 G6_AUX_FAMILIES = (
     ("psi_check", 3, tuple((3, 4, h, 1) for h in (2, 5, 6))),
     ("psi_bar", 4, tuple((4, 3, h, 1) for h in (2, 5, 6))),
@@ -151,15 +153,14 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
     if "csc" in constraints:
         families.append(("csc", mult * pcs, directions))
     if "clc" in constraints:
-        if g == 4:
-            families.append(("clc_phi", _cross_ratio_log_row(pcs, 1, 2, 3, 4), directions))
-        elif g == 6:
-            families += [(f"clc_phi{h}", _cross_ratio_log_row(pcs, *quad), directions)
-                         for h, quad in G6_PHI_INDICES.items()]
+        if g not in CLC_PHI:
+            raise DomainError("clc rows are defined for g = 4 and g = 6")
+        d, phis = CLC_PHI[g]  # a lone Phi's rows are clc_phi[j=..], Phi_c's of several clc_phi<c>
+        families += [(f"clc_phi{c if len(phis) > 1 else ''}",
+                      _cross_ratio_log_row(pcs, 1, 2, c, d), directions) for c in phis]
+        if g == 6:
             families += [(f"clc_{family}{quad[2]}", _cross_ratio_log_row(pcs, *quad), (j,))
                          for family, j, quads in G6_AUX_FAMILIES for quad in quads]
-        else:
-            raise DomainError("clc rows are defined for g = 4 and g = 6")
     rows = [(f"{prefix}[j={j}]", j, coeffs) for prefix, coeffs, js in families for j in js]
 
     free = np.array([[i != j and (j, i) not in assumed_zero for i in directions]

@@ -11,12 +11,11 @@ curvature (trace of the shape operator, no averaging) is
 
     H = (g/2) (m1 t - m2 / t),   t = cot(g theta_1 / 2) > 0,
 
-for every admissible g, strictly decreasing in theta and onto R. So theta
-is recovered from H in closed form: t is the one positive root of the
-quadratic m1 t^2 - (2H/g) t - m2 = 0. The scalar curvature is
-R = (n-1)(n-2) + H^2 - S with S = sum m_i lambda_i^2; for g = 3, 4, 6 its
-closed form is returned beside it. The isoparametric_formulas suite
-cross-checks both closed forms against the direct sums. Every sum of m_i x_i in
+strictly decreasing in theta and onto R, so t, and theta, is the positive root
+of m1 t^2 - (2H/g) t - m2 = 0. R = (n-1)(n-2) + H^2 - S, S = sum m_i lambda_i^2,
+comes with its closed form (g/2)^2 [m1 (m1 - 1)(1 + t^2) + m2 (m2 - 1)(1 + 1/t^2)].
+Each closed form is one expression in t for every admissible g; the
+isoparametric_formulas suite cross-checks both against the direct sums. Every sum of m_i x_i in
 the package (S, the suite's direct H, the search's cmc and csc rows and the H of
 the isometry reduction) is a multiplicity_sum: one fixed order of additions, so a
 member and a stack agree to the bit, whatever BLAS kernel the CPU would pick.
@@ -104,7 +103,7 @@ class FamilyInvariants:
     mean_curvature: float
     second_moment: float
     scalar_curvature: float
-    closed_form: float | None = None  # closed-form R for g in {3, 4, 6}
+    closed_form: float  # R in t = cot(g theta_1 / 2)
 
     def __post_init__(self):
         n, h, s, r = (self.dimension_ambient, self.mean_curvature,
@@ -121,10 +120,6 @@ def principal_curvatures(fam: IsoparametricFamily) -> np.ndarray:
 
 
 def _mean_curvature_raw(g: int, m1: int, m2: int, theta1):
-    if g == 1:
-        return m1 / np.tan(theta1)
-    if g == 2:
-        return m1 / np.tan(theta1) + m2 / np.tan(theta1 + math.pi / 2)
     t = 1.0 / np.tan(g * theta1 / 2.0)
     return (g / 2.0) * (m1 * t - m2 / t)
 
@@ -167,18 +162,11 @@ def theta_from_mean_curvature(g: int, m1: int, m2: int, h):
 
 
 def scalar_curvature(fam: IsoparametricFamily) -> FamilyInvariants:
-    """General R = (n-1)(n-2) + H^2 - S, with the closed form for g in {3,4,6} beside it."""
+    """General R = (n-1)(n-2) + H^2 - S, with its closed form in t beside it."""
     n = fam.ambient_dim
     h = mean_curvature(fam)
     s = multiplicity_sum(np.moveaxis(principal_curvatures(fam) ** 2 * fam.multiplicities, -1, 0))
     r = (n - 1) * (n - 2) + h * h - s
-    m1, m2, theta1 = fam.m1, fam.m2, fam.theta1
-    closed = None
-    if fam.g == 3:
-        closed = 9 * m1 * (m1 - 1) * (1 + 1.0 / np.tan(3 * theta1) ** 2)
-    elif fam.g == 4:
-        t = 1.0 / np.tan(2 * theta1)
-        closed = 4 * (m1 * (m1 - 1) * (1 + t * t) + m2 * (m2 - 1) * (1 + 1.0 / (t * t)))
-    elif fam.g == 6:
-        closed = 36 * m1 * (m1 - 1) * (1 + 1.0 / np.tan(6 * theta1) ** 2)
-    return FamilyInvariants(n, h, s, r, closed)
+    m1, m2, t = fam.m1, fam.m2, 1.0 / np.tan(fam.g * fam.theta1 / 2.0)
+    closed = m1 * (m1 - 1) * (1 + t * t) + m2 * (m2 - 1) * (1 + 1.0 / (t * t))
+    return FamilyInvariants(n, h, s, r, (fam.g / 2.0) ** 2 * closed)

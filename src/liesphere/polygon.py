@@ -24,7 +24,8 @@ Two solved angle systems reproduce the closed-form solutions pi/4 (g=4)
 and pi/6 (g=6); brute-force grid oracles confirm each solution cell is
 unique. The conformal machinery maps polygons by the O(2,1) action on
 the circle and reduces a constrained conformal map to an isometry via a
-2x2 homogeneous system whose nonsingularity is certified by signs.
+2x2 homogeneous system whose nonsingularity is certified by signs. The
+search's clc rows hold each Lie curvature of dji.CLC_PHI at its family value.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dji import NEGATIVE, POSITIVE, SignCertificate
+from .dji import CLC_PHI, NEGATIVE, POSITIVE, SignCertificate
 from .errors import CertificateFailure, DomainError, raise_where
 from .indefinite import Signature, is_lie_transform
 from .isoparam import multiplicity_sum, multiplicity_vector
@@ -58,11 +59,6 @@ _SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid of g = 6 tab
 _ORACLE_BLOCK = 1 << 15  # cells per grid-oracle objective call: 256 KiB per float64 array
 _unit_steps = functools.cache(lambda n: _read_only(np.eye(n) * 1e-7))  # row d steps p_d
 
-# family values of the g=6 Lie curvatures Phi_h (theta-independent)
-G6_FAMILY_PHI = {3: -1.0, 4: -1.0 / 3.0, 6: 1.0 / 3.0}
-# the 0-based curvature h of each Phi_h (of curvatures 1, 2, h, 5) and its target
-_G6_PHI_H = _read_only(np.array([h - 1 for h in G6_FAMILY_PHI]))
-_G6_PHI_TARGET = np.array(list(G6_FAMILY_PHI.values()))[:, None, None]
 _TABLE_OUT_OF_RANGE = "configuration leaves (0, pi): radius table invalid"
 
 # (curvature indices, cross-ratio ordering) of the named polygon invariants
@@ -907,6 +903,14 @@ class SearchSurvivor:
     parallel: bool
 
 
+@functools.cache
+def _clc_plan(g: int):
+    """dji.CLC_PHI[g] for the search: 0-based c of each Phi_c (k,), 0-based d, values (k, 1, 1)."""
+    d, phis = CLC_PHI[g]
+    return (_read_only(np.array([c - 1 for c in phis])), d - 1,
+            _read_only(np.array(list(phis.values()))[:, None, None]))
+
+
 def _search_tables(g: int, params: np.ndarray):
     """Radius tables (g, 2g, S) and feasibility (S,) of rows (free odd, free even gaps, theta1)."""
     count = len(params)
@@ -936,16 +940,13 @@ def _search_residual(g: int, constraints, mult: np.ndarray, params: np.ndarray):
             w = np.multiply(lam, lam, w)
             s = multiplicity_sum(np.multiply(w, mult, w))
             blocks.append(s[1:] - s[:1])
-        if "clc" in constraints:
-            if g == 4:
-                l1, l2, l3, l4 = lam
-                blocks.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
-            else:  # (l1 - l2)(lh - l5) / ((l1 - l5)(lh - l2)) - Phi_h for h = 3, 4, 6 at once
-                lh = lam.take(_G6_PHI_H, 0)
-                phi = np.multiply(lh - lam[4], lam[0] - lam[1])
-                phi /= np.multiply(np.subtract(lh, lam[1], lh), lam[0] - lam[4], lh)
-                phi -= _G6_PHI_TARGET
-                blocks.append(phi.reshape(6 * g, count))
+        if "clc" in constraints:  # (lc - ld)(l1 - l2) / ((lc - l2)(l1 - ld)) - Phi_c, every c
+            cs, d, target = _clc_plan(g)
+            lc = lam.take(cs, 0)
+            phi = np.multiply(lc - lam[d], lam[0] - lam[1])
+            phi /= np.multiply(np.subtract(lc, lam[1], lc), lam[0] - lam[d], lc)
+            phi -= target
+            blocks.append(phi.reshape(len(cs) * 2 * g, count))
     out = np.empty((count, sum(map(len, blocks))))
     np.concatenate(blocks, out=out.T)
     return out, feasible
@@ -1021,7 +1022,7 @@ def constraint_search(g: int, constraints, grid_resolution: int, seed: int,
         raise ValueError(f"unknown constraints {sorted(constraints - {'cmc', 'csc', 'clc'})}")
     if not 1 <= grid_resolution <= 60:
         raise DomainError("grid_resolution must be in 1..60 (desk scale)")
-    if "clc" in constraints and g == 3:
+    if "clc" in constraints and g not in CLC_PHI:
         raise DomainError("clc filtering needs g = 4 or g = 6")
     mult = multiplicity_vector(g, m1, m2)
     ndim = 2 * g - 1

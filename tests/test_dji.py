@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from liesphere import dji, report
-from liesphere.dji import (G6_AUX_FAMILIES, G6_PHI_INDICES, NEGATIVE, POSITIVE,
+from liesphere.dji import (G6_AUX_FAMILIES, NEGATIVE, POSITIVE,
                            DerivativeSystem, KernelAnalysis, SignCertificate,
                            _cross_ratio_log_row,
                            build_system, critical_point_pinning, g6_d5_obstruction,
@@ -17,6 +17,8 @@ from liesphere.polygon import build_parallel_polygon
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
+# the curvature quadruples of the g = 6 Phi_h rows, written out apart from dji.CLC_PHI
+G6_PHI_QUADS = {h: (1, 2, h, 5) for h in (3, 4, 6)}
 
 
 def family_pcs(g, m1=1, m2=1, theta=0.0):
@@ -350,7 +352,7 @@ def _ref_build_system(g, pcs, m1, m2, constraints, assumed_zero=frozenset()):
             for j in range(1, 5):
                 add(j, _ref_cross_ratio_log_row(pcs, j, 1, 2, 3, 4), f"clc_phi[j={j}]")
         elif g == 6:
-            for h, quad in G6_PHI_INDICES.items():
+            for h, quad in G6_PHI_QUADS.items():
                 for j in range(1, 7):
                     add(j, _ref_cross_ratio_log_row(pcs, j, *quad), f"clc_phi{h}[j={j}]")
             for family, j, quads in G6_AUX_FAMILIES:
@@ -530,7 +532,7 @@ def test_build_system_and_certificates_match_reference_on_random_tuples(g):
 
 def test_cross_ratio_row_matches_reference():
     pcs = np.sort(np.random.default_rng(15).uniform(-8.0, 8.0, (200, 6)))[:, ::-1]
-    quads = (*G6_PHI_INDICES.values(), *(q for _, _, qs in G6_AUX_FAMILIES for q in qs))
+    quads = (*G6_PHI_QUADS.values(), *(q for _, _, qs in G6_AUX_FAMILIES for q in qs))
     for row in pcs:
         for quad in quads:
             ref = _ref_cross_ratio_log_row(row, 1, *quad)
@@ -674,7 +676,7 @@ def _symbolic_g6_system(sp, lam):
 
     families = [("cmc", [sp.Integer(1)] * 6, range(1, 7))]
     families += [(f"clc_phi{h}", log_row(*quad), range(1, 7))
-                 for h, quad in G6_PHI_INDICES.items()]
+                 for h, quad in G6_PHI_QUADS.items()]
     families += [(f"clc_{family}{quad[2]}", log_row(*quad), (j,))
                  for family, j, quads in G6_AUX_FAMILIES for quad in quads]
     rows = [(f"{prefix}[j={j}]", j, coeffs) for prefix, coeffs, js in families for j in js]

@@ -260,16 +260,32 @@ def test_scalar_specialized_general_agreement_on_grids():
     for g, m1, m2 in FAMILY_COMBOS:
         for theta in grid(g, 60):
             inv = scalar_curvature(IsoparametricFamily(g, m1, m2, float(theta)))
-            if g not in (3, 4, 6):
-                assert inv.closed_form is None
-                continue
             r = inv.scalar_curvature
             assert abs(inv.closed_form - r) <= 1e-8 * max(1, abs(r))
 
 
+@pytest.mark.parametrize("g, m1, m2", _FAMILY_COMBOS + ((4, 2, 3),))
+def test_closed_forms_match_40_digit_direct_sums(g, m1, m2):
+    # H = sum m_i lambda_i and R = (n-1)(n-2) + H^2 - sum m_i lambda_i^2 at the float theta_1
+    # that the package evaluates, against the closed forms in t = cot(g theta_1 / 2)
+    mpmath = pytest.importorskip("mpmath")
+    bound = math.pi / (2 * g)
+    fam = IsoparametricFamily(g, m1, m2, np.linspace(-0.9 * bound, 0.9 * bound, 45))
+    inv = scalar_curvature(fam)
+    mult, n = [int(m) for m in fam.multiplicities], fam.ambient_dim
+    with mpmath.workdps(40):
+        for theta1, h_closed, r_closed in zip(fam.theta1, inv.mean_curvature, inv.closed_form):
+            lam = [mpmath.cot(mpmath.mpf(theta1) + i * mpmath.pi / g) for i in range(g)]
+            h = sum(m * x for m, x in zip(mult, lam))
+            r = (n - 1) * (n - 2) + h * h - sum(m * x * x for m, x in zip(mult, lam))
+            # relative where |value| > 1; R is 0 exactly for m1 = m2 = 1
+            assert abs(h_closed - h) <= 1e-14 * max(1, abs(h)), (theta1, h_closed, h)
+            assert abs(r_closed - r) <= 1e-14 * max(1, abs(r)), (theta1, r_closed, r)
+
+
 def test_family_invariants_consistency_check():
     with pytest.raises(ValueError):
-        FamilyInvariants(5, 0.0, 12.0, 5.0)
+        FamilyInvariants(5, 0.0, 12.0, 5.0, 5.0)
 
 
 def test_principal_curvature_bounds():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from liesphere import polygon
+from liesphere.dji import CLC_PHI
 from liesphere.errors import DomainError
 from liesphere.isoparam import multiplicity_vector
 from liesphere.polygon import (AngleGaps, CircleMobius, GeodesicPolygon, angle_table,
@@ -16,7 +17,8 @@ from liesphere.polygon import (AngleGaps, CircleMobius, GeodesicPolygon, angle_t
                                isometry_reduction, link_check, link_partner,
                                polygon_from_positions, polygon_lie_curvature,
                                psi_values, solve_g4_normalized, solve_g6_normalized)
-from liesphere.quadric import ProjectiveCurvature, lie_curvature
+from liesphere.quadric import (PAPER6_12_34, ProjectiveCurvature, lie_curvature,
+                               lie_curvature_of_values)
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
@@ -1438,7 +1440,9 @@ def test_difference_jacobians_equal_the_masked_path_without_a_jacobian():
                                               id=f"table_plan{g}") for g in (3, 4, 6)]
                          + [pytest.param(functools.partial(polygon._unit_steps, n),
                                          id=f"unit_steps{n}") for n in (2, 5, 11)]
-                         + [pytest.param(lambda: polygon._G6_PHI_H, id="g6_phi_h")])
+                         + [pytest.param(lambda g=g, k=k: polygon._clc_plan(g)[k],
+                                         id=f"g{g}_phi_{part}")
+                            for g in (4, 6) for k, part in ((0, "h"), (2, "target"))])
 def test_shared_plans_are_read_only(plan):
     # every caller reads the same array, cached or built at import, so a write must raise
     with pytest.raises(ValueError, match="read-only"):
@@ -1485,7 +1489,7 @@ def _reference_search_residual(g, constraints, mult, params):
                 l1, l2, l3, l4 = np.moveaxis(lam, -1, 0)
                 out.append((l1 - l2) * (l3 - l4) / ((l1 - l4) * (l3 - l2)) + 1.0)
             else:
-                for h_idx, target in polygon.G6_FAMILY_PHI.items():
+                for h_idx, target in {3: -1.0, 4: -1.0 / 3.0, 6: 1.0 / 3.0}.items():
                     l1, l2, lh, l5 = (lam[..., i - 1] for i in (1, 2, h_idx, 5))
                     out.append((l1 - l2) * (lh - l5) / ((l1 - l5) * (lh - l2)) - target)
     return np.concatenate(out, axis=1), feasible
@@ -1540,3 +1544,19 @@ def test_search_residual_equals_reference(g):
                 feasible_rows += ok.sum()
                 infeasible_rows += (~ok).sum()
     assert feasible_rows >= 50 and infeasible_rows >= 50
+
+
+@pytest.mark.parametrize("g", (4, 6))
+def test_search_clc_rows_hold_the_table_values_on_the_family(g):
+    # a parallel polygon is a family member: every vertex holds each Phi_c of dji.CLC_PHI
+    d, phis = CLC_PHI[g]
+    theta1 = PI / (2 * g) + np.linspace(-0.8, 0.8, 9) * PI / (2 * g)
+    params = np.column_stack([np.full((9, 2 * g - 2), PI / g), theta1])
+    residual, feasible = polygon._search_residual(g, frozenset({"clc"}), np.ones(g), params)
+    assert feasible.all() and residual.shape == (9, len(phis) * 2 * g)
+    lam = 1.0 / np.tan(polygon._search_tables(g, params)[0])  # (g, 2g, 9)
+    for k, (c, target) in enumerate(phis.items()):
+        phi = lie_curvature_of_values(lam[[0, 1, c - 1, d - 1]], PAPER6_12_34).value
+        block = residual[:, k * 2 * g:(k + 1) * 2 * g]
+        assert np.abs(block - (phi - target).T).max() <= 1e-12
+        assert np.abs(block).max() <= 1e-12

@@ -862,9 +862,9 @@ def test_cli_family_markdown():
     assert proc.stdout.startswith("| theta | lambda_1 |")
 
 
-@pytest.mark.parametrize("g", (4, 6))
+@pytest.mark.parametrize("g", (1, 2, 3, 4, 6))
 def test_cli_family_prints_the_closed_form_scalar_curvature(g, capsys):
-    # m1 = m2 = 1 makes R = 0 exactly; the general H^2 - S form printed noise there
+    # m1 = m2 = 1 makes R = 0 exactly; the general H^2 - S form prints noise there
     assert cli.main(["family", "--g", str(g), "--grid", "10"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.endswith(",R") and len(rows) == 10

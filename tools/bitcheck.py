@@ -97,14 +97,12 @@ def _system(system) -> dict:
 def dump_systems() -> dict:
     """The systems that the dji_kernels suite builds and the g = 4, 6 sign certificates."""
     import numpy as np
-    from liesphere import dji, isoparam, report
+    from liesphere import dji, report
 
-    def family_pcs(g, m1=1, m2=1):
-        return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, m1, m2, 0.0))
-
+    family_pcs = report._family_pcs  # the suites' curvatures: theta = 0, any multiplicities
     systems = {}
     for g, constraints, m1, m2 in report._KERNEL_SYSTEMS:
-        pcs = family_pcs(g, m1, m2)
+        pcs = family_pcs(g)
         key = f"kernel:g{g}:{'+'.join(constraints)}:m{m1}{m2}"
         for suffix, at in (("", pcs), (":perturbed", pcs + 1e-8 * np.arange(1, g + 1))):
             systems[key + suffix] = _system(dji.build_system(g, at, m1, m2, constraints,
