@@ -161,12 +161,14 @@ def moebius_coefficients(l: LieTransform, ce: ContactElement):
 def cross_ratio(w1, w2, w3, w4):
     """[w1, w2; w3, w4] = (w1-w3)(w2-w4) / ((w1-w4)(w2-w3)).
 
-    Real iff the four points are concircular or collinear.
+    Real iff the four points are concircular or collinear. The denominator's
+    two differences are formed once, for the degeneracy test and the quotient.
     """
     scale = functools.reduce(np.maximum, (abs(w1), abs(w2), abs(w3), abs(w4), 1.0))
-    raise_where((abs(w1 - w4) <= 1e-12 * scale) | (abs(w2 - w3) <= 1e-12 * scale),
+    d14, d23 = w1 - w4, w2 - w3
+    raise_where((abs(d14) <= 1e-12 * scale) | (abs(d23) <= 1e-12 * scale),
                 DegenerateConfiguration, "cross ratio denominator vanishes")
-    return (w1 - w3) * (w2 - w4) / ((w1 - w4) * (w2 - w3))
+    return (w1 - w3) * (w2 - w4) / (d14 * d23)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,30 +181,44 @@ class LieCurvatureValue:
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
 
-# the six pairs (i, j), i < j, of four curvatures: 12, 13, 14, 23, 24, 34
-_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+# the six pairs (i, j), i < j, of four curvatures, numbered from 1: 12, 13, 14, 23, 24, 34
+_PAIRS = np.array([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], dtype=np.uint8)
 
 
 def lie_curvature(l1: ProjectiveCurvature, l2: ProjectiveCurvature,
                   l3: ProjectiveCurvature, l4: ProjectiveCurvature,
                   ordering: str = STANDARD_13_24) -> LieCurvatureValue:
-    """Cross ratio of four curvatures, computed projectively so infinity is admissible."""
-    vu = np.stack(np.broadcast_arrays(l1.v, l2.v, l3.v, l4.v, l1.u, l2.u, l3.u, l4.u), axis=-1)
-    v, u = vu[..., :4], vu[..., 4:]
-    # diff[..., k] = l_i - l_j over a common projective denominator, for the k-th pair
-    diff = v[..., _PAIR_I] * u[..., _PAIR_J] - v[..., _PAIR_J] * u[..., _PAIR_I]
-    norm = np.hypot(v, u)
-    coincide = np.abs(diff) / (norm[..., _PAIR_I] * norm[..., _PAIR_J]) <= PROJECTIVE_TOL
-    pair = np.argmax(coincide, axis=-1)
+    """Cross ratio of four curvatures, computed projectively so infinity is admissible.
+
+    Each difference l_i - l_j is d_ij = v_i u_j - v_j u_i over a common
+    projective denominator, and the pair coincides where |d_ij| <= PROJECTIVE_TOL
+    |(v_i, u_i)| |(v_j, u_j)|. Operands broadcast; the value has their broadcast
+    shape (a numpy scalar when they are scalars), and the kernel holds one array
+    per pair difference and per norm, never a stacked copy of the operands.
+    """
+    v = [np.asarray(lam.v) for lam in (l1, l2, l3, l4)]
+    u = [np.asarray(lam.u) for lam in (l1, l2, l3, l4)]
+    dtype = np.result_type(*v, *u)  # the one dtype all eight operands are computed in
+    v, u = ([x.astype(dtype, copy=False) for x in xs] for xs in (v, u))
+    diff = {(i, j): v[i - 1] * u[j - 1] - v[j - 1] * u[i - 1] for i, j in _PAIRS.tolist()}
+    norm = [np.hypot(vk, uk) for vk, uk in zip(v, u)]
+    coincide = np.stack(np.broadcast_arrays(*(
+        np.abs(d) / (norm[i - 1] * norm[j - 1]) <= PROJECTIVE_TOL
+        for (i, j), d in diff.items())), axis=-1)
+    first = _PAIRS[np.argmax(coincide, axis=-1)]
     raise_where(coincide.any(axis=-1), DegenerateConfiguration, "curvatures {} and {} coincide",
-                _PAIR_I[pair] + 1, _PAIR_J[pair] + 1)
-    d12, d13, d14, d23, d24, d34 = (diff[..., k] for k in range(6))
+                first[..., 0], first[..., 1])
     if ordering == STANDARD_13_24:
-        num, den = d13 * d24, d14 * d23
+        num, den = diff[1, 3] * diff[2, 4], diff[1, 4] * diff[2, 3]
     else:
-        num, den = d12 * d34, d14 * -d23
+        num, den = diff[1, 2] * diff[3, 4], diff[1, 4] * -diff[2, 3]
     return LieCurvatureValue((num / den)[()], ordering)
 
 
 def lie_curvature_of_values(values, ordering: str = STANDARD_13_24) -> LieCurvatureValue:
+    """lie_curvature of four finite curvature values, taken position-first.
+
+    `values` has shape (4, ...): values[k] is the k-th curvature, a scalar or
+    an array, and the four broadcast.
+    """
     return lie_curvature(*(ProjectiveCurvature.from_value(v) for v in values), ordering=ordering)

@@ -157,7 +157,9 @@ def _suite_cross_ratio_identity(seed: int, tol: float | None):
     def sweep_gaps():
         phi = lie_curvature(*map(ProjectiveCurvature.from_angle, columns),
                             ordering=STANDARD_13_24).value
-        return np.where(keep, abs(cross_ratio(*np.exp(2j * columns)) - phi), 0.0).max(axis=1)
+        points = 2j * columns
+        np.exp(points, out=points)
+        return np.where(keep, abs(cross_ratio(*points) - phi), 0.0).max(axis=1)
 
     for batch, residual in enumerate(_per_case(200, sweep_gaps)):
         yield (f"cross_ratio_identity/radii_sweep[{batch:03d}]",
@@ -522,18 +524,29 @@ def all_passed(cases) -> bool:
 # report emission
 # ---------------------------------------------------------------------------
 
+REPORT_SLICE = 256  # cases per json.dumps call of emit_report
+
+
 def emit_report(cases, path: str, fmt: str = "json", seed: int = 0) -> None:
+    """Write the list `cases` to `path` as a JSON report, one case per line, or as CSV.
+
+    JSON is encoded REPORT_SLICE cases at a time, so the encoder's working set
+    stays bounded for any report size; the bytes equal one call over every case.
+    """
     if fmt == "json":
-        # one C-encoder call for every case (an indent would force the Python encoder); a
-        # case is its fields in declaration order, strings, floats and a dict of strings, so
-        # it holds no cycle to check for. A string escapes its quotes, so '}, {"suite": '
-        # occurs only between two cases, and there each line ends.
-        body = json.dumps([vars(c) for c in cases], check_circular=False).replace(
-            '}, {"suite": ', '},\n{"suite": ')
+        # one C-encoder call per slice (an indent would force the Python encoder); a case
+        # is its fields in declaration order, strings, floats and a dict of strings, so it
+        # holds no cycle to check for. A string escapes its quotes, so '}, {"suite": '
+        # occurs only between two cases, and there each line ends, as it does between slices.
         run = json.dumps({"seed": seed, "version": __version__})
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(f'{{"run": {run}, "cases": [\n')
-            handle.write(body[1:-1])
+            for start in range(0, len(cases), REPORT_SLICE):
+                if start:
+                    handle.write(",\n")
+                body = json.dumps([vars(c) for c in cases[start:start + REPORT_SLICE]],
+                                  check_circular=False).replace('}, {"suite": ', '},\n{"suite": ')
+                handle.write(body[1:-1])
             handle.write("\n]}\n")
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as handle:

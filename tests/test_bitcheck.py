@@ -91,6 +91,11 @@ def test_diff_compares_the_oracles_and_names_a_dump_without_them(tmp_path, capsy
     second.write_text(json.dumps(changed), encoding="utf-8")
     assert bitcheck.main(["diff", str(first), str(second)]) == 0
     assert "oracles: only one dump has this part; not compared" in capsys.readouterr().out
+    # the closing count line names the oracle results it compared
+    assert bitcheck.main(["diff", str(second), str(second)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "0 difference(s) over 1 searches, 0 extra searches, 1 cases, 2 report hashes, "
+        "2 dji systems and certificate lists and 1 oracle results")
 
 
 def test_dump_oracles_holds_both_oracles_at_each_resolution():
@@ -160,8 +165,8 @@ def test_main_prints_no_summary_for_an_unmoved_dump(tmp_path, capsys):
         path.write_text(json.dumps({"searches": {}, **cases}), encoding="utf-8")
     assert bitcheck.main(["diff", str(first), str(second)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "0 difference(s) over 0 searches, 0 extra searches, 2 cases, 0 report hashes "
-        "and 0 dji systems and certificate lists"]
+        "0 difference(s) over 0 searches, 0 extra searches, 2 cases, 0 report hashes, "
+        "0 dji systems and certificate lists and 0 oracle results"]
 
 
 def test_extra_searches_cover_what_the_refs_lack():

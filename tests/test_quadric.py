@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liesphere.errors import ContactViolation, DegenerateConfiguration, DomainError
+from liesphere.errors import (ContactViolation, DegenerateConfiguration, DomainError,
+                              raise_where)
 from liesphere.indefinite import (LieTransform, Signature, SignedVector, compose, inner,
                                   random_lie_transform)
-from liesphere.quadric import (PAPER6_12_34, STANDARD_13_24, ContactElement,
-                               LieCurvatureValue, ProjectiveCurvature, QuadricPoint,
-                               cross_ratio, curvature_sphere, legendre_lift, lie_curvature,
-                               lie_curvature_of_values, moebius_coefficients,
+from liesphere.quadric import (ORDERINGS, PAPER6_12_34, PROJECTIVE_TOL, STANDARD_13_24,
+                               ContactElement, LieCurvatureValue, ProjectiveCurvature,
+                               QuadricPoint, cross_ratio, curvature_sphere, legendre_lift,
+                               lie_curvature, lie_curvature_of_values, moebius_coefficients,
                                moebius_curvature, parallel_transform)
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -282,3 +284,113 @@ def test_parallel_transform_stack_gives_rotation_coefficients():
     for k, theta in enumerate(thetas):
         assert (a[k], b[k], c[k], d[k]) == (math.cos(theta), math.sin(theta),
                                             -math.sin(theta), math.cos(theta))
+
+
+# ---------------------------------------------------------------------------
+# the stacked-copy kernels the pairwise ones replaced, kept verbatim as references
+# ---------------------------------------------------------------------------
+
+_PAIR_I, _PAIR_J = np.triu_indices(4, 1)
+
+
+def _reference_lie_curvature(l1, l2, l3, l4, ordering=STANDARD_13_24):
+    vu = np.stack(np.broadcast_arrays(l1.v, l2.v, l3.v, l4.v, l1.u, l2.u, l3.u, l4.u), axis=-1)
+    v, u = vu[..., :4], vu[..., 4:]
+    # diff[..., k] = l_i - l_j over a common projective denominator, for the k-th pair
+    diff = v[..., _PAIR_I] * u[..., _PAIR_J] - v[..., _PAIR_J] * u[..., _PAIR_I]
+    norm = np.hypot(v, u)
+    coincide = np.abs(diff) / (norm[..., _PAIR_I] * norm[..., _PAIR_J]) <= PROJECTIVE_TOL
+    pair = np.argmax(coincide, axis=-1)
+    raise_where(coincide.any(axis=-1), DegenerateConfiguration, "curvatures {} and {} coincide",
+                _PAIR_I[pair] + 1, _PAIR_J[pair] + 1)
+    d12, d13, d14, d23, d24, d34 = (diff[..., k] for k in range(6))
+    if ordering == STANDARD_13_24:
+        num, den = d13 * d24, d14 * d23
+    else:
+        num, den = d12 * d34, d14 * -d23
+    return LieCurvatureValue((num / den)[()], ordering)
+
+
+def _reference_cross_ratio(w1, w2, w3, w4):
+    scale = functools.reduce(np.maximum, (abs(w1), abs(w2), abs(w3), abs(w4), 1.0))
+    raise_where((abs(w1 - w4) <= 1e-12 * scale) | (abs(w2 - w3) <= 1e-12 * scale),
+                DegenerateConfiguration, "cross ratio denominator vanishes")
+    return (w1 - w3) * (w2 - w4) / ((w1 - w4) * (w2 - w3))
+
+
+def _same_bits(new, old):
+    assert type(new) is type(old) and np.shape(new) == np.shape(old)
+    assert np.array_equal(new, old, equal_nan=True)
+
+
+def _raised(function, *args, **kwargs):
+    with pytest.raises(DegenerateConfiguration) as info:
+        function(*args, **kwargs)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@pytest.mark.parametrize("seed", range(4))
+def test_lie_curvature_equals_stacked_reference_with_infinite_curvatures(seed, ordering):
+    rng = np.random.default_rng(seed)
+    v, u = rng.normal(size=(2, 4, 6, 9))
+    # one curvature of about a third of the members is infinite: u = 0
+    infinite = (np.arange(4)[:, None, None] == rng.integers(0, 4, (6, 9))) & (
+        rng.uniform(size=(6, 9)) < 0.35)
+    u[infinite] = 0.0
+    stack = [ProjectiveCurvature(v[k], u[k]) for k in range(4)]
+    new = lie_curvature(*stack, ordering=ordering)
+    assert new.ordering == ordering and np.isfinite(new.value).all()
+    _same_bits(new.value, _reference_lie_curvature(*stack, ordering=ordering).value)
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_lie_curvature_equals_stacked_reference_when_broadcasting(ordering):
+    rng = np.random.default_rng(11)
+    mixed = [ProjectiveCurvature(1.0, 0.0),
+             ProjectiveCurvature(rng.normal(size=(3, 1)), 1.0),
+             ProjectiveCurvature.from_angle(rng.uniform(0.1, 3.0, 5).astype(np.float32)),
+             ProjectiveCurvature(np.float32(-2.3), np.float32(0.7))]
+    # the stacked copy computed every operand in float64, float32 pairs included
+    new = lie_curvature(*mixed, ordering=ordering).value
+    assert new.shape == (3, 5)
+    _same_bits(new, _reference_lie_curvature(*mixed, ordering=ordering).value)
+    floats = [ProjectiveCurvature(1.0, 0.0), ProjectiveCurvature(0.5, 1.0),
+              ProjectiveCurvature(-3.0, 2.0), ProjectiveCurvature(4.0, -1.5)]
+    new = lie_curvature(*floats, ordering=ordering).value
+    assert isinstance(new, np.float64)
+    _same_bits(new, _reference_lie_curvature(*floats, ordering=ordering).value)
+    quad = (ROOT2 + 1, ROOT2 - 1, 1 - ROOT2, -1 - ROOT2)
+    _same_bits(lie_curvature_of_values(quad, ordering).value,
+               _reference_lie_curvature(*map(ProjectiveCurvature.from_value, quad),
+                                        ordering=ordering).value)
+
+
+def test_lie_curvature_coincidence_text_and_index_equal_the_reference():
+    rng = np.random.default_rng(3)
+    v, u = rng.normal(size=(2, 4, 5, 8))
+    # the first coincident member in C order is (2, 6); it holds pairs 13 and 24 (13 first)
+    for index, i, j in (((2, 6), 2, 4), ((2, 6), 1, 3), ((4, 1), 1, 2)):
+        v[j - 1][index], u[j - 1][index] = -2.0 * v[i - 1][index], -2.0 * u[i - 1][index]
+    u[1, 3, 3] = u[3, 3, 3] = 0.0  # two infinite curvatures coincide too
+    stack = [ProjectiveCurvature(v[k], u[k]) for k in range(4)]
+    text = _raised(lie_curvature, *stack)
+    assert text == "curvatures 1 and 3 coincide at stack index (2, 6)"
+    assert text == _raised(_reference_lie_curvature, *stack)
+    scalars = [ProjectiveCurvature(1.0, 0.0), ProjectiveCurvature(0.5, 1.0),
+               ProjectiveCurvature(-2.0, 0.0), ProjectiveCurvature(0.5, 1.0)]
+    assert _raised(lie_curvature, *scalars, ordering=PAPER6_12_34) == (
+        "curvatures 1 and 3 coincide") == _raised(_reference_lie_curvature, *scalars)
+
+
+def test_cross_ratio_equals_reference_and_names_the_same_degenerate_member():
+    rng = np.random.default_rng(7)
+    w = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (4, 30)))
+    _same_bits(cross_ratio(*w), _reference_cross_ratio(*w))
+    _same_bits(cross_ratio(1, 1j, -1, -1j), _reference_cross_ratio(1, 1j, -1, -1j))
+    w[2, 17] = w[1, 17]
+    w[3, 21] = w[0, 21]
+    assert _raised(cross_ratio, *w) == "cross ratio denominator vanishes at stack index 17"
+    assert _raised(cross_ratio, *w) == _raised(_reference_cross_ratio, *w)
+    assert _raised(cross_ratio, 1.0, 2.0, 2.0, 1.0) == _raised(_reference_cross_ratio,
+                                                               1.0, 2.0, 2.0, 1.0)

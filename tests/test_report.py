@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -532,6 +533,67 @@ def test_json_report_is_one_case_per_line_and_parses_as_before(tmp_path):
         c.case_id for c in cases]
     assert lines[-2].isascii() and '"residual": Infinity' in lines[-2]
     assert json.loads(lines[-2])["residual"] == math.inf
+
+
+def _reference_emit_json(cases, path, seed):
+    """The one-shot JSON emitter that the sliced one replaced, kept verbatim as a reference."""
+    body = json.dumps([vars(c) for c in cases], check_circular=False).replace(
+        '}, {"suite": ', '},\n{"suite": ')
+    run = json.dumps({"seed": seed, "version": report.__version__})
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f'{{"run": {run}, "cases": [\n')
+        handle.write(body[1:-1])
+        handle.write("\n]}\n")
+
+
+def _error_record(k):
+    return VerificationCase("s", f"s/error[{k}]",
+                            {"error": 'DomainError: "quoted" \\ and a\nnewline',
+                             "where": "dji.py:1 in f"}, "error", math.inf, 0.0, 0.5, 2)
+
+
+@pytest.mark.parametrize("count", (0, 1, report.REPORT_SLICE, report.REPORT_SLICE + 1))
+def test_sliced_json_report_bytes_equal_the_one_shot_reference(tmp_path, count):
+    cases = [make_case(f"s/c{k}", residual=k / 7) for k in range(count - 1)]
+    cases += [_error_record(count)] if count else []
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    emit_report(cases, str(new), "json", seed=2)
+    _reference_emit_json(cases, str(old), 2)
+    assert new.read_bytes() == old.read_bytes()
+    if count:
+        last = new.read_text(encoding="utf-8").splitlines()[-2]
+        assert '"residual": Infinity' in last and r'\"quoted\" \\ and a\nnewline' in last
+
+
+def test_sliced_all_report_bytes_equal_the_one_shot_reference(tmp_path):
+    cases = [dataclasses.replace(c, runtime_ms=0.0) for c in run_suite("all", 0)]
+    assert len(cases) == 3957 > 15 * report.REPORT_SLICE
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    emit_report(cases, str(new), "json", seed=0)
+    _reference_emit_json(cases, str(old), 0)
+    assert new.read_bytes() == old.read_bytes()
+
+
+def _traced_peak(function):
+    function()  # fill the module caches outside the trace
+    tracemalloc.start()
+    try:
+        function()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cross_ratio_identity_traced_peak_stays_under_2_5_mib():
+    # the (..., 8) stacked copy and its 6-wide gathers traced 4.44 MiB before the pairwise kernel
+    assert _traced_peak(lambda: run_suite("cross_ratio_identity", 0)) <= 2.5 * 2**20
+
+
+def test_all_report_emission_traced_peak_stays_under_1_mib(tmp_path):
+    # one json.dumps over all 3957 cases traced 4.09 MiB over the records before slicing
+    cases = run_suite("all", 0)
+    path = str(tmp_path / "report.json")
+    assert _traced_peak(lambda: emit_report(cases, path, "json", seed=0)) <= 2**20
 
 
 def _raising(exc_type):

@@ -293,8 +293,9 @@ def main(argv=None) -> int:
         print(f"{part}: only one dump has this part; not compared")
     print(f"{len(lines)} difference(s) over {len(first['searches'])} searches, "
           f"{len(first.get('extra_searches', {}))} extra searches, "
-          f"{len(first['suites'])} cases, {len(first.get('report_sha256', {}))} report hashes "
-          f"and {len(first.get('systems', {}))} dji systems and certificate lists")
+          f"{len(first['suites'])} cases, {len(first.get('report_sha256', {}))} report hashes, "
+          f"{len(first.get('systems', {}))} dji systems and certificate lists "
+          f"and {len(first.get('oracles', {}))} oracle results")
     return 1 if lines else 0
 
 
