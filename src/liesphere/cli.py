@@ -89,20 +89,16 @@ def _polygon(args) -> int:
 
 
 def _solve_angles(args) -> int:
-    if args.g == 4:
-        gaps = poly_mod.solve_g4_normalized()
-        oracle = poly_mod.g4_grid_oracle()
-        target = math.pi / 4
-    else:
-        gaps = poly_mod.solve_g6_normalized()
-        oracle = poly_mod.g6_grid_oracle()
-        target = math.pi / 6
+    gaps = (poly_mod.solve_g4_normalized if args.g == 4 else poly_mod.solve_g6_normalized)()
+    oracle = (poly_mod.g4_grid_oracle if args.g == 4 else poly_mod.g6_grid_oracle)()
+    target = math.pi / args.g
     dev = max(abs(x - target) for x in gaps.odd + gaps.even)
-    odev = max(abs(v - target) for v in oracle.polished)
+    odev, cell = oracle.residuals(args.g)  # judged as the angle_solvers oracle cases are
     print(f"g={args.g} normalized gaps: {[f'{x:.12f}' for x in gaps.odd]}")
     print(f"deviation from target {target:.12f}: {dev:.3e}")
-    print(f"grid oracle: unique_cell={oracle.unique_cell}, polished deviation {odev:.3e}")
-    return 0 if dev <= 1e-10 and odev <= 1e-6 and oracle.unique_cell else 1
+    print(f"grid oracle: unique_cell={oracle.unique_cell}, polished deviation {odev:.3e}, "
+          f"unique cell next to target: {cell == 0.0}")
+    return 0 if dev <= 1e-10 and odev <= 1e-6 and cell == 0.0 else 1
 
 
 def _dji(args) -> int:

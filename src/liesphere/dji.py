@@ -13,7 +13,8 @@ further unknowns to zero (all d_j1 plus d_12 at the standard critical
 point). The Lie curvatures that clc holds constant, with their family
 values, are one table, CLC_PHI; for g = 6 auxiliary families eliminate the
 other unknowns, and 11 g = 6 sign certificates are entries of these rows or
-pivots (_pivot). Kernel dimensions are decided by SVD with a relative threshold.
+pivots (_pivot). The certificates and their claimed signs are one table,
+CLAIMS. Kernel dimensions are decided by SVD with a relative threshold.
 """
 
 from __future__ import annotations
@@ -32,6 +33,21 @@ NEGATIVE = "negative"
 
 SVD_RELATIVE_THRESHOLD = 1e-9
 CERTIFICATE_MARGIN = 1e-6
+
+# g -> {certificate name: claimed sign}, in the order sign_certificates lists them
+CLAIMS = {
+    4: {"g4_d23_ratio": POSITIVE, "g4_d24_ratio": NEGATIVE, "g4_d42_ratio": POSITIVE,
+        "g4_d43_ratio": NEGATIVE, "g4_one_minus_ratio_sq": POSITIVE},
+    6: {"g6_v3": NEGATIVE, "g6_v4": NEGATIVE, "g6_v6": POSITIVE, "g6_w3": POSITIVE,
+        "g6_w4": POSITIVE, "g6_w6": NEGATIVE, "g6_one_minus_v_over_w": POSITIVE,
+        "g6_psi_check_ratio_mu": NEGATIVE, "g6_psi_check_ratio_sigma": POSITIVE,
+        "g6_psi_check_ratio_tau": POSITIVE, "g6_psi_bar_ratio_mu": POSITIVE,
+        "g6_psi_bar_ratio_sigma": NEGATIVE, "g6_psi_bar_ratio_tau": NEGATIVE,
+        "g6_step2_coefficient": POSITIVE, "g6_step3_coefficient": NEGATIVE,
+        "g6_step4_coefficient": POSITIVE, "g6_d5_linear_coefficient": NEGATIVE,
+        "g6_d5_obstruction_term_mu": NEGATIVE, "g6_d5_obstruction_term_nu": NEGATIVE,
+        "g6_d5_obstruction_term_rho": NEGATIVE, "g6_d5_obstruction_total": NEGATIVE},
+}
 
 
 @dataclass(frozen=True)
@@ -178,7 +194,6 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
 @dataclass(frozen=True, eq=False)
 class KernelAnalysis:
     dimension: int
-    basis: np.ndarray            # columns span the kernel
     singular_values: np.ndarray
     warnings: tuple
 
@@ -187,37 +202,41 @@ def kernel_analysis(sys: DerivativeSystem) -> KernelAnalysis:
     """Rank-revealing SVD with relative threshold; reports near-threshold values."""
     n = len(sys.unknown_labels)
     if sys.rows.shape[0] == 0:
-        return KernelAnalysis(n, np.eye(n), np.zeros(0), ())
-    _, s, vt = np.linalg.svd(sys.rows)
+        return KernelAnalysis(n, np.zeros(0), ())
+    s = np.linalg.svd(sys.rows, compute_uv=False)
     threshold = SVD_RELATIVE_THRESHOLD * s[0] if s.size else 0.0
     rank = int((s > threshold).sum())
     warnings = tuple(f"singular value {val:.3e} within 10x of threshold {threshold:.3e}"
                      for val in s if threshold / 10 < val < threshold * 10)
-    basis = vt[rank:].T if rank < n else np.zeros((n, 0))
-    return KernelAnalysis(n - rank, basis, s, warnings)
+    return KernelAnalysis(n - rank, s, warnings)
 
 
 def sign_certificates(g: int, pcs) -> list[SignCertificate]:
-    """Evaluate the named coefficient expressions whose signs the kernel arguments use."""
+    """Evaluate the named coefficient expressions whose signs the kernel arguments use.
+
+    Lists the certificates of CLAIMS[g] in its order; a value missing from it or extra raises.
+    """
     pcs = np.asarray(pcs, dtype=float)
     _require_decreasing(pcs)
     if g == 4:
         lam, mu, nu, tau = (float(v) for v in pcs)
-        return [
-            SignCertificate("g4_d23_ratio", (tau - mu) / (nu - mu), POSITIVE),
-            SignCertificate("g4_d24_ratio", (nu - lam) / (lam - tau), NEGATIVE),
-            SignCertificate("g4_d42_ratio", (lam - nu) / (lam - mu), POSITIVE),
-            SignCertificate("g4_d43_ratio", (tau - mu) / (nu - tau), NEGATIVE),
-            SignCertificate("g4_one_minus_ratio_sq",
-                            1.0 - ((nu - mu) / (nu - tau)) ** 2, POSITIVE),
-        ]
-    if g != 6:
+        values = {"g4_d23_ratio": (tau - mu) / (nu - mu),
+                  "g4_d24_ratio": (nu - lam) / (lam - tau),
+                  "g4_d42_ratio": (lam - nu) / (lam - mu),
+                  "g4_d43_ratio": (tau - mu) / (nu - tau),
+                  "g4_one_minus_ratio_sq": 1.0 - ((nu - mu) / (nu - tau)) ** 2}
+    elif g != 6:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
-    try:  # a division by zero, an overflow or an invalid operation raises in there
-        return _g6_certificates(pcs)
-    except (FloatingPointError, DegenerateConfiguration) as exc:
-        raise DomainError(f"a g = 6 certificate cannot be evaluated at curvatures "
-                          f"{pcs.tolist()}") from exc
+    else:
+        try:  # a division by zero, an overflow or an invalid operation raises in there
+            values = _g6_values(pcs)
+        except (FloatingPointError, DegenerateConfiguration) as exc:
+            raise DomainError(f"a g = 6 certificate cannot be evaluated at curvatures "
+                              f"{pcs.tolist()}") from exc
+    if values.keys() != CLAIMS[g].keys():
+        raise ValueError(f"g = {g} certificate names differ from CLAIMS: "
+                         f"{sorted(values.keys() ^ CLAIMS[g].keys())}")
+    return [SignCertificate(name, float(values[name]), claim) for name, claim in CLAIMS[g].items()]
 
 
 def _pivot(system: DerivativeSystem, j: int, family: str, keep: int):
@@ -233,28 +252,25 @@ def _pivot(system: DerivativeSystem, j: int, family: str, keep: int):
 
 
 @np.errstate(divide="raise", over="raise", invalid="raise")
-def _g6_certificates(pcs: np.ndarray) -> list[SignCertificate]:
+def _g6_values(pcs: np.ndarray) -> dict:
     system = build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
     total = g6_d5_obstruction(pcs)  # underflowing d5 terms are named before a psi coincidence
     rows, col = dict(zip(system.row_labels, system.rows)), system.unknown_labels.index
-    v = {h: rows[f"clc_phi{h}[j=2]"][col((2, 5))] for h in (3, 4, 6)}
-    w = {h: rows[f"clc_phi{h}[j=2]"][col((2, h))] for h in (3, 4, 6)}
+    v = {f"g6_v{h}": rows[f"clc_phi{h}[j=2]"][col((2, 5))] for h in (3, 4, 6)}
+    w = {f"g6_w{h}": rows[f"clc_phi{h}[j=2]"][col((2, h))] for h in (3, 4, 6)}
     # psi_check [lambda, nu; rho, x] and psi_bar [lambda, rho; nu, x], x = mu, sigma, tau
     psi = lie_curvature_of_values(pcs[[[0, 0, 0, 0, 0, 0], [2, 2, 2, 3, 3, 3], [3, 3, 3, 2, 2, 2],
                                        [1, 4, 5, 1, 4, 5]]]).value
-    return [SignCertificate(name, float(value), claim) for name, value, claim in (
-        ("g6_v3", v[3], NEGATIVE), ("g6_v4", v[4], NEGATIVE), ("g6_v6", v[6], POSITIVE),
-        ("g6_w3", w[3], POSITIVE), ("g6_w4", w[4], POSITIVE), ("g6_w6", w[6], NEGATIVE),
-        ("g6_one_minus_v_over_w", _pivot(system, 2, "phi", 5), POSITIVE),
-        *zip((f"g6_psi_{f}_ratio_{x}" for f in ("check", "bar") for x in ("mu", "sigma", "tau")),
-             psi, (NEGATIVE, POSITIVE, POSITIVE, POSITIVE, NEGATIVE, NEGATIVE), strict=True),
-        ("g6_step2_coefficient", _pivot(system, 3, "psi_check", 4), POSITIVE),
-        ("g6_step3_coefficient", _pivot(system, 4, "psi_bar", 3), NEGATIVE),
-        ("g6_step4_coefficient", _pivot(system, 6, "psi_tilde", 3), POSITIVE),
-        ("g6_d5_linear_coefficient", _pivot(system, 5, "psi_sigma", 2), NEGATIVE),
-        *((f"g6_d5_obstruction_term_{x}", term, NEGATIVE)
-          for x, term in zip(("mu", "nu", "rho"), _d5_term(pcs[0], pcs[1:4], pcs[4], pcs[5]))),
-        ("g6_d5_obstruction_total", total, NEGATIVE))]
+    return {**v, **w, "g6_one_minus_v_over_w": _pivot(system, 2, "phi", 5),
+            **dict(zip((f"g6_psi_{f}_ratio_{x}" for f in ("check", "bar")
+                        for x in ("mu", "sigma", "tau")), psi, strict=True)),
+            "g6_step2_coefficient": _pivot(system, 3, "psi_check", 4),
+            "g6_step3_coefficient": _pivot(system, 4, "psi_bar", 3),
+            "g6_step4_coefficient": _pivot(system, 6, "psi_tilde", 3),
+            "g6_d5_linear_coefficient": _pivot(system, 5, "psi_sigma", 2),
+            **{f"g6_d5_obstruction_term_{x}": term for x, term in zip(
+                ("mu", "nu", "rho"), _d5_term(pcs[0], pcs[1:4], pcs[4], pcs[5]))},
+            "g6_d5_obstruction_total": total}
 
 
 def _d5_term(lam, h, sig, tau):

@@ -537,6 +537,14 @@ class OracleResult:
     cell_size: float
     unique_cell: bool
 
+    def residuals(self, g: int) -> tuple[float, float]:
+        """Residuals against pi/g: the polished angles' largest deviation, and 0.0 if the
+        minimizing cell is unique with its centre within one cell_size of pi/g, else 1.0."""
+        target = math.pi / g
+        near = max(abs(v - target) for v in self.grid_minimum) <= self.cell_size
+        return (max(abs(v - target) for v in self.polished),
+                0.0 if self.unique_cell and near else 1.0)
+
 
 def _grid_oracle(resolution: int, objective_of, func, margin: float, infeasible="") -> OracleResult:
     """Grid minimum of objective_of(alpha, gamma) over (0, pi/2)^2, polished by func.

@@ -1,20 +1,21 @@
 """Named verification suites over the toolkit, with JSON/CSV reports and SVG diagrams.
 
 Each suite is a generator over deterministic checks (seed-controlled where
-randomness is involved) that yields one (case_id, params, residual,
-tolerance) tuple per check, or an exception in place of the residual when
-a check could not be evaluated; a stacked call that scores many cases and
-raises gives each of them its exception, which names the first bad stack
-index. run_suite is the one place that turns
-these into VerificationCase records: a case passes iff its residual is
-within its tolerance, an exception becomes an `error` record, and an
-exception that escapes a suite becomes one `<suite>/aborted` error record
-before the run goes on with the next suite. runtime_ms is the time in
-float milliseconds since the previous record of the same suite, so it
-includes any setup that the case shares with later ones. Reports are JSON
-({"run": {...}, "cases": [...]}, one case per line) or CSV with the fixed header
-suite,case_id,status,residual,tolerance,runtime_ms,seed; ordering is by
-case_id so output is independent of scheduling.
+randomness is involved) that yields blocks (cases, compute). cases is a list
+of (case_id, params, tolerance); compute() returns one residual per case, in
+order, and fills a case's params dict in place once its values are known.
+Where compute cannot score one case it returns an exception in place of that
+residual. run_suite calls each compute before it asks the suite for the next
+block, and it is the one place that turns blocks into VerificationCase
+records: a case passes iff its residual is within its tolerance, an exception
+becomes an `error` record, a compute that raises gives each case of its block
+that exception, and an exception that escapes a suite becomes one
+`<suite>/aborted` error record before the run goes on with the next suite.
+runtime_ms is the time in float milliseconds since the previous record of the
+same suite, so it includes any setup that the case shares with later ones.
+Reports are JSON ({"run": {...}, "cases": [...]}, one case per line) or CSV
+with the fixed header suite,case_id,status,residual,tolerance,runtime_ms,seed;
+ordering is by case_id so output is independent of scheduling.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .quadric import (ORDERINGS, STANDARD_13_24, ProjectiveCurvature, cross_rati
                       moebius_coefficients, moebius_curvature, parallel_transform)
 
 __version__ = "0.1.0"
-
-SUITE_NAMES = ("lie_invariance", "cross_ratio_identity", "isoparametric_formulas",
-               "angle_solvers", "dji_kernels", "sign_certificates",
-               "isometry_reduction", "constraint_search", "all")
 
 
 class UsageError(ValueError):
@@ -85,16 +82,8 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
 
 
 # ---------------------------------------------------------------------------
-# suites: generators of (case_id, params, residual or exception, tolerance)
+# suites: generators of blocks ([(case_id, params, tolerance), ...], compute)
 # ---------------------------------------------------------------------------
-
-def _per_case(count: int, compute):
-    """compute()'s residuals for a stack of `count` cases, or its exception once per case."""
-    try:
-        return compute()
-    except Exception as exc:  # noqa: BLE001 - a bad stack is one error record per case
-        return [exc] * count
-
 
 def _suite_lie_invariance(seed: int, tol: float | None):
     """Random O(n+1,2) actions leave Lie curvatures fixed; parallel law cot -> cot(xi+theta)."""
@@ -110,8 +99,8 @@ def _suite_lie_invariance(seed: int, tol: float | None):
         return np.max([abs(lie_curvature(*moved, ordering=o).value
                            - lie_curvature_of_values(base, o).value) for o in ORDERINGS], axis=0)
 
-    for k, residual in enumerate(_per_case(1000, invariance_gaps)):
-        yield f"lie_invariance/random_action[{k:04d}]", {"draw": k}, residual, tolerance
+    yield ([(f"lie_invariance/random_action[{k:04d}]", {"draw": k}, tolerance)
+            for k in range(1000)], invariance_gaps)
     # parallel transformation law over a 100 x 100 (theta, xi) grid
     law_tol = tol if tol is not None else 1e-10
     xis = np.linspace(0.05, math.pi - 0.05, 100)
@@ -126,9 +115,9 @@ def _suite_lie_invariance(seed: int, tol: float | None):
         gaps = np.abs(lam.value - 1.0 / np.tan(shifted))
         return np.where(pole, 0.0, gaps).max(axis=1)
 
-    for row, residual in enumerate(_per_case(100, law_gaps)):
-        yield (f"lie_invariance/parallel_law[{row:03d}]",
-               {"theta": f"{thetas[row]:.6f}", "skipped": int(pole[row].sum())}, residual, law_tol)
+    yield ([(f"lie_invariance/parallel_law[{row:03d}]",
+             {"theta": f"{thetas[row]:.6f}", "skipped": int(pole[row].sum())}, law_tol)
+            for row in range(100)], law_gaps)
 
     # group sanity: membership and closure over 100 pairs, drawn as two stacks
     def closure_gap():
@@ -137,8 +126,7 @@ def _suite_lie_invariance(seed: int, tol: float | None):
         return [max(is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1].max(),
                     is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1].max())]
 
-    (residual,) = _per_case(1, closure_gap)
-    yield "lie_invariance/group_closure", {"count": 100}, residual, 1e-8
+    yield [("lie_invariance/group_closure", {"count": 100}, 1e-8)], closure_gap
 
 
 def _suite_cross_ratio_identity(seed: int, tol: float | None):
@@ -161,9 +149,9 @@ def _suite_cross_ratio_identity(seed: int, tol: float | None):
         np.exp(points, out=points)
         return np.where(keep, abs(cross_ratio(*points) - phi), 0.0).max(axis=1)
 
-    for batch, residual in enumerate(_per_case(200, sweep_gaps)):
-        yield (f"cross_ratio_identity/radii_sweep[{batch:03d}]",
-               {"samples": 50, "kept": int(keep[batch].sum())}, residual, tolerance)
+    yield ([(f"cross_ratio_identity/radii_sweep[{batch:03d}]",
+             {"samples": 50, "kept": int(keep[batch].sum())}, tolerance)
+            for batch in range(200)], sweep_gaps)
     # concircular points have real cross ratio
     angles = np.sort(rng.uniform(0, 2 * math.pi, (500, 4)))
     kept = np.diff(angles).min(axis=-1) >= 1e-3
@@ -172,9 +160,8 @@ def _suite_cross_ratio_identity(seed: int, tol: float | None):
     def imaginary_part():
         return [np.where(kept, abs(cross_ratio(*np.exp(1j * points)).imag), 0.0).max()]
 
-    (residual,) = _per_case(1, imaginary_part)
-    yield ("cross_ratio_identity/concircular_real", {"samples": 500, "kept": int(kept.sum())},
-           residual, 1e-10)
+    yield ([("cross_ratio_identity/concircular_real", {"samples": 500, "kept": int(kept.sum())},
+             1e-10)], imaginary_part)
 
 
 _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),
@@ -184,12 +171,11 @@ _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),
 
 
 def _suite_isoparametric_formulas(seed: int, tol: float | None):
-    """Each family's 45 members are one array pass through the isoparam functions.
+    """Each family's 45 members are one block, one array pass through the isoparam functions.
 
     Per member: the mean-curvature closed forms against sum m_i lambda_i,
     the curvature ordering, the theta -> H -> theta roundtrip and, for
     g = 3, 4, 6, the scalar closed form; per family: H strictly decreasing.
-    A stacked call that raises gives each case of its family its exception.
     """
     mean_tol = tol if tol is not None else 1e-9
     roundtrip_tol = tol if tol is not None else 1e-10
@@ -228,16 +214,11 @@ def _suite_isoparametric_formulas(seed: int, tol: float | None):
             monotone = bool(np.all(np.diff(h) < 0))
             return [*np.stack(columns, axis=1).ravel(), 0.0 if monotone else 1.0]
 
-        for (case_id, params, tolerance), residual in zip(
-                cases, _per_case(len(cases), family_residuals)):
-            yield case_id, params, residual, tolerance
+        yield cases, family_residuals
 
 
 def _suite_angle_solvers(seed: int, tol: float | None):
-    """Four blocks of two cases: the g4 solve, the g4 oracle, the g6 solve with psi, the g6 oracle.
-
-    A block that raises gives both of its cases its exception; the other blocks still run.
-    """
+    """Four blocks of two cases: the g4 solve, its oracle, the g6 solve with psi, its oracle."""
     tolerance = tol if tol is not None else 1e-10
 
     def g4_solve():
@@ -250,22 +231,16 @@ def _suite_angle_solvers(seed: int, tol: float | None):
         return [max(abs(x - math.pi / 6) for x in g6.odd + g6.even),
                 max(route_gap, *(abs(v + 1.0) for v in psi))]
 
-    def oracle(g):  # polished agreement with pi/g, and a unique minimizing cell next to it
-        result = (poly_mod.g4_grid_oracle if g == 4 else poly_mod.g6_grid_oracle)(721)
-        near = max(abs(v - math.pi / g) for v in result.grid_minimum) <= result.cell_size
-        return [max(abs(v - math.pi / g) for v in result.polished),
-                0.0 if result.unique_cell and near else 1.0]
-
     g4_cell = {"grid": 721, "cell": f"{math.pi / 2 / 721:.2e}"}  # the oracle's cell_size
     for compute, cases in (
             (g4_solve, (("g4_solution_pi4", {}, tolerance), ("g4_residual_at_solution", {}, 1e-12))),
-            (lambda: oracle(4), (("g4_oracle_agreement", g4_cell, 1e-6),
-                                 ("g4_oracle_unique_cell", {}, 0.5))),
+            (lambda: poly_mod.g4_grid_oracle(721).residuals(4),
+             (("g4_oracle_agreement", g4_cell, 1e-6), ("g4_oracle_unique_cell", {}, 0.5))),
             (g6_solve, (("g6_solution_pi6", {}, tolerance), ("g6_psi_triple", {}, 1e-9))),
-            (lambda: oracle(6), (("g6_oracle_agreement", {"grid": 721}, 1e-6),
-                                 ("g6_oracle_unique_cell", {}, 0.5)))):
-        for (name, params, case_tol), residual in zip(cases, _per_case(2, compute)):
-            yield f"angle_solvers/{name}", params, residual, case_tol
+            (lambda: poly_mod.g6_grid_oracle(721).residuals(6),
+             (("g6_oracle_agreement", {"grid": 721}, 1e-6), ("g6_oracle_unique_cell", {}, 0.5)))):
+        yield [(f"angle_solvers/{name}", params, case_tol)
+               for name, params, case_tol in cases], compute
 
 
 _KERNEL_SYSTEMS = (
@@ -281,9 +256,12 @@ def _family_pcs(g: int) -> np.ndarray:
 
 
 def _suite_dji_kernels(seed: int, tol: float | None):
+    """One block per kernel system (its dimension and its stability), then one per trailing case."""
     for g, constraints, m1, m2 in _KERNEL_SYSTEMS:
         name = f"dji_kernels/kernel_g{g}_{'_'.join(constraints)}_m{m1}{m2}"
-        try:
+        params = {}
+
+        def kernel():
             pcs = _family_pcs(g)
             system = dji.build_system(g, pcs, m1, m2, constraints,
                                       dji.critical_point_pinning(g))
@@ -291,49 +269,44 @@ def _suite_dji_kernels(seed: int, tol: float | None):
             perturbed = dji.build_system(g, pcs + 1e-8 * np.arange(1, g + 1), m1, m2,
                                          constraints, dji.critical_point_pinning(g))
             stable = dji.kernel_analysis(perturbed).dimension == analysis.dimension
-        except Exception as exc:  # noqa: BLE001 - one bad system is an error for its two cases
-            yield name, {}, exc, 0.5
-            yield name + "_stability", {}, exc, 0.5
-            continue
-        yield (name, {"unknowns": len(system.unknown_labels), "rows": system.rows.shape[0]},
-               float(analysis.dimension), 0.5)
-        yield name + "_stability", {}, 0.0 if stable else 1.0, 0.5
+            params.update(unknowns=len(system.unknown_labels), rows=system.rows.shape[0])
+            return [float(analysis.dimension), 0.0 if stable else 1.0]
+
+        yield [(name, params, 0.5), (name + "_stability", {}, 0.5)], kernel
 
     # the cases below share these systems, so each is made once
     @functools.cache
     def cmc_system(g):
         return dji.build_system(g, _family_pcs(g), 1, 1, ("cmc",), dji.critical_point_pinning(g))
 
-    def full_kernel():
+    def full_kernel(params):
         free = dji.build_system(6, _family_pcs(6), 1, 1, (), frozenset())
-        unknowns = len(free.unknown_labels)
-        return {"unknowns": unknowns}, abs(dji.kernel_analysis(free).dimension - unknowns)
+        unknowns, dim = len(free.unknown_labels), dji.kernel_analysis(free).dimension
+        params.update(unknowns=unknowns)
+        return [abs(dim - unknowns)]
 
-    def unknown_count():
+    def unknown_count(params):
         counted = cmc_system(6)
-        return ({"unknowns": len(counted.unknown_labels), "cmc_rows": counted.rows.shape[0]},
-                abs((len(counted.unknown_labels) - counted.rows.shape[0]) - 18))
+        params.update(unknowns=len(counted.unknown_labels), cmc_rows=counted.rows.shape[0])
+        return [abs((len(counted.unknown_labels) - counted.rows.shape[0]) - 18)]
 
-    def cmc_only_kernel():
+    def cmc_only_kernel(params):
         # the mean-curvature rows alone leave derivatives free: the csc/clc rows are needed
         dim = dji.kernel_analysis(cmc_system(4)).dimension
-        return {"kernel_dim": dim}, 0.0 if dim > 0 else 1.0
+        params.update(kernel_dim=dim)
+        return [0.0 if dim > 0 else 1.0]
 
-    def cmc_rank():
+    def cmc_rank(params):
         rank = int(np.linalg.matrix_rank(cmc_system(6).rows, tol=1e-9))
-        return {"rank": rank}, abs(rank - 6)
+        params.update(rank=rank)
+        return [abs(rank - 6)]
 
-    # each case is contained on its own: a raise is the error record of that case only
     for name, compute in (("no_constraints_full_kernel", full_kernel),
                           ("g6_unknown_count_18", unknown_count),
                           ("g4_cmc_only_kernel_positive", cmc_only_kernel),
                           ("g6_cmc_rows_independent", cmc_rank)):
-        try:
-            params, residual = compute()
-        except Exception as exc:  # noqa: BLE001 - one bad case is one error record
-            yield f"dji_kernels/{name}", {}, exc, 0.5
-            continue
-        yield f"dji_kernels/{name}", params, residual, 0.5
+        params = {}
+        yield [(f"dji_kernels/{name}", params, 0.5)], functools.partial(compute, params)
 
 
 def _certificate_margin(tol: float | None) -> float:
@@ -342,38 +315,32 @@ def _certificate_margin(tol: float | None) -> float:
 
 
 def _suite_sign_certificates(seed: int, tol: float | None):
-    """Four blocks: the g = 4 certificates, the g = 6 certificates, two closed forms, the d5 draw.
+    """Three blocks: the g = 4 certificates, the g = 6 ones with two closed forms, the d5 draw.
 
-    A block that raises is the `error` record of each of its cases; a
-    certificate block, whose cases are named by the call that raised, is one
-    `sign_certificates/g<g>_certificates` record. The closed forms are read
-    off the g = 6 list, so they share its error. The other blocks still run.
+    The certificate cases are listed from dji.CLAIMS, so a block that raises
+    is an `error` record for each of its own case_ids.
     """
     margin = _certificate_margin(tol)
     root3 = math.sqrt(3.0)
-    for g in (4, 6):
-        try:
+    # (case name, the certificate it reads, its exact value) of the closed forms of each g
+    closed_forms = {4: (), 6: (("value_9_minus_2root3", "g6_one_minus_v_over_w", 9 - 2 * root3),
+                               ("value_d5_obstruction", "g6_d5_obstruction_total",
+                                -12 - 24 * root3))}
+    for g, closed in closed_forms.items():
+        params = {name: {} for name in dji.CLAIMS[g]}
+        cases = ([(f"sign_certificates/{name}", p, 0.5) for name, p in params.items()]
+                 + [(f"sign_certificates/{case}", {}, 1e-10) for case, _, _ in closed])
+
+        def certify():
             certificates = dji.sign_certificates(g, _family_pcs(g))
-        except Exception as exc:  # noqa: BLE001 - one bad block is one error record
-            certificates = exc
-            yield f"sign_certificates/g{g}_certificates", {}, exc, 0.5
-            continue
-        for cert in certificates:
-            violation = 0.0 if cert.holds and cert.margin > margin else 1.0
-            yield (f"sign_certificates/{cert.name}",
-                   {"value": f"{cert.expression_value:.12g}", "claimed": cert.claimed_sign},
-                   violation, 0.5)
+            for cert in certificates:
+                params[cert.name].update(value=f"{cert.expression_value:.12g}",
+                                         claimed=cert.claimed_sign)
+            value = {c.name: c.expression_value for c in certificates}
+            return ([0.0 if c.holds and c.margin > margin else 1.0 for c in certificates]
+                    + [abs(value[name] - exact) for _, name, exact in closed])
 
-    def closed_form_values():  # two values of the g = 6 list that the loop left
-        value = {c.name: c.expression_value for c in certificates}
-        return [abs(value["g6_one_minus_v_over_w"] - (9 - 2 * root3)),
-                abs(value["g6_d5_obstruction_total"] - (-12 - 24 * root3))]
-
-    # a g = 6 block that raised is the error of both closed-form cases too
-    closed = ([certificates] * 2 if isinstance(certificates, Exception)
-              else _per_case(2, closed_form_values))
-    for name, residual in zip(("value_9_minus_2root3", "value_d5_obstruction"), closed):
-        yield f"sign_certificates/{name}", {}, residual, 1e-10
+        yield cases, certify
     draw = {"samples": 10000}
 
     def d5_draw():
@@ -383,8 +350,7 @@ def _suite_sign_certificates(seed: int, tol: float | None):
         draw.update(kept=len(kept), worst=worst)
         return [0.0 if worst < 0 else 1.0]
 
-    (residual,) = _per_case(1, d5_draw)
-    yield "sign_certificates/d5_obstruction_always_negative", draw, residual, 0.5
+    yield [("sign_certificates/d5_obstruction_always_negative", draw, 0.5)], d5_draw
 
 
 def _stack_or_each(count: int, compute):
@@ -412,10 +378,11 @@ def _stack_or_each(count: int, compute):
 
 
 def _suite_isometry_reduction(seed: int, tol: float | None):
-    """Each g's 21 polygons are built and normalized as one stack, and reduced as one per pair.
+    """One block per (g, m1, m2): its 21 polygons, reduced as one stack.
 
-    A stack that raises is retried one theta at a time, as single polygons, so a
-    build or normalization that raises gives each of that theta's cases its
+    Each g's polygons are built and normalized once, as one stack that its blocks
+    share. A stack that raises is retried one theta at a time, as single polygons,
+    so a build or normalization that raises gives each of that theta's cases its
     exception, and a reduction that raises is its one case's error.
     """
     tolerance = tol if tol is not None else 1e-10
@@ -424,29 +391,37 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
     for g, multiplicities in pairs.items():
         bound = math.pi / (2 * g)
         thetas = np.linspace(-0.85 * bound, 0.85 * bound, 21)
-        normal, built = _stack_or_each(len(thetas), lambda k: poly_mod.conformal_normalize(
-            poly_mod.build_parallel_polygon(g, thetas[k])))
-        mapped, normalized = normal or (None, None)
-        for m1, m2 in multiplicities:
-            def reduce(j):  # j indexes the normalized polygons
-                result = poly_mod.isometry_reduction(g, poly_mod.GeodesicPolygon(
-                    g, normalized.vertex_angles[j], normalized.radius_table[j]), m1, m2)
-                # the one check of the reduction's sign certificates
-                strict = np.logical_and.reduce([c.holds & (c.margin > margin)
-                                                for c in result.certificates])
-                return np.where(strict, np.maximum(abs(result.x), abs(result.y)), math.inf)
 
-            residuals, reduced = (_stack_or_each(len(normalized.vertex_angles), reduce)
-                                  if normal else (None, []))
-            for idx, (theta, j) in enumerate(zip(thetas, built)):
-                params = {"theta": f"{theta:.6f}"}
-                at = j if isinstance(j, Exception) else reduced[j]
-                if isinstance(at, Exception):
-                    residual = at
-                else:
-                    params.update(map_x=f"{mapped.x[j]:.2e}", map_y=f"{mapped.y[j]:.2e}")
-                    residual = residuals[at]
-                yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
+        @functools.cache
+        def normal():  # the blocks of one g share its polygons
+            return _stack_or_each(len(thetas), lambda k: poly_mod.conformal_normalize(
+                poly_mod.build_parallel_polygon(g, thetas[k])))
+
+        for m1, m2 in multiplicities:
+            cases = [(f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", {"theta": f"{theta:.6f}"},
+                      tolerance) for idx, theta in enumerate(thetas)]
+
+            def reductions():
+                stack, built = normal()
+                mapped, normalized = stack or (None, None)
+
+                def reduce(j):  # j indexes the normalized polygons
+                    result = poly_mod.isometry_reduction(g, poly_mod.GeodesicPolygon(
+                        g, normalized.vertex_angles[j], normalized.radius_table[j]), m1, m2)
+                    # the one check of the reduction's sign certificates
+                    strict = np.logical_and.reduce([c.holds & (c.margin > margin)
+                                                    for c in result.certificates])
+                    return np.where(strict, np.maximum(abs(result.x), abs(result.y)), math.inf)
+
+                residuals, reduced = (_stack_or_each(len(normalized.vertex_angles), reduce)
+                                      if stack else (None, []))
+                at = [j if isinstance(j, Exception) else reduced[j] for j in built]
+                for (_, params, _), j, k in zip(cases, built, at):
+                    if not isinstance(k, Exception):
+                        params.update(map_x=f"{mapped.x[j]:.2e}", map_y=f"{mapped.y[j]:.2e}")
+                return [k if isinstance(k, Exception) else residuals[k] for k in at]
+
+            yield cases, reductions
 
 
 _SEARCH_SPECS = (
@@ -460,21 +435,18 @@ _SEARCH_SPECS = (
 
 def _suite_constraint_search(seed: int, tol: float | None):
     for name, g, constraints, resolution, expectation in _SEARCH_SPECS:
-        case_id = f"constraint_search/{name}_{expectation}"
         params = {"g": g, "constraints": "+".join(constraints), "resolution": resolution}
-        try:
+
+        def search():
             survivors = poly_mod.constraint_search(g, constraints, resolution, seed)
-        except Exception as exc:  # noqa: BLE001 - one failed search is one error record
-            yield case_id, params, exc, 0.5
-            continue
-        nonparallel = sum(1 for s in survivors if not s.parallel)
-        params.update(survivors=len(survivors), nonparallel=nonparallel)
-        if expectation == "all_parallel":
-            # an empty search proves nothing, so it cannot pass
-            residual = float(nonparallel) if survivors else 1.0
-        else:
-            residual = 0.0 if nonparallel >= 1 else 1.0
-        yield case_id, params, residual, 0.5
+            nonparallel = sum(1 for s in survivors if not s.parallel)
+            params.update(survivors=len(survivors), nonparallel=nonparallel)
+            if expectation == "all_parallel":
+                # an empty search proves nothing, so it cannot pass
+                return [float(nonparallel) if survivors else 1.0]
+            return [0.0 if nonparallel >= 1 else 1.0]
+
+        yield [(f"constraint_search/{name}_{expectation}", params, 0.5)], search
 
 
 _SUITES = {
@@ -487,6 +459,7 @@ _SUITES = {
     "isometry_reduction": _suite_isometry_reduction,
     "constraint_search": _suite_constraint_search,
 }
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(name: str, seed: int = 0, tol: float | None = None):
@@ -494,26 +467,32 @@ def run_suite(name: str, seed: int = 0, tol: float | None = None):
 
     A given tol replaces every default tolerance and the margin of every
     sign certificate; fixed tolerances stay. Each case is timed from the
-    previous record of its suite. An exception that escapes a suite ends
+    previous record of its suite. A block whose compute raises is one `error`
+    record per case of that block. An exception that escapes a suite ends
     that suite with one `<suite>/aborted` error record; the cases it
     yielded before are kept and the run goes on.
     """
     if name == "all":
-        names = [n for n in SUITE_NAMES if n != "all"]
+        names = list(_SUITES)
     elif name in _SUITES:
         names = [name]
     else:
         raise UsageError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    cases = []
+    records = []
     for suite in names:
         t0 = time.perf_counter_ns()
         try:
-            for case_id, params, residual, tolerance in _SUITES[suite](seed, tol):
-                cases.append(_case(suite, case_id, params, residual, tolerance, seed, t0))
-                t0 = time.perf_counter_ns()
+            for cases, compute in _SUITES[suite](seed, tol):
+                try:
+                    residuals = compute()
+                except Exception as exc:  # noqa: BLE001 - a bad block is one error per case
+                    residuals = [exc] * len(cases)
+                for (case_id, params, tolerance), residual in zip(cases, residuals, strict=True):
+                    records.append(_case(suite, case_id, params, residual, tolerance, seed, t0))
+                    t0 = time.perf_counter_ns()
         except Exception as exc:  # noqa: BLE001 - one bad suite must not abort the run
-            cases.append(_case(suite, f"{suite}/aborted", {}, exc, 0.0, seed, t0))
-    return sorted(cases, key=lambda case: case.case_id)
+            records.append(_case(suite, f"{suite}/aborted", {}, exc, 0.0, seed, t0))
+    return sorted(records, key=lambda case: case.case_id)
 
 
 def all_passed(cases) -> bool:

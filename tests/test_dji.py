@@ -175,7 +175,6 @@ def test_kernel_full_without_constraints():
     system = build_system(6, pcs, 1, 1, ())
     analysis = kernel_analysis(system)
     assert analysis.dimension == len(system.unknown_labels)
-    assert analysis.basis.shape == (30, 30)
 
 
 def test_kernel_stability_under_pcs_perturbation():
@@ -213,6 +212,30 @@ def test_sign_certificates_hold_with_margin():
         for cert in sign_certificates(g, family_pcs(g)):
             assert cert.holds, cert
             assert cert.margin > 1e-6, cert
+
+
+def test_sign_certificates_list_claims_in_its_order():
+    for g in (4, 6):
+        assert [(c.name, c.claimed_sign) for c in sign_certificates(g, family_pcs(g))] == list(
+            dji.CLAIMS[g].items())
+    assert (len(dji.CLAIMS[4]), len(dji.CLAIMS[6])) == (5, 21)
+
+
+@pytest.mark.parametrize("change", ("missing", "extra"))
+def test_sign_certificates_raise_on_a_name_outside_claims(monkeypatch, change):
+    values = dji._g6_values
+
+    def changed(pcs):
+        found = values(pcs)
+        if change == "missing":
+            del found["g6_w6"]
+        else:
+            found["g6_w7"] = 1.0
+        return found
+
+    monkeypatch.setattr(dji, "_g6_values", changed)
+    with pytest.raises(ValueError, match=r"certificate names differ from CLAIMS: \['g6_w"):
+        sign_certificates(6, family_pcs(6))
 
 
 def test_sign_certificate_rejects_an_unknown_claim():

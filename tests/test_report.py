@@ -27,6 +27,20 @@ from liesphere.report import (UsageError, VerificationCase, all_passed, emit_pol
                               emit_report, run_suite)
 
 
+def _as_blocks(suite):
+    """A suite that yields (case_id, params, residual, tolerance) tuples, as one-case blocks."""
+    def blocks(seed, tol):
+        for case_id, params, residual, tolerance in suite(seed, tol):
+            yield [(case_id, params, tolerance)], lambda residual=residual: [residual]
+    return blocks
+
+
+def _flattened(blocks):
+    """The (case_id, params, residual, tolerance) of each case, computing each block in turn."""
+    return [(case_id, params, residual, tolerance) for cases, compute in blocks
+            for (case_id, params, tolerance), residual in zip(cases, compute(), strict=True)]
+
+
 def make_case(case_id="suite/x", residual=0.0, tolerance=1e-9, status=None):
     status = status or ("pass" if residual <= tolerance else "fail")
     return VerificationCase("suite", case_id, {"k": "v"}, status, residual,
@@ -167,7 +181,7 @@ def _reference_isoparametric_formulas(seed, tol):
 @pytest.mark.parametrize("seed", range(4))
 def test_array_isoparametric_suite_matches_scalar_loop(seed):
     # same cases in the same order with the same verdicts; residuals may round apart
-    stacked = list(report._suite_isoparametric_formulas(seed, None))
+    stacked = _flattened(report._suite_isoparametric_formulas(seed, None))
     scalar = list(_reference_isoparametric_formulas(seed, None))
     verdicts = lambda cases: [(case_id, params, tolerance, residual <= tolerance)
                               for case_id, params, residual, tolerance in cases]
@@ -334,7 +348,7 @@ def _isometry_records(tol=None):
 def _reference_records(monkeypatch, tol=None):
     """_isometry_records of the reference loop, under the monkeypatches already set."""
     with monkeypatch.context() as patch:
-        patch.setitem(report._SUITES, "isometry_reduction", _reference_isometry_suite)
+        patch.setitem(report._SUITES, "isometry_reduction", _as_blocks(_reference_isometry_suite))
         return _isometry_records(tol)
 
 
@@ -606,7 +620,7 @@ def _suite_that_raises(seed, tol):
 
 def test_suite_exception_becomes_aborted_error_record(monkeypatch):
     # an exception that escapes a suite is one error record, not a crash
-    monkeypatch.setitem(report._SUITES, "angle_solvers", _suite_that_raises)
+    monkeypatch.setitem(report._SUITES, "angle_solvers", _as_blocks(_suite_that_raises))
     cases = run_suite("angle_solvers", seed=0)
     assert [c.case_id for c in cases] == ["angle_solvers/aborted",
                                           "angle_solvers/before_the_failure"]
@@ -642,11 +656,12 @@ def test_failed_angle_solver_is_an_error_for_its_own_block(monkeypatch, solver):
 
 _SIGN_CERTIFICATE_BLOCKS = {
     # the call that raises: (function, which of its calls) -> the error records it makes
-    ("sign_certificates", "g4"): ("sign_certificates/g4_certificates",),
+    ("sign_certificates", "g4"): tuple(sorted(f"sign_certificates/{name}"
+                                              for name in dji.CLAIMS[4])),
     # the closed-form values read a g6 certificate too
-    ("sign_certificates", "g6"): ("sign_certificates/g6_certificates",
-                                  "sign_certificates/value_9_minus_2root3",
-                                  "sign_certificates/value_d5_obstruction"),
+    ("sign_certificates", "g6"): tuple(sorted(
+        [f"sign_certificates/{name}" for name in dji.CLAIMS[6]]
+        + ["sign_certificates/value_9_minus_2root3", "sign_certificates/value_d5_obstruction"])),
     ("g6_d5_obstruction", "stack"): ("sign_certificates/d5_obstruction_always_negative",),
 }
 _RAISES_FOR = {"g4": lambda g, *rest: g == 4, "g6": lambda g, *rest: g == 6,
@@ -667,12 +682,48 @@ def test_failed_sign_certificate_block_is_an_error_for_its_own_cases(monkeypatch
     cases = run_suite("sign_certificates", seed=0)
     errors = tuple(c.case_id for c in cases if c.status == "error")
     assert errors == _SIGN_CERTIFICATE_BLOCKS[function, calls]
+    assert len(errors) == {"g4": 5, "g6": 21 + 2, "stack": 1}[calls]
     assert all(c.params["error"] == "ArithmeticError: injected" for c in cases
                if c.status == "error")
-    # the other blocks still run and pass; a new case_id appears only as an error record
+    # the other blocks still run and pass, and the case_ids are those of a clean run
     assert {c.status for c in cases if c.case_id not in errors} == {"pass"}
-    assert {c.case_id for c in cases} - normal <= set(errors)
+    assert {c.case_id for c in cases} == normal
     assert not any(c.case_id.endswith("/aborted") for c in cases)
+
+
+class InjectedBlockError(RuntimeError):
+    """A block failure that only a test injects."""
+
+
+def _failing_block(suite, k, blocks):
+    """suite with the compute of its block k raising; appends each block's case_ids to blocks."""
+    def failing():
+        raise InjectedBlockError(f"block {k}")
+
+    def wrapped(seed, tol):
+        for n, (cases, compute) in enumerate(suite(seed, tol)):
+            blocks.append({case_id for case_id, _, _ in cases})
+            yield cases, failing if n == k else compute
+    return wrapped
+
+
+@pytest.mark.parametrize("suite", list(report._SUITES))
+def test_each_raising_block_is_an_error_for_its_own_cases(monkeypatch, suite):
+    original, blocks = report._SUITES[suite], []
+    monkeypatch.setitem(report._SUITES, suite, _failing_block(original, -1, blocks))
+    clean = {c.case_id: c.status for c in run_suite(suite, 0)}
+    assert len(blocks) > 1 and set().union(*blocks) == clean.keys()
+    for k, block in enumerate(blocks):
+        monkeypatch.setitem(report._SUITES, suite, _failing_block(original, k, []))
+        cases = run_suite(suite, 0)
+        # the same case_ids as a clean run, whichever block raised, and no abort
+        assert {c.case_id for c in cases} == clean.keys()
+        errors = [c for c in cases if c.status == "error"]
+        assert {c.case_id for c in errors} == block
+        assert all(c.params["error"] == f"InjectedBlockError: block {k}"
+                   and c.params["where"].endswith("in failing") for c in errors)
+        assert {c.case_id: c.status for c in cases if c.case_id not in block} == {
+            case_id: status for case_id, status in clean.items() if case_id not in block}
 
 
 def test_cli_suite_domain_error_exits_1(monkeypatch, capsys):
@@ -943,6 +994,17 @@ def test_cli_solve_angles():
     proc = run_cli("solve-angles", "--g", "4")
     assert proc.returncode == 0
     assert "unique_cell=True" in proc.stdout
+
+
+def test_cli_solve_angles_judges_the_oracle_as_the_suite_does(monkeypatch, capsys):
+    # a unique minimizing cell far from pi/4, polished onto pi/4 all the same
+    result = polygon.OracleResult((0.2, 1.3), (math.pi / 4, math.pi / 4), math.pi / 1442, True)
+    monkeypatch.setattr(polygon, "g4_grid_oracle", lambda resolution=721: result)
+    statuses = {c.case_id: c.status for c in run_suite("angle_solvers", 0)}
+    assert statuses["angle_solvers/g4_oracle_agreement"] == "pass"
+    assert statuses["angle_solvers/g4_oracle_unique_cell"] == "fail"
+    assert cli.main(["solve-angles", "--g", "4"]) == 1
+    assert "unique cell next to target: False" in capsys.readouterr().out
 
 
 def test_cli_search():
