@@ -1,7 +1,8 @@
 """Command-line driver: verification suites, family tables, polygon diagrams, searches.
 
-Exit codes: 0 when every case passes, 1 when any case fails or errors,
-2 on usage errors. All configuration is on the command line.
+Exit codes: 0 when every case passes, 1 when any case fails or errors
+(for `dji`, when any sign certificate does not clear its margin), 2 on
+usage errors. All configuration is on the command line.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _dji(args) -> int:
     for warning in analysis.warnings:
         print(f"warning: {warning}")
     for cert in certificates:
-        status = "ok" if cert.holds else "VIOLATED"
+        status = "ok" if cert.clears() else "VIOLATED"
         print(f"  {cert.name:32s} {cert.expression_value:+.12e} "
               f"claimed {cert.claimed_sign:8s} {status}")
     if args.json:
@@ -137,7 +138,7 @@ def _dji(args) -> int:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"report written to {args.json}")
-    return 0
+    return 0 if all(c.clears() for c in certificates) else 1
 
 
 def _search(args) -> int:

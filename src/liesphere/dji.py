@@ -70,6 +70,10 @@ class SignCertificate:
     def margin(self) -> float:
         return abs(self.expression_value)
 
+    def clears(self, margin: float = CERTIFICATE_MARGIN):
+        """The one judge: the claimed sign holds with |value| > margin; elementwise on stacks."""
+        return self.holds & (self.margin > margin)
+
 
 def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[float, float]:
     """(mu, tau) from (lambda, nu, H) under the g=4 constraints H const and Phi = -1.

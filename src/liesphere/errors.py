@@ -23,10 +23,6 @@ class DegenerateConfiguration(ValueError):
     """Cross ratio or Moebius action undefined (coincident points, singular map)."""
 
 
-class CertificateFailure(RuntimeError):
-    """The conformal-to-isometry reduction system is singular."""
-
-
 class InconsistentData(ValueError):
     """Numerical data contradicts the structural assumptions (e.g. negative discriminant)."""
 

@@ -297,7 +297,8 @@ def _suite_dji_kernels(seed: int, tol: float | None):
         return [0.0 if dim > 0 else 1.0]
 
     def cmc_rank(params):
-        rank = int(np.linalg.matrix_rank(cmc_system(6).rows, tol=1e-9))
+        system = cmc_system(6)
+        rank = len(system.unknown_labels) - dji.kernel_analysis(system).dimension
         params.update(rank=rank)
         return [abs(rank - 6)]
 
@@ -337,7 +338,7 @@ def _suite_sign_certificates(seed: int, tol: float | None):
                 params[cert.name].update(value=f"{cert.expression_value:.12g}",
                                          claimed=cert.claimed_sign)
             value = {c.name: c.expression_value for c in certificates}
-            return ([0.0 if c.holds and c.margin > margin else 1.0 for c in certificates]
+            return ([0.0 if c.clears(margin) else 1.0 for c in certificates]
                     + [abs(value[name] - exact) for _, name, exact in closed])
 
         yield cases, certify
@@ -383,7 +384,8 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
     Each g's polygons are built and normalized once, as one stack that its blocks
     share. A stack that raises is retried one theta at a time, as single polygons,
     so a build or normalization that raises gives each of that theta's cases its
-    exception, and a reduction that raises is its one case's error.
+    exception, and a reduction that raises is its one case's error. A case's
+    residual is its closed_form_gap where its three certificates clear, else inf.
     """
     tolerance = tol if tol is not None else 1e-10
     margin = _certificate_margin(tol)
@@ -408,10 +410,8 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
                 def reduce(j):  # j indexes the normalized polygons
                     result = poly_mod.isometry_reduction(g, poly_mod.GeodesicPolygon(
                         g, normalized.vertex_angles[j], normalized.radius_table[j]), m1, m2)
-                    # the one check of the reduction's sign certificates
-                    strict = np.logical_and.reduce([c.holds & (c.margin > margin)
-                                                    for c in result.certificates])
-                    return np.where(strict, np.maximum(abs(result.x), abs(result.y)), math.inf)
+                    strict = np.logical_and.reduce([c.clears(margin) for c in result.certificates])
+                    return np.where(strict, result.closed_form_gap, math.inf)
 
                 residuals, reduced = (_stack_or_each(len(normalized.vertex_angles), reduce)
                                       if stack else (None, []))

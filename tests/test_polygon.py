@@ -175,16 +175,14 @@ def test_angle_table_equals_reference_loops_exactly():
         for _ in range(30):
             gaps = random_gaps(rng, g)
             theta1 = rng.uniform(0.05, 0.9 * min(gaps.odd[-1], gaps.even[-1]))
-            for theta2 in (theta1, theta1 + rng.uniform(1e-3, 1e-2)):
-                try:
-                    poly = angle_table(g, gaps, theta1, theta2)
-                except DomainError:
-                    continue
-                phis, rows = _reference_angle_table(g, gaps, theta1, theta2)
-                assert (poly.radius_table == rows).all()
-                assert (poly.vertex_angles == phis).all()
-                if theta2 != theta1:
-                    checked += 1
+            try:
+                poly = angle_table(g, gaps, theta1)
+            except DomainError:
+                continue
+            phis, rows = _reference_angle_table(g, gaps, theta1, theta1)
+            assert (poly.radius_table == rows).all()
+            assert (poly.vertex_angles == phis).all()
+            checked += 1
     assert checked >= 30
 
 
@@ -227,9 +225,16 @@ def test_link_check_detects_perturbed_radius():
     assert 0.005 < report.max_residual < 0.05
 
 
+def _mismatched_base_radii(g, theta1, theta2):
+    """A regular-gap polygon whose row p^2 starts from theta2 instead of theta1."""
+    poly = angle_table(g, AngleGaps.regular(g), theta1)
+    table = poly.radius_table.copy()
+    table[1] += theta2 - theta1
+    return GeodesicPolygon(g, poly.vertex_angles, table)
+
+
 def test_link_check_detects_mismatched_base_radii():
-    poly = angle_table(4, AngleGaps.regular(4), 0.35, 0.349)
-    report = link_check(poly)
+    report = link_check(_mismatched_base_radii(4, 0.35, 0.349))
     assert not report.ok
 
 
@@ -252,7 +257,7 @@ def test_link_check_residuals_equal_the_pairing_loop():
     table[0, 1] += 0.01
     polygons = [build_parallel_polygon(g, theta) for g in (3, 4, 6) for theta in (-0.1, 0.0, 0.07)]
     polygons += [GeodesicPolygon(4, perturbed.vertex_angles, table),
-                 angle_table(4, AngleGaps.regular(4), 0.35, 0.349)]
+                 _mismatched_base_radii(4, 0.35, 0.349)]
     for poly in polygons:
         residuals = link_check(poly).residuals
         expected = _link_residuals_reference(poly)
@@ -729,7 +734,7 @@ def test_records_of_arrays_compare_by_identity(make, cls):
 def test_isometry_reduction_g6_minimal():
     poly = build_parallel_polygon(6, 0.0)
     result = isometry_reduction(6, poly, 1, 1)
-    assert abs(result.x) <= 1e-10 and abs(result.y) <= 1e-10
+    assert result.closed_form_gap <= 1e-13
     values = {c.name: c.expression_value for c in result.certificates}
     assert abs(values["H_minus_K_lambda"] + 6 * (2 + ROOT3)) <= 1e-9
     assert abs(values["H_minus_K_tau"] - 6 * (2 + ROOT3)) <= 1e-9
@@ -738,9 +743,8 @@ def test_isometry_reduction_g6_minimal():
 def test_isometry_reduction_g4():
     poly = build_parallel_polygon(4, 0.05)
     result = isometry_reduction(4, poly, 1, 1)
-    assert abs(result.x) <= 1e-10 and abs(result.y) <= 1e-10
-    for cert in result.certificates:
-        assert cert.holds and cert.margin > 1e-6
+    assert result.closed_form_gap <= 1e-13
+    assert all(cert.clears(1e-6) for cert in result.certificates)
 
 
 def test_isometry_reduction_certificate_value_at_theta0():
@@ -755,8 +759,8 @@ def test_isometry_reduction_grid_and_multiplicities():
         bound = PI / (2 * g)
         for theta in np.linspace(-0.8, 0.8, 9) * bound:
             result = isometry_reduction(g, build_parallel_polygon(g, float(theta)), m1, m2)
-            assert max(abs(result.x), abs(result.y)) <= 1e-10
-            assert all(c.holds and c.margin > 1e-6 for c in result.certificates)
+            assert result.closed_form_gap <= 1e-13
+            assert all(c.clears(1e-6) for c in result.certificates)
 
 
 @pytest.mark.parametrize("g, m1, m2", ((4, 0, 3), (4, 2, 0), (6, 0, 0), (6, 1, 2)))
@@ -783,7 +787,7 @@ def _one(stack, k):
 
 
 def _reduction_bits(result):
-    return [result.x, result.y, result.matrix, result.mean_curvature,
+    return [result.closed_form_gap, result.matrix, result.mean_curvature,
             *(c.expression_value for c in result.certificates)]
 
 
@@ -1415,7 +1419,7 @@ def test_difference_jacobians_equal_the_masked_path(g):
         gaps = np.concatenate([p[:, :g - 1], PI - p[:, :g - 1].sum(axis=1, keepdims=True),
                                p[:, g - 1:-1], PI - p[:, g - 1:-1].sum(axis=1, keepdims=True)],
                               axis=1)
-        top = polygon._radius_table(g, gaps, p[:, -1], p[:, -1]).max(axis=(1, 2))
+        top = polygon._radius_table(g, gaps, p[:, -1]).max(axis=(1, 2))
         p[::3, -1] += PI - 1e-3 - 5e-8 - top[::3]
         calls, has_jac = _assert_jacobians_match_reference(func, p)
         assert len(calls) == 2 and 4 <= calls[1] and has_jac.all()
@@ -1510,19 +1514,19 @@ def test_radius_table_equals_reference(g):
     rng = np.random.default_rng(20 + g)
     for shape in ((), (1,), (40,), (3, 5)):
         odd, even = rng.uniform(-0.2, 1.5, (2,) + shape + (g,))
-        theta1, theta2 = rng.uniform(-0.1, 1.0, (2,) + shape)
-        expected = _reference_radius_table(g, odd, even, theta1, theta2)
+        theta1 = rng.uniform(-0.1, 1.0, shape)
+        expected = _reference_radius_table(g, odd, even, theta1, theta1)
         gaps = np.concatenate([odd, even], axis=-1)
-        table = polygon._radius_table(g, gaps, theta1, theta2)
+        table = polygon._radius_table(g, gaps, theta1)
         assert table.shape == shape + (2 * g, g) and (table == expected).all()
         assert table.flags.c_contiguous
         # the kernel itself, stack-last: entry [i, t, ...] is row t, column i
-        last = polygon._stack_last_table(g, np.moveaxis(gaps, -1, 0), theta1, theta2)
+        last = polygon._stack_last_table(g, np.moveaxis(gaps, -1, 0), theta1)
         assert last.shape == (g, 2 * g) + shape
         assert (np.moveaxis(last, (0, 1), (-1, -2)) == expected).all()
     gaps = random_gaps(rng, g)  # scalar base radii, as angle_table passes them
-    assert (polygon._radius_table(g, gaps.odd + gaps.even, 0.3, 0.31)
-            == _reference_radius_table(g, gaps.odd, gaps.even, 0.3, 0.31)).all()
+    assert (polygon._radius_table(g, gaps.odd + gaps.even, 0.3)
+            == _reference_radius_table(g, gaps.odd, gaps.even, 0.3, 0.3)).all()
 
 
 @pytest.mark.parametrize("g", (3, 4, 6))

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -257,13 +258,15 @@ _TRAILING_KERNEL_FAILURES = {
                     ("dji_kernels/no_constraints_full_kernel",)),
     # kernel_analysis of the g = 4 system with the cmc rows alone
     "cmc_only_kernel": (dji, "kernel_analysis",
-                        lambda system: system.context["constraints"] == {"cmc"},
+                        lambda system: system.g == 4 and system.context["constraints"] == {"cmc"},
                         ("dji_kernels/g4_cmc_only_kernel_positive",)),
     # the g = 6 cmc-only system, which two cases share
     "cmc_system": (dji, "build_system", lambda g, pcs, m1, m2, constraints, *rest:
                    (g, tuple(constraints)) == (6, ("cmc",)),
                    ("dji_kernels/g6_cmc_rows_independent", "dji_kernels/g6_unknown_count_18")),
-    "cmc_rank": (np.linalg, "matrix_rank", lambda *args, **kwargs: True,
+    # kernel_analysis of the g = 6 system with the cmc rows alone, which gives its rank
+    "cmc_rank": (dji, "kernel_analysis",
+                 lambda system: system.g == 6 and system.context["constraints"] == {"cmc"},
                  ("dji_kernels/g6_cmc_rows_independent",)),
 }
 
@@ -331,9 +334,9 @@ def _reference_isometry_suite(seed, tol):
                     try:
                         result = polygon.isometry_reduction(g, normalized, m1, m2)
                         params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
-                        strict = all(c.holds and c.margin > report._certificate_margin(tol)
+                        strict = all(c.clears(report._certificate_margin(tol))
                                      for c in result.certificates)
-                        residual = max(abs(result.x), abs(result.y)) if strict else math.inf
+                        residual = result.closed_form_gap if strict else math.inf
                     except Exception as exc:  # noqa: BLE001
                         residual = exc
                 yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
@@ -350,6 +353,18 @@ def _reference_records(monkeypatch, tol=None):
     with monkeypatch.context() as patch:
         patch.setitem(report._SUITES, "isometry_reduction", _as_blocks(_reference_isometry_suite))
         return _isometry_records(tol)
+
+
+def test_isometry_residual_is_the_closed_form_gap():
+    # the residual is the gap that decides the reduction, not a solve that returns (0, 0)
+    cases = run_suite("isometry_reduction", 0)
+    for case in cases:
+        g, m1, m2, idx = map(int, re.fullmatch(r"isometry_reduction/g(\d)_m(\d)(\d)\[(\d+)\]",
+                                                case.case_id).groups())
+        normalized = polygon.conformal_normalize(
+            build_parallel_polygon(g, float(_suite_theta(g, idx))))[1]
+        assert case.residual == polygon.isometry_reduction(g, normalized, m1, m2).closed_form_gap
+    assert len(cases) == 105 and max(c.residual for c in cases) > 0
 
 
 @pytest.mark.parametrize("tol", (None, 1e3))
@@ -502,7 +517,7 @@ def test_singular_reduction_is_an_error_for_its_one_case(monkeypatch):
 
     def singular_reduce(g, poly, m1, m2):
         if (g, m1, m2) == (6, 2, 2) and _holds(poly, bad):
-            raise polygon.CertificateFailure("reduction system is singular")
+            raise np.linalg.LinAlgError("reduction system is singular")
         return reduce(g, poly, m1, m2)
 
     monkeypatch.setattr(polygon, "isometry_reduction", singular_reduce)
@@ -510,7 +525,7 @@ def test_singular_reduction_is_an_error_for_its_one_case(monkeypatch):
     errors = [c for c in cases if c.status == "error"]
     assert [c.case_id for c in errors] == ["isometry_reduction/g6_m22[04]"]
     assert errors[0].params == {"theta": f"{_suite_theta(6, 4):.6f}",
-                                "error": "CertificateFailure: reduction system is singular",
+                                "error": "LinAlgError: reduction system is singular",
                                 "where": errors[0].params["where"]}
     assert errors[0].params["where"].endswith("in singular_reduce")
     assert len(cases) == 105 and {c.status for c in cases if c not in errors} == {"pass"}
@@ -1054,6 +1069,18 @@ def test_cli_dji(tmp_path):
     names = {c["name"] for c in payload["certificates"]}
     assert "g6_one_minus_v_over_w" in names
     assert all(c["holds"] for c in payload["certificates"])
+
+
+@pytest.mark.parametrize("theta, violated", (
+    ("-0.08", ["g6_d5_linear_coefficient"]),  # past the sign flip near -0.0605
+    ("0.2617", ["g6_w6"]),  # the claimed sign, but inside the 1e-6 margin
+    ("0", [])))
+def test_cli_dji_judges_and_exits_by_clears(capsys, theta, violated):
+    # dji prints each status and sets its exit code by the suites' one judge, clears()
+    code = cli.main(["dji", "--g", "6", "--constraints", "cmc,clc", "--theta", theta])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("VIOLATED")] == violated
+    assert code == (1 if violated else 0)
 
 
 def test_cli_dji_unpinned_cmc_only():

@@ -233,7 +233,7 @@ def certificate_summary(a: dict, b: dict) -> list:
     src = str(Path(__file__).resolve().parents[1] / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
-    from liesphere.dji import CERTIFICATE_MARGIN
+    from liesphere.dji import CERTIFICATE_MARGIN, SignCertificate
 
     lines = []
     left, right = a.get("systems", {}), b.get("systems", {})
@@ -246,8 +246,7 @@ def certificate_summary(a: dict, b: dict) -> list:
         largest = max(abs(after[name][0] - before[name]) / abs(before[name])
                       if before[name] else math.inf for name in moved)
         failing = [name for name, (value, claim) in after.items()
-                   if not (value > CERTIFICATE_MARGIN if claim == "positive"
-                           else value < -CERTIFICATE_MARGIN)]
+                   if not SignCertificate(name, value, claim).clears()]
         margin = f"the {CERTIFICATE_MARGIN:g} margin"
         lines.append(f"systems {key}: {len(moved)} moved ({', '.join(moved)}), largest relative "
                      f"move {largest:.3g}, "
