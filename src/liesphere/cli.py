@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every case passes, 1 when any case fails or errors
 (for `dji`, when any sign certificate does not clear its margin), 2 on
-usage errors. All configuration is on the command line.
+usage errors, an out-of-range number among them. All configuration is on
+the command line.
 """
 
 from __future__ import annotations
@@ -110,14 +111,15 @@ def _dji(args) -> int:
     system = dji.build_system(args.g, pcs, args.m1, args.m2, constraints, pinning)
     analysis = dji.kernel_analysis(system)
     certificates = dji.sign_certificates(args.g, pcs) if args.g in (4, 6) else []
+    clears = [c.clears() for c in certificates]  # printed, written to --json and exited by
     print(f"g={args.g} constraints={'+'.join(constraints) or 'none'} "
           f"pinned={sorted(pinning)}")
     print(f"unknowns={len(system.unknown_labels)} rows={system.rows.shape[0]} "
           f"kernel_dim={analysis.dimension}")
     for warning in analysis.warnings:
         print(f"warning: {warning}")
-    for cert in certificates:
-        status = "ok" if cert.clears() else "VIOLATED"
+    for cert, cleared in zip(certificates, clears):
+        status = "ok" if cleared else "VIOLATED"
         print(f"  {cert.name:32s} {cert.expression_value:+.12e} "
               f"claimed {cert.claimed_sign:8s} {status}")
     if args.json:
@@ -131,14 +133,14 @@ def _dji(args) -> int:
             "kernel_dimension": analysis.dimension,
             "singular_values": analysis.singular_values.tolist(),
             "certificates": [{"name": c.name, "value": c.expression_value,
-                              "claimed_sign": c.claimed_sign, "holds": c.holds}
-                             for c in certificates],
+                              "claimed_sign": c.claimed_sign, "clears": cleared}
+                             for c, cleared in zip(certificates, clears)],
         }
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"report written to {args.json}")
-    return 0 if all(c.clears() for c in certificates) else 1
+    return 0 if all(clears) else 1
 
 
 def _search(args) -> int:
@@ -153,15 +155,32 @@ def _search(args) -> int:
     return 0
 
 
+def _bounded(convert, accepts, requirement: str):
+    """An argparse type that reads a value with convert and rejects it unless accepts(value).
+
+    argparse reports either rejection as an error that names the option, with exit status 2.
+    """
+    def parse(text):
+        value = convert(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="liesphere",
                                      description="Lie sphere geometry verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _bounded(int, lambda v: v >= 0, ">= 0")
+    tol = _bounded(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=report.SUITE_NAMES)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--seed", type=seed, default=0)
+    p_verify.add_argument("--tol", type=tol, default=None,
                           help="replace each default tolerance and the margin of every sign "
                                "certificate; cases with a fixed tolerance keep it")
     p_verify.add_argument("--out", default=None, help="report output path")
@@ -173,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_family.add_argument("--m1", type=int, default=1)
     p_family.add_argument("--m2", type=int, default=1)
     p_family.add_argument("--theta", type=float, default=0.0)
-    p_family.add_argument("--grid", type=int, default=None,
+    p_family.add_argument("--grid", type=_bounded(int, lambda v: v >= 1, ">= 1"), default=None,
                           help="emit a theta sweep with this many rows")
     p_family.add_argument("--csv", default=None)
     p_family.add_argument("--markdown", action="store_true")
@@ -207,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--constraints", required=True,
                           help="comma-separated subset of cmc,csc,clc")
     p_search.add_argument("--grid", type=int, default=25)
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--seed", type=seed, default=0)
     p_search.set_defaults(func=_search)
     return parser
 

@@ -14,7 +14,8 @@ point). The Lie curvatures that clc holds constant, with their family
 values, are one table, CLC_PHI; for g = 6 auxiliary families eliminate the
 other unknowns, and 11 g = 6 sign certificates are entries of these rows or
 pivots (_pivot). The certificates and their claimed signs are one table,
-CLAIMS. Kernel dimensions are decided by SVD with a relative threshold.
+CLAIMS, and the factors of the three d5 obstruction terms are another,
+D5_FACTORS. Kernel dimensions are decided by SVD with a relative threshold.
 """
 
 from __future__ import annotations
@@ -49,30 +50,27 @@ CLAIMS = {
         "g6_d5_obstruction_term_rho": NEGATIVE, "g6_d5_obstruction_total": NEGATIVE},
 }
 
+# each d5 term (h - tau)(lambda - h)(sigma - h) as its factors pcs[i] - pcs[j], in product order
+D5_FACTORS = {"g6_d5_obstruction_term_mu": ((1, 5), (0, 1), (4, 1)),
+              "g6_d5_obstruction_term_nu": ((2, 5), (0, 2), (4, 2)),
+              "g6_d5_obstruction_term_rho": ((3, 5), (0, 3), (4, 3))}
+_D5_INDEX = np.array(list(D5_FACTORS.values()))  # (term, factor, i or j)
+
 
 @dataclass(frozen=True)
 class SignCertificate:
-    """A named scalar whose sign the argument depends on."""
+    """A named scalar, or a stack of them, whose sign the argument depends on."""
 
     name: str
     expression_value: float
     claimed_sign: str
 
-    @property
-    def holds(self) -> bool:
-        if self.claimed_sign == POSITIVE:
-            return self.expression_value > 0
-        if self.claimed_sign == NEGATIVE:
-            return self.expression_value < 0
-        raise ValueError(f"unknown claimed sign {self.claimed_sign!r}")
-
-    @property
-    def margin(self) -> float:
-        return abs(self.expression_value)
-
     def clears(self, margin: float = CERTIFICATE_MARGIN):
         """The one judge: the claimed sign holds with |value| > margin; elementwise on stacks."""
-        return self.holds & (self.margin > margin)
+        sign = {POSITIVE: 1.0, NEGATIVE: -1.0}.get(self.claimed_sign)
+        if sign is None:
+            raise ValueError(f"unknown claimed sign {self.claimed_sign!r}")
+        return (sign * self.expression_value > 0) & (abs(self.expression_value) > margin)
 
 
 def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[float, float]:
@@ -272,26 +270,26 @@ def _g6_values(pcs: np.ndarray) -> dict:
             "g6_step3_coefficient": _pivot(system, 4, "psi_bar", 3),
             "g6_step4_coefficient": _pivot(system, 6, "psi_tilde", 3),
             "g6_d5_linear_coefficient": _pivot(system, 5, "psi_sigma", 2),
-            **{f"g6_d5_obstruction_term_{x}": term for x, term in zip(
-                ("mu", "nu", "rho"), _d5_term(pcs[0], pcs[1:4], pcs[4], pcs[5]))},
+            **dict(zip(D5_FACTORS, _d5_terms(pcs), strict=True)),
             "g6_d5_obstruction_total": total}
 
 
-def _d5_term(lam, h, sig, tau):
-    """(h - tau)(lambda - h)(sigma - h), the d5 obstruction term of h; floats or arrays."""
-    return (h - tau) * (lam - h) * (sig - h)
+def _d5_terms(pcs: np.ndarray) -> np.ndarray:
+    """The D5_FACTORS terms of a (..., 6) stack, (..., 3); factors multiply in table order."""
+    factors = pcs[..., _D5_INDEX[..., 0]] - pcs[..., _D5_INDEX[..., 1]]
+    return factors[..., 0] * factors[..., 1] * factors[..., 2]
 
 
 def g6_d5_obstruction(pcs):
-    """sum over h in {mu, nu, rho} of (h - tau)(lambda - h)(sigma - h); each term negative.
+    """The sum of the D5_FACTORS terms (h - tau)(lambda - h)(sigma - h), h = mu, nu, rho.
 
-    pcs is one sextuple or a (..., 6) stack of them; raises if any row is inadmissible.
+    pcs is one sextuple or a (..., 6) stack of them; raises if any row is inadmissible,
+    or if a term, negative by its factor signs, is not (an underflow to -0.0).
     """
     pcs = np.asarray(pcs, dtype=float)
     if pcs.shape[-1:] != (6,) or not np.all(np.diff(pcs) < 0):
         raise DomainError("need a strictly decreasing sextuple")
-    terms = _d5_term(pcs[..., :1], pcs[..., 1:4], pcs[..., 4:5], pcs[..., 5:])
+    terms = _d5_terms(pcs)
     if np.any(terms >= 0):
         raise InconsistentData("obstruction term not negative; input not admissible")
-    t_mu, t_nu, t_rho = np.moveaxis(terms, -1, 0)
-    return t_mu + t_nu + t_rho
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]

@@ -316,10 +316,11 @@ def _certificate_margin(tol: float | None) -> float:
 
 
 def _suite_sign_certificates(seed: int, tol: float | None):
-    """Three blocks: the g = 4 certificates, the g = 6 ones with two closed forms, the d5 draw.
+    """Three blocks: the g = 4 certificates, the g = 6 ones with two closed forms, the d5 signs.
 
     The certificate cases are listed from dji.CLAIMS, so a block that raises
-    is an `error` record for each of its own case_ids.
+    is an `error` record for each of its own case_ids. The d5 case judges each
+    dji.D5_FACTORS term by the product of its factor signs, against dji.CLAIMS[6].
     """
     margin = _certificate_margin(tol)
     root3 = math.sqrt(3.0)
@@ -342,16 +343,15 @@ def _suite_sign_certificates(seed: int, tol: float | None):
                     + [abs(value[name] - exact) for _, name, exact in closed])
 
         yield cases, certify
-    draw = {"samples": 10000}
+    signs = {}
 
-    def d5_draw():
-        samples = np.sort(np.random.default_rng(seed).uniform(-8, 8, (10000, 6)))[:, ::-1]
-        kept = samples[np.abs(np.diff(samples)).min(axis=1) >= 1e-3]
-        worst = float(dji.g6_d5_obstruction(kept).max())
-        draw.update(kept=len(kept), worst=worst)
-        return [0.0 if worst < 0 else 1.0]
+    def d5_signs():  # on a strictly decreasing sextuple, pcs[i] - pcs[j] has the sign of j - i
+        signs.update((name, [(j > i) - (j < i) for i, j in factors])
+                     for name, factors in dji.D5_FACTORS.items())
+        return [0.0 if all(dji.SignCertificate(name, float(math.prod(s)), dji.CLAIMS[6][name])
+                           .clears(0.0) for name, s in signs.items()) else 1.0]
 
-    yield [("sign_certificates/d5_obstruction_always_negative", draw, 0.5)], d5_draw
+    yield [("sign_certificates/d5_obstruction_always_negative", signs, 0.5)], d5_signs
 
 
 def _stack_or_each(count: int, compute):

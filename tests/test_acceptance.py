@@ -191,7 +191,7 @@ def test_acceptance_08_derivative_system_kernels_and_certificates():
     pcs6 = ls.principal_curvatures(ls.IsoparametricFamily(6, 1, 1, 0.0))
     for g, pcs in ((4, pcs4), (6, pcs6)):
         for cert in ls.sign_certificates(g, pcs):
-            assert cert.holds and cert.margin > 1e-6, cert
+            assert cert.clears(1e-6), cert
     values = {c.name: c.expression_value for c in ls.sign_certificates(6, pcs6)}
     assert abs(values["g6_one_minus_v_over_w"] - (9 - 2 * ROOT3)) <= 1e-10
     assert abs(ls.g6_d5_obstruction(pcs6) - (-12 - 24 * ROOT3)) <= 1e-10

@@ -210,8 +210,7 @@ def test_zero_vector_satisfies_all_rows():
 def test_sign_certificates_hold_with_margin():
     for g in (4, 6):
         for cert in sign_certificates(g, family_pcs(g)):
-            assert cert.holds, cert
-            assert cert.margin > 1e-6, cert
+            assert cert.clears(1e-6), cert
 
 
 def test_sign_certificates_list_claims_in_its_order():
@@ -239,10 +238,29 @@ def test_sign_certificates_raise_on_a_name_outside_claims(monkeypatch, change):
 
 
 def test_sign_certificate_rejects_an_unknown_claim():
-    assert SignCertificate("x", 1.0, POSITIVE).holds
-    assert not SignCertificate("x", 0.0, NEGATIVE).holds
+    assert SignCertificate("x", 1.0, POSITIVE).clears(0.0)
+    assert not SignCertificate("x", 0.0, NEGATIVE).clears(0.0)
     with pytest.raises(ValueError, match="unknown claimed sign 'postive'"):
-        SignCertificate("x", 0.0, "postive").holds
+        SignCertificate("x", 0.0, "postive").clears(0.0)
+    with pytest.raises(ValueError, match="unknown claimed sign 'postive'"):
+        SignCertificate("x", np.array([1.0, -1.0]), "postive").clears()
+
+
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-6, -1e-6, 1.0, -1.0, 0.5, -0.5,
+                2.0, -2.0, 1e-7, -1e-7)
+
+
+@pytest.mark.parametrize("margin", (0.0, 1e-6, 1.0))
+@pytest.mark.parametrize("claim", (POSITIVE, NEGATIVE))
+def test_clears_is_the_sign_and_margin_predicate_elementwise(claim, margin):
+    # the predicate that SignCertificate's holds and margin properties made, written out
+    values = np.array(_EDGE_VALUES)
+    holds = values > 0 if claim == POSITIVE else values < 0
+    expected = holds & (np.abs(values) > margin)
+    assert (SignCertificate("x", values, claim).clears(margin) == expected).all()
+    assert [SignCertificate("x", v, claim).clears(margin) for v in _EDGE_VALUES] == list(expected)
+    stack = SignCertificate("x", values.reshape(3, 5), claim).clears(margin)
+    assert (stack == expected.reshape(3, 5)).all()
 
 
 def test_g6_certificate_closed_forms():
@@ -264,6 +282,15 @@ def test_g6_certificate_closed_forms():
 def test_d5_obstruction_minimal_value():
     value = g6_d5_obstruction(family_pcs(6))
     assert abs(value - (-12 - 24 * ROOT3)) <= 1e-12
+
+
+def test_d5_factor_signs_give_each_terms_claimed_sign():
+    # on a strictly decreasing sextuple pcs[i] - pcs[j] has the sign of j - i
+    assert list(dji.D5_FACTORS) == [f"g6_d5_obstruction_term_{h}" for h in ("mu", "nu", "rho")]
+    for name, factors in dji.D5_FACTORS.items():
+        assert len(factors) == 3 and all(i != j for i, j in factors)
+        sign = math.prod(1 if j > i else -1 for i, j in factors)
+        assert {1: POSITIVE, -1: NEGATIVE}[sign] == dji.CLAIMS[6][name], name
 
 
 def test_d5_obstruction_terms_negative_at_minimal():

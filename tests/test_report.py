@@ -669,18 +669,20 @@ def test_failed_angle_solver_is_an_error_for_its_own_block(monkeypatch, solver):
     assert {c.status for c in cases if c not in errors} == {"pass"}
 
 
+# the closed-form values read a g6 certificate too
+_G6_CERTIFICATE_CASES = tuple(sorted(
+    [f"sign_certificates/{name}" for name in dji.CLAIMS[6]]
+    + ["sign_certificates/value_9_minus_2root3", "sign_certificates/value_d5_obstruction"]))
 _SIGN_CERTIFICATE_BLOCKS = {
     # the call that raises: (function, which of its calls) -> the error records it makes
     ("sign_certificates", "g4"): tuple(sorted(f"sign_certificates/{name}"
                                               for name in dji.CLAIMS[4])),
-    # the closed-form values read a g6 certificate too
-    ("sign_certificates", "g6"): tuple(sorted(
-        [f"sign_certificates/{name}" for name in dji.CLAIMS[6]]
-        + ["sign_certificates/value_9_minus_2root3", "sign_certificates/value_d5_obstruction"])),
-    ("g6_d5_obstruction", "stack"): ("sign_certificates/d5_obstruction_always_negative",),
+    ("sign_certificates", "g6"): _G6_CERTIFICATE_CASES,
+    # the g = 6 block reads the d5 total of one sextuple; the d5 sign case reads no curvatures
+    ("g6_d5_obstruction", "sextuple"): _G6_CERTIFICATE_CASES,
 }
 _RAISES_FOR = {"g4": lambda g, *rest: g == 4, "g6": lambda g, *rest: g == 6,
-               "stack": lambda pcs: np.ndim(pcs) == 2}
+               "sextuple": lambda pcs: np.shape(pcs) == (6,)}
 
 
 @pytest.mark.parametrize("function, calls", sorted(_SIGN_CERTIFICATE_BLOCKS))
@@ -697,13 +699,39 @@ def test_failed_sign_certificate_block_is_an_error_for_its_own_cases(monkeypatch
     cases = run_suite("sign_certificates", seed=0)
     errors = tuple(c.case_id for c in cases if c.status == "error")
     assert errors == _SIGN_CERTIFICATE_BLOCKS[function, calls]
-    assert len(errors) == {"g4": 5, "g6": 21 + 2, "stack": 1}[calls]
+    assert len(errors) == {"g4": 5, "g6": 21 + 2, "sextuple": 21 + 2}[calls]
     assert all(c.params["error"] == "ArithmeticError: injected" for c in cases
                if c.status == "error")
     # the other blocks still run and pass, and the case_ids are those of a clean run
     assert {c.status for c in cases if c.case_id not in errors} == {"pass"}
     assert {c.case_id for c in cases} == normal
     assert not any(c.case_id.endswith("/aborted") for c in cases)
+
+
+def test_sign_certificates_suite_draws_nothing_and_ignores_its_seed(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the sign_certificates suite draws no random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    runs = {seed: run_suite("sign_certificates", seed) for seed in range(4)}
+    assert [c.status for c in runs[0]] == ["pass"] * 29
+    d5 = {c.case_id: c for c in runs[0]}["sign_certificates/d5_obstruction_always_negative"]
+    assert d5.params == {name: "[1, 1, -1]" for name in dji.D5_FACTORS}
+    for seed, cases in runs.items():
+        assert [c.seed for c in cases] == [seed] * 29
+        assert [dataclasses.replace(c, runtime_ms=0.0, seed=0) for c in cases] == [
+            dataclasses.replace(c, runtime_ms=0.0) for c in runs[0]]
+        assert [c.params for c in cases] == [c.params for c in runs[0]]
+
+
+def test_d5_case_fails_when_a_factor_sign_contradicts_its_claim(monkeypatch):
+    # swapping lambda - mu for mu - lambda flips the mu term's structural sign
+    factors = {**dji.D5_FACTORS, "g6_d5_obstruction_term_mu": ((1, 5), (1, 0), (4, 1))}
+    monkeypatch.setattr(dji, "D5_FACTORS", factors)
+    d5 = {c.case_id: c for c in run_suite("sign_certificates", 0)}[
+        "sign_certificates/d5_obstruction_always_negative"]
+    assert (d5.status, d5.residual) == ("fail", 1.0)
+    assert d5.params["g6_d5_obstruction_term_mu"] == "[1, -1, -1]"
 
 
 class InjectedBlockError(RuntimeError):
@@ -1068,7 +1096,7 @@ def test_cli_dji(tmp_path):
     assert payload["kernel_dimension"] == 0
     names = {c["name"] for c in payload["certificates"]}
     assert "g6_one_minus_v_over_w" in names
-    assert all(c["holds"] for c in payload["certificates"])
+    assert all(c["clears"] for c in payload["certificates"])
 
 
 @pytest.mark.parametrize("theta, violated", (
@@ -1081,6 +1109,46 @@ def test_cli_dji_judges_and_exits_by_clears(capsys, theta, violated):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines if line.endswith("VIOLATED")] == violated
     assert code == (1 if violated else 0)
+
+
+@pytest.mark.parametrize("theta, failing", (("0.2617", ["g6_w6"]), ("0", [])))
+def test_cli_dji_json_carries_the_verdict_it_exits_by(tmp_path, capsys, theta, failing):
+    out = tmp_path / "dji.json"
+    code = cli.main(["dji", "--g", "6", "--constraints", "cmc,clc", "--theta", theta,
+                     "--json", str(out)])
+    capsys.readouterr()
+    certificates = json.loads(out.read_text())["certificates"]
+    assert len(certificates) == 21 and all("holds" not in c for c in certificates)
+    assert [c["name"] for c in certificates if not c["clears"]] == failing
+    assert code == (1 if failing else 0)
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["verify", "--suite", "sign_certificates", "--tol", "-1"], "argument --tol: must be"),
+    (["verify", "--suite", "sign_certificates", "--tol", "nan"], "argument --tol: must be"),
+    (["verify", "--suite", "sign_certificates", "--tol", "inf"], "argument --tol: must be"),
+    (["verify", "--suite", "sign_certificates", "--tol", "x"], "invalid float value: 'x'"),
+    (["verify", "--suite", "all", "--seed", "-1"], "argument --seed: must be >= 0"),
+    (["search", "--g", "3", "--constraints", "cmc", "--seed", "-1"],
+     "argument --seed: must be >= 0"),
+    (["family", "--g", "4", "--grid", "0"], "argument --grid: must be >= 1"),
+    (["family", "--g", "4", "--grid", "-3"], "argument --grid: must be >= 1")))
+def test_cli_rejects_out_of_range_numbers_at_parse_time(monkeypatch, capsys, argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a rejected option must not reach the command")
+
+    monkeypatch.setattr(report, "run_suite", never)
+    monkeypatch.setattr(polygon, "constraint_search", never)
+    monkeypatch.setattr(cli, "_family_rows", never)
+    code, out, err = _main_output(argv, capsys)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_cli_tol_zero_still_runs(capsys):
+    # a zero margin judges each certificate by its sign alone
+    assert cli.main(["verify", "--suite", "sign_certificates", "--tol", "0"]) == 0
+    assert "29 cases: 29 pass, 0 fail, 0 error" in capsys.readouterr().out
 
 
 def test_cli_dji_unpinned_cmc_only():
