@@ -1,14 +1,17 @@
 """Command-line driver: verification suites, family tables, polygon diagrams, searches.
 
 Exit codes: 0 when every case passes, 1 when any case fails or errors
-(for `dji`, when any sign certificate does not clear its margin), 2 on
-usage errors, an out-of-range number among them. All configuration is on
+(for `solve-angles`, any of the four `angle_solvers` cases of its g; for
+`dji`, when any sign certificate does not clear its margin), 2 on usage
+errors, an out-of-range number among them, and on a DomainError, such as a
+`dji` kernel whose rank the SVD leaves undecided. All configuration is on
 the command line.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import json
@@ -20,21 +23,24 @@ import numpy as np
 from . import dji, isoparam, polygon as poly_mod, report
 
 
-def _verify(args) -> int:
-    cases = report.run_suite(args.suite, args.seed, args.tol)
-    counts = {"pass": 0, "fail": 0, "error": 0}
-    for case in cases:
-        counts[case.status] += 1
-    for case in cases:
-        if case.status != "pass":
-            print(f"{case.status.upper():5s} {case.case_id} "
-                  f"residual={case.residual:.3e} tol={case.tolerance:.3e}")
+def _judge(cases) -> int:
+    """Print each case that does not pass and the counts; exit 0 iff every case passes."""
+    counts = collections.Counter(case.status for case in cases)
+    for case in (case for case in cases if case.status != "pass"):
+        print(f"{case.status.upper():5s} {case.case_id} "
+              f"residual={case.residual:.3e} tol={case.tolerance:.3e}")
     print(f"{len(cases)} cases: {counts['pass']} pass, "
           f"{counts['fail']} fail, {counts['error']} error")
+    return 0 if report.all_passed(cases) else 1
+
+
+def _verify(args) -> int:
+    cases = report.run_suite(args.suite, args.seed, args.tol)
+    code = _judge(cases)
     if args.out:
         report.emit_report(cases, args.out, args.format, args.seed)
         print(f"report written to {args.out}")
-    return 0 if report.all_passed(cases) else 1
+    return code
 
 
 def _family_rows(g, m1, m2, theta):
@@ -91,16 +97,11 @@ def _polygon(args) -> int:
 
 
 def _solve_angles(args) -> int:
-    gaps = (poly_mod.solve_g4_normalized if args.g == 4 else poly_mod.solve_g6_normalized)()
-    oracle = (poly_mod.g4_grid_oracle if args.g == 4 else poly_mod.g6_grid_oracle)()
-    target = math.pi / args.g
-    dev = max(abs(x - target) for x in gaps.odd + gaps.even)
-    odev, cell = oracle.residuals(args.g)  # judged as the angle_solvers oracle cases are
-    print(f"g={args.g} normalized gaps: {[f'{x:.12f}' for x in gaps.odd]}")
-    print(f"deviation from target {target:.12f}: {dev:.3e}")
-    print(f"grid oracle: unique_cell={oracle.unique_cell}, polished deviation {odev:.3e}, "
-          f"unique cell next to target: {cell == 0.0}")
-    return 0 if dev <= 1e-10 and odev <= 1e-6 and cell == 0.0 else 1
+    cases = [case for case in report.run_suite("angle_solvers")
+             if case.case_id.startswith(f"angle_solvers/g{args.g}_")]
+    solved = next(case.params for case in cases if case.case_id.endswith(f"_pi{args.g}"))
+    print(f"g={args.g} solved gaps: odd {solved.get('odd')}, even {solved.get('even')}")
+    return _judge(cases)
 
 
 def _dji(args) -> int:
@@ -115,9 +116,7 @@ def _dji(args) -> int:
     print(f"g={args.g} constraints={'+'.join(constraints) or 'none'} "
           f"pinned={sorted(pinning)}")
     print(f"unknowns={len(system.unknown_labels)} rows={system.rows.shape[0]} "
-          f"kernel_dim={analysis.dimension}")
-    for warning in analysis.warnings:
-        print(f"warning: {warning}")
+          f"kernel_dim={analysis.dimension} margin={analysis.margin:.2f}")
     for cert, cleared in zip(certificates, clears):
         status = "ok" if cleared else "VIOLATED"
         print(f"  {cert.name:32s} {cert.expression_value:+.12e} "
@@ -131,6 +130,7 @@ def _dji(args) -> int:
             "rows": system.rows.tolist(),
             "row_labels": list(system.row_labels),
             "kernel_dimension": analysis.dimension,
+            "kernel_margin": analysis.margin,
             "singular_values": analysis.singular_values.tolist(),
             "certificates": [{"name": c.name, "value": c.expression_value,
                               "claimed_sign": c.claimed_sign, "clears": cleared}

@@ -15,7 +15,11 @@ values, are one table, CLC_PHI; for g = 6 auxiliary families eliminate the
 other unknowns, and 11 g = 6 sign certificates are entries of these rows or
 pivots (_pivot). The certificates and their claimed signs are one table,
 CLAIMS, and the factors of the three d5 obstruction terms are another,
-D5_FACTORS. Kernel dimensions are decided by SVD with a relative threshold.
+D5_FACTORS. Kernel dimensions are decided by SVD with a relative threshold; a
+singular value within a decade of it leaves the rank undecided, and
+kernel_analysis raises instead of returning a dimension. A row entry or a
+certificate that overflows, divides by zero or is not finite raises DomainError
+naming the curvatures, as the curvatures themselves must be finite.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateConfiguration, DomainError, InconsistentData
+from .errors import DegenerateConfiguration, DomainError, InconsistentData, float_errors_raise
 from .isoparam import multiplicity_vector
 from .quadric import lie_curvature_of_values
 
@@ -78,8 +82,10 @@ def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[flo
 
     A = mu + tau = (H - m1 (lambda + nu)) / m2 and Phi = -1 gives
     B = mu tau = (A (lambda + nu) - 2 lambda nu) / 2; the pair solves
-    t^2 - A t + B = 0 and interlaces lambda > mu > nu > tau.
+    t^2 - A t + B = 0 and interlaces lambda > mu > nu > tau. It is computed in Python
+    floats, so a value that overflows reads inf and fails that check, with no warning.
     """
+    lam, nu, h = float(lam), float(nu), float(h)
     if lam <= nu:
         raise DomainError("requires lambda > nu")
     a = (h - m1 * (lam + nu)) / m2
@@ -117,6 +123,8 @@ def critical_point_pinning(g: int) -> frozenset:
 def _require_decreasing(pcs):
     if not np.all(np.diff(pcs) < 0):
         raise DomainError("principal curvatures must be strictly decreasing")
+    if not np.isfinite(pcs).all():
+        raise DomainError(f"principal curvatures must be finite, got {pcs.tolist()}")
 
 
 def _cross_ratio_log_row(pcs, ia, ib, ic, id_):
@@ -168,17 +176,18 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
     families = []  # (row-name prefix, coefficients on d_j1..d_jg, directions j)
     if "cmc" in constraints:
         families.append(("cmc", mult, directions))
-    if "csc" in constraints:
-        families.append(("csc", mult * pcs, directions))
-    if "clc" in constraints:
-        if g not in CLC_PHI:
-            raise DomainError("clc rows are defined for g = 4 and g = 6")
-        d, phis = CLC_PHI[g]  # a lone Phi's rows are clc_phi[j=..], Phi_c's of several clc_phi<c>
-        families += [(f"clc_phi{c if len(phis) > 1 else ''}",
-                      _cross_ratio_log_row(pcs, 1, 2, c, d), directions) for c in phis]
-        if g == 6:
-            families += [(f"clc_{family}{quad[2]}", _cross_ratio_log_row(pcs, *quad), (j,))
-                         for family, j, quads in G6_AUX_FAMILIES for quad in quads]
+    if "clc" in constraints and g not in CLC_PHI:
+        raise DomainError("clc rows are defined for g = 4 and g = 6")
+    with float_errors_raise("the derivative rows cannot be evaluated at curvatures {}", pcs):
+        if "csc" in constraints:
+            families.append(("csc", mult * pcs, directions))
+        if "clc" in constraints:
+            d, phis = CLC_PHI[g]  # a lone Phi's rows are clc_phi[j=..], several clc_phi<c>
+            families += [(f"clc_phi{c if len(phis) > 1 else ''}",
+                          _cross_ratio_log_row(pcs, 1, 2, c, d), directions) for c in phis]
+            if g == 6:
+                families += [(f"clc_{family}{quad[2]}", _cross_ratio_log_row(pcs, *quad), (j,))
+                             for family, j, quads in G6_AUX_FAMILIES for quad in quads]
     rows = [(f"{prefix}[j={j}]", j, coeffs) for prefix, coeffs, js in families for j in js]
 
     free = np.array([[i != j and (j, i) not in assumed_zero for i in directions]
@@ -197,20 +206,23 @@ def build_system(g: int, pcs, m1: int, m2: int, constraints,
 class KernelAnalysis:
     dimension: int
     singular_values: np.ndarray
-    warnings: tuple
+    margin: float  # decades from the SVD threshold to the nearest singular value
 
 
 def kernel_analysis(sys: DerivativeSystem) -> KernelAnalysis:
-    """Rank-revealing SVD with relative threshold; reports near-threshold values."""
-    n = len(sys.unknown_labels)
-    if sys.rows.shape[0] == 0:
-        return KernelAnalysis(n, np.zeros(0), ())
+    """Rank-revealing SVD: the rank counts the singular values above SVD_RELATIVE_THRESHOLD
+    times the largest. The margin is inf with no rows; a zero singular value is infinitely
+    far from the threshold. A margin of at most one decade (a singular value within 10x of
+    the threshold) raises DomainError ("rank undecided") instead of returning a dimension.
+    """
     s = np.linalg.svd(sys.rows, compute_uv=False)
-    threshold = SVD_RELATIVE_THRESHOLD * s[0] if s.size else 0.0
-    rank = int((s > threshold).sum())
-    warnings = tuple(f"singular value {val:.3e} within 10x of threshold {threshold:.3e}"
-                     for val in s if threshold / 10 < val < threshold * 10)
-    return KernelAnalysis(n - rank, s, warnings)
+    threshold = SVD_RELATIVE_THRESHOLD * s.max(initial=0.0)
+    with np.errstate(divide="ignore"):  # log10(0) = -inf: a zero lies infinitely far away
+        margin = float(np.abs(np.log10(s[s > 0]) - np.log10(threshold)).min(initial=math.inf))
+    if margin <= 1.0:
+        raise DomainError(f"rank undecided: a singular value lies {margin:.2f} decades from the "
+                          f"SVD threshold {threshold:.3e}, at most 1")
+    return KernelAnalysis(len(sys.unknown_labels) - int((s > threshold).sum()), s, margin)
 
 
 def sign_certificates(g: int, pcs) -> list[SignCertificate]:
@@ -220,21 +232,19 @@ def sign_certificates(g: int, pcs) -> list[SignCertificate]:
     """
     pcs = np.asarray(pcs, dtype=float)
     _require_decreasing(pcs)
-    if g == 4:
-        lam, mu, nu, tau = (float(v) for v in pcs)
-        values = {"g4_d23_ratio": (tau - mu) / (nu - mu),
-                  "g4_d24_ratio": (nu - lam) / (lam - tau),
-                  "g4_d42_ratio": (lam - nu) / (lam - mu),
-                  "g4_d43_ratio": (tau - mu) / (nu - tau),
-                  "g4_one_minus_ratio_sq": 1.0 - ((nu - mu) / (nu - tau)) ** 2}
-    elif g != 6:
+    if g not in CLAIMS:
         raise DomainError("sign certificates are defined for g = 4 and g = 6")
-    else:
-        try:  # a division by zero, an overflow or an invalid operation raises in there
+    with float_errors_raise(f"a g = {g} certificate cannot be evaluated at curvatures {{}}", pcs,
+                            also=(DegenerateConfiguration,)):
+        if g == 4:
+            lam, mu, nu, tau = pcs
+            values = {"g4_d23_ratio": (tau - mu) / (nu - mu),
+                      "g4_d24_ratio": (nu - lam) / (lam - tau),
+                      "g4_d42_ratio": (lam - nu) / (lam - mu),
+                      "g4_d43_ratio": (tau - mu) / (nu - tau),
+                      "g4_one_minus_ratio_sq": 1.0 - ((nu - mu) / (nu - tau)) ** 2}
+        else:
             values = _g6_values(pcs)
-        except (FloatingPointError, DegenerateConfiguration) as exc:
-            raise DomainError(f"a g = 6 certificate cannot be evaluated at curvatures "
-                              f"{pcs.tolist()}") from exc
     if values.keys() != CLAIMS[g].keys():
         raise ValueError(f"g = {g} certificate names differ from CLAIMS: "
                          f"{sorted(values.keys() ^ CLAIMS[g].keys())}")
@@ -253,16 +263,25 @@ def _pivot(system: DerivativeSystem, j: int, family: str, keep: int):
     return pivot
 
 
-@np.errstate(divide="raise", over="raise", invalid="raise")
+# the sextuple positions (from 0) of psi_check [lambda, nu; rho, x] and psi_bar
+# [lambda, rho; nu, x], x = mu, sigma, tau: row k is the k-th curvature of each quadruple
+_PSI_GATHER = np.array([[0, 0, 0, 0, 0, 0], [2, 2, 2, 3, 3, 3], [3, 3, 3, 2, 2, 2],
+                        [1, 4, 5, 1, 4, 5]])
+
+
 def _g6_values(pcs: np.ndarray) -> dict:
     system = build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
     total = g6_d5_obstruction(pcs)  # underflowing d5 terms are named before a psi coincidence
     rows, col = dict(zip(system.row_labels, system.rows)), system.unknown_labels.index
     v = {f"g6_v{h}": rows[f"clc_phi{h}[j=2]"][col((2, 5))] for h in (3, 4, 6)}
     w = {f"g6_w{h}": rows[f"clc_phi{h}[j=2]"][col((2, h))] for h in (3, 4, 6)}
-    # psi_check [lambda, nu; rho, x] and psi_bar [lambda, rho; nu, x], x = mu, sigma, tau
-    psi = lie_curvature_of_values(pcs[[[0, 0, 0, 0, 0, 0], [2, 2, 2, 3, 3, 3], [3, 3, 3, 2, 2, 2],
-                                       [1, 4, 5, 1, 4, 5]]]).value
+    try:
+        psi = lie_curvature_of_values(pcs[_PSI_GATHER]).value
+    except DegenerateConfiguration as exc:  # name the pair by its positions in the sextuple
+        (k,), pair = exc.index, exc.values
+        first, second = (_PSI_GATHER[p - 1, k] + 1 for p in pair)
+        raise DegenerateConfiguration(f"curvatures {first} and {second} of the sextuple "
+                                      f"coincide") from exc
     return {**v, **w, "g6_one_minus_v_over_w": _pivot(system, 2, "phi", 5),
             **dict(zip((f"g6_psi_{f}_ratio_{x}" for f in ("check", "bar")
                         for x in ("mu", "sigma", "tau")), psi, strict=True)),
@@ -283,13 +302,16 @@ def _d5_terms(pcs: np.ndarray) -> np.ndarray:
 def g6_d5_obstruction(pcs):
     """The sum of the D5_FACTORS terms (h - tau)(lambda - h)(sigma - h), h = mu, nu, rho.
 
-    pcs is one sextuple or a (..., 6) stack of them; raises if any row is inadmissible,
-    or if a term, negative by its factor signs, is not (an underflow to -0.0).
+    pcs is one sextuple or a (..., 6) stack of them. Raises DomainError if any row is
+    inadmissible or a term or the sum overflows, and InconsistentData if a term, negative
+    by its factor signs, is not (an underflow to -0.0).
     """
     pcs = np.asarray(pcs, dtype=float)
-    if pcs.shape[-1:] != (6,) or not np.all(np.diff(pcs) < 0):
-        raise DomainError("need a strictly decreasing sextuple")
-    terms = _d5_terms(pcs)
+    if pcs.shape[-1:] != (6,) or not np.all(np.diff(pcs) < 0) or not np.isfinite(pcs).all():
+        raise DomainError("need a strictly decreasing sextuple of finite curvatures")
+    with float_errors_raise("the d5 obstruction cannot be evaluated at curvatures {}", pcs):
+        terms = _d5_terms(pcs)
+        total = terms[..., 0] + terms[..., 1] + terms[..., 2]
     if np.any(terms >= 0):
         raise InconsistentData("obstruction term not negative; input not admissible")
-    return terms[..., 0] + terms[..., 1] + terms[..., 2]
+    return total

@@ -53,7 +53,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 SUPPORTED_G = (3, 4, 6)
-LINK_TOL = 1e-9
 PARALLEL_TOL = 1e-9
 SEARCH_FILTER_TOL = 1e-6
 _SCREEN_BLOCK = 256  # starts per screening call: a whole 35^2 grid of g = 6 tables is ~1.3 MB
@@ -274,13 +273,13 @@ def polygon_from_positions(g: int, vertex_angles) -> GeodesicPolygon:
 
 @dataclass(frozen=True)
 class LinkReport:
-    ok: bool
     max_residual: float
     residuals: dict
 
 
-def link_check(poly: GeodesicPolygon, tol: float = LINK_TOL) -> LinkReport:
-    """Residuals |cot theta^t_i - cot theta^s_i| of every leaf pairing."""
+def link_check(poly: GeodesicPolygon) -> LinkReport:
+    """Residuals |cot theta^t_i - cot theta^s_i| of every leaf pairing, keyed by (t, i, s),
+    and their maximum: a measurement, which the caller judges."""
     cot = poly.curvatures()
     t, i = np.arange(1, 2 * poly.g + 1)[:, None], np.arange(1, poly.g + 1)
     s = link_partner(poly.g, t, i)
@@ -289,8 +288,7 @@ def link_check(poly: GeodesicPolygon, tol: float = LINK_TOL) -> LinkReport:
     t, i = np.broadcast_arrays(t, i)
     residuals = dict(zip(zip(t[first].tolist(), i[first].tolist(), s[first].tolist()),
                          gaps[first].tolist()))
-    worst = max(residuals.values())
-    return LinkReport(worst <= tol, worst, residuals)
+    return LinkReport(max(residuals.values()), residuals)
 
 
 def _parallel(tables: np.ndarray, tol: float = PARALLEL_TOL) -> np.ndarray:
@@ -298,9 +296,9 @@ def _parallel(tables: np.ndarray, tol: float = PARALLEL_TOL) -> np.ndarray:
     return np.abs(tables - tables[..., :1, :]).max(axis=(-2, -1)) <= tol
 
 
-def is_parallel(poly: GeodesicPolygon, tol: float = PARALLEL_TOL) -> bool:
-    """True iff every radius row equals row 1 (vertex-independent radii)."""
-    return bool(_parallel(poly.radius_table, tol))
+def is_parallel(poly: GeodesicPolygon) -> bool:
+    """True iff every radius row equals row 1 within PARALLEL_TOL (vertex-independent radii)."""
+    return bool(_parallel(poly.radius_table))
 
 
 def polygon_lie_curvature(poly: GeodesicPolygon, vertex: int, pattern: str) -> LieCurvatureValue:

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContactViolation, DegenerateConfiguration, DomainError, raise_where
+from .errors import (ContactViolation, DegenerateConfiguration, DomainError, float_errors_raise,
+                     raise_where)
 from .indefinite import LieTransform, Signature, SignedVector, inner
 
 QUADRIC_TOL = 1e-9
@@ -219,6 +220,10 @@ def lie_curvature_of_values(values, ordering: str = STANDARD_13_24) -> LieCurvat
     """lie_curvature of four finite curvature values, taken position-first.
 
     `values` has shape (4, ...): values[k] is the k-th curvature, a scalar or
-    an array, and the four broadcast.
+    an array, and the four broadcast. A value that overflows or is not finite
+    raises DomainError naming the curvatures.
     """
-    return lie_curvature(*(ProjectiveCurvature.from_value(v) for v in values), ordering=ordering)
+    with float_errors_raise("a Lie curvature cannot be evaluated at curvatures {}, {}, {}, {}",
+                            *values):
+        return lie_curvature(*(ProjectiveCurvature.from_value(v) for v in values),
+                             ordering=ordering)

@@ -220,23 +220,27 @@ def _suite_isoparametric_formulas(seed: int, tol: float | None):
 def _suite_angle_solvers(seed: int, tol: float | None):
     """Four blocks of two cases: the g4 solve, its oracle, the g6 solve with psi, its oracle."""
     tolerance = tol if tol is not None else 1e-10
+    solved = {4: {}, 6: {}}  # the params of each solution case: its solved odd and even gaps
 
     def g4_solve():
         g4 = poly_mod.solve_g4_normalized()
+        solved[4].update(odd=g4.odd, even=g4.even)
         return [max(abs(x - math.pi / 4) for x in g4.odd + g4.even), abs(poly_mod.g4_residual(g4))]
 
     def g6_solve():  # the psi closed forms must agree with the direct cross ratios and equal -1
         g6 = poly_mod.solve_g6_normalized()
+        solved[6].update(odd=g6.odd, even=g6.even)
         psi, route_gap = poly_mod.psi_values(g6)
         return [max(abs(x - math.pi / 6) for x in g6.odd + g6.even),
                 max(route_gap, *(abs(v + 1.0) for v in psi))]
 
     g4_cell = {"grid": 721, "cell": f"{math.pi / 2 / 721:.2e}"}  # the oracle's cell_size
     for compute, cases in (
-            (g4_solve, (("g4_solution_pi4", {}, tolerance), ("g4_residual_at_solution", {}, 1e-12))),
+            (g4_solve, (("g4_solution_pi4", solved[4], tolerance),
+                        ("g4_residual_at_solution", {}, 1e-12))),
             (lambda: poly_mod.g4_grid_oracle(721).residuals(4),
              (("g4_oracle_agreement", g4_cell, 1e-6), ("g4_oracle_unique_cell", {}, 0.5))),
-            (g6_solve, (("g6_solution_pi6", {}, tolerance), ("g6_psi_triple", {}, 1e-9))),
+            (g6_solve, (("g6_solution_pi6", solved[6], tolerance), ("g6_psi_triple", {}, 1e-9))),
             (lambda: poly_mod.g6_grid_oracle(721).residuals(6),
              (("g6_oracle_agreement", {"grid": 721}, 1e-6), ("g6_oracle_unique_cell", {}, 0.5)))):
         yield [(f"angle_solvers/{name}", params, case_tol)
@@ -269,7 +273,8 @@ def _suite_dji_kernels(seed: int, tol: float | None):
             perturbed = dji.build_system(g, pcs + 1e-8 * np.arange(1, g + 1), m1, m2,
                                          constraints, dji.critical_point_pinning(g))
             stable = dji.kernel_analysis(perturbed).dimension == analysis.dimension
-            params.update(unknowns=len(system.unknown_labels), rows=system.rows.shape[0])
+            params.update(unknowns=len(system.unknown_labels), rows=system.rows.shape[0],
+                          margin=f"{analysis.margin:.2f}")
             return [float(analysis.dimension), 0.0 if stable else 1.0]
 
         yield [(name, params, 0.5), (name + "_stability", {}, 0.5)], kernel

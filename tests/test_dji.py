@@ -1,10 +1,17 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liesphere import dji, report
+from liesphere import dji, quadric, report
 from liesphere.dji import (G6_AUX_FAMILIES, NEGATIVE, POSITIVE,
                            DerivativeSystem, KernelAnalysis, SignCertificate,
                            _cross_ratio_log_row,
@@ -759,3 +766,171 @@ def test_row_read_certificates_are_the_hand_formulas():
         assert sp.cancel(sp.nsimplify(derived[name] - formulas[name])) == 0, name
     other_order = dji._pivot(system, 5, "phi", 2)
     assert sp.cancel(sp.nsimplify(other_order - formulas["g6_d5_linear_coefficient"])) == 0
+
+
+# ---------------------------------------------------------------------------
+# the rank verdict and its margin; non-finite values are errors
+# ---------------------------------------------------------------------------
+
+def _g4_cmc_csc(pcs):
+    return build_system(4, pcs, 1, 1, ("cmc", "csc"), critical_point_pinning(4))
+
+
+def test_kernel_margin_is_the_decades_from_the_threshold_to_the_nearest_singular_value():
+    analysis = kernel_analysis(_g4_cmc_csc(family_pcs(4)))
+    s = analysis.singular_values
+    threshold = dji.SVD_RELATIVE_THRESHOLD * s[0]
+    assert analysis.margin == np.abs(np.log10(s) - np.log10(threshold)).min()
+    assert 8 < analysis.margin < 9
+    assert kernel_analysis(build_system(6, family_pcs(6), 1, 1, ())).margin == math.inf
+
+
+def test_g3_csc_kernel_keeps_its_rounding_noise_row_below_the_threshold():
+    # lambda_2 = cot(pi/2) is 6e-17 in floats: a unit-length row would lift it over the
+    # threshold and read dimension 0; the exact dimension with lambda_2 = 0 is 1
+    analysis = kernel_analysis(build_system(3, family_pcs(3), 1, 1, ("csc",),
+                                            critical_point_pinning(3)))
+    assert analysis.dimension == 1
+    assert 7 < analysis.margin < 8
+
+
+@pytest.mark.parametrize("scale", (1e8, 1e9))
+def test_kernel_near_the_threshold_is_undecided(scale):
+    # each 2 x 2 block determinant is m_a m_b (lambda_b - lambda_a) != 0, so the exact
+    # dimension is 0; scaled csc rows put a singular value within a decade of the threshold
+    system = _g4_cmc_csc(family_pcs(4) * scale)
+    with pytest.raises(DomainError, match=r"^rank undecided: a singular value lies 0\.\d\d "
+                                          r"decades from the SVD threshold "):
+        kernel_analysis(system)
+
+
+@pytest.mark.parametrize("scale", (1e155, 1e-170))
+def test_build_system_names_the_curvatures_of_a_row_that_is_not_finite(scale):
+    # x 1e155 a denominator product overflows; x 1e-170 it underflows and a quotient divides by 0
+    pcs = family_pcs(6) * scale
+    with pytest.raises(DomainError, match=r"^the derivative rows cannot be evaluated at "
+                                          rf"curvatures \[{re.escape(str(pcs[0]))}, ") as info:
+        build_system(6, pcs, 1, 1, ("cmc", "clc"), critical_point_pinning(6))
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+@pytest.mark.parametrize("pcs", ([math.inf, 1.0, 0.0, -1.0], [1.0, 0.0, -1.0, -math.inf]))
+def test_curvatures_must_be_finite(pcs):
+    with pytest.raises(DomainError, match="principal curvatures must be finite"):
+        build_system(4, pcs, 1, 1, ("csc",))
+    with pytest.raises(DomainError, match="principal curvatures must be finite"):
+        sign_certificates(4, pcs)
+    with pytest.raises(DomainError, match="of finite curvatures"):
+        g6_d5_obstruction(pcs[:2] + [-2.0, -3.0, -4.0, -5.0] if pcs[0] == math.inf
+                          else [5.0, 4.0, 3.0, 2.0] + pcs[-2:])
+
+
+def test_build_system_raises_no_lapack_message_in_a_fresh_process():
+    # before, x 1e-170 left inf in the rows and LAPACK printed a DLASCL complaint
+    script = (
+        "from liesphere import dji, isoparam\n"
+        "from liesphere.errors import DomainError\n"
+        "pcs = isoparam.principal_curvatures(isoparam.IsoparametricFamily(6, 1, 1, 0.0))\n"
+        "for scale in (1e155, 1e-170):\n"
+        "    try:\n"
+        "        system = dji.build_system(6, pcs * scale, 1, 1, ('cmc', 'clc'),\n"
+        "                                  dji.critical_point_pinning(6))\n"
+        "        print('kernel_dim', dji.kernel_analysis(system).dimension)\n"
+        "    except DomainError as exc:\n"
+        "        print('error:', exc)\n")
+    env = dict(os.environ)
+    src = str(Path(dji.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and "DLASCL" not in proc.stdout
+    assert proc.stdout.count("error: the derivative rows cannot be evaluated") == 2
+
+
+def test_d5_obstruction_that_overflows_is_a_domain_error():
+    pcs = [3e110, 2e110, 1e110, -1e110, -2e110, -3e110]
+    with pytest.raises(DomainError, match=r"^the d5 obstruction cannot be evaluated at "
+                                          r"curvatures \[3e\+110, ") as info:
+        g6_d5_obstruction(pcs)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+@pytest.mark.parametrize("ordering", quadric.ORDERINGS)
+def test_lie_curvature_of_values_that_overflows_is_a_domain_error(ordering):
+    with pytest.raises(DomainError, match=r"^a Lie curvature cannot be evaluated at "
+                                          r"curvatures 3e\+200, 2e\+200, ") as info:
+        quadric.lie_curvature_of_values([3e200, 2e200, -2e200, -3e200], ordering)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_sign_certificates_name_coinciding_curvatures_by_their_sextuple_positions():
+    # psi_check [lambda, nu; rho, mu] is the first quadruple to coincide: its curvatures
+    # 1 and 2 are lambda and nu, positions 1 and 3 of the sextuple
+    with pytest.raises(DomainError, match="cannot be evaluated at curvatures") as info:
+        sign_certificates(6, [3e-12, 2e-12, 1e-12, 0.0, -1e-12, -2e-12])
+    cause = info.value.__cause__
+    assert isinstance(cause, DegenerateConfiguration)
+    assert str(cause) == "curvatures 1 and 3 of the sextuple coincide"
+    assert str(cause.__cause__) == "curvatures 1 and 2 coincide at stack index 0"
+
+
+_LIESPHERE_ERRORS = (DomainError, DegenerateConfiguration, InconsistentData)
+_CONSTRAINT_SETS = {3: (("cmc",), ("csc",), ("cmc", "csc"))}
+_CONSTRAINT_SETS[4] = _CONSTRAINT_SETS[6] = _CONSTRAINT_SETS[3] + (
+    ("clc",), ("cmc", "clc"), ("csc", "clc"), ("cmc", "csc", "clc"))
+
+
+def _public_calls(g, pcs):
+    """(name, call) of every public dji and quadric function that takes these curvatures."""
+    m2 = 2 if g == 4 else 1
+    calls = [(f"kernel {constraints} pinned={pinned}", lambda c=constraints, p=pinned:
+              kernel_analysis(build_system(g, pcs, 1, m2, c, critical_point_pinning(g) if p
+                                           else frozenset())).singular_values)
+             for constraints in _CONSTRAINT_SETS[g] for pinned in (True, False)]
+    calls += [(f"lie_curvature_of_values {k} {ordering}",
+               lambda k=k, o=ordering: quadric.lie_curvature_of_values(pcs[k:k + 4], o).value)
+              for k in range(g - 3) for ordering in quadric.ORDERINGS]
+    if g in (4, 6):
+        calls.append(("sign_certificates",
+                      lambda: [c.expression_value for c in sign_certificates(g, pcs)]))
+    if g == 4:
+        calls.append(("recover_pair", lambda: recover_pair(pcs[0], pcs[2], pcs.sum(), 1, 1)))
+    if g == 6:
+        calls.append(("g6_d5_obstruction", lambda: g6_d5_obstruction(pcs)))
+    return calls
+
+
+def _assert_finite_or_liesphere_error(g, pcs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a bare numpy warning fails the property
+        for name, call in _public_calls(g, np.asarray(pcs, dtype=float)):
+            try:
+                value = call()
+            except _LIESPHERE_ERRORS:
+                continue
+            assert np.isfinite(np.asarray(value, dtype=complex)).all(), (name, pcs, value)
+
+
+@st.composite
+def _decreasing_tuples(draw):
+    """(g, curvatures): a start of magnitude 1e-300..1e300 (or 0), then g - 1 gaps of that range."""
+    g = draw(st.sampled_from((3, 4, 6)))
+    magnitude = st.floats(-300, 300).map(lambda e: 10.0 ** e)
+    values = [draw(st.sampled_from((-1.0, 0.0, 1.0))) * draw(magnitude)]
+    for _ in range(g - 1):
+        values.append(values[-1] - draw(magnitude))
+    return g, values
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_decreasing_tuples())
+def test_public_functions_on_decreasing_tuples_return_finite_values_or_raise(case):
+    _assert_finite_or_liesphere_error(*case)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from((3, 4, 6)), st.floats(-(1 - 1e-12), 1 - 1e-12))
+def test_public_functions_on_family_members_return_finite_values_or_raise(g, fraction):
+    # out to 1 - 1e-12 of each end of (-pi/(2g), pi/(2g)), where lambda_1 or lambda_g grows
+    _assert_finite_or_liesphere_error(g, family_pcs(g, theta=fraction * math.pi / (2 * g)))

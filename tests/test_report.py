@@ -1036,7 +1036,8 @@ def test_cli_polygon_svg(tmp_path):
 def test_cli_solve_angles():
     proc = run_cli("solve-angles", "--g", "4")
     assert proc.returncode == 0
-    assert "unique_cell=True" in proc.stdout
+    assert proc.stdout.startswith("g=4 solved gaps: odd (0.7853981633974483, ")
+    assert proc.stdout.endswith("\n4 cases: 4 pass, 0 fail, 0 error\n")
 
 
 def test_cli_solve_angles_judges_the_oracle_as_the_suite_does(monkeypatch, capsys):
@@ -1047,7 +1048,22 @@ def test_cli_solve_angles_judges_the_oracle_as_the_suite_does(monkeypatch, capsy
     assert statuses["angle_solvers/g4_oracle_agreement"] == "pass"
     assert statuses["angle_solvers/g4_oracle_unique_cell"] == "fail"
     assert cli.main(["solve-angles", "--g", "4"]) == 1
-    assert "unique cell next to target: False" in capsys.readouterr().out
+    assert "\nFAIL  angle_solvers/g4_oracle_unique_cell " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("g, name, replacement, failing", (
+    (6, "psi_values", lambda gaps: ((-1.0, -1.0, -0.9), 0.0), "g6_psi_triple"),
+    (4, "g4_residual", lambda gaps: 1e-6j, "g4_residual_at_solution"),
+))
+def test_cli_solve_angles_exits_by_every_case_of_its_g(monkeypatch, capsys, g, name,
+                                                       replacement, failing):
+    monkeypatch.setattr(polygon, name, replacement)
+    assert cli.main(["solve-angles", "--g", str(g)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"g={g} solved gaps: odd (")
+    assert [line.split()[:2] for line in lines[1:]] == [
+        ["FAIL", f"angle_solvers/{failing}"], ["4", "cases:"]]
+    assert lines[-1] == "4 cases: 3 pass, 1 fail, 0 error"
 
 
 def test_cli_search():
@@ -1091,9 +1107,10 @@ def test_cli_dji(tmp_path):
     out = tmp_path / "dji.json"
     proc = run_cli("dji", "--g", "6", "--constraints", "cmc,clc", "--json", str(out))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "kernel_dim=0" in proc.stdout
+    assert "kernel_dim=0 margin=7.23" in proc.stdout
     payload = json.loads(out.read_text())
     assert payload["kernel_dimension"] == 0
+    assert 7.2 < payload["kernel_margin"] < 7.3
     names = {c["name"] for c in payload["certificates"]}
     assert "g6_one_minus_v_over_w" in names
     assert all(c["clears"] for c in payload["certificates"])
@@ -1149,6 +1166,36 @@ def test_cli_tol_zero_still_runs(capsys):
     # a zero margin judges each certificate by its sign alone
     assert cli.main(["verify", "--suite", "sign_certificates", "--tol", "0"]) == 0
     assert "29 cases: 29 pass, 0 fail, 0 error" in capsys.readouterr().out
+
+
+def test_cli_dji_g3_csc_kernel_stays_one(capsys):
+    # its rounding-noise row lambda_2 = 6e-17 stays below the threshold: unit rows would read 0
+    assert cli.main(["dji", "--g", "3", "--constraints", "csc"]) == 0
+    assert "kernel_dim=1 margin=7.45" in capsys.readouterr().out
+
+
+def test_cli_dji_undecided_rank_is_an_error():
+    # 1e-10 inside the g = 4 end: the exact dimension is 0, the float SVD reads 5
+    proc = run_cli("dji", "--g", "4", "--constraints", "cmc,csc", "--theta", "0.39269908159")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: rank undecided: a singular value lies 0.75 decades ")
+
+
+def test_undecided_rank_is_an_error_record(monkeypatch):
+    family_pcs = report._family_pcs
+    monkeypatch.setattr(report, "_family_pcs", lambda g: family_pcs(g) * 1e9)
+    cases = [c for c in run_suite("dji_kernels", 0) if "kernel_g4_cmc_csc" in c.case_id]
+    assert len(cases) == 6
+    assert all(c.status == "error" and c.params["error"].startswith(
+        "DomainError: rank undecided: ") for c in cases)
+
+
+def test_kernel_cases_carry_their_margin():
+    cases = [c for c in run_suite("dji_kernels", 0)
+             if "/kernel_" in c.case_id and not c.case_id.endswith("_stability")]
+    assert len(cases) == 7
+    assert all(7 < float(c.params["margin"]) < 9 for c in cases)
 
 
 def test_cli_dji_unpinned_cmc_only():
