@@ -35,7 +35,7 @@ def _judge(cases) -> int:
 
 
 def _verify(args) -> int:
-    cases = report.run_suite(args.suite, args.seed, args.tol)
+    cases = report.run_suite(args.suite, args.seed)
     code = _judge(cases)
     if args.out:
         report.emit_report(cases, args.out, args.format, args.seed)
@@ -166,7 +166,7 @@ def _bounded(convert, accepts, requirement: str):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
 
-    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value"
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
     return parse
 
 
@@ -175,14 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Lie sphere geometry verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _bounded(int, lambda v: v >= 0, ">= 0")
-    tol = _bounded(float, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=report.SUITE_NAMES)
     p_verify.add_argument("--seed", type=seed, default=0)
-    p_verify.add_argument("--tol", type=tol, default=None,
-                          help="replace each default tolerance and the margin of every sign "
-                               "certificate; cases with a fixed tolerance keep it")
     p_verify.add_argument("--out", default=None, help="report output path")
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=_verify)

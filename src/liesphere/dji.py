@@ -69,12 +69,15 @@ class SignCertificate:
     expression_value: float
     claimed_sign: str
 
-    def clears(self, margin: float = CERTIFICATE_MARGIN):
-        """The one judge: the claimed sign holds with |value| > margin; elementwise on stacks."""
+    def clears(self):
+        """The one judge: the claimed sign holds with |value| > CERTIFICATE_MARGIN.
+
+        Elementwise on stacks. The margin is read at each call: it is the one margin."""
         sign = {POSITIVE: 1.0, NEGATIVE: -1.0}.get(self.claimed_sign)
         if sign is None:
             raise ValueError(f"unknown claimed sign {self.claimed_sign!r}")
-        return (sign * self.expression_value > 0) & (abs(self.expression_value) > margin)
+        return ((sign * self.expression_value > 0)
+                & (abs(self.expression_value) > CERTIFICATE_MARGIN))
 
 
 def recover_pair(lam: float, nu: float, h: float, m1: int, m2: int) -> tuple[float, float]:

@@ -750,28 +750,24 @@ def _so21_matrix(a, b) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CircleMobius:
-    """O(2,1) element acting on the geodesic circle; (x, y, alpha_check) is its bottom row.
+    """O(2,1) element acting on the geodesic circle, held only as its matrix.
 
-    A stack holds matrices (..., 3, 3) and a stack of each bottom-row entry.
+    A stack holds matrices (..., 3, 3). Membership is judged at indefinite.GROUP_TOL.
     """
 
     matrix: np.ndarray
-    x: float
-    y: float
-    alpha_check: float
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", matrix)
-        ok, residual = is_lie_transform(matrix, Signature(2, 1), 1e-9)
+        ok, residual = is_lie_transform(matrix, Signature(2, 1))
         raise_where(~ok, ValueError, "not in O(2,1): residual {:.3e}", residual)
 
     @classmethod
     def from_parameters(cls, chi, m) -> "CircleMobius":
         """The map of rotation chi and boost m; arrays of them give a stack."""
         raise_where(np.abs(m) >= 1.0, DomainError, "boost parameter must satisfy |m| < 1")
-        matrix = _so21_matrix(*_su11_params(chi, m))
-        return cls(matrix, *(matrix[..., 2, j][()] for j in range(3)))
+        return cls(_so21_matrix(*_su11_params(chi, m)))
 
 
 def _transform_positions(phis: np.ndarray, chi, m) -> np.ndarray:

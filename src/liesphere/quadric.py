@@ -164,12 +164,20 @@ def cross_ratio(w1, w2, w3, w4):
 
     Real iff the four points are concircular or collinear. The denominator's
     two differences are formed once, for the degeneracy test and the quotient.
+    The points may be Python numbers or arrays, and are used as given: a value
+    that overflows, in numpy or in Python arithmetic, raises DomainError naming
+    the points, and a cross ratio that is not finite (as from a nan point)
+    raises DomainError naming its stack index.
     """
-    scale = functools.reduce(np.maximum, (abs(w1), abs(w2), abs(w3), abs(w4), 1.0))
-    d14, d23 = w1 - w4, w2 - w3
-    raise_where((abs(d14) <= 1e-12 * scale) | (abs(d23) <= 1e-12 * scale),
-                DegenerateConfiguration, "cross ratio denominator vanishes")
-    return (w1 - w3) * (w2 - w4) / (d14 * d23)
+    with float_errors_raise("a cross ratio cannot be evaluated at points {}, {}, {}, {}",
+                            w1, w2, w3, w4, also=(ZeroDivisionError, OverflowError)):
+        scale = functools.reduce(np.maximum, (abs(w1), abs(w2), abs(w3), abs(w4), 1.0))
+        d14, d23 = w1 - w4, w2 - w3
+        raise_where((abs(d14) <= 1e-12 * scale) | (abs(d23) <= 1e-12 * scale),
+                    DegenerateConfiguration, "cross ratio denominator vanishes")
+        value = (w1 - w3) * (w2 - w4) / (d14 * d23)
+    raise_where(~np.isfinite(value), DomainError, "the cross ratio {} is not finite", value)
+    return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,12 @@
 
 Each suite is a generator over deterministic checks (seed-controlled where
 randomness is involved) that yields blocks (cases, compute). cases is a list
-of (case_id, params, tolerance); compute() returns one residual per case, in
-order, and fills a case's params dict in place once its values are known.
-Where compute cannot score one case it returns an exception in place of that
-residual. run_suite calls each compute before it asks the suite for the next
+of (case_id, params, tolerance), each tolerance a constant of its suite (a
+sign certificate's case is a 0/1 verdict of SignCertificate.clears(), whose
+one margin is dji.CERTIFICATE_MARGIN); no argument changes either. compute()
+returns one residual per case, in order, and fills a case's params dict in
+place once its values are known. Where compute cannot score one case it
+returns an exception in place of that residual. run_suite calls each compute before it asks the suite for the next
 block, and it is the one place that turns blocks into VerificationCase
 records: a case passes iff its residual is within its tolerance, an exception
 becomes an `error` record, a compute that raises gives each case of its block
@@ -85,9 +87,8 @@ def _case(suite, case_id, params, residual, tolerance, seed, t0) -> Verification
 # suites: generators of blocks ([(case_id, params, tolerance), ...], compute)
 # ---------------------------------------------------------------------------
 
-def _suite_lie_invariance(seed: int, tol: float | None):
+def _suite_lie_invariance(seed: int):
     """Random O(n+1,2) actions leave Lie curvatures fixed; parallel law cot -> cot(xi+theta)."""
-    tolerance = tol if tol is not None else 1e-8
     sig = Signature(4, 2)
     ce = legendre_lift(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
     base = isoparam.principal_curvatures(isoparam.IsoparametricFamily(4, 1, 1, 0.09))
@@ -99,10 +100,9 @@ def _suite_lie_invariance(seed: int, tol: float | None):
         return np.max([abs(lie_curvature(*moved, ordering=o).value
                            - lie_curvature_of_values(base, o).value) for o in ORDERINGS], axis=0)
 
-    yield ([(f"lie_invariance/random_action[{k:04d}]", {"draw": k}, tolerance)
+    yield ([(f"lie_invariance/random_action[{k:04d}]", {"draw": k}, 1e-8)
             for k in range(1000)], invariance_gaps)
     # parallel transformation law over a 100 x 100 (theta, xi) grid
-    law_tol = tol if tol is not None else 1e-10
     xis = np.linspace(0.05, math.pi - 0.05, 100)
     thetas = np.linspace(-1.5, 1.5, 100)
     shifted = thetas[:, None] + xis
@@ -116,27 +116,26 @@ def _suite_lie_invariance(seed: int, tol: float | None):
         return np.where(pole, 0.0, gaps).max(axis=1)
 
     yield ([(f"lie_invariance/parallel_law[{row:03d}]",
-             {"theta": f"{thetas[row]:.6f}", "skipped": int(pole[row].sum())}, law_tol)
+             {"theta": f"{thetas[row]:.6f}", "skipped": int(pole[row].sum())}, 1e-10)
             for row in range(100)], law_gaps)
 
     # group sanity: membership and closure over 100 pairs, drawn as two stacks
     def closure_gap():
         l1 = random_lie_transform(sig, seed, 0.6, 100)
         l2 = random_lie_transform(sig, seed + 7919, 0.6, 100)
-        return [max(is_lie_transform(compose(l1, l2).matrix, sig, 1e-8)[1].max(),
-                    is_lie_transform(compose(l1, invert(l1)).matrix, sig, 1e-8)[1].max())]
+        return [max(is_lie_transform(compose(l1, l2).matrix, sig)[1].max(),
+                    is_lie_transform(compose(l1, invert(l1)).matrix, sig)[1].max())]
 
     yield [("lie_invariance/group_closure", {"count": 100}, 1e-8)], closure_gap
 
 
-def _suite_cross_ratio_identity(seed: int, tol: float | None):
+def _suite_cross_ratio_identity(seed: int):
     """Cross ratio of e^(2i theta_k) equals the Lie curvature of cot(theta_k).
 
     Each sweep draws one array (the stream of one draw per sample). A draw
     with angles closer than 1e-3 is skipped: a fixed quadruple stands in for
     it and is masked out, so an error names the (batch, sample) index.
     """
-    tolerance = tol if tol is not None else 1e-10
     rng = np.random.default_rng(seed)
     thetas = np.sort(rng.uniform(0.02, math.pi - 0.02, (200, 50, 4)))
     keep = np.diff(thetas).min(axis=-1) >= 1e-3
@@ -150,7 +149,7 @@ def _suite_cross_ratio_identity(seed: int, tol: float | None):
         return np.where(keep, abs(cross_ratio(*points) - phi), 0.0).max(axis=1)
 
     yield ([(f"cross_ratio_identity/radii_sweep[{batch:03d}]",
-             {"samples": 50, "kept": int(keep[batch].sum())}, tolerance)
+             {"samples": 50, "kept": int(keep[batch].sum())}, 1e-10)
             for batch in range(200)], sweep_gaps)
     # concircular points have real cross ratio
     angles = np.sort(rng.uniform(0, 2 * math.pi, (500, 4)))
@@ -170,16 +169,13 @@ _FAMILY_COMBOS = ((1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2),
                   (6, 1, 1), (6, 2, 2))
 
 
-def _suite_isoparametric_formulas(seed: int, tol: float | None):
+def _suite_isoparametric_formulas(seed: int):
     """Each family's 45 members are one block, one array pass through the isoparam functions.
 
     Per member: the mean-curvature closed forms against sum m_i lambda_i,
     the curvature ordering, the theta -> H -> theta roundtrip and, for
     g = 3, 4, 6, the scalar closed form; per family: H strictly decreasing.
     """
-    mean_tol = tol if tol is not None else 1e-9
-    roundtrip_tol = tol if tol is not None else 1e-10
-    scalar_tol = tol if tol is not None else 1e-8
     for g, m1, m2 in _FAMILY_COMBOS:
         family = {"g": g, "m1": m1, "m2": m2}
         bound = math.pi / (2 * g)
@@ -188,11 +184,11 @@ def _suite_isoparametric_formulas(seed: int, tol: float | None):
         for idx, theta in enumerate(grid):
             tag = f"g{g}_m{m1}_{m2}[{idx:02d}]"
             cases += [(f"isoparametric_formulas/mean_{tag}", {**family, "theta": f"{theta:.6f}"},
-                       mean_tol),
+                       1e-9),
                       (f"isoparametric_formulas/ordering_{tag}", family, 0.5),
-                      (f"isoparametric_formulas/roundtrip_{tag}", family, roundtrip_tol)]
+                      (f"isoparametric_formulas/roundtrip_{tag}", family, 1e-10)]
             if g in (3, 4, 6):
-                cases.append((f"isoparametric_formulas/scalar_{tag}", family, scalar_tol))
+                cases.append((f"isoparametric_formulas/scalar_{tag}", family, 1e-8))
         cases.append((f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}", family, 0.5))
 
         def family_residuals():
@@ -217,9 +213,8 @@ def _suite_isoparametric_formulas(seed: int, tol: float | None):
         yield cases, family_residuals
 
 
-def _suite_angle_solvers(seed: int, tol: float | None):
+def _suite_angle_solvers(seed: int):
     """Four blocks of two cases: the g4 solve, its oracle, the g6 solve with psi, its oracle."""
-    tolerance = tol if tol is not None else 1e-10
     solved = {4: {}, 6: {}}  # the params of each solution case: its solved odd and even gaps
 
     def g4_solve():
@@ -236,11 +231,11 @@ def _suite_angle_solvers(seed: int, tol: float | None):
 
     g4_cell = {"grid": 721, "cell": f"{math.pi / 2 / 721:.2e}"}  # the oracle's cell_size
     for compute, cases in (
-            (g4_solve, (("g4_solution_pi4", solved[4], tolerance),
+            (g4_solve, (("g4_solution_pi4", solved[4], 1e-10),
                         ("g4_residual_at_solution", {}, 1e-12))),
             (lambda: poly_mod.g4_grid_oracle(721).residuals(4),
              (("g4_oracle_agreement", g4_cell, 1e-6), ("g4_oracle_unique_cell", {}, 0.5))),
-            (g6_solve, (("g6_solution_pi6", solved[6], tolerance), ("g6_psi_triple", {}, 1e-9))),
+            (g6_solve, (("g6_solution_pi6", solved[6], 1e-10), ("g6_psi_triple", {}, 1e-9))),
             (lambda: poly_mod.g6_grid_oracle(721).residuals(6),
              (("g6_oracle_agreement", {"grid": 721}, 1e-6), ("g6_oracle_unique_cell", {}, 0.5)))):
         yield [(f"angle_solvers/{name}", params, case_tol)
@@ -259,7 +254,7 @@ def _family_pcs(g: int) -> np.ndarray:
     return isoparam.principal_curvatures(isoparam.IsoparametricFamily(g, 1, 1, 0.0))
 
 
-def _suite_dji_kernels(seed: int, tol: float | None):
+def _suite_dji_kernels(seed: int):
     """One block per kernel system (its dimension and its stability), then one per trailing case."""
     for g, constraints, m1, m2 in _KERNEL_SYSTEMS:
         name = f"dji_kernels/kernel_g{g}_{'_'.join(constraints)}_m{m1}{m2}"
@@ -315,19 +310,13 @@ def _suite_dji_kernels(seed: int, tol: float | None):
         yield [(f"dji_kernels/{name}", params, 0.5)], functools.partial(compute, params)
 
 
-def _certificate_margin(tol: float | None) -> float:
-    """The margin every sign certificate must clear: tol when given, else the default."""
-    return tol if tol is not None else dji.CERTIFICATE_MARGIN
-
-
-def _suite_sign_certificates(seed: int, tol: float | None):
+def _suite_sign_certificates(seed: int):
     """Three blocks: the g = 4 certificates, the g = 6 ones with two closed forms, the d5 signs.
 
     The certificate cases are listed from dji.CLAIMS, so a block that raises
     is an `error` record for each of its own case_ids. The d5 case judges each
     dji.D5_FACTORS term by the product of its factor signs, against dji.CLAIMS[6].
     """
-    margin = _certificate_margin(tol)
     root3 = math.sqrt(3.0)
     # (case name, the certificate it reads, its exact value) of the closed forms of each g
     closed_forms = {4: (), 6: (("value_9_minus_2root3", "g6_one_minus_v_over_w", 9 - 2 * root3),
@@ -344,7 +333,7 @@ def _suite_sign_certificates(seed: int, tol: float | None):
                 params[cert.name].update(value=f"{cert.expression_value:.12g}",
                                          claimed=cert.claimed_sign)
             value = {c.name: c.expression_value for c in certificates}
-            return ([0.0 if c.clears(margin) else 1.0 for c in certificates]
+            return ([0.0 if c.clears() else 1.0 for c in certificates]
                     + [abs(value[name] - exact) for _, name, exact in closed])
 
         yield cases, certify
@@ -354,7 +343,7 @@ def _suite_sign_certificates(seed: int, tol: float | None):
         signs.update((name, [(j > i) - (j < i) for i, j in factors])
                      for name, factors in dji.D5_FACTORS.items())
         return [0.0 if all(dji.SignCertificate(name, float(math.prod(s)), dji.CLAIMS[6][name])
-                           .clears(0.0) for name, s in signs.items()) else 1.0]
+                           .clears() for name, s in signs.items()) else 1.0]
 
     yield [("sign_certificates/d5_obstruction_always_negative", signs, 0.5)], d5_signs
 
@@ -383,7 +372,7 @@ def _stack_or_each(count: int, compute):
         return (compute(members[kept]) if kept else None), at
 
 
-def _suite_isometry_reduction(seed: int, tol: float | None):
+def _suite_isometry_reduction(seed: int):
     """One block per (g, m1, m2): its 21 polygons, reduced as one stack.
 
     Each g's polygons are built and normalized once, as one stack that its blocks
@@ -392,8 +381,6 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
     exception, and a reduction that raises is its one case's error. A case's
     residual is its closed_form_gap where its three certificates clear, else inf.
     """
-    tolerance = tol if tol is not None else 1e-10
-    margin = _certificate_margin(tol)
     pairs = {4: ((1, 1), (2, 2), (4, 5)), 6: ((1, 1), (2, 2))}
     for g, multiplicities in pairs.items():
         bound = math.pi / (2 * g)
@@ -406,7 +393,7 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
 
         for m1, m2 in multiplicities:
             cases = [(f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", {"theta": f"{theta:.6f}"},
-                      tolerance) for idx, theta in enumerate(thetas)]
+                      1e-10) for idx, theta in enumerate(thetas)]
 
             def reductions():
                 stack, built = normal()
@@ -415,7 +402,7 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
                 def reduce(j):  # j indexes the normalized polygons
                     result = poly_mod.isometry_reduction(g, poly_mod.GeodesicPolygon(
                         g, normalized.vertex_angles[j], normalized.radius_table[j]), m1, m2)
-                    strict = np.logical_and.reduce([c.clears(margin) for c in result.certificates])
+                    strict = np.logical_and.reduce([c.clears() for c in result.certificates])
                     return np.where(strict, result.closed_form_gap, math.inf)
 
                 residuals, reduced = (_stack_or_each(len(normalized.vertex_angles), reduce)
@@ -423,7 +410,8 @@ def _suite_isometry_reduction(seed: int, tol: float | None):
                 at = [j if isinstance(j, Exception) else reduced[j] for j in built]
                 for (_, params, _), j, k in zip(cases, built, at):
                     if not isinstance(k, Exception):
-                        params.update(map_x=f"{mapped.x[j]:.2e}", map_y=f"{mapped.y[j]:.2e}")
+                        params.update(map_x=f"{mapped.matrix[j, 2, 0]:.2e}",
+                                      map_y=f"{mapped.matrix[j, 2, 1]:.2e}")
                 return [k if isinstance(k, Exception) else residuals[k] for k in at]
 
             yield cases, reductions
@@ -438,7 +426,7 @@ _SEARCH_SPECS = (
 )
 
 
-def _suite_constraint_search(seed: int, tol: float | None):
+def _suite_constraint_search(seed: int):
     for name, g, constraints, resolution, expectation in _SEARCH_SPECS:
         params = {"g": g, "constraints": "+".join(constraints), "resolution": resolution}
 
@@ -467,15 +455,14 @@ _SUITES = {
 SUITE_NAMES = (*_SUITES, "all")
 
 
-def run_suite(name: str, seed: int = 0, tol: float | None = None):
+def run_suite(name: str, seed: int = 0):
     """Run a named suite (or 'all'); returns cases sorted by case_id.
 
-    A given tol replaces every default tolerance and the margin of every
-    sign certificate; fixed tolerances stay. Each case is timed from the
-    previous record of its suite. A block whose compute raises is one `error`
-    record per case of that block. An exception that escapes a suite ends
-    that suite with one `<suite>/aborted` error record; the cases it
-    yielded before are kept and the run goes on.
+    Each case is judged by the tolerance it carries, fixed by its suite, and
+    timed from the previous record of its suite. A block whose compute raises
+    is one `error` record per case of that block. An exception that escapes a
+    suite ends that suite with one `<suite>/aborted` error record; the cases
+    it yielded before are kept and the run goes on.
     """
     if name == "all":
         names = list(_SUITES)
@@ -487,7 +474,7 @@ def run_suite(name: str, seed: int = 0, tol: float | None = None):
     for suite in names:
         t0 = time.perf_counter_ns()
         try:
-            for cases, compute in _SUITES[suite](seed, tol):
+            for cases, compute in _SUITES[suite](seed):
                 try:
                     residuals = compute()
                 except Exception as exc:  # noqa: BLE001 - a bad block is one error per case

@@ -177,6 +177,11 @@ def test_acceptance_07_scalar_curvature_formulas():
     announce(7, "scalar curvature closed forms", started, f"max dev {worst:.2e}")
 
 
+def test_acceptance_certificate_margin_is_1e_minus_6():
+    # every clears() below judges by this one margin, so the gate cannot loosen silently
+    assert ls.dji.CERTIFICATE_MARGIN == 1e-6
+
+
 def test_acceptance_08_derivative_system_kernels_and_certificates():
     started = time.perf_counter()
     systems = ((4, ("cmc", "csc"), 1, 1), (4, ("cmc", "csc"), 2, 2),
@@ -191,7 +196,7 @@ def test_acceptance_08_derivative_system_kernels_and_certificates():
     pcs6 = ls.principal_curvatures(ls.IsoparametricFamily(6, 1, 1, 0.0))
     for g, pcs in ((4, pcs4), (6, pcs6)):
         for cert in ls.sign_certificates(g, pcs):
-            assert cert.clears(1e-6), cert
+            assert cert.clears(), cert
     values = {c.name: c.expression_value for c in ls.sign_certificates(6, pcs6)}
     assert abs(values["g6_one_minus_v_over_w"] - (9 - 2 * ROOT3)) <= 1e-10
     assert abs(ls.g6_d5_obstruction(pcs6) - (-12 - 24 * ROOT3)) <= 1e-10
@@ -209,7 +214,7 @@ def test_acceptance_09_isometry_reduction():
             poly = ls.build_parallel_polygon(g, float(theta))
             result = ls.isometry_reduction(g, poly, m1, m2)
             worst = max(worst, result.closed_form_gap)
-            assert all(c.clears(1e-6) for c in result.certificates)
+            assert all(c.clears() for c in result.certificates)
     elapsed = time.perf_counter() - started
     assert worst <= 1e-10
     assert elapsed < 1.0

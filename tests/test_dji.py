@@ -215,9 +215,10 @@ def test_zero_vector_satisfies_all_rows():
 
 
 def test_sign_certificates_hold_with_margin():
+    assert dji.CERTIFICATE_MARGIN == 1e-6  # the margin every clears() in this file judges by
     for g in (4, 6):
         for cert in sign_certificates(g, family_pcs(g)):
-            assert cert.clears(1e-6), cert
+            assert cert.clears(), cert
 
 
 def test_sign_certificates_list_claims_in_its_order():
@@ -244,11 +245,12 @@ def test_sign_certificates_raise_on_a_name_outside_claims(monkeypatch, change):
         sign_certificates(6, family_pcs(6))
 
 
-def test_sign_certificate_rejects_an_unknown_claim():
-    assert SignCertificate("x", 1.0, POSITIVE).clears(0.0)
-    assert not SignCertificate("x", 0.0, NEGATIVE).clears(0.0)
+def test_sign_certificate_rejects_an_unknown_claim(monkeypatch):
+    monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", 0.0)
+    assert SignCertificate("x", 1.0, POSITIVE).clears()
+    assert not SignCertificate("x", 0.0, NEGATIVE).clears()
     with pytest.raises(ValueError, match="unknown claimed sign 'postive'"):
-        SignCertificate("x", 0.0, "postive").clears(0.0)
+        SignCertificate("x", 0.0, "postive").clears()
     with pytest.raises(ValueError, match="unknown claimed sign 'postive'"):
         SignCertificate("x", np.array([1.0, -1.0]), "postive").clears()
 
@@ -259,14 +261,16 @@ _EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-6, -1e-6, 1.0, -1.0
 
 @pytest.mark.parametrize("margin", (0.0, 1e-6, 1.0))
 @pytest.mark.parametrize("claim", (POSITIVE, NEGATIVE))
-def test_clears_is_the_sign_and_margin_predicate_elementwise(claim, margin):
-    # the predicate that SignCertificate's holds and margin properties made, written out
+def test_clears_is_the_sign_and_margin_predicate_elementwise(monkeypatch, claim, margin):
+    # the predicate that SignCertificate's holds and margin properties made, written out;
+    # clears() reads CERTIFICATE_MARGIN at each call
+    monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", margin)
     values = np.array(_EDGE_VALUES)
     holds = values > 0 if claim == POSITIVE else values < 0
     expected = holds & (np.abs(values) > margin)
-    assert (SignCertificate("x", values, claim).clears(margin) == expected).all()
-    assert [SignCertificate("x", v, claim).clears(margin) for v in _EDGE_VALUES] == list(expected)
-    stack = SignCertificate("x", values.reshape(3, 5), claim).clears(margin)
+    assert (SignCertificate("x", values, claim).clears() == expected).all()
+    assert [SignCertificate("x", v, claim).clears() for v in _EDGE_VALUES] == list(expected)
+    stack = SignCertificate("x", values.reshape(3, 5), claim).clears()
     assert (stack == expected.reshape(3, 5)).all()
 
 
@@ -898,6 +902,10 @@ def _public_calls(g, pcs):
         calls.append(("recover_pair", lambda: recover_pair(pcs[0], pcs[2], pcs.sum(), 1, 1)))
     if g == 6:
         calls.append(("g6_d5_obstruction", lambda: g6_d5_obstruction(pcs)))
+    # cross_ratio takes numpy values and Python floats along different arithmetic
+    calls += [(f"cross_ratio {k} {kind.__name__}",
+               lambda k=k, kind=kind: quadric.cross_ratio(*map(kind, pcs[k:k + 4])))
+              for k in range(g - 3) for kind in (np.float64, float)]
     return calls
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liesphere import polygon
+from liesphere import dji, polygon
 from liesphere.dji import CLC_PHI
 from liesphere.errors import DomainError
 from liesphere.isoparam import multiplicity_vector
@@ -665,7 +666,7 @@ def _assert_agrees_with_reference(poly, tol):
 def test_conformal_normalize_identity_on_normalized():
     poly = build_parallel_polygon(4, 0.1)
     mapped, out = conformal_normalize(poly)
-    assert abs(mapped.x) <= 1e-10 and abs(mapped.y) <= 1e-10
+    assert abs(mapped.matrix[2, 0]) <= 1e-10 and abs(mapped.matrix[2, 1]) <= 1e-10
     assert np.abs(out.vertex_angles - poly.vertex_angles).max() <= 1e-10
 
 
@@ -713,8 +714,10 @@ def test_circle_mobius_is_o21():
     from liesphere.indefinite import Signature, is_lie_transform
     ok, _ = is_lie_transform(mapped.matrix, Signature(2, 1), 1e-9)
     assert ok
-    assert mapped.matrix[2, 0] == mapped.x
-    assert mapped.matrix[2, 2] == mapped.alpha_check
+    # the map is its matrix alone: no second copy of its entries to disagree with it
+    assert [f.name for f in dataclasses.fields(CircleMobius)] == ["matrix"]
+    with pytest.raises(ValueError, match=r"^not in O\(2,1\): residual "):
+        CircleMobius(2.0 * np.eye(3))
 
 
 @pytest.mark.parametrize("make, cls", [
@@ -742,7 +745,8 @@ def test_isometry_reduction_g4():
     poly = build_parallel_polygon(4, 0.05)
     result = isometry_reduction(4, poly, 1, 1)
     assert result.closed_form_gap <= 1e-13
-    assert all(cert.clears(1e-6) for cert in result.certificates)
+    assert dji.CERTIFICATE_MARGIN == 1e-6  # the margin every clears() in this file judges by
+    assert all(cert.clears() for cert in result.certificates)
 
 
 def test_isometry_reduction_certificate_value_at_theta0():
@@ -758,7 +762,7 @@ def test_isometry_reduction_grid_and_multiplicities():
         for theta in np.linspace(-0.8, 0.8, 9) * bound:
             result = isometry_reduction(g, build_parallel_polygon(g, float(theta)), m1, m2)
             assert result.closed_form_gap <= 1e-13
-            assert all(c.clears(1e-6) for c in result.certificates)
+            assert all(c.clears() for c in result.certificates)
 
 
 @pytest.mark.parametrize("g, m1, m2", ((4, 0, 3), (4, 2, 0), (6, 0, 0), (6, 1, 2)))
@@ -809,12 +813,11 @@ def test_reduction_path_on_a_stack_equals_one_polygon_at_a_time(g):
     mapped, normalized = conformal_normalize(moved)
     for k in range(6):
         one_map = CircleMobius.from_parameters(chis[k], boosts[k])
-        assert _same_bits(maps.matrix[k], one_map.matrix) and maps.x[k] == one_map.x
+        assert _same_bits(maps.matrix[k], one_map.matrix)
         assert _same_bits(moved.radius_table[k], polygon_from_positions(g, phis[k]).radius_table)
         alone_map, alone = conformal_normalize(_one(moved, k))
         assert not is_parallel(_one(moved, k))
-        for stacked, single in ((mapped.matrix, alone_map.matrix), (mapped.x, alone_map.x),
-                                (mapped.y, alone_map.y),
+        for stacked, single in ((mapped.matrix, alone_map.matrix),
                                 (normalized.vertex_angles, alone.vertex_angles),
                                 (normalized.radius_table, alone.radius_table)):
             assert _same_bits(stacked[k], single)

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,34 @@ def test_cross_ratio_stack_names_its_degenerate_member():
     w4[1] = w[0, 1]
     with pytest.raises(DegenerateConfiguration, match="vanishes at stack index 1$"):
         cross_ratio(w[0], w[1], w[2], w4)
+
+
+def test_cross_ratio_of_python_floats_that_overflow_is_a_domain_error():
+    # Python float arithmetic ignores numpy's error state: inf / inf is a silent nan
+    with pytest.raises(DomainError, match=r"^the cross ratio nan is not finite$"):
+        cross_ratio(3e200, 2e200, -2e200, -3e200)
+
+
+def test_cross_ratio_of_numpy_values_that_overflow_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^a cross ratio cannot be evaluated at points "
+                                              r"3e\+200, 2e\+200, ") as info:
+            cross_ratio(np.float64(3e200), 2e200, -2e200, -3e200)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+def test_cross_ratio_of_a_python_complex_that_overflows_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^a cross ratio cannot be evaluated at") as info:
+        cross_ratio(complex(1.7e308, 1.7e308), 0j, 1j, 2j)
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_cross_ratio_of_a_nan_point_names_its_stack_index():
+    with pytest.raises(DomainError, match=r"^the cross ratio nan is not finite$"):
+        cross_ratio(float("nan"), 1.0, 2.0, 3.0)
+    with pytest.raises(DomainError, match=r"not finite at stack index 2$"):
+        cross_ratio(np.array([0.0, 0.5, math.nan]), 1.0, 2.0, 3.0)
 
 
 def test_lie_curvature_stack_names_its_degenerate_member():

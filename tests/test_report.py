@@ -30,8 +30,8 @@ from liesphere.report import (UsageError, VerificationCase, all_passed, emit_pol
 
 def _as_blocks(suite):
     """A suite that yields (case_id, params, residual, tolerance) tuples, as one-case blocks."""
-    def blocks(seed, tol):
-        for case_id, params, residual, tolerance in suite(seed, tol):
+    def blocks(seed):
+        for case_id, params, residual, tolerance in suite(seed):
             yield [(case_id, params, tolerance)], lambda residual=residual: [residual]
     return blocks
 
@@ -142,7 +142,7 @@ def test_isoparametric_suite_reports_wrong_mean_curvature(monkeypatch):
     assert not any(c.status == "error" for c in cases)
 
 
-def _reference_isoparametric_formulas(seed, tol):
+def _reference_isoparametric_formulas(seed):
     """The suite as one scalar library call per family member, as before the array pass."""
     for g, m1, m2 in report._FAMILY_COMBOS:
         family = {"g": g, "m1": m1, "m2": m2}
@@ -160,20 +160,19 @@ def _reference_isoparametric_formulas(seed, tol):
             if g in (3, 6):
                 gap = max(gap, abs(h - g * m1 / math.tan(g * fam.theta1)))
             yield (f"isoparametric_formulas/mean_{tag}", {**family, "theta": f"{theta:.6f}"},
-                   gap / max(1.0, abs(h)), tol if tol is not None else 1e-9)
+                   gap / max(1.0, abs(h)), 1e-9)
             ordering_ok = bool(np.all(np.diff(lam) < 0)
                                and lam[0] > 1.0 / math.tan(math.pi / g) - 1e-12)
             yield (f"isoparametric_formulas/ordering_{tag}", family,
                    0.0 if ordering_ok else 1.0, 0.5)
             back = isoparam.theta_from_mean_curvature(g, m1, m2, h)
             yield (f"isoparametric_formulas/roundtrip_{tag}", family,
-                   abs(back - theta), tol if tol is not None else 1e-10)
+                   abs(back - theta), 1e-10)
             if g in (3, 4, 6):
                 inv = isoparam.scalar_curvature(fam)
                 r = inv.scalar_curvature
                 yield (f"isoparametric_formulas/scalar_{tag}", family,
-                       abs(inv.closed_form - r) / max(1.0, abs(r)),
-                       tol if tol is not None else 1e-8)
+                       abs(inv.closed_form - r) / max(1.0, abs(r)), 1e-8)
         monotone = bool(np.all(np.diff(h_values) < 0))
         yield (f"isoparametric_formulas/monotone_g{g}_m{m1}_{m2}", family,
                0.0 if monotone else 1.0, 0.5)
@@ -182,8 +181,8 @@ def _reference_isoparametric_formulas(seed, tol):
 @pytest.mark.parametrize("seed", range(4))
 def test_array_isoparametric_suite_matches_scalar_loop(seed):
     # same cases in the same order with the same verdicts; residuals may round apart
-    stacked = _flattened(report._suite_isoparametric_formulas(seed, None))
-    scalar = list(_reference_isoparametric_formulas(seed, None))
+    stacked = _flattened(report._suite_isoparametric_formulas(seed))
+    scalar = list(_reference_isoparametric_formulas(seed))
     verdicts = lambda cases: [(case_id, params, tolerance, residual <= tolerance)
                               for case_id, params, residual, tolerance in cases]
     assert verdicts(stacked) == verdicts(scalar) and all(r <= t for _, _, r, t in stacked)
@@ -300,11 +299,18 @@ def test_psi_route_disagreement_fails_psi_triple(monkeypatch):
     assert set(cases.values()) == {"pass"}
 
 
-def test_tol_is_the_certificate_margin_of_the_isometry_suite():
-    # one margin rule: --tol sets the margin of the reduction's certificates too
-    cases = run_suite("isometry_reduction", 0, tol=1e3)
-    assert cases and all(c.status == "fail" and c.residual == math.inf for c in cases)
-    assert all_passed(run_suite("isometry_reduction", 0, tol=1e-3))
+def test_certificate_margin_is_the_one_margin_of_both_suites(monkeypatch):
+    # clears() reads dji.CERTIFICATE_MARGIN at each call: no other number judges a certificate
+    def certificate_cases():
+        return [c for c in run_suite("sign_certificates", 0) + run_suite("isometry_reduction", 0)
+                if not c.case_id.startswith("sign_certificates/value_")]
+
+    monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", 1e30)
+    cases = certificate_cases()
+    assert len(cases) == 27 + 105 and all(c.status == "fail" for c in cases)
+    assert all(c.residual == math.inf for c in cases if c.suite == "isometry_reduction")
+    monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", 0.0)
+    assert all_passed(certificate_cases())
 
 
 def test_isometry_suite_fails_weak_certificates(monkeypatch):
@@ -314,9 +320,8 @@ def test_isometry_suite_fails_weak_certificates(monkeypatch):
     assert cases and all(c.status == "fail" and c.residual == math.inf for c in cases)
 
 
-def _reference_isometry_suite(seed, tol):
+def _reference_isometry_suite(seed):
     """The per-theta suite loop, kept as the reference: one polygon at a time."""
-    tolerance = tol if tol is not None else 1e-10
     pairs = {4: ((1, 1), (2, 2), (4, 5)), 6: ((1, 1), (2, 2))}
     for g, multiplicities in pairs.items():
         bound = math.pi / (2 * g)
@@ -333,26 +338,26 @@ def _reference_isometry_suite(seed, tol):
                 else:
                     try:
                         result = polygon.isometry_reduction(g, normalized, m1, m2)
-                        params.update(map_x=f"{mapped.x:.2e}", map_y=f"{mapped.y:.2e}")
-                        strict = all(c.clears(report._certificate_margin(tol))
-                                     for c in result.certificates)
+                        params.update(map_x=f"{mapped.matrix[2, 0]:.2e}",
+                                      map_y=f"{mapped.matrix[2, 1]:.2e}")
+                        strict = all(c.clears() for c in result.certificates)
                         residual = result.closed_form_gap if strict else math.inf
                     except Exception as exc:  # noqa: BLE001
                         residual = exc
-                yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, tolerance
+                yield f"isometry_reduction/g{g}_m{m1}{m2}[{idx:02d}]", params, residual, 1e-10
 
 
-def _isometry_records(tol=None):
+def _isometry_records():
     """(case_id, params, status, residual) of each isometry_reduction case."""
     return [(c.case_id, c.params, c.status, c.residual)
-            for c in run_suite("isometry_reduction", 0, tol)]
+            for c in run_suite("isometry_reduction", 0)]
 
 
-def _reference_records(monkeypatch, tol=None):
+def _reference_records(monkeypatch):
     """_isometry_records of the reference loop, under the monkeypatches already set."""
     with monkeypatch.context() as patch:
         patch.setitem(report._SUITES, "isometry_reduction", _as_blocks(_reference_isometry_suite))
-        return _isometry_records(tol)
+        return _isometry_records()
 
 
 def test_isometry_residual_is_the_closed_form_gap():
@@ -367,10 +372,13 @@ def test_isometry_residual_is_the_closed_form_gap():
     assert len(cases) == 105 and max(c.residual for c in cases) > 0
 
 
-@pytest.mark.parametrize("tol", (None, 1e3))
-def test_isometry_suite_equals_the_per_theta_loop(monkeypatch, tol):
-    stacked = _isometry_records(tol)
-    assert len(stacked) == 105 and stacked == _reference_records(monkeypatch, tol)
+@pytest.mark.parametrize("margin", (None, 1e3))
+def test_isometry_suite_equals_the_per_theta_loop(monkeypatch, margin):
+    # at the default margin, and at one that no certificate clears (every residual inf)
+    if margin is not None:
+        monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", margin)
+    stacked = _isometry_records()
+    assert len(stacked) == 105 and stacked == _reference_records(monkeypatch)
 
 
 def test_isometry_suite_stacks_equal_one_polygon_at_a_time():
@@ -384,7 +392,6 @@ def test_isometry_suite_stacks_equal_one_polygon_at_a_time():
         for k, theta in enumerate(thetas):
             one_map, one = polygon.conformal_normalize(build_parallel_polygon(g, float(theta)))
             assert np.array_equal(mapped.matrix[k], one_map.matrix)
-            assert (mapped.x[k], mapped.y[k]) == (one_map.x, one_map.y)
             assert np.array_equal(normalized.vertex_angles[k], one.vertex_angles)
             assert np.array_equal(normalized.radius_table[k], one.radius_table)
             for result, (m1, m2) in zip(results, multiplicities):
@@ -628,7 +635,7 @@ def _raising(exc_type):
     return solver
 
 
-def _suite_that_raises(seed, tol):
+def _suite_that_raises(seed):
     yield "angle_solvers/before_the_failure", {}, 0.0, 0.5
     raise ArithmeticError("injected")
 
@@ -743,8 +750,8 @@ def _failing_block(suite, k, blocks):
     def failing():
         raise InjectedBlockError(f"block {k}")
 
-    def wrapped(seed, tol):
-        for n, (cases, compute) in enumerate(suite(seed, tol)):
+    def wrapped(seed):
+        for n, (cases, compute) in enumerate(suite(seed)):
             blocks.append({case_id for case_id, _, _ in cases})
             yield cases, failing if n == k else compute
     return wrapped
@@ -1141,10 +1148,11 @@ def test_cli_dji_json_carries_the_verdict_it_exits_by(tmp_path, capsys, theta, f
 
 
 @pytest.mark.parametrize("argv, message", (
-    (["verify", "--suite", "sign_certificates", "--tol", "-1"], "argument --tol: must be"),
-    (["verify", "--suite", "sign_certificates", "--tol", "nan"], "argument --tol: must be"),
-    (["verify", "--suite", "sign_certificates", "--tol", "inf"], "argument --tol: must be"),
-    (["verify", "--suite", "sign_certificates", "--tol", "x"], "invalid float value: 'x'"),
+    (["verify", "--suite", "all", "--tol", "1e-6"], "unrecognized arguments: --tol 1e-6"),
+    (["verify", "--suite", "all", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["family", "--g", "4", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+    (["search", "--g", "3", "--constraints", "cmc", "--seed", "1.5"],
+     "argument --seed: invalid int value: '1.5'"),
     (["verify", "--suite", "all", "--seed", "-1"], "argument --seed: must be >= 0"),
     (["search", "--g", "3", "--constraints", "cmc", "--seed", "-1"],
      "argument --seed: must be >= 0"),
@@ -1160,12 +1168,6 @@ def test_cli_rejects_out_of_range_numbers_at_parse_time(monkeypatch, capsys, arg
     code, out, err = _main_output(argv, capsys)
     assert (code, out) == (2, "")
     assert message in err
-
-
-def test_cli_tol_zero_still_runs(capsys):
-    # a zero margin judges each certificate by its sign alone
-    assert cli.main(["verify", "--suite", "sign_certificates", "--tol", "0"]) == 0
-    assert "29 cases: 29 pass, 0 fail, 0 error" in capsys.readouterr().out
 
 
 def test_cli_dji_g3_csc_kernel_stays_one(capsys):
@@ -1204,9 +1206,10 @@ def test_cli_dji_unpinned_cmc_only():
     assert "kernel_dim=8" in proc.stdout   # 12 unknowns minus 4 independent rows
 
 
-def test_cli_verify_failure_exit_code(tmp_path, monkeypatch):
-    # a failing case must yield exit code 1: shrink a tolerance to force failure
-    proc = run_cli("verify", "--suite", "sign_certificates", "--tol", "1e30")
-    # tol override raises the certificate margin requirement beyond reach -> failures
-    assert proc.returncode == 1
-    assert "FAIL " in proc.stdout   # exit 1 also follows a failed import
+def test_cli_verify_failure_exit_code(monkeypatch, capsys):
+    # a failing case must yield exit code 1: a margin beyond reach fails every certificate
+    monkeypatch.setattr(dji, "CERTIFICATE_MARGIN", 1e30)
+    code, out, _ = _main_output(["verify", "--suite", "sign_certificates"], capsys)
+    assert code == 1
+    assert "FAIL  sign_certificates/g4_d23_ratio residual=1.000e+00 tol=5.000e-01\n" in out
+    assert out.endswith("29 cases: 2 pass, 27 fail, 0 error\n")
